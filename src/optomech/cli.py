@@ -127,6 +127,13 @@ class RunConfig:
             )
         if self.dt is not None and not (self.dt > 0):
             raise ConfigError("dt must be positive")
+        if self.dt is not None and self.params is not None and (
+            "driven-numeric" in self.modes or "wigner" in self.modes
+        ):
+            try:
+                oracle.require_stable_dt(self.params, self.dt)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.wigner_grid_points < 8:
             raise ConfigError("wigner_grid_points must be at least 8")
 
@@ -474,6 +481,12 @@ def auto_analytic_dims(p: SystemParams, t_end: float) -> FockDims:
     return FockDims(fd, md)
 
 
+def _integrator_config(cfg: RunConfig, t_total: float, dims: FockDims) -> oracle.IntegratorConfig:
+    """RK4 settings recommended over t_total, with the config's dt override applied."""
+    icfg = oracle.recommend_integrator_config(cfg.params, t_total, dims, cfg.norm_tolerance)
+    return icfg if cfg.dt is None else replace(icfg, dt=cfg.dt)
+
+
 # ---------------------------------------------------------------------------
 # Execution
 
@@ -602,11 +615,7 @@ def _run_job(job: _Job) -> tuple:
 
     if "driven-numeric" in cfg.modes:
         dims = cfg.dims or auto_numeric_dims(p, cfg.t_end)
-        icfg = oracle.recommend_integrator_config(
-            p, cfg.t_end, dims, cfg.norm_tolerance
-        )
-        if cfg.dt is not None:
-            icfg = replace(icfg, dt=cfg.dt)
+        icfg = _integrator_config(cfg, cfg.t_end, dims)
         run = oracle.evolve_numeric(p, dims, icfg, t_grid)
         numeric = oracle.observables_numeric(run)
         for s in numeric.values():
@@ -649,12 +658,15 @@ def _run_job(job: _Job) -> tuple:
         note("wigner_analytic_field_dim", dims_a.field_dim)
         note("wigner_analytic_mirror_dim", dims_a.mirror_dim)
         note("wigner_grid_points", cfg.wigner_grid_points)
-        for source, dims_s in (
-            (wigner.StateSource.ANALYTIC, dims_a),
-            (wigner.StateSource.NUMERIC, dims_n),
+        # The numeric snapshots honor the dt and norm_tolerance overrides.
+        icfg = _integrator_config(cfg, wigner.default_snapshot_times(p)[-1], dims_n)
+        note("wigner_numeric_dt", icfg.dt)
+        for source, dims_s, icfg_s in (
+            (wigner.StateSource.ANALYTIC, dims_a, None),
+            (wigner.StateSource.NUMERIC, dims_n, icfg),
         ):
             snaps = wigner.snapshot_set(
-                p, source, dims_s, n_grid=cfg.wigner_grid_points
+                p, source, dims_s, n_grid=cfg.wigner_grid_points, config=icfg_s
             )
             for i, snap in enumerate(snaps):
                 stem = _stem(
@@ -705,8 +717,7 @@ def validate(config: RunConfig) -> str:
             f" recommended_mirror_dim={dims.mirror_dim}"
         )
         if "driven-numeric" in cfg.modes or "wigner" in cfg.modes:
-            icfg = oracle.recommend_integrator_config(p, cfg.t_end, dims, cfg.norm_tolerance)
-            dt = cfg.dt if cfg.dt is not None else icfg.dt
+            dt = _integrator_config(cfg, cfg.t_end, dims).dt
             n_steps = math.ceil(cfg.t_end / dt)
             state_mb = dims.joint * 16 * (cfg.n_samples + 8) / 1e6
             lines.append(

@@ -2,22 +2,33 @@
 
 No approximation beyond Fock truncation: the joint Hamiltonian
 
-    H(t) = omega_c n + omega_m N - G0 n (b + b^dagger)
-           + drive_amp cos(omega_p t) (a + a^dagger)
+    H(t) = H0 + V(t),   H0 = omega_c n + omega_m N,
+    V(t) = - G0 n (b + b^dagger) + drive_amp cos(omega_p t) (a + a^dagger)
 
-is applied to the joint amplitude vector with classical fixed-step RK4.
+is integrated with classical fixed-step RK4 in the interaction frame of
+H0, psi_I = exp(i H0 t) psi. There H0 drops out and
+
+    H_I(t) = exp(i H0 t) V(t) exp(-i H0 t)
+
+keeps only four bands in the field-major index i = k * mirror_dim + m:
+the coupling bands (offsets +-1, from b and b^dagger) carry the phases
+exp(-+i omega_m t), and the drive bands (offsets +-mirror_dim, from a and
+a^dagger) carry cos(omega_p t) exp(-+i omega_c t). Each RK4 stage at a new
+time rescales those DIA data rows in place and applies one matrix-vector
+product; every snapshot is rotated back to the lab frame with the diagonal
+phase exp(-i H0 t), so callers only ever see lab-frame states.
 Everything else in the package is measured against this.
 
-The Hamiltonian is banded in the field-major index i = k * mirror_dim + m
-(offsets 0, +-1, +-mirror_dim), so each stage is a DIA-format
-matrix-vector product after refreshing the data rows in place with the
-current drive factor. RK4 applied to -iH loses norm at a known rate,
-|R(-i theta)|^2 = 1 - theta^6/72 + O(theta^8) per step with
-theta = lambda dt, which is what the recommended step size is solved
-from; an explicit norm monitor backstops the estimate.
+RK4 applied to -i H_I loses norm at a known rate, |R(-i theta)|^2 =
+1 - theta^6/72 + O(theta^8) per step with theta = lambda dt, which is what
+the recommended step size is solved from. Only the surviving coupling and
+drive terms enter lambda; the free energies omega_c k and omega_m m, which
+dominate the lab-frame spectrum, do not. An explicit norm monitor backstops
+the estimate.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -145,6 +156,17 @@ def max_stable_dt(p: SystemParams) -> float:
     return 2.0 * math.pi / (MIN_STEPS_PER_FAST_PERIOD * p.fastest_angular_frequency)
 
 
+def require_stable_dt(p: SystemParams, dt: float) -> None:
+    """Raise ValueError when dt exceeds max_stable_dt(p)."""
+    cap = max_stable_dt(p)
+    if dt > cap * (1 + 1e-12):
+        raise ValueError(
+            f"dt {dt:g} does not resolve the fastest period; need dt <= "
+            f"max_stable_dt = {cap:g} s ({MIN_STEPS_PER_FAST_PERIOD} steps per period of "
+            f"{p.fastest_angular_frequency:g} rad/s)"
+        )
+
+
 def recommend_integrator_config(
     p: SystemParams,
     t_total: float,
@@ -153,22 +175,29 @@ def recommend_integrator_config(
 ) -> IntegratorConfig:
     """Step size that keeps total RK4 norm loss under norm_tolerance.
 
-    Per step the amplitude of a populated eigen-direction decays by
-    theta^6/72 with theta = lambda_eff * dt, so over n = t_total/dt steps
-    the drift is bounded by solving n * theta^6/72 = norm_tolerance/2 for
-    dt (the half is slack for the populated tail above lambda_eff;
-    lambda_eff itself already overestimates the populated spectrum by
-    summing term maxima, so measured drift sits far below the bound).
+    The stepper integrates in the interaction frame of H0 = omega_c n +
+    omega_m N, where the generator is H_I(t) = exp(i H0 t) V(t) exp(-i H0 t)
+    and only the coupling and drive bands survive. Its spectral scale on
+    the populated levels (k6, m6: sixth-moment field and mirror levels) is
+
+        lambda_eff = 2 G0 k6 sqrt(m6 + 1) + 2 drive_amp sqrt(k6 + 1),
+
+    the bounds of G0 n (b + b^dagger) and drive_amp (a + a^dagger); the
+    phases of H_I leave these norms unchanged, and the free terms
+    omega_c k6 and omega_m m6 do not enter. Per step the amplitude of a
+    populated eigen-direction decays by theta^6/72 with theta =
+    lambda_eff * dt, so over n = t_total/dt steps the drift is bounded by
+    solving n * theta^6/72 = norm_tolerance/2 for dt (the half is slack
+    for the populated tail above lambda_eff; lambda_eff itself already
+    overestimates the populated spectrum by summing term maxima, so
+    measured drift sits far below the bound). The result is capped by
+    max_stable_dt, since omega_c + omega_p is still the fastest frequency
+    in H_I(t).
     """
     if t_total <= 0:
         raise ValueError("t_total must be positive")
     k6, m6 = _populated_levels(p, t_total, dims)
-    lam = (
-        p.omega_c * k6
-        + p.omega_m * m6
-        + 2.0 * p.g0 * k6 * math.sqrt(m6 + 1.0)
-        + 2.0 * p.drive_amp * math.sqrt(k6 + 1.0)
-    )
+    lam = 2.0 * p.g0 * k6 * math.sqrt(m6 + 1.0) + 2.0 * p.drive_amp * math.sqrt(k6 + 1.0)
     cap = max_stable_dt(p)
     if lam <= 0:
         return IntegratorConfig(dt=cap, norm_tolerance=norm_tolerance)
@@ -193,13 +222,77 @@ class OracleRun:
     n_steps: int = 0
 
 
-def _aligned_dia_data(mat, offsets, n):
-    """DIA data rows of `mat` aligned to a fixed offset list."""
-    dia = sp.dia_matrix(mat)
-    data = np.zeros((len(offsets), n), dtype=np.complex128)
-    for row, off in zip(dia.data, dia.offsets):
-        data[offsets.index(int(off))] = row
-    return data
+def _band_row(mat, off: int, n: int) -> np.ndarray:
+    """Band `off` of `mat` as a DIA data row, where entry j multiplies x[j]."""
+    row = np.zeros(n, dtype=np.complex128)
+    band = mat.diagonal(off)
+    if off >= 0:
+        row[off:] = band
+    else:
+        row[: n + off] = band
+    return row
+
+
+class InteractionFrame:
+    """The generator -i H_I(t) of psi_I = exp(i H0 t) psi, as a banded matvec.
+
+    Built from the assembly's own bands: the coupling rows (offsets +-1)
+    from h_static and the drive rows (offsets +-mirror_dim) from h_drive.
+    Bands that vanish (no coupling, no drive) are left out, so their cost
+    is not paid.
+    """
+
+    def __init__(self, p: SystemParams, dims: FockDims):
+        asm = assemble_hamiltonian(p, dims)
+        n = dims.joint
+        self._p = p
+        self._field_levels = np.arange(dims.field_dim, dtype=float)
+        self._mirror_levels = np.arange(dims.mirror_dim, dtype=float)
+        # (offset, source operator, index into the factors of _refresh): b at
+        # offset +1 rotates as exp(-i omega_m t), a at +mirror_dim as
+        # exp(-i omega_c t), and their adjoints below the diagonal conjugate.
+        bands = (
+            (-dims.mirror_dim, asm.h_drive, 3),
+            (-1, asm.h_static, 1),
+            (1, asm.h_static, 0),
+            (dims.mirror_dim, asm.h_drive, 2),
+        )
+        rows, offsets, self._factor_of = [], [], []
+        for off, op, which in bands:
+            row = _band_row(op.mat, off, n)
+            if np.any(row):
+                rows.append(row)
+                offsets.append(off)
+                self._factor_of.append(which)
+        self._base = np.array(rows, dtype=np.complex128).reshape(len(rows), n)
+        self._scale = np.empty((len(rows), 1), dtype=np.complex128)
+        self._op = sp.dia_matrix((self._base.copy(), np.array(offsets, dtype=int)), shape=(n, n))
+        self._t = None
+
+    def _refresh(self, t: float) -> None:
+        p = self._p
+        em = cmath.exp(-1j * p.omega_m * t)
+        ed = p.drive_amp * math.cos(p.omega_p * t) * cmath.exp(-1j * p.omega_c * t)
+        # Folding -i into the rows makes each RK4 stage one matvec.
+        factors = (-1j * em, -1j * em.conjugate(), -1j * ed, -1j * ed.conjugate())
+        for i, which in enumerate(self._factor_of):
+            self._scale[i, 0] = factors[which]
+        np.multiply(self._base, self._scale, out=self._op.data)
+        self._t = t
+
+    def rhs(self, t: float, vec: np.ndarray) -> np.ndarray:
+        """d psi_I / dt = -i H_I(t) psi_I; the rows are rescaled only when t changes."""
+        if t != self._t:
+            self._refresh(t)
+        return self._op @ vec
+
+    def to_lab(self, t: float, vec: np.ndarray) -> np.ndarray:
+        """psi = exp(-i H0 t) psi_I; the phase factors into field times mirror."""
+        phase = np.multiply.outer(
+            np.exp(-1j * self._p.omega_c * t * self._field_levels),
+            np.exp(-1j * self._p.omega_m * t * self._mirror_levels),
+        )
+        return vec * phase.ravel()
 
 
 def _leak_fraction(psi: np.ndarray, dims: FockDims) -> float:
@@ -222,9 +315,13 @@ def evolve_numeric(
 ) -> OracleRun:
     """Integrate from the product of coherent states, sampling at t_grid.
 
-    The state is never renormalized while stepping; snapshots are
-    renormalized copies taken only while the accumulated drift is inside
-    config.norm_tolerance, past which IntegrationError is raised.
+    Steps run in the interaction frame (see the module docstring); each
+    snapshot is rotated back, so run.states are lab-frame states. The state
+    is never renormalized while stepping; snapshots are renormalized copies
+    taken only while the accumulated drift is inside config.norm_tolerance,
+    past which IntegrationError is raised. Snapshots with more than
+    LEAK_TOLERANCE of population in the top Fock levels raise one
+    UserWarning per run, naming the worst of them.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -233,11 +330,7 @@ def evolve_numeric(
         raise ValueError("t_grid must be non-negative and strictly ascending")
     if config is None:
         config = recommend_integrator_config(p, max(float(t_grid[-1]), 1e-300), dims)
-    cap = max_stable_dt(p)
-    if config.dt > cap * (1 + 1e-12):
-        raise ValueError(
-            f"dt {config.dt:g} does not resolve the fastest period; need <= {cap:g}"
-        )
+    require_stable_dt(p, config.dt)
 
     psi = JointState.from_product(
         dims,
@@ -245,33 +338,8 @@ def evolve_numeric(
         coherent_state(dims.mirror_dim, p.gamma),
     ).amps.copy()
 
-    asm = assemble_hamiltonian(p, dims)
-    n = dims.joint
-    off_static = sp.dia_matrix(asm.h_static.mat).offsets
-    off_drive = sp.dia_matrix(asm.h_drive.mat).offsets
-    offsets = sorted(set(int(o) for o in off_static) | set(int(o) for o in off_drive))
-    # Fold -i (Schrodinger) into the data rows once so each stage is one matvec.
-    data_static = -1j * _aligned_dia_data(asm.h_static.mat, offsets, n)
-    data_drive = (-1j * p.drive_amp) * _aligned_dia_data(asm.h_drive.mat, offsets, n)
-    template = sp.dia_matrix(
-        (data_static.copy(), np.array(offsets)), shape=(n, n)
-    )
-    # The drive rows (offsets +-mirror_dim) are disjoint from the static rows
-    # (0, +-1), so refreshing the drive factor rescales just those two rows.
-    nonzero_static = np.abs(data_static).max(axis=1) > 0
-    drive_rows = [
-        i for i in range(len(offsets)) if np.abs(data_drive[i]).max() > 0
-    ]
-    if any(nonzero_static[i] for i in drive_rows):
-        raise AssertionError("static and drive bands overlap; assembly changed")
-    driven = p.drive_amp != 0.0 and drive_rows
-
-    def rhs(time, vec, refresh=True):
-        if driven and refresh:
-            c = math.cos(p.omega_p * time)
-            for i in drive_rows:
-                np.multiply(data_drive[i], c, out=template.data[i])
-        return template @ vec
+    frame = InteractionFrame(p, dims)
+    rhs = frame.rhs
 
     run = OracleRun(p, dims, config, t_grid, [])
     dt = config.dt
@@ -290,18 +358,17 @@ def evolve_numeric(
             )
         return nrm
 
+    leaky = []  # (leak, t) of every snapshot over LEAK_TOLERANCE
+
     def snapshot(vec, t_snap):
         nrm = check(vec)
         leak = _leak_fraction(vec, dims)
         run.leak_max = max(run.leak_max, leak)
         if leak > LEAK_TOLERANCE:
-            warnings.warn(
-                f"population {leak:.3g} in the top 3 Fock levels at t={t_snap:g}; "
-                f"increase dims beyond ({dims.field_dim}, {dims.mirror_dim})",
-                stacklevel=2,
-            )
-        state = JointState(dims, vec / nrm, meta={"t": t_snap, "norm_drift": abs(nrm - 1.0)})
-        run.states.append(state)
+            leaky.append((leak, t_snap))
+        lab = frame.to_lab(t_snap, vec)
+        lab /= nrm
+        run.states.append(JointState(dims, lab, meta={"t": t_snap, "norm_drift": abs(nrm - 1.0)}))
 
     stage = np.empty_like(psi)
     for t_target in t_grid:
@@ -316,7 +383,7 @@ def evolve_numeric(
                 k2 = rhs(t_now + 0.5 * h, stage)
                 np.multiply(k2, 0.5 * h, out=stage)
                 stage += psi
-                k3 = rhs(t_now + 0.5 * h, stage, refresh=False)
+                k3 = rhs(t_now + 0.5 * h, stage)
                 np.multiply(k3, h, out=stage)
                 stage += psi
                 k4 = rhs(t_now + h, stage)
@@ -336,6 +403,14 @@ def evolve_numeric(
             t_now = t_target
         snapshot(psi, float(t_target))
     run.n_steps = steps_done
+    if leaky:
+        leak, t_leak = max(leaky)
+        warnings.warn(
+            f"population {leak:.3g} in the top 3 Fock levels at t={t_leak:g} "
+            f"(worst of {len(leaky)} of {len(t_grid)} snapshots over {LEAK_TOLERANCE:g}); "
+            f"increase dims beyond ({dims.field_dim}, {dims.mirror_dim})",
+            stacklevel=2,
+        )
     return run
 
 

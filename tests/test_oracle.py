@@ -1,13 +1,26 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
-from conftest import tiny_system
+from conftest import strong_system, tiny_system
 from optomech.errors import IntegrationError
-from optomech.fock import FockDims, coherent_state, ladder_ops
+from optomech.fock import (
+    FockDims,
+    JointState,
+    SparseOperator,
+    coherent_state,
+    ladder_ops,
+    tensor,
+)
 from optomech.oracle import (
     IntegratorConfig,
+    InteractionFrame,
+    _band_row,
     assemble_hamiltonian,
     evolve_numeric,
     max_stable_dt,
@@ -74,27 +87,77 @@ class TestStepSizing:
         long = recommend_integrator_config(p, 1e-3, FockDims(20, 40))
         assert long.dt <= short.dt
 
-    def test_norm_decay_matches_rk4_stability_function(self):
-        """A diagonal generator decays by exactly |R(-i theta)|^2 per step.
 
-        |R|^2 = 1 - theta^6/72 + theta^8/576 exactly for classical RK4, so
-        the final norm of a coherent superposition of eigenlevels is known in
-        closed form and pins the step-size heuristic's foundation.
-        """
-        p = SystemParams(omega_c=2e6, omega_m=1e6, alpha=1.0, gamma=0.0)
-        dims = FockDims(13, 2)
-        dt = 3.6e-8  # theta up to ~0.9 rad on the top populated level
-        n_steps = 200
-        run = evolve_numeric(
-            p, dims,
-            config=IntegratorConfig(dt=dt, norm_tolerance=0.5),
-            t_grid=np.array([0.0, n_steps * dt]))
-        assert run.n_steps == n_steps
-        probs = np.abs(coherent_state(13, 1.0)) ** 2
-        theta = p.omega_c * np.arange(13) * dt  # gamma=0: mirror stays in |0>
-        r2 = 1.0 - theta ** 6 / 72.0 + theta ** 8 / 576.0
-        expected_drift = 1.0 - math.sqrt(float(probs @ r2 ** n_steps))
-        assert run.norm_drift == pytest.approx(expected_drift, rel=1e-6)
+class TestInteractionFrame:
+    """The stepper integrates psi_I = exp(i H0 t) psi with H0 = omega_c n + omega_m N."""
+
+    @staticmethod
+    def free_energies(p: SystemParams, dims: FockDims) -> np.ndarray:
+        free = dataclasses.replace(p, g_ratio=0.0, drive_amp=0.0, omega_p=0.0)
+        return np.diag(dense_hamiltonian(free, dims, 0.0)).copy()
+
+    @pytest.mark.parametrize("system", [
+        dict(g_ratio=0.0),                    # drive bands only
+        dict(drive_amp=0.0, omega_p=0.0),     # coupling bands only
+        dict(),                               # both
+    ], ids=["drive-only", "coupling-only", "full"])
+    def test_rhs_matches_dense_interaction_picture(self, system):
+        p = tiny_system(**system)
+        energies = self.free_energies(p, DIMS)
+        frame = InteractionFrame(p, DIMS)
+        rng = np.random.default_rng(7)
+        psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
+        for t in (0.0, 1.3e-7, 4.8e-7):
+            v = dense_hamiltonian(p, DIMS, t) - np.diag(energies)
+            rot = np.exp(1j * energies * t)
+            expected = -1j * rot * (v @ (psi / rot))
+            np.testing.assert_allclose(frame.rhs(t, psi), expected,
+                                       rtol=0, atol=1e-9 * np.abs(expected).max())
+
+    def test_band_row_of_single_band_operator(self):
+        """scipy trims the DIA data of a negative-only band; rows must not."""
+        f, m = ladder_ops(5), ladder_ops(6)
+        eye_m = SparseOperator(6, sp.identity(6, format="csr"))
+        for op, off in ((tensor(f.number, m.raise_), -1),
+                        (tensor(f.raise_, eye_m), -6),
+                        (tensor(f.lower, eye_m), 6)):
+            row = _band_row(op.mat, off, 30)
+            rebuilt = sp.dia_matrix((row[None, :], [off]), shape=(30, 30))
+            np.testing.assert_array_equal(rebuilt.toarray(), op.mat.toarray())
+
+    def test_free_evolution_is_exact(self):
+        """With g = 0 and no drive H_I vanishes, so only the rotation back acts."""
+        p = SystemParams(omega_c=2e6, omega_m=1e6, alpha=1.0, gamma=0.5)
+        dims = FockDims(13, 10)
+        dt = 3.6e-8
+        grid = np.array([0.0, 100 * dt, 200 * dt])
+        run = evolve_numeric(p, dims,
+                             config=IntegratorConfig(dt=dt, norm_tolerance=1e-6),
+                             t_grid=grid)
+        assert run.n_steps == 200
+        assert run.norm_drift <= 1e-14
+        psi0 = JointState.from_product(dims, coherent_state(13, 1.0),
+                                       coherent_state(10, 0.5)).amps
+        energies = self.free_energies(p, dims)
+        for t, state in zip(grid, run.states):
+            np.testing.assert_allclose(state.amps, np.exp(-1j * energies * t) * psi0,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:population")
+    def test_strong_driven_run_matches_dense_reference(self):
+        """Recommended steps against DOP853 on the dense lab-frame H(t)."""
+        p = dataclasses.replace(strong_system(), alpha=1.0, gamma=1.0)
+        t_end = 0.02 * p.mech_period
+        run = evolve_numeric(p, DIMS, t_grid=np.array([0.0, t_end]))
+        assert run.norm_drift <= run.config.norm_tolerance
+        h_static = -1j * dense_hamiltonian(dataclasses.replace(p, drive_amp=0.0), DIMS, 0.0)
+        h_drive = -1j * dense_hamiltonian(p, DIMS, 0.0) - h_static
+        ref = solve_ivp(
+            lambda t, y: h_static @ y + math.cos(p.omega_p * t) * (h_drive @ y),
+            (0.0, t_end), run.states[0].amps, method="DOP853",
+            rtol=1e-12, atol=1e-12).y[:, -1]
+        fid = abs(np.vdot(ref / np.linalg.norm(ref), run.states[-1].amps)) ** 2
+        assert fid > 1 - 1e-9
 
 
 class TestEvolution:
@@ -154,6 +217,17 @@ class TestEvolution:
         with pytest.warns(UserWarning, match="increase dims"):
             evolve_numeric(p, FockDims(10, 10),
                            t_grid=np.array([0.0, 0.5 * p.mech_period]))
+
+    def test_leak_warnings_fold_into_one(self):
+        p = tiny_system(alpha=0.8, gamma=0.8, g_ratio=0.4, drive_amp=0.2e7)
+        grid = np.linspace(0.0, 0.5 * p.mech_period, 9)
+        with pytest.warns(UserWarning) as record:
+            run = evolve_numeric(p, FockDims(10, 10), t_grid=grid)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert f"population {run.leak_max:.3g} " in message
+        assert "increase dims" in message
+        assert re.search(r"worst of \d+ of 9 snapshots", message)
 
     def test_grid_validation(self):
         p = tiny_system()
