@@ -12,7 +12,6 @@ figure-reproducing command line (`simulate`).
 from .driven import (
     BetaCoefficients,
     BetaSeries,
-    DriveProfile,
     beta1_phi_to_one,
     beta1_rwa,
     coherent_photon_moments,
@@ -32,7 +31,6 @@ from .fock import (
     DensityMatrix,
     FockDims,
     JointState,
-    SparseOperator,
     coherent_state,
     ladder_ops,
     partial_trace_field,
@@ -75,7 +73,6 @@ __all__ = [
     "BetaSeries",
     "ConfigError",
     "DensityMatrix",
-    "DriveProfile",
     "FockDims",
     "HamiltonianAssembly",
     "IntegratorConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "JointState",
     "ObservableSeries",
     "OracleRun",
-    "SparseOperator",
     "StateSource",
     "SystemParams",
     "TruncationError",

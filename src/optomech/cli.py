@@ -592,7 +592,6 @@ def _run_job(job: _Job) -> tuple:
     betas = None
     if "driven-analytic" in cfg.modes:
         betas = driven.integrate_betas(p, t_grid)
-        note("beta_mode", betas.mode.value)
         note("antisymmetry_defect", betas.antisymmetry_defect)
         note("unitarity_defect", betas.unitarity_defect)
         prenorm = np.exp(np.real(betas.b3) + 0.5 * np.abs(betas.b1) ** 2)

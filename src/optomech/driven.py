@@ -8,17 +8,19 @@ the initial coherent states.  What survives is a scalar weight
              e^{-i E} e^{|alpha|^2 (e^{-2iE} - 1)}
 
 with E(t) = g^2 (omega_m t - sin omega_m t) and F(t) = 2 g sin(omega_m t / 2),
-and a c-number displacement problem
+and three displacement coefficients
 
-    d b1 / dt = -i Omega phi(t)  cos(omega_p t) e^{+i omega_c t}
-    d b2 / dt = -i Omega phi*(t) cos(omega_p t) e^{-i omega_c t}
-    d b3 / dt = -i Omega b1 phi*(t) cos(omega_p t) e^{-i omega_c t}
+    b1(t) = -i Omega Integral_0^t phi(s)  cos(omega_p s) e^{+i omega_c s} ds
+    b2(t) = -i Omega Integral_0^t phi*(s) cos(omega_p s) e^{-i omega_c s} ds
+    b3(t) = Integral_0^t b1(s) b2'(s) ds
 
-with b1 = -b2* and Re b3 = -|b1|^2 / 2 holding exactly; both are integrated
-independently here and the identities double as integration-error monitors.
-The field then behaves as a coherent state of amplitude alpha + b1 riding the
-undriven phase structure, so every undriven observable lifts by the
-substitution |alpha|^2 -> |alpha + b1|^2.
+The right-hand sides depend on time alone, except for b3' = b1 b2', so the
+betas are a nested quadrature, not an initial-value problem.  b1 = -b2* and
+Re b3 = -|b1|^2 / 2 hold exactly; all three are summed independently here
+and the identities double as quadrature-error monitors.  The field then
+behaves as a coherent state of amplitude alpha + b1 riding the undriven phase
+structure: the driven state is the undriven one with alpha -> alpha + b1,
+and every undriven observable lifts by |alpha|^2 -> |alpha + b1|^2.
 
 In the strong-coupling regime |phi| is suppressed by the factor
 e^{|alpha|^2 (cos 2E - 1)}: the drive decouples once E(t) grows, the photon
@@ -28,25 +30,18 @@ of pi.  That is the collapse-revival mechanism seen in the photon number.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockDims, JointState
+from .fock import FockDims, JointState, coherent_amplitudes
 from .system import SystemParams
-from .undriven import _assemble_blocks, _poisson_block_weights, kerr_phase
+from .undriven import _assemble_blocks, _phonon_avg, alpha_coeffs
 
 DEFAULT_STEPS_PER_PERIOD = 160
-
-
-class DriveProfile(enum.Enum):
-    """Which beta-coefficient variant to evaluate."""
-
-    FULL_NUMERIC_BETA = "numeric"
-    RWA_CLOSED_FORM = "rwa"
-    PHI_TO_ONE_CLOSED_FORM = "phi_to_one"
+# Simpson panels evaluated per vectorized chunk; bounds the working memory.
+_PANEL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -70,14 +65,13 @@ class BetaSeries:
     antisymmetry_defect = max |b1 + b2*| and unitarity_defect =
     max |2 Re(b3 + alpha b2) - |alpha|^2 + |alpha + b1|^2| over the grid.
     Both vanish identically for the exact solution, so they measure
-    integration error; closed-form modes report zero by construction.
+    quadrature error.
     """
 
     t: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
     b3: np.ndarray
-    mode: DriveProfile
     antisymmetry_defect: float
     unitarity_defect: float
 
@@ -106,18 +100,6 @@ def phi(p: SystemParams, t):
     return (np.exp(-F * F / 2.0)
             * np.exp(-1j * (F * mirror + E))
             * np.exp(mu * (np.exp(-2j * E) - 1.0)))
-
-
-def _phi_scalar(p: SystemParams, t: float) -> complex:
-    # cmath version, called once per RK4 stage
-    th = p.omega_m * t
-    g = p.g_ratio
-    E = g * g * (th - math.sin(th))
-    F = 2.0 * g * math.sin(th / 2.0)
-    mirror = 2.0 * (p.gamma * cmath.exp(-0.5j * th)).real
-    mu = abs(p.alpha) ** 2
-    return cmath.exp(-F * F / 2.0 - 1j * (F * mirror + E)
-                     + mu * (cmath.exp(-2j * E) - 1.0))
 
 
 def beta1_rwa(p: SystemParams, t):
@@ -149,101 +131,88 @@ def beta1_phi_to_one(p: SystemParams, t):
                    - om_c)
 
 
-def integrate_betas(p: SystemParams, t_grid,
-                    mode: DriveProfile = DriveProfile.FULL_NUMERIC_BETA,
-                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> BetaSeries:
-    """Beta coefficients over t_grid in the requested variant.
+def _drive_rates(p: SystemParams, t):
+    """(b1', b2') at the times t: the integrands of b1 and b2."""
+    ph = phi(p, t)
+    c = -1j * p.drive_amp * np.cos(p.omega_p * t)
+    rot = np.exp(1j * p.omega_c * t)
+    return c * ph * rot, c * np.conj(ph) / rot
 
-    FULL_NUMERIC_BETA integrates all three ODEs with classical RK4 from
-    b = 0 at t = 0, resolving the fastest angular frequency with
-    steps_per_period substeps.  Closed-form modes evaluate their formulas on
-    the grid and fill b2, b3 from the exact identities (the closed forms
-    carry no independent b3 phase).
+
+def integrate_betas(p: SystemParams, t_grid,
+                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> BetaSeries:
+    """Beta coefficients over t_grid by nested composite Simpson quadrature.
+
+    Each interval between consecutive points of (0, *t_grid) is cut into
+    equal panels no wider than the period of the fastest angular frequency
+    over steps_per_period.  One classical RK4 step on a right-hand side
+    that depends on t alone is exactly the Simpson panel
+    h/6 (f_0 + 4 f_mid + f_1), so b1 and b2 are what RK4 gives at this step
+    density.  For b3 = Integral b1 b2' the cumulative b1 is taken at the
+    panel nodes; at the midpoint it adds the panel's own parabola integrated
+    over the left half, h/24 (5 f_0 + 8 f_mid - f_1), which with the right
+    half sums to the panel's Simpson rule.  Panels are evaluated in
+    vectorized chunks of bounded size.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
-
-    if mode is not DriveProfile.FULL_NUMERIC_BETA:
-        if mode is DriveProfile.RWA_CLOSED_FORM:
-            b1 = np.asarray(beta1_rwa(p, t_grid), dtype=np.complex128)
-        else:
-            b1 = np.asarray(beta1_phi_to_one(p, t_grid), dtype=np.complex128)
-        return BetaSeries(t=t_grid.copy(), b1=b1, b2=-np.conj(b1),
-                          b3=-0.5 * np.abs(b1) ** 2 + 0j, mode=mode,
-                          antisymmetry_defect=0.0, unitarity_defect=0.0)
-
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
     dt_max = 2.0 * math.pi / p.fastest_angular_frequency / steps_per_period
-    om_p, om_c, amp = p.omega_p, p.omega_c, p.drive_amp
 
-    def deriv(t: float, b1: complex):
-        ph = _phi_scalar(p, t)
-        c = -1j * amp * math.cos(om_p * t)
-        rot = cmath.exp(1j * om_c * t)
-        anti = c * ph.conjugate() / rot
-        return c * ph * rot, anti, b1 * anti
-
-    b1 = b2 = b3 = 0j
-    t_now = 0.0
-    out = np.empty((3, t_grid.size), dtype=np.complex128)
-    for i, t_stop in enumerate(t_grid):
-        span = t_stop - t_now
-        if span > 0:
-            n_sub = max(1, math.ceil(span / dt_max))
-            h = span / n_sub
-            for s in range(n_sub):
-                t0 = t_now + s * h
-                k1a, k1b, k1c = deriv(t0, b1)
-                k2a, k2b, k2c = deriv(t0 + h / 2, b1 + h / 2 * k1a)
-                k3a, k3b, k3c = deriv(t0 + h / 2, b1 + h / 2 * k2a)
-                k4a, k4b, k4c = deriv(t0 + h, b1 + h * k3a)
-                b1 += h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-                b2 += h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-                b3 += h / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-            t_now = t_stop
-        out[0, i], out[1, i], out[2, i] = b1, b2, b3
+    starts = np.concatenate(([0.0], t_grid[:-1]))
+    spans = t_grid - starts
+    n_sub = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / dt_max)), 0.0).astype(np.int64)
+    ends = np.cumsum(n_sub)  # panels done at the end of each interval
+    out = np.zeros((3, t_grid.size), dtype=np.complex128)
+    b = np.zeros(3, dtype=np.complex128)  # b1, b2, b3 before the chunk
+    for first in range(0, int(ends[-1]), _PANEL_CHUNK):
+        j = np.arange(first, min(first + _PANEL_CHUNK, int(ends[-1])))
+        i = np.searchsorted(ends, j, side="right")
+        h = spans[i] / n_sub[i]
+        t0 = starts[i] + (j - ends[i] + n_sub[i]) * h
+        f1, f2 = _drive_rates(p, np.stack((t0, t0 + h / 2, t0 + h)))
+        # cum[:, n] is the value after n panels of the chunk
+        cum = np.empty((3, j.size + 1), dtype=np.complex128)
+        cum[:, 0] = b
+        cum[0, 1:] = h / 6 * (f1[0] + 4 * f1[1] + f1[2])
+        cum[1, 1:] = h / 6 * (f2[0] + 4 * f2[1] + f2[2])
+        np.cumsum(cum[:2], axis=1, out=cum[:2])
+        b1_start, b1_end = cum[0, :-1], cum[0, 1:]
+        b1_mid = b1_start + h / 24 * (5 * f1[0] + 8 * f1[1] - f1[2])
+        cum[2, 1:] = h / 6 * (b1_start * f2[0] + 4 * b1_mid * f2[1] + b1_end * f2[2])
+        np.cumsum(cum[2], out=cum[2])
+        done = (ends > first) & (ends <= first + j.size)
+        out[:, done] = cum[:, ends[done] - first]
+        b = cum[:, -1].copy()
 
     anti = float(np.max(np.abs(out[0] + np.conj(out[1]))))
     a = p.alpha
     unit = float(np.max(np.abs(2.0 * np.real(out[2] + a * out[1])
                                - abs(a) ** 2 + np.abs(a + out[0]) ** 2)))
     return BetaSeries(t=t_grid.copy(), b1=out[0], b2=out[1], b3=out[2],
-                      mode=mode, antisymmetry_defect=anti,
-                      unitarity_defect=unit)
+                      antisymmetry_defect=anti, unitarity_defect=unit)
 
 
 def evolve_driven(p: SystemParams, t: float, betas: BetaCoefficients,
                   dims: FockDims) -> JointState:
     """Approximate driven state at time t given the beta coefficients.
 
-    Structure matches the undriven state with field amplitude alpha + b1;
-    the mirror blocks and the per-photon phases are untouched by the drive.
-    The scalar prefactor has modulus one exactly when Re b3 = -|b1|^2/2, so
-    only its phase is kept; normalization absorbs truncation residue.
+    The undriven state with field amplitude alpha + b1: the mirror blocks and
+    the per-photon phases are untouched by the drive.  The scalar prefactor
+    has modulus one exactly when Re b3 = -|b1|^2/2, so only its phase is
+    kept; normalization absorbs truncation residue.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    k = np.arange(dims.field_dim)
-    th = p.omega_m * t
-    a3 = -p.g_ratio * (1.0 - np.exp(1j * th))
-    rot = p.omega_c * t - np.imag(a3 * np.conj(p.gamma))
-    phases = np.exp(-1j * rot * k) * np.exp(1j * kerr_phase(p, t) * k * k)
-    weights = _poisson_block_weights(p.alpha + betas.b1, dims.field_dim)
+    weights, _ = coherent_amplitudes(dims.field_dim, p.alpha + betas.b1)
     lead = cmath.exp(betas.b3 + abs(betas.b1) ** 2 / 2.0
                      + 1j * (betas.b1 * np.conj(p.alpha)).imag)
-    state = _assemble_blocks(p, weights * (lead / abs(lead)), phases, t, dims)
+    state = _assemble_blocks(p, weights * (lead / abs(lead)), t, dims)
     state.meta["b1"] = betas.b1
     state.meta["b3"] = betas.b3
     return state
-
-
-def _a3(p: SystemParams, t):
-    th = p.omega_m * np.asarray(t, dtype=float)
-    return -p.g_ratio * (1.0 - np.exp(1j * th))
 
 
 def _mu(p: SystemParams, betas) -> np.ndarray:
@@ -276,10 +245,7 @@ def photon_avg_weak_closed_form(p: SystemParams, t):
 
 def phonon_avg(p: SystemParams, betas, t=None):
     """<N(t)> = |Gamma|^2 + 2 Re(a3 Gamma*) <n> + |a3|^2 (<n> + <n>^2)."""
-    a3 = _a3(p, _times(betas, t))
-    mu = _mu(p, betas)
-    cross = 2.0 * np.real(a3 * np.conj(p.gamma))
-    return abs(p.gamma) ** 2 + cross * mu + np.abs(a3) ** 2 * (mu + mu * mu)
+    return _phonon_avg(p, _times(betas, t), _mu(p, betas))
 
 
 def coherent_photon_moments(mu):
@@ -297,7 +263,7 @@ def coherent_photon_moments(mu):
 
 def phonon_second_moment(p: SystemParams, betas, t=None):
     """<N^2(t)> via coherent-state photon moments of mean mu = |alpha + b1|^2."""
-    a3 = _a3(p, _times(betas, t))
+    a3 = alpha_coeffs(p, _times(betas, t)).a3
     mu = _mu(p, betas)
     _, n2, n3, n4 = coherent_photon_moments(mu)
     gam2 = abs(p.gamma) ** 2
@@ -341,16 +307,14 @@ def linear_entropy_mirror(p: SystemParams, betas, t=None, kmax: int | None = Non
     """
     tt = np.atleast_1d(_times(betas, t))
     mu = np.atleast_1d(_mu(p, betas)) * np.ones_like(tt)
-    a3sq = np.abs(_a3(p, tt)) ** 2
+    a3sq = np.abs(alpha_coeffs(p, tt).a3) ** 2
     if kmax is None:
         kmax = entropy_kmax(float(np.max(mu)))
     ks = np.arange(kmax + 1)
     dk2 = (ks[:, None] - ks[None, :]) ** 2
+    # P is the squared amplitude of the coherent state |sqrt(mu)>
+    weights = np.abs(coherent_amplitudes(kmax + 1, np.sqrt(mu))[0]) ** 2
     out = np.empty(tt.size, dtype=float)
-    for i in range(tt.size):
-        w = np.zeros(kmax + 1)
-        w[0] = math.exp(-mu[i])
-        for k in range(1, kmax + 1):
-            w[k] = w[k - 1] * mu[i] / k
+    for i, w in enumerate(weights):
         out[i] = 1.0 - float(w @ (np.exp(-dk2 * a3sq[i]) @ w))
     return float(out[0]) if out.size == 1 else out

@@ -4,7 +4,8 @@ Conventions fixed here and imported everywhere else:
 
 * joint index: ``i = k * mirror_dim + m`` (field-major; mirror index fast),
   so a joint state reshapes to ``(field_dim, mirror_dim)`` with C order;
-* operators are sparse, built from ladder-operator triplets;
+* operators are scipy CSR matrices, built from the ladder operators by
+  Kronecker products;
 * coherent states are truncated Poisson series, renormalized to unit norm,
   and refuse to be built when the truncation loss exceeds 1e-8.
 """
@@ -106,68 +107,10 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.data) ** 2))
 
 
-class SparseOperator:
-    """Sparse matrix on one Fock space (or the joint one), triplet-backed.
-
-    Thin wrapper over a scipy CSR matrix; the triplet constructor rejects
-    duplicate (row, col) pairs and out-of-range indices so that hand-built
-    operators fail loudly.
-    """
-
-    def __init__(self, dim: int, mat):
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
-        self.dim = dim
-        self.mat = sp.csr_matrix(mat, dtype=np.complex128)
-
-    @classmethod
-    def from_triplets(cls, dim: int, entries) -> "SparseOperator":
-        rows, cols, vals = [], [], []
-        seen = set()
-        for r, c, v in entries:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry ({r}, {c}) outside dimension {dim}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
-        return cls(dim, mat)
-
-    def to_triplets(self):
-        coo = self.mat.tocoo()
-        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-
-    def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.dim, self.mat.conj().T)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
-
-    def expectation(self, vec: np.ndarray) -> complex:
-        return complex(np.vdot(vec, self.mat @ vec))
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.dim, self.mat + other.mat)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.dim, self.mat - other.mat)
-
-    def __mul__(self, scalar) -> "SparseOperator":
-        return SparseOperator(self.dim, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.dim, self.mat @ other.mat)
-
-
 class LadderOps(NamedTuple):
-    lower: SparseOperator
-    raise_: SparseOperator
-    number: SparseOperator
+    lower: sp.csr_matrix
+    raise_: sp.csr_matrix
+    number: sp.csr_matrix
 
 
 def ladder_ops(dim: int) -> LadderOps:
@@ -179,28 +122,27 @@ def ladder_ops(dim: int) -> LadderOps:
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    sq = np.sqrt(np.arange(1, dim))
-    lower = sp.diags(sq, 1, shape=(dim, dim))
+    lower = sp.diags(np.sqrt(np.arange(1, dim)), 1, shape=(dim, dim))
     number = sp.diags(np.arange(dim, dtype=float), 0)
-    return LadderOps(
-        lower=SparseOperator(dim, lower),
-        raise_=SparseOperator(dim, lower.T),
-        number=SparseOperator(dim, number),
-    )
+    return LadderOps(*(sp.csr_matrix(op, dtype=np.complex128)
+                       for op in (lower, lower.T, number)))
 
 
-def coherent_amplitudes(dim: int, amp: complex):
+def coherent_amplitudes(dim: int, amp):
     """Truncated coherent-state series and its norm loss, without renormalizing.
 
     Amplitudes follow c_k = c_{k-1} * amp / sqrt(k) from c_0 = e^{-|amp|^2/2},
     which stays bounded for any |amp| (each c_k is a Poisson amplitude).
+    Vectorized: an array of amplitudes gives c of shape amp.shape + (dim,)
+    and one loss per amplitude.
     """
-    c = np.zeros(dim, dtype=np.complex128)
-    c[0] = math.exp(-abs(amp) ** 2 / 2.0)
+    amp = np.asarray(amp, dtype=np.complex128)
+    c = np.empty(amp.shape + (dim,), dtype=np.complex128)
+    c[..., 0] = np.exp(-np.abs(amp) ** 2 / 2.0)
     for k in range(1, dim):
-        c[k] = c[k - 1] * amp / math.sqrt(k)
-    loss = 1.0 - float(np.sum(np.abs(c) ** 2))
-    return c, max(loss, 0.0)
+        c[..., k] = c[..., k - 1] * amp / math.sqrt(k)
+    loss = np.clip(1.0 - np.sum(np.abs(c) ** 2, axis=-1), 0.0, None)
+    return c, loss[()]
 
 
 def coherent_required_dim(amp: complex, loss_tol: float = COHERENT_LOSS_TOL) -> int:
@@ -242,10 +184,9 @@ def coherent_state(dim: int, amp: complex) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def tensor(op_field: SparseOperator, op_mirror: SparseOperator) -> SparseOperator:
+def tensor(op_field, op_mirror) -> sp.csr_matrix:
     """Kronecker product in the fixed field-major convention."""
-    return SparseOperator(op_field.dim * op_mirror.dim,
-                          sp.kron(op_field.mat, op_mirror.mat, format="csr"))
+    return sp.kron(op_field, op_mirror, format="csr")
 
 
 def partial_trace_field(state: JointState) -> DensityMatrix:

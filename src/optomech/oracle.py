@@ -37,14 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import IntegrationError
-from .fock import (
-    FockDims,
-    JointState,
-    SparseOperator,
-    coherent_state,
-    ladder_ops,
-    tensor,
-)
+from .fock import FockDims, JointState, coherent_state, ladder_ops, tensor
 from .postproc import ObservableSeries
 from .system import SystemParams
 
@@ -65,18 +58,18 @@ _TOUCHARD6 = (1.0, 31.0, 90.0, 65.0, 15.0, 1.0)
 class HamiltonianAssembly:
     """Static part plus drive operator; H(t) = h_static + drive(t) * h_drive."""
 
-    h_static: SparseOperator
-    h_drive: SparseOperator
+    h_static: sp.csr_matrix
+    h_drive: sp.csr_matrix
     drive_amp: float
     drive_freq: float
 
     def __post_init__(self):
         for op in (self.h_static, self.h_drive):
-            defect = abs(op.mat - op.mat.conj().T).max()
+            defect = abs(op - op.conj().T).max()
             if defect > HERMITICITY_TOL:
                 raise ValueError(f"Hamiltonian block not Hermitian (defect {defect:g})")
 
-    def at(self, t: float) -> SparseOperator:
+    def at(self, t: float) -> sp.csr_matrix:
         """Dense-in-time snapshot H(t), mainly for small-system checks."""
         c = self.drive_amp * math.cos(self.drive_freq * t)
         return self.h_static + c * self.h_drive
@@ -85,8 +78,8 @@ class HamiltonianAssembly:
 def assemble_hamiltonian(p: SystemParams, dims: FockDims) -> HamiltonianAssembly:
     fld = ladder_ops(dims.field_dim)
     mir = ladder_ops(dims.mirror_dim)
-    eye_f = _identity(dims.field_dim)
-    eye_m = _identity(dims.mirror_dim)
+    eye_f = sp.identity(dims.field_dim, dtype=np.complex128, format="csr")
+    eye_m = sp.identity(dims.mirror_dim, dtype=np.complex128, format="csr")
     h_static = (
         p.omega_c * tensor(fld.number, eye_m)
         + p.omega_m * tensor(eye_f, mir.number)
@@ -94,10 +87,6 @@ def assemble_hamiltonian(p: SystemParams, dims: FockDims) -> HamiltonianAssembly
     )
     h_drive = tensor(fld.lower + fld.raise_, eye_m)
     return HamiltonianAssembly(h_static, h_drive, p.drive_amp, p.omega_p)
-
-
-def _identity(dim: int) -> SparseOperator:
-    return SparseOperator(dim, sp.identity(dim, dtype=np.complex128, format="csr"))
 
 
 @dataclass(frozen=True)
@@ -259,7 +248,7 @@ class InteractionFrame:
         )
         rows, offsets, self._factor_of = [], [], []
         for off, op, which in bands:
-            row = _band_row(op.mat, off, n)
+            row = _band_row(op, off, n)
             if np.any(row):
                 rows.append(row)
                 offsets.append(off)
@@ -451,11 +440,11 @@ def observables_numeric(run: OracleRun) -> dict:
         cols["mandel_field"][i] = (n2 - n1 ** 2) / n1 if n1 > 0 else 1.0
         cols["mandel_mirror"][i] = (m2 - m1 ** 2) / m1 if m1 > 0 else 1.0
         psi = state.as_matrix()
-        # Tr[rho_m^2] equals ||rho_m||_F^2; orientation of the trace does not
-        # matter for the norm but keep the rho_m[i,j] = sum_k psi[k,i] psi*[k,j]
-        # convention used everywhere else.
-        rho_m = psi.T @ psi.conj()
-        purity = float(np.sum(np.abs(rho_m) ** 2))
+        # Both reductions of a pure state share their nonzero spectrum, so
+        # Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the smaller one
+        # (30 x 30 against 308 x 308 at the strong-coupling dims).
+        rho_f = psi @ psi.conj().T
+        purity = float(np.sum(np.abs(rho_f) ** 2))
         cols["purity_mirror"][i] = purity
         cols["linear_entropy_mirror"][i] = 1.0 - purity
     return {

@@ -110,22 +110,6 @@ def write_series(series: ObservableSeries, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_series_wide(series_list, path: str) -> None:
-    """Several series on one shared time grid, one column per series."""
-    if not series_list:
-        raise ValueError("nothing to write")
-    t0 = series_list[0].t
-    for s in series_list[1:]:
-        if s.t.shape != t0.shape or not np.allclose(s.t, t0, rtol=0, atol=0):
-            raise ValueError("wide format requires identical time grids")
-    header = "t," + ",".join(f"{s.label}:{s.provenance}" for s in series_list)
-    lines = [header]
-    for i, t in enumerate(t0):
-        row = ",".join(f"{s.y[i]:.17g}" for s in series_list)
-        lines.append(f"{t:.17g},{row}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def read_series(path: str) -> ObservableSeries:
     """Inverse of write_series."""
     with open(path) as f:

@@ -43,14 +43,15 @@ class AlphaCoefficients:
     a5: complex
 
 
-def alpha_coeffs(p: SystemParams, t: float) -> AlphaCoefficients:
+def alpha_coeffs(p: SystemParams, t) -> AlphaCoefficients:
     """Closed-form propagator coefficients at time t.
 
     a1, a2 are the free rotations, a3/a4 the conditional mirror displacement,
     a5 the Kerr-type field phase; a4 = -conj(a3) and Re a5 = -|a3|^2/2 keep
-    the product unitary.
+    the product unitary.  Vectorized over t.
     """
     g = p.g_ratio
+    t = np.asarray(t, dtype=float)
     th = p.omega_m * t
     a3 = -g * (1.0 - np.exp(1j * th))
     return AlphaCoefficients(
@@ -74,34 +75,23 @@ def kerr_phase(p: SystemParams, t: float) -> float:
     return p.g_ratio ** 2 * (th - math.sin(th))
 
 
-def _poisson_block_weights(amp: complex, dim: int) -> np.ndarray:
-    """alpha^k / sqrt(k!) times e^{-|alpha|^2/2}, by stable recurrence."""
-    c = np.zeros(dim, dtype=np.complex128)
-    c[0] = math.exp(-abs(amp) ** 2 / 2.0)
-    for k in range(1, dim):
-        c[k] = c[k - 1] * amp / math.sqrt(k)
-    return c
-
-
-def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, phases: np.ndarray,
-                     t: float, dims: FockDims) -> JointState:
+def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, t: float,
+                     dims: FockDims) -> JointState:
     """Stack per-k mirror coherent blocks into a normalized joint state.
 
-    Each mirror block is renormalized after truncation; the weighted residue
-    sum_k |c_k|^2 loss_k must stay below 1e-6 or the truncation is inadequate.
+    field_weights are the Fock amplitudes of the field before the undriven
+    rotation and Kerr phases, which are applied here.  Each mirror block is
+    renormalized after truncation; the weighted residue sum_k |c_k|^2 loss_k
+    must stay below 1e-6 or the truncation is inadequate.
     """
-    F, M = dims.field_dim, dims.mirror_dim
-    c = field_weights * phases
-    gam = gamma_k(p, np.arange(F), t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    k = np.arange(dims.field_dim)
+    rot = p.omega_c * t - np.imag(alpha_coeffs(p, t).a3 * np.conj(p.gamma))
+    c = field_weights * np.exp(-1j * rot * k) * np.exp(1j * kerr_phase(p, t) * k * k)
 
     # mirror coherent series for all k at once (rows: k, cols: m)
-    blocks = np.zeros((F, M), dtype=np.complex128)
-    blocks[:, 0] = np.exp(-np.abs(gam) ** 2 / 2.0)
-    for m in range(1, M):
-        blocks[:, m] = blocks[:, m - 1] * gam / math.sqrt(m)
-    block_norm2 = np.sum(np.abs(blocks) ** 2, axis=1)
-    loss = np.clip(1.0 - block_norm2, 0.0, None)
-
+    blocks, loss = coherent_amplitudes(dims.mirror_dim, gamma_k(p, k, t))
     w2 = np.abs(c) ** 2
     residue = float(np.sum(w2 * loss)) + max(0.0, 1.0 - float(np.sum(w2)))
     if residue > EVOLVE_RESIDUE_TOL:
@@ -110,7 +100,7 @@ def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, phases: np.ndar
             f"increase dims beyond {dims}",
         )
 
-    amps = (c / np.sqrt(block_norm2))[:, None] * blocks
+    amps = (c / np.sqrt(1.0 - loss))[:, None] * blocks
     prenorm = float(np.linalg.norm(amps))
     amps = (amps / prenorm).ravel()
     return JointState(dims, amps, meta={"prenorm": prenorm, "residue": residue})
@@ -118,24 +108,21 @@ def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, phases: np.ndar
 
 def evolve_undriven(p: SystemParams, t: float, dims: FockDims) -> JointState:
     """Exact undriven state at time t from |alpha>|Gamma> initial data."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    F = dims.field_dim
-    k = np.arange(F)
+    weights, _ = coherent_amplitudes(dims.field_dim, p.alpha)
+    return _assemble_blocks(p, weights, t, dims)
+
+
+def _phonon_avg(p: SystemParams, t, mu) -> np.ndarray:
+    """<N(t)> = |Gamma|^2 + 2 Re(a3 Gamma*) mu + |a3|^2 (mu + mu^2) for a
+    coherent field of mean photon number mu."""
     a3 = alpha_coeffs(p, t).a3
-    rot = p.omega_c * t - np.imag(a3 * np.conj(p.gamma))
-    phases = np.exp(-1j * rot * k) * np.exp(1j * kerr_phase(p, t) * k * k)
-    weights = _poisson_block_weights(p.alpha, F)
-    return _assemble_blocks(p, weights, phases, t, dims)
+    cross = 2.0 * np.real(a3 * np.conj(p.gamma))
+    return abs(p.gamma) ** 2 + cross * mu + np.abs(a3) ** 2 * (mu + mu * mu)
 
 
 def phonon_avg_closed_form(p: SystemParams, t) -> np.ndarray:
     """Exact <N(t)> for coherent x coherent initial data (any complex Gamma)."""
-    th = p.omega_m * np.asarray(t, dtype=float)
-    a3 = -p.g_ratio * (1.0 - np.exp(1j * th))
-    mu = abs(p.alpha) ** 2
-    cross = 2.0 * np.real(a3 * np.conj(p.gamma))
-    return abs(p.gamma) ** 2 + (cross + np.abs(a3) ** 2) * mu + np.abs(a3) ** 2 * mu * mu
+    return _phonon_avg(p, t, abs(p.alpha) ** 2)
 
 
 def cooling_threshold(p: SystemParams):

@@ -31,7 +31,13 @@ import numpy as np
 from . import driven as _driven
 from . import oracle as _oracle
 from .errors import IntegrationError
-from .fock import DensityMatrix, FockDims, partial_trace_field, partial_trace_mirror
+from .fock import (
+    DensityMatrix,
+    FockDims,
+    coherent_amplitudes,
+    partial_trace_field,
+    partial_trace_mirror,
+)
 from .postproc import atomic_write_text
 from .system import SystemParams
 
@@ -120,15 +126,6 @@ class WignerGrid:
         return mq, mp, vq, vp
 
 
-def _coherent_columns(gamma: np.ndarray, dim: int) -> np.ndarray:
-    """cols[g, n] = <n|D(gamma_g)|0> = e^{-|gamma|^2/2} gamma^n / sqrt(n!)."""
-    cols = np.empty((gamma.size, dim), dtype=np.complex128)
-    cols[:, 0] = np.exp(-0.5 * np.abs(gamma) ** 2)
-    for n in range(1, dim):
-        cols[:, n] = cols[:, n - 1] * gamma / math.sqrt(n)
-    return cols
-
-
 def _parity_contraction(rho_mat: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """sum_m (-1)^m [rho D(gamma)]_{mm} for a batch of displacement arguments."""
     dim = rho_mat.shape[0]
@@ -140,7 +137,8 @@ def _parity_contraction(rho_mat: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     for start in range(0, gamma.size, _CHUNK):
         g = gamma[start:start + _CHUNK]
         gc = np.conj(g)[:, np.newaxis]
-        col = _coherent_columns(g, dim)
+        # col[g, n] = <n|D(gamma_g)|0>, the coherent-state column
+        col, _ = coherent_amplitudes(dim, g)
         acc = col @ a[:, 0]
         for m in range(1, dim):
             nxt = np.empty_like(col)
@@ -346,7 +344,6 @@ def snapshot_set(
     times=None,
     n_grid: int = 161,
     config=None,
-    steps_per_period: int | None = None,
 ) -> list:
     """Field and mirror Wigner grids at each snapshot time, from one propagator.
 
@@ -358,10 +355,7 @@ def snapshot_set(
         times = default_snapshot_times(p)
     t_arr = np.asarray(times, dtype=float)
     if source is StateSource.ANALYTIC:
-        kwargs = {}
-        if steps_per_period is not None:
-            kwargs["steps_per_period"] = steps_per_period
-        betas = _driven.integrate_betas(p, t_arr, **kwargs)
+        betas = _driven.integrate_betas(p, t_arr)
         states = [
             _driven.evolve_driven(p, float(t_arr[i]), betas.at(i), dims)
             for i in range(t_arr.size)

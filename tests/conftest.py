@@ -15,7 +15,6 @@ import pytest
 
 from optomech.cli import preset_jobs
 from optomech.driven import (
-    DriveProfile,
     integrate_betas,
     linear_entropy_mirror,
     mandel_mirror,
@@ -53,12 +52,12 @@ def tiny_system(**overrides) -> SystemParams:
     return SystemParams(**kw)
 
 
-def _driven_bundle(job, beta_mode=DriveProfile.FULL_NUMERIC_BETA):
+def _driven_bundle(job):
     """Run the analytic and numeric routes for one preset job."""
     cfg = job.config
     p = cfg.params
     t_grid = np.linspace(0.0, cfg.t_end, cfg.n_samples)
-    betas = integrate_betas(p, t_grid, beta_mode)
+    betas = integrate_betas(p, t_grid)
     t0 = time.perf_counter()
     run = evolve_numeric(p, cfg.dims, t_grid=t_grid)
     elapsed = time.perf_counter() - t0

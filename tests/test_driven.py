@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import tiny_system, weak_system
+from optomech import driven
 from optomech.driven import (
     BetaCoefficients,
     BetaSeries,
-    DriveProfile,
     beta1_phi_to_one,
     beta1_rwa,
     coherent_photon_moments,
@@ -25,6 +26,7 @@ from optomech.driven import (
 )
 from optomech.fock import FockDims, partial_trace_field
 from optomech.system import SystemParams
+from optomech.undriven import evolve_undriven, phonon_avg_closed_form
 
 
 class TestEnvelope:
@@ -107,7 +109,7 @@ class TestIntegrateBetas:
         p = weak_system()
         t_end = p.beat_period
         grid = np.linspace(0.0, t_end, 5)
-        series = integrate_betas(p, grid, DriveProfile.FULL_NUMERIC_BETA)
+        series = integrate_betas(p, grid)
         s = np.linspace(0.0, t_end, 400001)
         integrand = -1j * p.drive_amp * phi(p, s) * np.cos(
             p.omega_p * s) * np.exp(1j * p.omega_c * s)
@@ -117,33 +119,44 @@ class TestIntegrateBetas:
     def test_defects_small(self):
         p = weak_system()
         grid = np.linspace(0.0, p.beat_period, 9)
-        series = integrate_betas(p, grid, DriveProfile.FULL_NUMERIC_BETA)
+        series = integrate_betas(p, grid)
         assert series.antisymmetry_defect < 1e-9
         assert series.unitarity_defect < 1e-9
 
     def test_step_halving_converges(self):
         p = weak_system()
         grid = np.linspace(0.0, p.beat_period, 3)
-        a = integrate_betas(p, grid, DriveProfile.FULL_NUMERIC_BETA,
-                            steps_per_period=160)
-        b = integrate_betas(p, grid, DriveProfile.FULL_NUMERIC_BETA,
-                            steps_per_period=320)
+        a = integrate_betas(p, grid, steps_per_period=160)
+        b = integrate_betas(p, grid, steps_per_period=320)
         scale = p.drive_amp / abs(p.detuning)
         assert np.max(np.abs(a.b1 - b.b1)) < 1e-9 * scale
 
-    def test_closed_form_modes_match_their_formulas(self):
+    def test_uncoupled_betas_match_phi_to_one(self):
+        """At g = 0, phi = 1 and b1 is the bare driven cavity's closed form."""
+        p = dataclasses.replace(weak_system(), g_ratio=0.0)
+        grid = np.linspace(0.0, 2 * p.beat_period, 33)
+        series = integrate_betas(p, grid)
+        scale = p.drive_amp / abs(p.detuning)
+        np.testing.assert_allclose(series.b1, beta1_phi_to_one(p, grid),
+                                   rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(series.b3.real, -np.abs(series.b1) ** 2 / 2,
+                                   rtol=0, atol=1e-9 * scale ** 2)
+
+    def test_chunking_does_not_change_the_sums(self, monkeypatch):
+        """Chunk boundaries, also inside an interval and at repeated grid
+        points, leave the panel sums untouched."""
         p = weak_system()
-        grid = np.linspace(0.0, p.beat_period, 33)
-        rwa = integrate_betas(p, grid, DriveProfile.RWA_CLOSED_FORM)
-        np.testing.assert_allclose(rwa.b1, beta1_rwa(p, grid), atol=1e-12)
-        pto = integrate_betas(p, grid, DriveProfile.PHI_TO_ONE_CLOSED_FORM)
-        np.testing.assert_allclose(pto.b1, beta1_phi_to_one(p, grid),
-                                   atol=1e-12)
+        grid = np.array([0.0, 0.0, 0.3, 0.3, 0.7, 1.0]) * p.beat_period
+        whole = integrate_betas(p, grid)
+        monkeypatch.setattr(driven, "_PANEL_CHUNK", 7)
+        chunked = integrate_betas(p, grid)
+        for name in ("b1", "b2", "b3"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
     def test_series_indexing(self):
         p = weak_system()
         grid = np.linspace(0.0, 1e-8, 4)
-        series = integrate_betas(p, grid, DriveProfile.FULL_NUMERIC_BETA)
+        series = integrate_betas(p, grid)
         assert len(series) == 4
         one = series.at(2)
         assert isinstance(one, BetaCoefficients)
@@ -153,8 +166,7 @@ class TestIntegrateBetas:
     def test_rejects_descending_grid(self):
         p = weak_system()
         with pytest.raises(ValueError):
-            integrate_betas(p, np.array([0.0, 2e-9, 1e-9]),
-                            DriveProfile.FULL_NUMERIC_BETA)
+            integrate_betas(p, np.array([0.0, 2e-9, 1e-9]))
 
 
 def test_weak_closed_form_equals_rwa_photon_route():
@@ -181,8 +193,7 @@ class TestObservables:
     def setup_method(self):
         self.p = tiny_system()
         grid = np.linspace(0.0, 0.7 * self.p.mech_period, 4)
-        self.series = integrate_betas(self.p, grid,
-                                      DriveProfile.FULL_NUMERIC_BETA)
+        self.series = integrate_betas(self.p, grid)
         self.dims = FockDims(16, 24)
 
     def states(self):
@@ -226,10 +237,26 @@ class TestObservables:
                                                                    abs=1e-9)
 
 
+def test_undriven_is_driven_at_zero_betas():
+    p = tiny_system()
+    dims = FockDims(16, 24)
+    for t in (0.0, 0.3 * p.mech_period, 0.7 * p.mech_period):
+        exact = evolve_undriven(p, t, dims)
+        driven_state = evolve_driven(p, t, BetaCoefficients.zero(t), dims)
+        np.testing.assert_allclose(driven_state.amps, exact.amps, rtol=0, atol=1e-12)
+
+
+def test_phonon_closed_form_is_phonon_avg_at_zero_betas():
+    p = tiny_system()
+    for t in np.linspace(0.0, p.mech_period, 7):
+        assert phonon_avg(p, BetaCoefficients.zero(t), t=t) == pytest.approx(
+            float(phonon_avg_closed_form(p, t)), rel=1e-14)
+
+
 def test_mandel_field_identically_one():
     p = weak_system()
     grid = np.linspace(0.0, p.beat_period, 17)
-    series = integrate_betas(p, grid, DriveProfile.FULL_NUMERIC_BETA)
+    series = integrate_betas(p, grid)
     np.testing.assert_allclose(mandel_field(p, series), 1.0, atol=1e-12)
 
 

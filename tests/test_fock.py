@@ -8,7 +8,6 @@ from optomech.fock import (
     DensityMatrix,
     FockDims,
     JointState,
-    SparseOperator,
     coherent_amplitudes,
     coherent_required_dim,
     coherent_state,
@@ -32,14 +31,14 @@ class TestLadderOps:
 
     def test_adjoint_pair(self):
         ops = ladder_ops(6)
-        a = ops.lower.mat.toarray()
-        np.testing.assert_allclose(ops.raise_.mat.toarray(), a.conj().T, atol=1e-14)
+        a = ops.lower.toarray()
+        np.testing.assert_allclose(ops.raise_.toarray(), a.conj().T, atol=1e-14)
 
     def test_truncated_commutator(self):
         """[a, a^dag] = 1 - d |d-1><d-1| on a truncated basis."""
         d = 5
         ops = ladder_ops(d)
-        a = ops.lower.mat.toarray()
+        a = ops.lower.toarray()
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(d)
         expected[-1, -1] = 1 - d
@@ -47,8 +46,15 @@ class TestLadderOps:
 
     def test_number_operator_diagonal(self):
         ops = ladder_ops(4)
-        np.testing.assert_allclose(ops.number.mat.toarray(),
+        np.testing.assert_allclose(ops.number.toarray(),
                                    np.diag([0.0, 1, 2, 3]), atol=0)
+
+    def test_tensor_shape_and_action(self):
+        fops = ladder_ops(3)
+        mops = ladder_ops(4)
+        joint = tensor(fops.number, mops.number)
+        dense = np.kron(fops.number.toarray(), mops.number.toarray())
+        np.testing.assert_allclose(joint.toarray(), dense, atol=0)
 
 
 class TestCoherent:
@@ -60,6 +66,16 @@ class TestCoherent:
             [math.factorial(int(n)) for n in k], dtype=float)
         np.testing.assert_allclose(np.abs(c) ** 2, expected, rtol=1e-12)
         assert loss < 1e-12
+
+    def test_vectorized_over_amplitudes(self):
+        amps = np.array([[0.5, 2.0 - 1.0j], [3.0j, 4.0]])
+        c, loss = coherent_amplitudes(12, amps)
+        assert c.shape == (2, 2, 12) and loss.shape == (2, 2)
+        for idx in np.ndindex(amps.shape):
+            one, one_loss = coherent_amplitudes(12, amps[idx])
+            np.testing.assert_array_equal(c[idx], one)
+            assert loss[idx] == one_loss
+        assert loss[1, 1] > 0.5  # |4>: most of the Poisson mass lies beyond 12
 
     def test_mean_occupation(self):
         for amp in (0.5, 2.0, 1.0 + 1.5j):
@@ -133,34 +149,6 @@ class TestDensityMatrix:
     def test_purity_of_mixture(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         assert rho.purity() == pytest.approx(0.5)
-
-
-class TestSparseOperator:
-
-    def test_triplet_round_trip(self):
-        op = SparseOperator.from_triplets(3, [(0, 1, 2.0), (2, 0, 1j)])
-        trips = sorted(op.to_triplets())
-        assert trips == [(0, 1, (2 + 0j)), (2, 0, 1j)]
-
-    def test_dagger_and_apply(self):
-        ops = ladder_ops(8)
-        v = coherent_state(8, 0.5)
-        np.testing.assert_allclose(ops.lower.dagger().apply(v),
-                                   ops.lower.mat.conj().T @ v, atol=1e-14)
-
-    def test_expectation_real_for_hermitian(self):
-        ops = ladder_ops(9)
-        v = coherent_state(9, 0.6)
-        val = ops.number.expectation(v)
-        assert abs(val.imag) < 1e-14
-        assert val.real == pytest.approx(0.36, rel=1e-6)
-
-    def test_tensor_shape_and_action(self):
-        fops = ladder_ops(3)
-        mops = ladder_ops(4)
-        joint = tensor(fops.number, mops.number)
-        dense = np.kron(fops.number.mat.toarray(), mops.number.mat.toarray())
-        np.testing.assert_allclose(joint.mat.toarray(), dense, atol=0)
 
 
 def test_recommended_dims_monotone():

@@ -12,9 +12,9 @@ from optomech.errors import IntegrationError
 from optomech.fock import (
     FockDims,
     JointState,
-    SparseOperator,
     coherent_state,
     ladder_ops,
+    partial_trace_field,
     tensor,
 )
 from optomech.oracle import (
@@ -39,10 +39,10 @@ def dense_hamiltonian(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
     m = ladder_ops(dims.mirror_dim)
     If = np.eye(dims.field_dim)
     Im = np.eye(dims.mirror_dim)
-    n = f.number.mat.toarray()
-    N = m.number.mat.toarray()
-    x_m = (m.lower.mat + m.raise_.mat).toarray()
-    x_f = (f.lower.mat + f.raise_.mat).toarray()
+    n = f.number.toarray()
+    N = m.number.toarray()
+    x_m = (m.lower + m.raise_).toarray()
+    x_f = (f.lower + f.raise_).toarray()
     h = (p.omega_c * np.kron(n, Im)
          + p.omega_m * np.kron(If, N)
          - p.g0 * np.kron(n, x_m)
@@ -56,20 +56,20 @@ class TestAssembly:
         p = tiny_system()
         asm = assemble_hamiltonian(p, DIMS)
         for t in (0.0, 1.3e-7, 4.8e-7):
-            np.testing.assert_allclose(asm.at(t).mat.toarray(),
+            np.testing.assert_allclose(asm.at(t).toarray(),
                                        dense_hamiltonian(p, DIMS, t),
                                        atol=1e-9)
 
     def test_hermitian(self):
         p = tiny_system()
-        h = assemble_hamiltonian(p, DIMS).at(0.37e-7).mat.toarray()
+        h = assemble_hamiltonian(p, DIMS).at(0.37e-7).toarray()
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
     def test_undriven_assembly_is_time_independent(self):
         p = tiny_system(drive_amp=0.0, omega_p=0.0)
         asm = assemble_hamiltonian(p, DIMS)
-        np.testing.assert_array_equal(asm.at(0.0).mat.toarray(),
-                                      asm.at(1e-6).mat.toarray())
+        np.testing.assert_array_equal(asm.at(0.0).toarray(),
+                                      asm.at(1e-6).toarray())
 
 
 class TestStepSizing:
@@ -117,13 +117,13 @@ class TestInteractionFrame:
     def test_band_row_of_single_band_operator(self):
         """scipy trims the DIA data of a negative-only band; rows must not."""
         f, m = ladder_ops(5), ladder_ops(6)
-        eye_m = SparseOperator(6, sp.identity(6, format="csr"))
+        eye_m = sp.identity(6, format="csr")
         for op, off in ((tensor(f.number, m.raise_), -1),
                         (tensor(f.raise_, eye_m), -6),
                         (tensor(f.lower, eye_m), 6)):
-            row = _band_row(op.mat, off, 30)
+            row = _band_row(op, off, 30)
             rebuilt = sp.dia_matrix((row[None, :], [off]), shape=(30, 30))
-            np.testing.assert_array_equal(rebuilt.toarray(), op.mat.toarray())
+            np.testing.assert_array_equal(rebuilt.toarray(), op.toarray())
 
     def test_free_evolution_is_exact(self):
         """With g = 0 and no drive H_I vanishes, so only the rotation back acts."""
@@ -178,7 +178,7 @@ class TestEvolution:
         grid = np.linspace(0.0, p.mech_period, 5)
         run = evolve_numeric(p, dims, t_grid=grid)
         h = asm.at(0.0)
-        energies = [h.expectation(st.amps).real for st in run.states]
+        energies = [np.vdot(st.amps, h @ st.amps).real for st in run.states]
         for e in energies[1:]:
             assert e == pytest.approx(energies[0], rel=1e-6)
 
@@ -251,6 +251,16 @@ class TestObservables:
         assert obs["purity_mirror"].y[0] == pytest.approx(1.0, abs=1e-9)
         assert obs["linear_entropy_mirror"].y[0] == pytest.approx(0.0,
                                                                   abs=1e-9)
+
+    def test_purity_equals_that_of_the_mirror_reduction(self):
+        """Tr rho_m^2 is read from the field reduction; both agree on a pure state."""
+        p = tiny_system(g_ratio=0.3, drive_amp=0.0, omega_p=0.0)
+        run = evolve_numeric(p, FockDims(14, 30),
+                             t_grid=np.array([0.0, 0.5 * p.mech_period]))
+        purity = observables_numeric(run)["purity_mirror"].y
+        mirror = partial_trace_field(run.states[-1]).purity()
+        assert mirror < 0.9  # the snapshot is entangled
+        assert purity[-1] == pytest.approx(mirror, abs=1e-12)
 
     def test_series_metadata(self):
         p = tiny_system()

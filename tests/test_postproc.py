@@ -11,7 +11,6 @@ from optomech.postproc import (
     filter_fast,
     read_series,
     write_series,
-    write_series_wide,
 )
 
 
@@ -139,22 +138,6 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.y, y)
         assert back.label == "phonon_avg"
         assert back.provenance == "numeric"
-
-    def test_wide_format(self, tmp_path):
-        path = str(tmp_path / "wide.csv")
-        t = np.linspace(0, 1, 5)
-        write_series_wide([series(t, t, label="a", provenance="analytic"),
-                           series(t, 2 * t, label="b", provenance="numeric")],
-                          path)
-        lines = open(path).read().splitlines()
-        assert lines[0].startswith("t,")
-        assert len(lines[1].split(",")) == 3
-
-    def test_wide_format_demands_matching_grids(self, tmp_path):
-        a = series(np.linspace(0, 1, 5), np.zeros(5))
-        b = series(np.linspace(0, 1, 6), np.zeros(6))
-        with pytest.raises(ValueError):
-            write_series_wide([a, b], str(tmp_path / "bad.csv"))
 
 
 def test_atomic_write(tmp_path):
