@@ -304,17 +304,20 @@ def linear_entropy_mirror(p: SystemParams, betas, t=None, kmax: int | None = Non
     Tr[rho_m^2] = sum_{p,q} P_p P_q e^{-(p-q)^2 |a3|^2} with P the Poisson
     distribution of mean mu = |alpha + b1|^2, since the mirror blocks differ
     only by the conditional displacement, |Gamma_p - Gamma_q|^2 = (p-q)^2 |a3|^2.
+    As sum P = 1, the entropy is the sum of non-negative lag terms
+    2 sum_{d>=1} (1 - e^{-d^2 |a3|^2}) sum_p P_p P_{p+d}, which keeps it >= 0
+    where 1 - Tr[rho_m^2] would cancel to rounding.
     """
     tt = np.atleast_1d(_times(betas, t))
     mu = np.atleast_1d(_mu(p, betas)) * np.ones_like(tt)
     a3sq = np.abs(alpha_coeffs(p, tt).a3) ** 2
     if kmax is None:
         kmax = entropy_kmax(float(np.max(mu)))
-    ks = np.arange(kmax + 1)
-    dk2 = (ks[:, None] - ks[None, :]) ** 2
     # P is the squared amplitude of the coherent state |sqrt(mu)>
     weights = np.abs(coherent_amplitudes(kmax + 1, np.sqrt(mu))[0]) ** 2
-    out = np.empty(tt.size, dtype=float)
-    for i, w in enumerate(weights):
-        out[i] = 1.0 - float(w @ (np.exp(-dk2 * a3sq[i]) @ w))
+    out = np.zeros(tt.size, dtype=float)
+    for d in range(1, kmax + 1):
+        lagged = np.einsum("tk,tk->t", weights[:, :-d], weights[:, d:])
+        out -= np.expm1(-d * d * a3sq) * lagged
+    out *= 2.0
     return float(out[0]) if out.size == 1 else out

@@ -4,15 +4,31 @@ Quadrature convention, fixed project-wide: beta = (q + i p) / sqrt(2), so a
 coherent state |amp> peaks at (q, p) = (sqrt(2) Re amp, sqrt(2) Im amp) and
 the vacuum is W(q,p) = exp(-q^2 - p^2) / pi with peak 1/pi.
 
-The continuous function is evaluated through the displaced-parity form
+The continuous function is the displaced-parity expectation written as a
+Laguerre series (Johansson, Nation and Nori, Comput. Phys. Commun. 184, 1234
+(2013), QuTiP's "clenshaw" method). With gamma = 2 beta and b = |gamma|^2,
 
-    W(q,p) = (1/pi) Tr[rho D(beta) P D(beta)^dagger]
-           = (1/pi) sum_m (-1)^m [rho D(2 beta)]_{mm},
+    W(q,p) = (1/pi) Re sum_L gamma^L / sqrt(L!) f_L(b),
+    f_L(b) = sum_n c_{L,n} e^{-b/2} (-1)^n sqrt(n! L!/(n+L)!) L_n^L(b),
 
-whose Fock matrix elements are built column by column with the recurrence
-D_{n,m} = (sqrt(n) D_{n-1,m-1} - conj(gamma) D_{n,m-1}) / sqrt(m) from the
-coherent-state column D_{n,0}, gamma = 2 beta. That is O(d^2) per phase-space
-point with no Laguerre evaluations. The textbook integral definition
+where c_{L,n} = rho[n, n+L], doubled for L > 0 (the subdiagonals are the
+conjugates). Each f_L is a Clenshaw sum down the L-th superdiagonal; the
+sum over L is a Horner sum in gamma around it. The radial part depends on b
+only, so f_L is evaluated once per distinct radius of the grid and gathered
+to the points.
+
+The factor e^{-b/2} is folded into every Clenshaw coefficient rather than
+applied at the end: the bare Laguerre partial sums grow like e^{b/2} and
+overflow for dim of about 300 at b of about 1,500, where the product would
+be inf * 0. The folded sum holds while e^{-b/2} is a normal float, i.e. for
+b below -2 ln(smallest normal), about 1,417 (|beta|^2 about 354). Level n
+reaches out to its turning point b = 4n + 2 and a decaying tail beyond, so a
+grid that extends past b = 1,417 is served for states populated up to about
+n = 310. wigner_continuous raises IntegrationError when a grid extends past
+that radius while rho has population in levels that reach it, and when a
+value breaks |W| <= 1/pi, which every density matrix obeys.
+
+The textbook integral definition
 
     W(q,p) = (1/pi) Integral dx e^{-2 i x p} <q - x| rho |q + x>
 
@@ -34,7 +50,6 @@ from .errors import IntegrationError
 from .fock import (
     DensityMatrix,
     FockDims,
-    coherent_amplitudes,
     partial_trace_field,
     partial_trace_mirror,
 )
@@ -43,7 +58,14 @@ from .system import SystemParams
 
 BOUNDARY_WARN_LEVEL = 1e-4
 REALNESS_TOL = 1e-10
-_CHUNK = 2048
+# e^{-b/2} is a normal float only for radii b = |2 beta|^2 below this (~1416.8)
+_UNDERFLOW_RADIUS = -2.0 * math.log(np.finfo(float).tiny)
+# population allowed in levels that reach past _UNDERFLOW_RADIUS
+UNDERFLOW_MASS_TOL = 1e-10
+# Distinct radii per Clenshaw pass. It bounds the (dim, block) work arrays:
+# a whole 161^2 grid (about 5,300 radii) in one pass raised the peak RSS of
+# a run by about 13 MB at dim 27.
+_RADII_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -126,28 +148,86 @@ class WignerGrid:
         return mq, mp, vq, vp
 
 
-def _parity_contraction(rho_mat: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """sum_m (-1)^m [rho D(gamma)]_{mm} for a batch of displacement arguments."""
+def _radial_sums(rho_mat: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """f[L, r] = f_L(radii[r]) of the module docstring, by Clenshaw sums.
+
+    The sums for all L run together down the coefficient index j; row L has
+    no coefficients above j = dim - 1 - L, so only the first dim - j rows are
+    live at step j and the rest stay exactly zero.
+    """
     dim = rho_mat.shape[0]
-    # A[n, m] = (-1)^m rho[m, n]; contraction is sum_{n,m} A[n,m] D(gamma)_{n,m}.
-    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    a = rho_mat.T * parity[np.newaxis, :]
-    sqrt_n = np.sqrt(np.arange(dim, dtype=float))
-    out = np.empty(gamma.size, dtype=np.complex128)
-    for start in range(0, gamma.size, _CHUNK):
-        g = gamma[start:start + _CHUNK]
-        gc = np.conj(g)[:, np.newaxis]
-        # col[g, n] = <n|D(gamma_g)|0>, the coherent-state column
-        col, _ = coherent_amplitudes(dim, g)
-        acc = col @ a[:, 0]
-        for m in range(1, dim):
-            nxt = np.empty_like(col)
-            nxt[:, 0] = -gc[:, 0] * col[:, 0]
-            nxt[:, 1:] = sqrt_n[np.newaxis, 1:] * col[:, :-1] - gc * col[:, 1:]
-            col = nxt / math.sqrt(m)
-            acc += col @ a[:, m]
-        out[start:start + _CHUNK] = acc
-    return out
+    n = np.arange(dim)
+    band = n[np.newaxis, :] + n[:, np.newaxis]
+    # c[L, j] = rho[j, j + L], zero past the corner; off-diagonals doubled
+    coeffs = np.where(band < dim, rho_mat[n, np.minimum(band, dim - 1)], 0.0)
+    coeffs[1:] *= 2.0
+    damp = np.exp(-0.5 * radii)
+    ell = np.arange(dim, dtype=float)[:, np.newaxis]
+    y0 = np.zeros((dim, radii.size), dtype=np.complex128)
+    y1 = np.zeros_like(y0)
+    nxt = np.zeros_like(y0)
+    fac = np.empty((dim, radii.size))
+    for j in range(dim - 1, -1, -1):
+        live = dim - j
+        k = j + 2.0
+        L = ell[:live]
+        g = 1.0 / np.sqrt((L + k) * k)
+        f = fac[:live]
+        np.multiply(g, radii, out=f)
+        np.subtract(g * (L + 2.0 * k - 1.0), f, out=f)
+        u0, u1, un = y0[:live], y1[:live], nxt[:live]
+        np.multiply(u1, f, out=un)
+        np.subtract(u0, un, out=un)  # next y1 = y0 - (L + 2k - 1 - b) g y1
+        np.multiply(u1, np.sqrt((k - 1.0) * (L + k - 1.0)) * g, out=u1)
+        np.multiply(coeffs[:live, j, np.newaxis], damp, out=u0)
+        np.subtract(u0, u1, out=u0)  # next y0 = c e^{-b/2} - sqrt((k-1)(L+k-1)) g y1
+        y1, nxt = nxt, y1
+    return y0 - y1 * ((ell + 1.0 - radii) / np.sqrt(ell + 1.0))
+
+
+def _laguerre_wigner(rho_mat: np.ndarray, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W at displacements gamma = 2 beta with radii b = |gamma|^2."""
+    radii, at = np.unique(b, return_inverse=True)
+    dim = rho_mat.shape[0]
+    f = np.empty((dim, radii.size), dtype=np.complex128)
+    for start in range(0, radii.size, _RADII_BLOCK):
+        block = slice(start, start + _RADII_BLOCK)
+        f[:, block] = _radial_sums(rho_mat, radii[block])
+    acc = f[dim - 1][at]
+    for L in range(dim - 2, -1, -1):
+        acc = f[L][at] + acc * gamma * (1.0 / math.sqrt(L + 1))
+    return acc.real / math.pi
+
+
+def _check_laguerre_domain(rho: DensityMatrix, b_max: float) -> None:
+    """Raise when the grid reaches radii where e^{-b/2} underflows and rho lives there.
+
+    Level n's Laguerre function e^{-b/2} L_n(b) oscillates out to its
+    turning point b = 4n + 2; 12 Airy widths (8n + 4)^(1/3) beyond it, it is
+    down to about 1e-10 (checked in extended precision for n = 100 to 354).
+    """
+    if b_max <= _UNDERFLOW_RADIUS:
+        return
+    n = np.arange(rho.dim)
+    reach = 4.0 * n + 2.0 + 12.0 * np.cbrt(8.0 * n + 4.0)
+    mass = float(np.real(np.diag(rho.data))[reach > _UNDERFLOW_RADIUS].sum())
+    if mass > UNDERFLOW_MASS_TOL:
+        raise IntegrationError(
+            f"Laguerre evaluation: the grid reaches radius |2 beta|^2 = {b_max:.6g}, "
+            f"past {_UNDERFLOW_RADIUS:.6g} where e^(-b/2) underflows, while rho "
+            f"(dim {rho.dim}) has population {mass:.3g} in levels that reach there"
+        )
+
+
+def _check_bounded(values: np.ndarray, b: np.ndarray, dim: int) -> None:
+    """|W| <= 1/pi for every density matrix; a breach is a failed evaluation."""
+    size = np.where(np.isfinite(values), np.abs(values), np.inf)
+    worst = int(np.argmax(size))
+    if size[worst] > (1.0 + 1e-9) / math.pi:
+        raise IntegrationError(
+            f"Laguerre evaluation gave W = {values[worst]:.6g} at radius "
+            f"|2 beta|^2 = {b[worst]:.6g} (dim {dim}), outside |W| <= 1/pi"
+        )
 
 
 def _check_real(raw: np.ndarray, what: str) -> np.ndarray:
@@ -169,17 +249,21 @@ def wigner_continuous(
     nq: int = 121,
     n_p: int = 121,
 ) -> WignerGrid:
-    """Displaced-parity Wigner function on a rectangular (q, p) grid.
+    """Wigner function on a rectangular (q, p) grid by the Laguerre series.
 
-    Warns when |W| on the grid boundary exceeds 1e-4, the sign that the
-    bounds clip the state's support.
+    Raises IntegrationError when the grid leaves the series' domain for this
+    rho or a value breaks |W| <= 1/pi. Warns when |W| on the grid boundary
+    exceeds 1e-4, the sign that the bounds clip the state's support.
     """
     q_axis = np.linspace(q_min, q_max, nq)
     p_axis = np.linspace(p_min, p_max, n_p)
     beta = (q_axis[:, np.newaxis] + 1j * p_axis[np.newaxis, :]) / math.sqrt(2.0)
-    raw = _parity_contraction(rho.data, 2.0 * beta.ravel()) / math.pi
-    values = _check_real(raw, "displaced-parity evaluation").reshape(nq, n_p)
-    grid = WignerGrid(q_axis, p_axis, values)
+    gamma = 2.0 * beta.ravel()
+    b = gamma.real ** 2 + gamma.imag ** 2
+    _check_laguerre_domain(rho, float(b.max()))
+    values = _laguerre_wigner(rho.data, gamma, b)
+    _check_bounded(values, b, rho.dim)
+    grid = WignerGrid(q_axis, p_axis, values.reshape(nq, n_p))
     if grid.boundary_max() > BOUNDARY_WARN_LEVEL:
         warnings.warn(
             f"|W| reaches {grid.boundary_max():.3g} on the grid boundary; "
@@ -263,10 +347,12 @@ def wigner_discrete(rho: DensityMatrix, n_grid: int) -> WignerGrid:
 
 def write_grid_csv(grid: WignerGrid, path: str) -> None:
     """Long format, one `q,p,W` row per grid point, q varying slowest."""
+    # Each axis value is formatted once; float and np.float64 print alike.
+    ps = [f"{p:.17g}," for p in grid.p_axis.tolist()]
     lines = ["q,p,W"]
-    for i, q in enumerate(grid.q_axis):
-        for j, p in enumerate(grid.p_axis):
-            lines.append(f"{q:.17g},{p:.17g},{grid.values[i, j]:.17g}")
+    for q, row in zip(grid.q_axis.tolist(), grid.values):
+        qs = f"{q:.17g},"
+        lines.extend([f"{qs}{p}{w:.17g}" for p, w in zip(ps, row.tolist())])
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -288,7 +374,7 @@ def write_grid_pgm(grid: WignerGrid, path: str) -> None:
         f"{grid.n_p} {grid.nq}",
         "255",
     ]
-    lines.extend(" ".join(str(v) for v in row) for row in gray)
+    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

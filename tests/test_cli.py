@@ -1,4 +1,5 @@
-"""CLI integrator overrides: the dt stability cap and the Wigner numeric route."""
+"""CLI integrator overrides (the dt stability cap, the Wigner numeric route)
+and the wigner_snapshots preset."""
 import pytest
 
 from optomech import cli, oracle, wigner
@@ -65,3 +66,21 @@ def test_wigner_numeric_route_honors_integrator_overrides(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "norm drift" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_wigner_snapshots_preset_runs(tmp_path):
+    """Mirror states trimmed to dim 308 evaluate: exit 0 and unit grid masses."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "preset = wigner_snapshots\n")
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    masses = {
+        key: float(value)
+        for key, _, value in (
+            line.partition("=") for line in (out / "manifest.txt").read_text().splitlines()
+        )
+        if key.endswith("_mass")
+    }
+    assert len(masses) == 12
+    for key, mass in masses.items():
+        assert mass == pytest.approx(1.0, abs=2e-2), key

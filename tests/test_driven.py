@@ -273,6 +273,15 @@ def test_entropy_zero_at_mechanical_periods():
         0.0, abs=1e-12)
 
 
+def test_entropy_is_non_negative_at_pure_states():
+    """a3 = 0 at t = 0, where 1 - Tr[rho_m^2] cancels to rounding."""
+    p = weak_system()
+    b = integrate_betas(p, np.linspace(0.0, p.mech_period, 11))
+    s = linear_entropy_mirror(p, b)
+    assert s[0] == 0.0
+    assert np.all(s >= 0.0)
+
+
 def test_coherent_photon_moments_poisson_sums():
     ks = np.arange(200)
     log_fact = np.cumsum(np.log(np.maximum(ks, 1)))

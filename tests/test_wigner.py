@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import tiny_system
-from optomech.fock import DensityMatrix, FockDims, coherent_state
+from optomech.errors import IntegrationError
+from optomech.fock import DensityMatrix, FockDims, coherent_amplitudes, coherent_state
+from optomech.system import SystemParams
 from optomech.wigner import (
     StateSource,
     WignerGrid,
@@ -24,6 +26,22 @@ RNG = np.random.default_rng(42)
 def coherent_rho(dim, amp):
     c = coherent_state(dim, amp)
     return DensityMatrix(np.outer(c, c.conj()))
+
+
+def coherent_mixture(dim, amps, weights):
+    """sum_k w_k |amp_k><amp_k| from the truncated, unrenormalised coherent columns."""
+    c, _ = coherent_amplitudes(dim, np.asarray(amps, dtype=complex))
+    return DensityMatrix(np.einsum("k,kn,km->nm", weights, c, c.conj()))
+
+
+def gaussian_mixture_wigner(grid, amps, weights):
+    """Closed-form W of a coherent mixture: one vacuum Gaussian per amplitude."""
+    qq = grid.q_axis[:, None]
+    pp = grid.p_axis[None, :]
+    return sum(
+        w * np.exp(-(qq - math.sqrt(2) * a.real) ** 2 - (pp - math.sqrt(2) * a.imag) ** 2)
+        for w, a in zip(weights, np.asarray(amps, dtype=complex))
+    ) / math.pi
 
 
 def random_rho(dim, rank=3):
@@ -112,6 +130,46 @@ class TestContinuous:
         assert grid.values.dtype == np.float64
 
 
+class TestLargeDimension:
+    """The Laguerre series at mirror dims the strong-coupling presets reach."""
+
+    AMPS = np.sqrt([0.0, 40.0, 120.0, 200.0]) * np.exp(1j * np.array([0.0, 0.7, 2.5, -1.9]))
+    WEIGHTS = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.filterwarnings("ignore:.*grid boundary")
+    @pytest.mark.parametrize("half_width", [12.0, 20.0, 26.0, 32.0])
+    def test_coherent_mixture_matches_gaussians_at_dim_330(self, half_width):
+        rho = coherent_mixture(330, self.AMPS, self.WEIGHTS)
+        grid = wigner_continuous(rho, -half_width, half_width, -half_width,
+                                 half_width, 61, 61)
+        exact = gaussian_mixture_wigner(grid, self.AMPS, self.WEIGHTS)
+        assert np.max(np.abs(grid.values - exact)) <= 1e-9
+
+    def test_strong_coupling_mirror_snapshots(self):
+        """g = 0.3 at analytic dims (16, 150): widely split mirror mixtures at dim 150."""
+        p = SystemParams(omega_c=1e7, omega_m=1e6, g_ratio=0.3, alpha=1.0, gamma=1.0)
+        snaps = snapshot_set(p, StateSource.ANALYTIC, FockDims(16, 150), n_grid=41)
+        for s in snaps:
+            assert s.grid.total_mass() == pytest.approx(1.0, abs=1e-3)
+            if s.subsystem == "mirror":  # a mixture of coherent states
+                assert s.grid.values.min() >= -1e-9
+
+
+class TestLaguerreGuard:
+
+    def test_bound_breach_raises(self):
+        """Hermitian and trace 1 but not positive: W(0) = 3/pi."""
+        rho = DensityMatrix(np.diag([2.0, -1.0]))
+        with pytest.raises(IntegrationError, match=r"Laguerre.*dim 2"):
+            wigner_continuous(rho, -2, 2, -2, 2, 9, 9)
+
+    def test_underflowing_radii_with_population_raise(self):
+        """|Gamma|^2 = 420 lives at |2 beta|^2 ~ 1680, where e^{-b/2} underflows."""
+        rho = coherent_mixture(560, [math.sqrt(420.0)], np.array([1.0]))
+        with pytest.raises(IntegrationError, match=r"Laguerre.*underflows.*dim 560"):
+            wigner_continuous(rho, -32, 32, -32, 32, 61, 61)
+
+
 class TestDiscrete:
 
     def test_requires_covering_dimension(self):
@@ -170,6 +228,28 @@ class TestGridOutput:
         assert len(lines) == 1 + 11 * 11
         q, p, w = lines[1].split(",")
         assert float(q) == -3.0 and float(p) == -3.0
+
+    def test_csv_text_round_trips_awkward_floats(self, tmp_path):
+        grid = WignerGrid(np.array([-2.5e-300, 0.1]), np.array([0.1, 1 / 3, 2.0]),
+                          np.array([[0.1, 1 / 3, -2.5e-300], [-1 / 3, 0.0, 1e-17]]))
+        path = tmp_path / "g.csv"
+        write_grid_csv(grid, str(path))
+        text = path.read_text()
+        assert text == (
+            "q,p,W\n"
+            "-2.5e-300,0.10000000000000001,0.10000000000000001\n"
+            "-2.5e-300,0.33333333333333331,0.33333333333333331\n"
+            "-2.5e-300,2,-2.5e-300\n"
+            "0.10000000000000001,0.10000000000000001,-0.33333333333333331\n"
+            "0.10000000000000001,0.33333333333333331,0\n"
+            "0.10000000000000001,2,1.0000000000000001e-17\n"
+        )
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        for k, (q, p, w) in enumerate(rows):
+            i, j = divmod(k, grid.n_p)
+            assert float(q) == grid.q_axis[i]
+            assert float(p) == grid.p_axis[j]
+            assert float(w) == grid.values[i, j]
 
     def test_pgm_format(self, tmp_path):
         path = str(tmp_path / "g.pgm")
