@@ -21,6 +21,11 @@ output_dir, filter, dims and integrator overrides next to it. Each run
 writes `manifest.txt` recording every expanded value, so any output can be
 reproduced from the manifest alone.
 
+Presets that expand to several independent jobs (fig2, fig4, fig5_6,
+fig7_8) run them concurrently in forked worker processes, one per CPU
+available to the process. Every output file and the manifest are
+byte-identical to running the jobs one after another.
+
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
 inadequacy.
 """
@@ -680,6 +685,38 @@ def _run_job(job: _Job) -> tuple:
     return emit.files, man
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1, so jobs run in-process, where unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_jobs(jobs: tuple) -> list:
+    """(files, manifest lines) of each job, in job order.
+
+    Jobs share no state, so several of them run in forked worker processes,
+    one per usable CPU. Each worker writes its own job's files and returns
+    its manifest lines; the first failing job in order raises its own error
+    here, after the jobs already running have finished.
+
+    Forking skips re-importing the package in each worker, and is safe here
+    because the process is single-threaded when it forks: no thread of its
+    own is running, and OpenBLAS joins its worker threads in a pthread_atfork
+    handler. tests/test_cli.py checks the thread count at every fork.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers == 1:
+        return [_run_job(job) for job in jobs]
+    # Imported here so that validate and single-job runs never load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+        return list(pool.map(_run_job, jobs))
+
+
 def run(config: RunConfig) -> list:
     """Execute a RunConfig (expanding its preset); returns the files written."""
     try:
@@ -689,8 +726,7 @@ def run(config: RunConfig) -> list:
     jobs = expand_jobs(config)
     sections = []
     files = []
-    for job in jobs:
-        job_files, man = _run_job(job)
+    for job, (job_files, man) in zip(jobs, _run_jobs(jobs)):
         files.extend(job_files)
         sections.append(f"[job {job.tag or 'main'}]\n" + "\n".join(man))
     manifest = os.path.join(config.output_dir, "manifest.txt")

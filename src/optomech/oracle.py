@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec
 
 from .errors import IntegrationError
 from .fock import FockDims, JointState, coherent_state, ladder_ops, tensor
@@ -52,6 +53,8 @@ _RK4_NORM_EXPONENT = 6
 _RK4_NORM_PREFACTOR = 72.0
 # Stirling numbers S(6, j): E[k^6] over Poisson(mu) = sum_j S(6,j) mu^j.
 _TOUCHARD6 = (1.0, 31.0, 90.0, 65.0, 15.0, 1.0)
+# OpenBLAS runs a GEMM with m * n * k at most this on the calling thread.
+_SERIAL_GEMM_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -269,11 +272,20 @@ class InteractionFrame:
         np.multiply(self._base, self._scale, out=self._op.data)
         self._t = t
 
-    def rhs(self, t: float, vec: np.ndarray) -> np.ndarray:
-        """d psi_I / dt = -i H_I(t) psi_I; the rows are rescaled only when t changes."""
+    def rhs(self, t: float, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = -i H_I(t) psi_I; the rows are rescaled only when t changes.
+
+        Calls the kernel behind `self._op @ vec` directly, which accumulates
+        into a zeroed `out`, so the result is bitwise that of the operator
+        product without its dispatch and allocation.
+        """
         if t != self._t:
             self._refresh(t)
-        return self._op @ vec
+        op = self._op
+        n = op.shape[0]
+        out.fill(0)
+        dia_matvec(n, n, len(op.offsets), op.data.shape[1], op.offsets, op.data, vec, out)
+        return out
 
     def to_lab(self, t: float, vec: np.ndarray) -> np.ndarray:
         """psi = exp(-i H0 t) psi_I; the phase factors into field times mirror."""
@@ -329,6 +341,7 @@ def evolve_numeric(
 
     frame = InteractionFrame(p, dims)
     rhs = frame.rhs
+    k1, k2, k3, k4, stage = (np.empty_like(psi) for _ in range(5))
 
     run = OracleRun(p, dims, config, t_grid, [])
     dt = config.dt
@@ -359,23 +372,22 @@ def evolve_numeric(
         lab /= nrm
         run.states.append(JointState(dims, lab, meta={"t": t_snap, "norm_drift": abs(nrm - 1.0)}))
 
-    stage = np.empty_like(psi)
     for t_target in t_grid:
         span = t_target - t_now
         if span > 0:
             n_sub = max(1, math.ceil(span / dt - 1e-9))
             h = span / n_sub
             for _ in range(n_sub):
-                k1 = rhs(t_now, psi)
+                rhs(t_now, psi, k1)
                 np.multiply(k1, 0.5 * h, out=stage)
                 stage += psi
-                k2 = rhs(t_now + 0.5 * h, stage)
+                rhs(t_now + 0.5 * h, stage, k2)
                 np.multiply(k2, 0.5 * h, out=stage)
                 stage += psi
-                k3 = rhs(t_now + 0.5 * h, stage)
+                rhs(t_now + 0.5 * h, stage, k3)
                 np.multiply(k3, h, out=stage)
                 stage += psi
-                k4 = rhs(t_now + h, stage)
+                rhs(t_now + h, stage, k4)
                 # psi += (h/6) (k1 + 2 k2 + 2 k3 + k4), reusing k2 as scratch
                 k2 += k3
                 k2 *= 2.0
@@ -428,6 +440,12 @@ def observables_numeric(run: OracleRun) -> dict:
     }
     ks = np.arange(run.dims.field_dim, dtype=float)
     ms = np.arange(run.dims.mirror_dim, dtype=float)
+    # Blocks of mirror levels over which the field Gram is summed: a product
+    # big enough for OpenBLAS to thread waits on waking a BLAS thread, which
+    # took up to 0.4 s per run when the other core was busy.
+    n_blocks = -(-run.dims.field_dim ** 2 * run.dims.mirror_dim // _SERIAL_GEMM_SIZE)
+    edges = np.linspace(0, run.dims.mirror_dim, n_blocks + 1).astype(int)
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     for i, state in enumerate(run.states):
         pk, pm = _marginal_probs(state)
         n1 = float(pk @ ks)
@@ -439,11 +457,14 @@ def observables_numeric(run: OracleRun) -> dict:
         # Mandel parameter as variance over mean: 1 on a coherent state.
         cols["mandel_field"][i] = (n2 - n1 ** 2) / n1 if n1 > 0 else 1.0
         cols["mandel_mirror"][i] = (m2 - m1 ** 2) / m1 if m1 > 0 else 1.0
-        psi = state.as_matrix()
         # Both reductions of a pure state share their nonzero spectrum, so
         # Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the smaller one
         # (30 x 30 against 308 x 308 at the strong-coupling dims).
-        rho_f = psi @ psi.conj().T
+        psi = state.as_matrix()
+        psi_c = psi.conj()
+        rho_f = psi[:, blocks[0]] @ psi_c[:, blocks[0]].T
+        for block in blocks[1:]:
+            rho_f += psi[:, block] @ psi_c[:, block].T
         purity = float(np.sum(np.abs(rho_f) ** 2))
         cols["purity_mirror"][i] = purity
         cols["linear_entropy_mirror"][i] = 1.0 - purity

@@ -27,6 +27,12 @@ from optomech.postproc import ObservableSeries
 from optomech.system import SystemParams
 
 
+def thread_count() -> int:
+    """Threads of this process, from field 20 of /proc/self/stat (Linux)."""
+    with open("/proc/self/stat") as f:
+        return int(f.read().rpartition(")")[2].split()[17])
+
+
 def weak_system(omega_p_ratio: float = 0.8) -> SystemParams:
     omega_c = 1e9
     return SystemParams(

@@ -1,7 +1,13 @@
-"""CLI integrator overrides (the dt stability cap, the Wigner numeric route)
-and the wigner_snapshots preset."""
+"""CLI integrator overrides (the dt stability cap, the Wigner numeric route),
+jobs run in worker processes, and the wigner_snapshots preset."""
+import os
+import sys
+import warnings
+from dataclasses import replace
+
 import pytest
 
+from conftest import thread_count
 from optomech import cli, oracle, wigner
 from optomech.fock import FockDims
 from optomech.system import SystemParams
@@ -23,6 +29,21 @@ field_dim = 14
 mirror_dim = 24
 wigner_grid_points = 16
 """
+
+
+FORKS = []  # thread count of this process right after each fork it makes
+if sys.platform == "linux":
+    os.register_at_fork(after_in_parent=lambda: FORKS.append(thread_count()))
+
+needs_linux = pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Two usable CPUs, so multi-job presets run in two workers; yields the forks."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    FORKS.clear()
+    yield FORKS
 
 
 def write_config(tmp_path, text):
@@ -66,6 +87,71 @@ def test_wigner_numeric_route_honors_integrator_overrides(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "norm drift" in capsys.readouterr().err
+
+
+@needs_linux
+@pytest.mark.filterwarnings("ignore:population")  # fig4 leaks at dims 22 x 22
+@pytest.mark.parametrize("text", [
+    "preset = fig2\n",
+    "preset = fig4\nfield_dim = 22\nmirror_dim = 22\n",
+], ids=["fig2", "fig4-small"])
+def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text):
+    """Every file and the manifest are the bytes of `_run_job` on each job in order.
+
+    The workers fork from a single-threaded process, so Python 3.12+ has no
+    multi-threaded fork to warn about.
+    """
+    config = cli.load_config(write_config(tmp_path, text))
+    out = tmp_path / "pooled"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        files = cli.run(replace(config, output_dir=str(out)))
+    assert pooled == [1, 1]
+    assert not [w for w in caught if "fork" in str(w.message)]
+
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    sections = []
+    for job in cli.expand_jobs(replace(config, output_dir=str(serial))):
+        _, man = cli._run_job(job)
+        sections.append(f"[job {job.tag}]\n" + "\n".join(man))
+    (serial / "manifest.txt").write_text("\n\n".join(sections) + "\n")
+    assert sorted(files) == sorted(os.listdir(out)) == sorted(os.listdir(serial))
+    for name in files:
+        assert (out / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def fig4_dt_cap() -> float:
+    return min(oracle.max_stable_dt(job.config.params) for job in cli.preset_jobs("fig4"))
+
+
+@needs_linux
+@pytest.mark.parametrize("text, flags, code, prefix", [
+    (f"preset = fig4\ndt = {fig4_dt_cap()!r}\nnorm_tolerance = 1e-12\n", [], 2,
+     "numerical failure: norm drift"),
+    ("preset = fig4\n", ["--dims", "4,35"], 3, "truncation inadequacy: "),
+], ids=["exit-2", "exit-3"])
+def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, pooled,
+                                             text, flags, code, prefix):
+    """An error raised inside a worker reaches main as it does in-process."""
+    path = write_config(tmp_path, text)
+    outcomes = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        argv = ["run", "--config", path, "--out", str(tmp_path / f"out{cpus}")] + flags
+        outcomes.append((cli.main(argv), capsys.readouterr().err))
+    assert pooled == [1, 1]  # the first run forked its two workers
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+    assert outcomes[0][1].startswith(prefix)
+
+
+@needs_linux
+def test_config_errors_are_raised_before_any_fork(tmp_path, capsys, pooled):
+    path = write_config(tmp_path, "preset = fig4\ndt = 1e-9\n")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "max_stable_dt" in capsys.readouterr().err
+    assert pooled == []
 
 
 @pytest.mark.slow

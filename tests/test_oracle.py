@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from conftest import strong_system, tiny_system
+from conftest import strong_system, thread_count, tiny_system
 from optomech.errors import IntegrationError
 from optomech.fock import (
     FockDims,
@@ -20,6 +21,7 @@ from optomech.fock import (
 from optomech.oracle import (
     IntegratorConfig,
     InteractionFrame,
+    OracleRun,
     _band_row,
     assemble_hamiltonian,
     evolve_numeric,
@@ -111,8 +113,20 @@ class TestInteractionFrame:
             v = dense_hamiltonian(p, DIMS, t) - np.diag(energies)
             rot = np.exp(1j * energies * t)
             expected = -1j * rot * (v @ (psi / rot))
-            np.testing.assert_allclose(frame.rhs(t, psi), expected,
+            np.testing.assert_allclose(frame.rhs(t, psi, np.empty_like(psi)), expected,
                                        rtol=0, atol=1e-9 * np.abs(expected).max())
+
+    def test_direct_kernel_equals_operator_product(self):
+        """rhs calls scipy's DIA kernel itself; it must be bitwise `op @ vec`."""
+        p = tiny_system()
+        frame = InteractionFrame(p, DIMS)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
+        out = np.full_like(psi, np.nan)  # stale contents must not leak in
+        for t in (0.0, 1.3e-7, 1.3e-7, 4.8e-7):
+            got = frame.rhs(t, psi, out)
+            assert got is out
+            np.testing.assert_array_equal(out, frame._op @ psi)
 
     def test_band_row_of_single_band_operator(self):
         """scipy trims the DIA data of a negative-only band; rows must not."""
@@ -237,6 +251,17 @@ class TestEvolution:
             evolve_numeric(p, DIMS, t_grid=np.array([-1e-7, 1e-7]))
 
 
+def random_run(dims: FockDims, n_states: int, seed: int) -> OracleRun:
+    """An OracleRun holding random normalized states, for the observables alone."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n_states):
+        amps = rng.standard_normal(dims.joint) + 1j * rng.standard_normal(dims.joint)
+        states.append(JointState(dims, amps / np.linalg.norm(amps)))
+    return OracleRun(tiny_system(), dims, IntegratorConfig(dt=1e-10),
+                     np.arange(float(n_states)), states)
+
+
 class TestObservables:
 
     def test_initial_values(self):
@@ -261,6 +286,27 @@ class TestObservables:
         mirror = partial_trace_field(run.states[-1]).purity()
         assert mirror < 0.9  # the snapshot is entangled
         assert purity[-1] == pytest.approx(mirror, abs=1e-12)
+
+    def test_blocked_purity_at_strong_dims(self):
+        """30 x 308 is summed in five blocks of mirror levels; the purity stays exact."""
+        run = random_run(FockDims(30, 308), 1, seed=11)
+        purity = observables_numeric(run)["purity_mirror"].y[0]
+        mirror = partial_trace_field(run.states[0]).purity()
+        assert purity == pytest.approx(mirror, abs=1e-12)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_observables_wake_no_blas_thread(self):
+        """At 30 x 308 one field Gram product is big enough for OpenBLAS to thread."""
+        run = random_run(FockDims(30, 308), 3, seed=12)
+        # OpenBLAS joins its threads before a fork; they restart on demand.
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        if thread_count() != 1:
+            pytest.skip("other threads are running in this process")
+        observables_numeric(run)
+        assert thread_count() == 1
 
     def test_series_metadata(self):
         p = tiny_system()
