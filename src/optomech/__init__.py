@@ -40,10 +40,8 @@ from .fock import (
     tensor,
 )
 from .oracle import (
-    HamiltonianAssembly,
     IntegratorConfig,
     OracleRun,
-    assemble_hamiltonian,
     evolve_numeric,
     observables_numeric,
     recommend_integrator_config,
@@ -64,7 +62,6 @@ from .wigner import (
     WignerSnapshot,
     snapshot_set,
     wigner_continuous,
-    wigner_discrete,
 )
 
 __all__ = [
@@ -74,7 +71,6 @@ __all__ = [
     "ConfigError",
     "DensityMatrix",
     "FockDims",
-    "HamiltonianAssembly",
     "IntegratorConfig",
     "IntegrationError",
     "JointState",
@@ -86,7 +82,6 @@ __all__ = [
     "WignerGrid",
     "WignerSnapshot",
     "alpha_coeffs",
-    "assemble_hamiltonian",
     "beta1_phi_to_one",
     "beta1_rwa",
     "coherent_photon_moments",
@@ -119,7 +114,6 @@ __all__ = [
     "snapshot_set",
     "tensor",
     "wigner_continuous",
-    "wigner_discrete",
     "write_series",
 ]
 

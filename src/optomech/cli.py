@@ -21,6 +21,11 @@ output_dir, filter, dims and integrator overrides next to it. Each run
 writes `manifest.txt` recording every expanded value, so any output can be
 reproduced from the manifest alone.
 
+fig7_8's `*_red` files are what the former presets for the paper's Figs. 9
+and 10 wrote: each re-ran fig7_8's red job. Presets of their own for those
+figures wait for the figures' text, since the abstract does not say what
+they plot.
+
 Presets that expand to several independent jobs (fig2, fig4, fig5_6,
 fig7_8) run them concurrently in forked worker processes, one per CPU
 available to the process. Every output file and the manifest are
@@ -52,8 +57,6 @@ PRESETS = (
     "fig4",
     "fig5_6",
     "fig7_8",
-    "fig9",
-    "fig10",
     "wigner_snapshots",
 )
 _PARAM_KEYS = ("omega_c", "omega_m", "omega_p", "drive_amp", "g_ratio", "alpha", "gamma")
@@ -413,8 +416,7 @@ def preset_jobs(name: str) -> tuple:
             )
         )
         return tuple(jobs)
-    if name in ("fig7_8", "fig9", "fig10"):
-        detunings = (("red", _RED), ("blue", _BLUE)) if name == "fig7_8" else (("red", _RED),)
+    if name == "fig7_8":
         return tuple(
             _Job(
                 RunConfig(
@@ -427,7 +429,7 @@ def preset_jobs(name: str) -> tuple:
                 ),
                 tag=tag,
             )
-            for tag, r in detunings
+            for tag, r in (("red", _RED), ("blue", _BLUE))
         )
     if name == "wigner_snapshots":
         return (
@@ -752,9 +754,15 @@ def validate(config: RunConfig) -> str:
             f" recommended_mirror_dim={dims.mirror_dim}"
         )
         if "driven-numeric" in cfg.modes or "wigner" in cfg.modes:
-            dt = _integrator_config(cfg, cfg.t_end, dims).dt
-            n_steps = math.ceil(cfg.t_end / dt)
-            state_mb = dims.joint * 16 * (cfg.n_samples + 8) / 1e6
+            # The steps `run` takes: over the sample grid, or for a wigner-only
+            # job over the numeric snapshot times.
+            if "driven-numeric" in cfg.modes:
+                t_grid = np.linspace(0.0, cfg.t_end, cfg.n_samples)
+            else:
+                t_grid = wigner.default_snapshot_times(p)
+            dt = _integrator_config(cfg, float(t_grid[-1]), dims).dt
+            n_steps = sum(oracle.substeps(t_grid, dt))
+            state_mb = dims.joint * 16 * (len(t_grid) + 8) / 1e6
             lines.append(
                 f"  dt={_fmt(dt)} est_steps={n_steps} est_state_memory_mb={state_mb:.1f}"
             )

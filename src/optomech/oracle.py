@@ -6,18 +6,23 @@ No approximation beyond Fock truncation: the joint Hamiltonian
     V(t) = - G0 n (b + b^dagger) + drive_amp cos(omega_p t) (a + a^dagger)
 
 is integrated with classical fixed-step RK4 in the interaction frame of
-H0, psi_I = exp(i H0 t) psi. There H0 drops out and
+H0, psi_I = exp(i H0 t) psi. There H0 drops out, and
 
-    H_I(t) = exp(i H0 t) V(t) exp(-i H0 t)
+    H_I(t) = exp(i H0 t) V(t) exp(-i H0 t) = sum_terms f(t) X + conj(f(t)) X^dagger
 
-keeps only four bands in the field-major index i = k * mirror_dim + m:
-the coupling bands (offsets +-1, from b and b^dagger) carry the phases
-exp(-+i omega_m t), and the drive bands (offsets +-mirror_dim, from a and
-a^dagger) carry cos(omega_p t) exp(-+i omega_c t). Each RK4 stage at a new
-time rescales those DIA data rows in place and applies one matrix-vector
-product; every snapshot is rotated back to the lab frame with the diagonal
-phase exp(-i H0 t), so callers only ever see lab-frame states.
-Everything else in the package is measured against this.
+is a list of two terms, each one band X of ladder factors above the
+diagonal of the field-major index i = k * mirror_dim + m, times a
+closed-form scalar f(t):
+
+    coupling  offset +1           row -G0 (k x sqrt(m))   f = exp(-i omega_m t)
+    drive     offset +mirror_dim  row sqrt(k) x 1         f = drive_amp cos(omega_p t) exp(-i omega_c t)
+
+`interaction_terms` returns them; `InteractionFrame` lays each term and
+its adjoint out as DIA rows, rescales them in place at each new RK4 stage
+time and applies one matrix-vector product. Every snapshot is rotated back
+to the lab frame with the diagonal phase exp(-i H0 t), so callers only
+ever see lab-frame states. Everything else in the package is measured
+against this.
 
 RK4 applied to -i H_I loses norm at a known rate, |R(-i theta)|^2 =
 1 - theta^6/72 + O(theta^8) per step with theta = lambda dt, which is what
@@ -31,18 +36,18 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 
 from .errors import IntegrationError
-from .fock import FockDims, JointState, coherent_state, ladder_ops, tensor
+from .fock import FockDims, JointState, coherent_state
 from .postproc import ObservableSeries
 from .system import SystemParams
 
-HERMITICITY_TOL = 1e-12
 DEFAULT_NORM_TOLERANCE = 1e-6
 DEFAULT_NORM_CHECK_EVERY = 1000
 LEAK_TOLERANCE = 1e-6
@@ -58,50 +63,12 @@ _SERIAL_GEMM_SIZE = 65536
 
 
 @dataclass(frozen=True)
-class HamiltonianAssembly:
-    """Static part plus drive operator; H(t) = h_static + drive(t) * h_drive."""
-
-    h_static: sp.csr_matrix
-    h_drive: sp.csr_matrix
-    drive_amp: float
-    drive_freq: float
-
-    def __post_init__(self):
-        for op in (self.h_static, self.h_drive):
-            defect = abs(op - op.conj().T).max()
-            if defect > HERMITICITY_TOL:
-                raise ValueError(f"Hamiltonian block not Hermitian (defect {defect:g})")
-
-    def at(self, t: float) -> sp.csr_matrix:
-        """Dense-in-time snapshot H(t), mainly for small-system checks."""
-        c = self.drive_amp * math.cos(self.drive_freq * t)
-        return self.h_static + c * self.h_drive
-
-
-def assemble_hamiltonian(p: SystemParams, dims: FockDims) -> HamiltonianAssembly:
-    fld = ladder_ops(dims.field_dim)
-    mir = ladder_ops(dims.mirror_dim)
-    eye_f = sp.identity(dims.field_dim, dtype=np.complex128, format="csr")
-    eye_m = sp.identity(dims.mirror_dim, dtype=np.complex128, format="csr")
-    h_static = (
-        p.omega_c * tensor(fld.number, eye_m)
-        + p.omega_m * tensor(eye_f, mir.number)
-        + (-p.g0) * tensor(fld.number, mir.lower + mir.raise_)
-    )
-    h_drive = tensor(fld.lower + fld.raise_, eye_m)
-    return HamiltonianAssembly(h_static, h_drive, p.drive_amp, p.omega_p)
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    method: str = "RK4"
     norm_check_every: int = DEFAULT_NORM_CHECK_EVERY
     norm_tolerance: float = DEFAULT_NORM_TOLERANCE
 
     def __post_init__(self):
-        if self.method != "RK4":
-            raise ValueError(f"unknown method {self.method!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
         if self.norm_check_every < 1:
@@ -146,6 +113,18 @@ def _populated_levels(p: SystemParams, t_total: float, dims: FockDims):
 def max_stable_dt(p: SystemParams) -> float:
     """Hard cap: resolve the fastest oscillation, whatever the amplitudes."""
     return 2.0 * math.pi / (MIN_STEPS_PER_FAST_PERIOD * p.fastest_angular_frequency)
+
+
+def substeps(t_grid, dt: float) -> list:
+    """RK4 steps evolve_numeric takes to reach each sample from the one before.
+
+    The first sample is reached from t = 0. Each interval is cut into the
+    fewest equal steps no longer than dt, so the total exceeds t_end / dt
+    by up to one step per sample.
+    """
+    spans = np.diff(np.asarray(t_grid, dtype=float), prepend=0.0)
+    steps = np.where(spans > 0, np.maximum(1, np.ceil(spans / dt - 1e-9)), 0)
+    return steps.astype(int).tolist()
 
 
 def require_stable_dt(p: SystemParams, dt: float) -> None:
@@ -214,61 +193,73 @@ class OracleRun:
     n_steps: int = 0
 
 
-def _band_row(mat, off: int, n: int) -> np.ndarray:
-    """Band `off` of `mat` as a DIA data row, where entry j multiplies x[j]."""
-    row = np.zeros(n, dtype=np.complex128)
-    band = mat.diagonal(off)
-    if off >= 0:
-        row[off:] = band
-    else:
-        row[: n + off] = band
-    return row
+class BandTerm(NamedTuple):
+    """One term f(t) X + conj(f(t)) X^dagger of H_I(t), X on one band above the diagonal.
+
+    `row` is the DIA data row of X: entry j sits at (j - offset, j) and
+    multiplies psi[j]. `factor` is the closed-form scalar f(t).
+    """
+
+    offset: int
+    row: np.ndarray
+    factor: Callable[[float], complex]
+
+
+def interaction_terms(p: SystemParams, dims: FockDims) -> tuple:
+    """The coupling and drive terms of H_I(t), as tabled in the module docstring.
+
+    A term with zero amplitude (g = 0, or no drive) is left out, so its
+    bands are not paid for.
+    """
+    k = np.arange(dims.field_dim, dtype=float)
+    m = np.arange(dims.mirror_dim, dtype=float)
+    terms = []
+    if p.g0 != 0.0:
+        terms.append(BandTerm(
+            1, -p.g0 * np.kron(k, np.sqrt(m)), lambda t: cmath.exp(-1j * p.omega_m * t)
+        ))
+    if p.drive_amp != 0.0:
+        terms.append(BandTerm(
+            dims.mirror_dim,
+            np.kron(np.sqrt(k), np.ones(dims.mirror_dim)),
+            lambda t: p.drive_amp * math.cos(p.omega_p * t) * cmath.exp(-1j * p.omega_c * t),
+        ))
+    return tuple(terms)
 
 
 class InteractionFrame:
     """The generator -i H_I(t) of psi_I = exp(i H0 t) psi, as a banded matvec.
 
-    Built from the assembly's own bands: the coupling rows (offsets +-1)
-    from h_static and the drive rows (offsets +-mirror_dim) from h_drive.
-    Bands that vanish (no coupling, no drive) are left out, so their cost
-    is not paid.
+    H_I(t) is the sum of f(t) X + conj(f(t)) X^dagger over
+    `interaction_terms`. A term's row sits on band +offset under -i f(t);
+    its adjoint is the same (real) row moved down by offset, on band
+    -offset under -i conj(f(t)). So H_I is Hermitian by construction. The
+    bands are kept in ascending offset, adjoints first, and rescaled in
+    place whenever the stage time changes.
     """
 
     def __init__(self, p: SystemParams, dims: FockDims):
-        asm = assemble_hamiltonian(p, dims)
+        self._terms = interaction_terms(p, dims)
         n = dims.joint
         self._p = p
         self._field_levels = np.arange(dims.field_dim, dtype=float)
         self._mirror_levels = np.arange(dims.mirror_dim, dtype=float)
-        # (offset, source operator, index into the factors of _refresh): b at
-        # offset +1 rotates as exp(-i omega_m t), a at +mirror_dim as
-        # exp(-i omega_c t), and their adjoints below the diagonal conjugate.
-        bands = (
-            (-dims.mirror_dim, asm.h_drive, 3),
-            (-1, asm.h_static, 1),
-            (1, asm.h_static, 0),
-            (dims.mirror_dim, asm.h_drive, 2),
-        )
-        rows, offsets, self._factor_of = [], [], []
-        for off, op, which in bands:
-            row = _band_row(op, off, n)
-            if np.any(row):
-                rows.append(row)
-                offsets.append(off)
-                self._factor_of.append(which)
-        self._base = np.array(rows, dtype=np.complex128).reshape(len(rows), n)
-        self._scale = np.empty((len(rows), 1), dtype=np.complex128)
+        adjoints = self._terms[::-1]
+        offsets = [-term.offset for term in adjoints] + [term.offset for term in self._terms]
+        rows = [np.concatenate((term.row[term.offset:], np.zeros(term.offset)))
+                for term in adjoints] + [term.row for term in self._terms]
+        self._base = np.array(rows, dtype=np.complex128).reshape(len(offsets), n)
+        self._scale = np.empty((len(offsets), 1), dtype=np.complex128)
         self._op = sp.dia_matrix((self._base.copy(), np.array(offsets, dtype=int)), shape=(n, n))
         self._t = None
 
     def _refresh(self, t: float) -> None:
-        p = self._p
-        em = cmath.exp(-1j * p.omega_m * t)
-        ed = p.drive_amp * math.cos(p.omega_p * t) * cmath.exp(-1j * p.omega_c * t)
         # Folding -i into the rows makes each RK4 stage one matvec.
-        factors = (-1j * em, -1j * em.conjugate(), -1j * ed, -1j * ed.conjugate())
-        for i, which in enumerate(self._factor_of):
-            self._scale[i, 0] = factors[which]
+        n_terms = len(self._terms)
+        for j, term in enumerate(self._terms):
+            f = term.factor(t)
+            self._scale[n_terms + j, 0] = -1j * f
+            self._scale[n_terms - 1 - j, 0] = -1j * f.conjugate()
         np.multiply(self._base, self._scale, out=self._op.data)
         self._t = t
 
@@ -372,11 +363,9 @@ def evolve_numeric(
         lab /= nrm
         run.states.append(JointState(dims, lab, meta={"t": t_snap, "norm_drift": abs(nrm - 1.0)}))
 
-    for t_target in t_grid:
-        span = t_target - t_now
-        if span > 0:
-            n_sub = max(1, math.ceil(span / dt - 1e-9))
-            h = span / n_sub
+    for t_target, n_sub in zip(t_grid, substeps(t_grid, dt)):
+        if n_sub:
+            h = (t_target - t_now) / n_sub
             for _ in range(n_sub):
                 rhs(t_now, psi, k1)
                 np.multiply(k1, 0.5 * h, out=stage)

@@ -1,4 +1,4 @@
-"""Continuous and discrete Wigner functions of reduced density matrices.
+"""Wigner functions of reduced density matrices on continuous phase-space grids.
 
 Quadrature convention, fixed project-wide: beta = (q + i p) / sqrt(2), so a
 coherent state |amp> peaks at (q, p) = (sqrt(2) Re amp, sqrt(2) Im amp) and
@@ -57,7 +57,6 @@ from .postproc import atomic_write_text
 from .system import SystemParams
 
 BOUNDARY_WARN_LEVEL = 1e-4
-REALNESS_TOL = 1e-10
 # e^{-b/2} is a normal float only for radii b = |2 beta|^2 below this (~1416.8)
 _UNDERFLOW_RADIUS = -2.0 * math.log(np.finfo(float).tiny)
 # population allowed in levels that reach past _UNDERFLOW_RADIUS
@@ -230,16 +229,6 @@ def _check_bounded(values: np.ndarray, b: np.ndarray, dim: int) -> None:
         )
 
 
-def _check_real(raw: np.ndarray, what: str) -> np.ndarray:
-    residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if residue > REALNESS_TOL:
-        raise IntegrationError(
-            f"{what} produced imaginary residue {residue:.3g} (limit {REALNESS_TOL:g}); "
-            "the input density matrix is not consistent"
-        )
-    return raw.real
-
-
 def wigner_continuous(
     rho: DensityMatrix,
     q_min: float = -6.0,
@@ -320,29 +309,6 @@ def wigner_direct_integral(
             f"direct Wigner integral left imaginary residue {residue:.3g}"
         )
     return WignerGrid(q_axis, p_axis, values.real)
-
-
-def wigner_discrete(rho: DensityMatrix, n_grid: int) -> WignerGrid:
-    """Discrete Wigner function on the N x N integer grid, indices mod N.
-
-    W(q,p) = (1/N) sum_n e^{-4 i pi n p / N} rho[(q - n) mod N, (q + n) mod N],
-    with rho zero-padded to N. The sum over the grid is 1 for odd N; even N
-    double-counts phase-space lines and is allowed but flagged in the docs.
-    """
-    if n_grid < rho.dim:
-        raise ValueError(f"N = {n_grid} must be >= the density-matrix dim {rho.dim}")
-    padded = np.zeros((n_grid, n_grid), dtype=np.complex128)
-    padded[: rho.dim, : rho.dim] = rho.data
-    idx = np.arange(n_grid)
-    # gathered[q, n] = rho[(q - n) mod N, (q + n) mod N]
-    gathered = padded[(idx[:, np.newaxis] - idx[np.newaxis, :]) % n_grid,
-                      (idx[:, np.newaxis] + idx[np.newaxis, :]) % n_grid]
-    phases = np.exp(-4j * math.pi * np.outer(idx, idx) / n_grid)
-    raw = gathered @ phases / n_grid
-    values = _check_real(raw, "discrete Wigner sum")
-    # Positions are the integer labels themselves; cell area 1.
-    axis = idx.astype(float)
-    return WignerGrid(axis, axis.copy(), values)
 
 
 def write_grid_csv(grid: WignerGrid, path: str) -> None:

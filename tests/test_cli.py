@@ -1,13 +1,16 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
-jobs run in worker processes, and the wigner_snapshots preset."""
+validate's step counts and preset list, jobs run in worker processes, and
+the wigner_snapshots preset."""
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from conftest import thread_count
+from conftest import thread_count, tiny_system
 from optomech import cli, oracle, wigner
 from optomech.fock import FockDims
 from optomech.system import SystemParams
@@ -28,6 +31,22 @@ modes = wigner
 field_dim = 14
 mirror_dim = 24
 wigner_grid_points = 16
+"""
+
+# tiny_system() with a driven-numeric run on seven samples.
+TINY_DRIVEN_CONFIG = """\
+omega_c = 1e7
+omega_m = 1e6
+omega_p = 0.8*omega_c
+drive_amp = 0.05*omega_c
+g_ratio = 0.05
+alpha = 1
+gamma = 1
+t_end = 1e-6
+n_samples = 7
+modes = driven-numeric
+field_dim = 16
+mirror_dim = 18
 """
 
 
@@ -68,6 +87,38 @@ def test_dt_above_stability_cap_is_a_config_error(tmp_path, capsys, command):
     cap = oracle.max_stable_dt(cli.preset_jobs("fig7_8")[0].config.params)
     assert "max_stable_dt" in err
     assert f"{cap:g}" in err
+
+
+def printed_steps(capsys, path, *flags):
+    assert cli.main(["validate", "--config", path, *flags]) == 0
+    return [int(n) for n in re.findall(r"est_steps=(\d+)", capsys.readouterr().out)]
+
+
+@pytest.mark.parametrize("preset", cli.PRESETS)
+def test_every_preset_validates(tmp_path, capsys, preset):
+    path = write_config(tmp_path, f"preset = {preset}\n")
+    assert cli.main(["validate", "--config", path]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
+def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
+    """The fig4 manifests record n_steps=3200 for both jobs."""
+    path = write_config(tmp_path, "preset = fig4\n")
+    assert printed_steps(capsys, path) == [3200, 3200]
+
+
+@pytest.mark.parametrize("text, p, dims, t_grid", [
+    (TINY_DRIVEN_CONFIG, tiny_system(), FockDims(16, 18), np.linspace(0.0, 1e-6, 7)),
+    # t_end short of the snapshot horizon, which alone sets the wigner route's steps
+    (WIGNER_CONFIG.replace("t_end = 6.283185307179586e-06", "t_end = 1e-06"),
+     WIGNER_PARAMS, WIGNER_DIMS, wigner.default_snapshot_times(WIGNER_PARAMS)),
+], ids=["driven-numeric", "wigner"])
+def test_validate_reports_the_steps_evolve_numeric_takes(tmp_path, capsys, text, p, dims,
+                                                         t_grid):
+    """Steps are rounded up per sample interval, not once over t_end; a
+    wigner-only job steps over its snapshot times."""
+    (steps,) = printed_steps(capsys, write_config(tmp_path, text))
+    assert steps == oracle.evolve_numeric(p, dims, t_grid=t_grid).n_steps
 
 
 def test_wigner_numeric_route_defaults_to_snapshot_horizon(tmp_path):
@@ -151,6 +202,9 @@ def test_config_errors_are_raised_before_any_fork(tmp_path, capsys, pooled):
     path = write_config(tmp_path, "preset = fig4\ndt = 1e-9\n")
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert "max_stable_dt" in capsys.readouterr().err
+    argv = ["run", "--config", path, "--out", str(tmp_path / "out"), "--preset", "fig9"]
+    assert cli.main(argv) == 1
+    assert f"unknown preset 'fig9'; valid: {', '.join(cli.PRESETS)}" in capsys.readouterr().err
     assert pooled == []
 
 

@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from conftest import strong_system, thread_count, tiny_system
@@ -16,14 +15,11 @@ from optomech.fock import (
     coherent_state,
     ladder_ops,
     partial_trace_field,
-    tensor,
 )
 from optomech.oracle import (
     IntegratorConfig,
     InteractionFrame,
     OracleRun,
-    _band_row,
-    assemble_hamiltonian,
     evolve_numeric,
     max_stable_dt,
     observables_numeric,
@@ -50,28 +46,6 @@ def dense_hamiltonian(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
          - p.g0 * np.kron(n, x_m)
          + p.drive_amp * math.cos(p.omega_p * t) * np.kron(x_f, Im))
     return h
-
-
-class TestAssembly:
-
-    def test_matches_dense_definition(self):
-        p = tiny_system()
-        asm = assemble_hamiltonian(p, DIMS)
-        for t in (0.0, 1.3e-7, 4.8e-7):
-            np.testing.assert_allclose(asm.at(t).toarray(),
-                                       dense_hamiltonian(p, DIMS, t),
-                                       atol=1e-9)
-
-    def test_hermitian(self):
-        p = tiny_system()
-        h = assemble_hamiltonian(p, DIMS).at(0.37e-7).toarray()
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
-
-    def test_undriven_assembly_is_time_independent(self):
-        p = tiny_system(drive_amp=0.0, omega_p=0.0)
-        asm = assemble_hamiltonian(p, DIMS)
-        np.testing.assert_array_equal(asm.at(0.0).toarray(),
-                                      asm.at(1e-6).toarray())
 
 
 class TestStepSizing:
@@ -116,6 +90,25 @@ class TestInteractionFrame:
             np.testing.assert_allclose(frame.rhs(t, psi, np.empty_like(psi)), expected,
                                        rtol=0, atol=1e-9 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("system", [
+        dict(g_ratio=0.0),
+        dict(drive_amp=0.0, omega_p=0.0),
+        dict(),
+    ], ids=["drive-only", "coupling-only", "full"])
+    def test_generator_is_anti_hermitian(self, system):
+        """Each term brings its own adjoint band, so -i H_I(t) is anti-Hermitian."""
+        frame = InteractionFrame(tiny_system(**system), DIMS)
+        psi = np.zeros(DIMS.joint, dtype=complex)
+        for t in (0.0, 0.37e-7, 4.8e-7):
+            frame.rhs(t, psi, np.empty_like(psi))
+            op = frame._op.toarray()
+            assert np.abs(op).max() > 0
+            np.testing.assert_array_equal(op + op.conj().T, 0)
+
+    def test_undriven_frame_holds_only_coupling_bands(self):
+        frame = InteractionFrame(tiny_system(drive_amp=0.0, omega_p=0.0), DIMS)
+        assert sorted(frame._op.offsets) == [-1, 1]
+
     def test_direct_kernel_equals_operator_product(self):
         """rhs calls scipy's DIA kernel itself; it must be bitwise `op @ vec`."""
         p = tiny_system()
@@ -127,17 +120,6 @@ class TestInteractionFrame:
             got = frame.rhs(t, psi, out)
             assert got is out
             np.testing.assert_array_equal(out, frame._op @ psi)
-
-    def test_band_row_of_single_band_operator(self):
-        """scipy trims the DIA data of a negative-only band; rows must not."""
-        f, m = ladder_ops(5), ladder_ops(6)
-        eye_m = sp.identity(6, format="csr")
-        for op, off in ((tensor(f.number, m.raise_), -1),
-                        (tensor(f.raise_, eye_m), -6),
-                        (tensor(f.lower, eye_m), 6)):
-            row = _band_row(op, off, 30)
-            rebuilt = sp.dia_matrix((row[None, :], [off]), shape=(30, 30))
-            np.testing.assert_array_equal(rebuilt.toarray(), op.toarray())
 
     def test_free_evolution_is_exact(self):
         """With g = 0 and no drive H_I vanishes, so only the rotation back acts."""
@@ -188,10 +170,9 @@ class TestEvolution:
     def test_energy_conserved_without_drive(self):
         p = tiny_system(drive_amp=0.0, omega_p=0.0)
         dims = FockDims(14, 16)
-        asm = assemble_hamiltonian(p, dims)
         grid = np.linspace(0.0, p.mech_period, 5)
         run = evolve_numeric(p, dims, t_grid=grid)
-        h = asm.at(0.0)
+        h = dense_hamiltonian(p, dims, 0.0)
         energies = [np.vdot(st.amps, h @ st.amps).real for st in run.states]
         for e in energies[1:]:
             assert e == pytest.approx(energies[0], rel=1e-6)

@@ -15,7 +15,6 @@ from optomech.wigner import (
     suggested_half_width,
     wigner_continuous,
     wigner_direct_integral,
-    wigner_discrete,
     write_grid_csv,
     write_grid_pgm,
 )
@@ -168,50 +167,6 @@ class TestLaguerreGuard:
         rho = coherent_mixture(560, [math.sqrt(420.0)], np.array([1.0]))
         with pytest.raises(IntegrationError, match=r"Laguerre.*underflows.*dim 560"):
             wigner_continuous(rho, -32, 32, -32, 32, 61, 61)
-
-
-class TestDiscrete:
-
-    def test_requires_covering_dimension(self):
-        with pytest.raises(ValueError):
-            wigner_discrete(coherent_rho(8, 0.5), n_grid=7)
-
-    def test_fock_zero_matches_brute_force(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
-        grid = wigner_discrete(rho, n_grid=4)
-        n = 4
-        brute = np.zeros((n, n))
-        for q in range(n):
-            for p_i in range(n):
-                acc = 0.0j
-                for m in range(n):
-                    acc += (np.exp(-4j * math.pi * m * p_i / n)
-                            * rho.data[(q - m) % n, (q + m) % n])
-                brute[q, p_i] = (acc / n).real
-        np.testing.assert_allclose(grid.values, brute, atol=1e-12)
-
-    def test_odd_grid_sums_to_one(self):
-        for rho in (coherent_rho(9, 0.7), random_rho(7)):
-            grid = wigner_discrete(rho, n_grid=11)
-            assert grid.values.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_maximally_mixed_is_uniform_in_p_at_origin_row(self):
-        n = 5
-        rho = DensityMatrix(np.eye(n) / n)
-        grid = wigner_discrete(rho, n_grid=n)
-        # diagonal rho: only the m=0 term survives, so W is p-independent
-        for row in grid.values:
-            np.testing.assert_allclose(row, row[0], atol=1e-12)
-
-    def test_position_marginal_identity_odd_grid(self):
-        """Summing an odd-N discrete Wigner over p recovers diag(rho)."""
-        rho = coherent_rho(14, 1.2)
-        grid = wigner_discrete(rho, n_grid=15)
-        marginal = grid.values.sum(axis=1)
-        np.testing.assert_allclose(marginal[:14], np.diag(rho.data).real,
-                                   atol=1e-12)
-        # most likely position index = Poisson mode of mu = 1.44
-        assert marginal.argmax() == 1
 
 
 class TestGridOutput:
