@@ -32,12 +32,10 @@ from .fock import (
     FockDims,
     JointState,
     coherent_state,
-    ladder_ops,
     partial_trace_field,
     partial_trace_mirror,
     recommend_field_dim,
     recommend_mirror_dim,
-    tensor,
 )
 from .oracle import (
     IntegratorConfig,
@@ -94,7 +92,6 @@ __all__ = [
     "filter_fast",
     "gamma_k",
     "integrate_betas",
-    "ladder_ops",
     "linear_entropy_mirror",
     "mandel_field",
     "mandel_mirror",
@@ -112,7 +109,6 @@ __all__ = [
     "recommend_integrator_config",
     "recommend_mirror_dim",
     "snapshot_set",
-    "tensor",
     "wigner_continuous",
     "write_series",
 ]

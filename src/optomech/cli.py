@@ -17,7 +17,8 @@ t = 0, pi/omega_m, 2pi/omega_m), compare (metrics between the two driven
 routes; requires both).
 
 A preset replaces the physics keys wholesale; configs may still set
-output_dir, filter, dims and integrator overrides next to it. Each run
+output_dir, filter, dims and integrator overrides next to it, and
+`--preset NAME` without `--config` runs the preset as it stands. Each run
 writes `manifest.txt` recording every expanded value, so any output can be
 reproduced from the manifest alone.
 
@@ -753,18 +754,32 @@ def validate(config: RunConfig) -> str:
             f"  recommended_field_dim={dims.field_dim}"
             f" recommended_mirror_dim={dims.mirror_dim}"
         )
-        if "driven-numeric" in cfg.modes or "wigner" in cfg.modes:
-            # The steps `run` takes: over the sample grid, or for a wigner-only
-            # job over the numeric snapshot times.
-            if "driven-numeric" in cfg.modes:
-                t_grid = np.linspace(0.0, cfg.t_end, cfg.n_samples)
-            else:
-                t_grid = wigner.default_snapshot_times(p)
+        # The steps `run` takes on each numeric route: driven-numeric over
+        # the sample grid, wigner over the snapshot times with its own dt.
+        routes = []
+        if "driven-numeric" in cfg.modes:
+            routes.append(("driven-numeric", np.linspace(0.0, cfg.t_end, cfg.n_samples)))
+        if "wigner" in cfg.modes:
+            routes.append(("wigner", wigner.default_snapshot_times(p)))
+        estimates = []
+        for route, t_grid in routes:
             dt = _integrator_config(cfg, float(t_grid[-1]), dims).dt
             n_steps = sum(oracle.substeps(t_grid, dt))
             state_mb = dims.joint * 16 * (len(t_grid) + 8) / 1e6
+            estimates.append((route, dt, n_steps, state_mb))
+        if len(estimates) == 1:
+            _, dt, n_steps, state_mb = estimates[0]
             lines.append(
                 f"  dt={_fmt(dt)} est_steps={n_steps} est_state_memory_mb={state_mb:.1f}"
+            )
+        elif estimates:
+            for route, dt, n_steps, state_mb in estimates:
+                lines.append(
+                    f"  {route}: dt={_fmt(dt)} steps={n_steps} state_memory_mb={state_mb:.1f}"
+                )
+            lines.append(
+                f"  est_steps={sum(e[2] for e in estimates)}"
+                f" est_state_memory_mb={sum(e[3] for e in estimates):.1f}"
             )
     return "\n".join(lines)
 
@@ -783,7 +798,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (("run", "execute a config"), ("validate", "check a config")):
         s = sub.add_parser(name, help=text)
-        s.add_argument("--config", required=True, help="path to key=value config file")
+        s.add_argument("--config", help="path to key=value config file; optional with --preset")
         s.add_argument("--preset", help="preset name, overriding the config file")
         s.add_argument("--out", help="output directory")
         s.add_argument("--filter", action="store_true", help="also emit filtered series")
@@ -808,7 +823,13 @@ def _apply_flags(config: RunConfig, args) -> RunConfig:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _apply_flags(load_config(args.config, args.preset), args)
+        if args.config is not None:
+            config = load_config(args.config, args.preset)
+        elif args.preset is not None:
+            config = build_config({}, args.preset)
+        else:
+            raise ConfigError("the following arguments are required: --config (or --preset)")
+        config = _apply_flags(config, args)
         if args.command == "validate":
             print(validate(config))
             return 0

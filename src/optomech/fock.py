@@ -4,8 +4,6 @@ Conventions fixed here and imported everywhere else:
 
 * joint index: ``i = k * mirror_dim + m`` (field-major; mirror index fast),
   so a joint state reshapes to ``(field_dim, mirror_dim)`` with C order;
-* operators are scipy CSR matrices, built from the ladder operators by
-  Kronecker products;
 * coherent states are truncated Poisson series, renormalized to unit norm,
   and refuse to be built when the truncation loss exceeds 1e-8.
 """
@@ -13,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TruncationError
 
@@ -107,27 +103,6 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.data) ** 2))
 
 
-class LadderOps(NamedTuple):
-    lower: sp.csr_matrix
-    raise_: sp.csr_matrix
-    number: sp.csr_matrix
-
-
-def ladder_ops(dim: int) -> LadderOps:
-    """Truncated lowering, raising and number operators on a dim-level space.
-
-    On the truncated space raise_ @ lower equals the number operator exactly,
-    while the commutator [lower, raise_] deviates from identity in the top
-    level only (a -dim term at (dim-1, dim-1)).
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    lower = sp.diags(np.sqrt(np.arange(1, dim)), 1, shape=(dim, dim))
-    number = sp.diags(np.arange(dim, dtype=float), 0)
-    return LadderOps(*(sp.csr_matrix(op, dtype=np.complex128)
-                       for op in (lower, lower.T, number)))
-
-
 def coherent_amplitudes(dim: int, amp):
     """Truncated coherent-state series and its norm loss, without renormalizing.
 
@@ -182,11 +157,6 @@ def coherent_state(dim: int, amp: complex) -> np.ndarray:
             required_dim=need,
         )
     return c / np.linalg.norm(c)
-
-
-def tensor(op_field, op_mirror) -> sp.csr_matrix:
-    """Kronecker product in the fixed field-major convention."""
-    return sp.kron(op_field, op_mirror, format="csr")
 
 
 def partial_trace_field(state: JointState) -> DensityMatrix:

@@ -18,11 +18,20 @@ closed-form scalar f(t):
     drive     offset +mirror_dim  row sqrt(k) x 1         f = drive_amp cos(omega_p t) exp(-i omega_c t)
 
 `interaction_terms` returns them; `InteractionFrame` lays each term and
-its adjoint out as DIA rows, rescales them in place at each new RK4 stage
-time and applies one matrix-vector product. Every snapshot is rotated back
-to the lab frame with the diagonal phase exp(-i H0 t), so callers only
-ever see lab-frame states. Everything else in the package is measured
-against this.
+its adjoint out as band rows, rescales them in place at each new RK4 stage
+time and applies them with one numpy multiply per band. Every snapshot is
+rotated back to the lab frame with the diagonal phase exp(-i H0 t), so
+callers only ever see lab-frame states. Everything else in the package is
+measured against this.
+
+The band kernel reads the state from a buffer with `pad` = max|offset|
+zeros on each side of it (`InteractionFrame.padded`). Each band's row is
+aligned to the output index, out[i] += row[i] * psi[i + offset], so every
+band is one elementwise product of its row with a shifted slice of the
+buffer; the guard zeros stand in for the amplitudes past either end of
+the truncated space. The stepper keeps its state and its stage vector in
+such buffers and writes only their interiors, so no stage copies the state
+or zero-fills a result.
 
 RK4 applied to -i H_I loses norm at a known rate, |R(-i theta)|^2 =
 1 - theta^6/72 + O(theta^8) per step with theta = lambda dt, which is what
@@ -40,8 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import dia_matvec
 
 from .errors import IntegrationError
 from .fock import FockDims, JointState, coherent_state
@@ -196,8 +203,8 @@ class OracleRun:
 class BandTerm(NamedTuple):
     """One term f(t) X + conj(f(t)) X^dagger of H_I(t), X on one band above the diagonal.
 
-    `row` is the DIA data row of X: entry j sits at (j - offset, j) and
-    multiplies psi[j]. `factor` is the closed-form scalar f(t).
+    `row` holds the band of X by column: entry j sits at (j - offset, j)
+    and multiplies psi[j]. `factor` is the closed-form scalar f(t).
     """
 
     offset: int
@@ -228,14 +235,24 @@ def interaction_terms(p: SystemParams, dims: FockDims) -> tuple:
 
 
 class InteractionFrame:
-    """The generator -i H_I(t) of psi_I = exp(i H0 t) psi, as a banded matvec.
+    """The generator -i H_I(t) of psi_I = exp(i H0 t) psi, as a band kernel.
 
     H_I(t) is the sum of f(t) X + conj(f(t)) X^dagger over
     `interaction_terms`. A term's row sits on band +offset under -i f(t);
-    its adjoint is the same (real) row moved down by offset, on band
-    -offset under -i conj(f(t)). So H_I is Hermitian by construction. The
-    bands are kept in ascending offset, adjoints first, and rescaled in
-    place whenever the stage time changes.
+    its adjoint is the same (real) row on band -offset under -i conj(f(t)),
+    so H_I is Hermitian by construction. `offsets` lists the bands in
+    ascending order, adjoints first. Each band's row is stored aligned to
+    the output index,
+
+        out[i] = sum_b row_b[i] * psi[i + offset_b],
+
+    and rescaled in place whenever the stage time changes.
+
+    `rhs` reads psi from a buffer holding it between `pad` = max|offset|
+    zeros on each side, made by `padded`. A shifted slice of that buffer is
+    then psi[i + offset] for every output index i, zeros past either end of
+    the truncated space included, so each band costs one elementwise
+    product with no bounds to clip and no zeroed copy of psi.
     """
 
     def __init__(self, p: SystemParams, dims: FockDims):
@@ -245,37 +262,64 @@ class InteractionFrame:
         self._field_levels = np.arange(dims.field_dim, dtype=float)
         self._mirror_levels = np.arange(dims.mirror_dim, dtype=float)
         adjoints = self._terms[::-1]
-        offsets = [-term.offset for term in adjoints] + [term.offset for term in self._terms]
-        rows = [np.concatenate((term.row[term.offset:], np.zeros(term.offset)))
-                for term in adjoints] + [term.row for term in self._terms]
-        self._base = np.array(rows, dtype=np.complex128).reshape(len(offsets), n)
-        self._scale = np.empty((len(offsets), 1), dtype=np.complex128)
-        self._op = sp.dia_matrix((self._base.copy(), np.array(offsets, dtype=int)), shape=(n, n))
+        self.offsets = (tuple(-term.offset for term in adjoints)
+                        + tuple(term.offset for term in self._terms))
+        self.pad = max(self.offsets, default=0)
+        # The adjoint entry at (i, i - offset) is the term's entry at
+        # (i - offset, i), row[i]; the term's own entry at (i, i + offset)
+        # is row[i + offset]. Rows vanish on their first `offset` entries.
+        rows = [np.concatenate((np.zeros(term.offset), term.row[term.offset:]))
+                for term in adjoints] + [
+                np.concatenate((term.row[term.offset:], np.zeros(term.offset)))
+                for term in self._terms]
+        self._base = np.array(rows, dtype=np.complex128).reshape(len(self.offsets), n)
+        self._scale = np.empty((len(self.offsets), 1), dtype=np.complex128)
+        self._rows = np.empty_like(self._base)
+        self._bands = [(row, self.pad + offset, self.pad + offset + n)
+                       for row, offset in zip(self._rows, self.offsets)]
+        self._scratch = np.empty(n, dtype=np.complex128)
         self._t = None
 
+    def padded(self, vec: np.ndarray) -> tuple:
+        """(buffer, view): vec copied between `pad` zeros on each side, and its interior.
+
+        The buffer is what `rhs` reads. Writes through the view leave the
+        guard zeros intact, so the buffer stays a valid `rhs` input.
+        """
+        n = vec.shape[0]
+        buf = np.zeros(n + 2 * self.pad, dtype=np.complex128)
+        view = buf[self.pad:self.pad + n]
+        view[:] = vec
+        return buf, view
+
     def _refresh(self, t: float) -> None:
-        # Folding -i into the rows makes each RK4 stage one matvec.
+        # Folding -i into the rows makes each band one multiply.
         n_terms = len(self._terms)
         for j, term in enumerate(self._terms):
             f = term.factor(t)
             self._scale[n_terms + j, 0] = -1j * f
             self._scale[n_terms - 1 - j, 0] = -1j * f.conjugate()
-        np.multiply(self._base, self._scale, out=self._op.data)
+        np.multiply(self._base, self._scale, out=self._rows)
         self._t = t
 
-    def rhs(self, t: float, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = -i H_I(t) psi_I; the rows are rescaled only when t changes.
+    def rhs(self, t: float, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = -i H_I(t) psi_I, psi_I read from a buffer made by `padded`.
 
-        Calls the kernel behind `self._op @ vec` directly, which accumulates
-        into a zeroed `out`, so the result is bitwise that of the operator
-        product without its dispatch and allocation.
+        The first band is written into `out`, each other one through a
+        scratch vector added to it; the rows are rescaled only when t
+        changes.
         """
         if t != self._t:
             self._refresh(t)
-        op = self._op
-        n = op.shape[0]
-        out.fill(0)
-        dia_matvec(n, n, len(op.offsets), op.data.shape[1], op.offsets, op.data, vec, out)
+        if not self._bands:
+            out.fill(0)
+            return out
+        (row, lo, hi), *rest = self._bands
+        np.multiply(row, padded[lo:hi], out=out)
+        scratch = self._scratch
+        for row, lo, hi in rest:
+            np.multiply(row, padded[lo:hi], out=scratch)
+            out += scratch
         return out
 
     def to_lab(self, t: float, vec: np.ndarray) -> np.ndarray:
@@ -324,15 +368,19 @@ def evolve_numeric(
         config = recommend_integrator_config(p, max(float(t_grid[-1]), 1e-300), dims)
     require_stable_dt(p, config.dt)
 
-    psi = JointState.from_product(
+    psi0 = JointState.from_product(
         dims,
         coherent_state(dims.field_dim, p.alpha),
         coherent_state(dims.mirror_dim, p.gamma),
-    ).amps.copy()
+    ).amps
 
     frame = InteractionFrame(p, dims)
     rhs = frame.rhs
-    k1, k2, k3, k4, stage = (np.empty_like(psi) for _ in range(5))
+    # rhs reads psi and stage from their padded buffers; the steps below
+    # write only the interior views.
+    psi_pad, psi = frame.padded(psi0)
+    stage_pad, stage = frame.padded(psi0)
+    k1, k2, k3, k4 = (np.empty_like(psi) for _ in range(4))
 
     run = OracleRun(p, dims, config, t_grid, [])
     dt = config.dt
@@ -367,16 +415,16 @@ def evolve_numeric(
         if n_sub:
             h = (t_target - t_now) / n_sub
             for _ in range(n_sub):
-                rhs(t_now, psi, k1)
+                rhs(t_now, psi_pad, k1)
                 np.multiply(k1, 0.5 * h, out=stage)
                 stage += psi
-                rhs(t_now + 0.5 * h, stage, k2)
+                rhs(t_now + 0.5 * h, stage_pad, k2)
                 np.multiply(k2, 0.5 * h, out=stage)
                 stage += psi
-                rhs(t_now + 0.5 * h, stage, k3)
+                rhs(t_now + 0.5 * h, stage_pad, k3)
                 np.multiply(k3, h, out=stage)
                 stage += psi
-                rhs(t_now + h, stage, k4)
+                rhs(t_now + h, stage_pad, k4)
                 # psi += (h/6) (k1 + 2 k2 + 2 k3 + k4), reusing k2 as scratch
                 k2 += k3
                 k2 *= 2.0

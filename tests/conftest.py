@@ -3,12 +3,14 @@
 The session-scoped bundles below back the acceptance tests; each one runs a
 complete physics pipeline (beta integration, oracle evolution, observables)
 for one preset family and is computed once per session, on first use. Unit
-test modules use only the cheap parameter helpers.
+test modules use only the cheap parameter helpers and the dense ladder
+operators that reference constructions are built from.
 """
 import dataclasses
 import math
 import time
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,6 +33,28 @@ def thread_count() -> int:
     """Threads of this process, from field 20 of /proc/self/stat (Linux)."""
     with open("/proc/self/stat") as f:
         return int(f.read().rpartition(")")[2].split()[17])
+
+
+class LadderOps(NamedTuple):
+    lower: np.ndarray
+    raise_: np.ndarray
+    number: np.ndarray
+
+
+def ladder_ops(dim: int) -> LadderOps:
+    """Dense truncated lowering, raising and number operators on a dim-level space.
+
+    On the truncated space raise_ @ lower equals the number operator exactly,
+    while the commutator [lower, raise_] deviates from identity in the top
+    level only (a -dim term at (dim-1, dim-1)).
+    """
+    lower = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(np.complex128)
+    return LadderOps(lower, lower.T.copy(), np.diag(np.arange(dim, dtype=np.complex128)))
+
+
+def tensor(op_field, op_mirror) -> np.ndarray:
+    """Kronecker product in the package's field-major joint index k * mirror_dim + m."""
+    return np.kron(op_field, op_mirror)
 
 
 def weak_system(omega_p_ratio: float = 0.8) -> SystemParams:

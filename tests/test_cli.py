@@ -3,6 +3,7 @@ validate's step counts and preset list, jobs run in worker processes, and
 the wigner_snapshots preset."""
 import os
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -119,6 +120,51 @@ def test_validate_reports_the_steps_evolve_numeric_takes(tmp_path, capsys, text,
     wigner-only job steps over its snapshot times."""
     (steps,) = printed_steps(capsys, write_config(tmp_path, text))
     assert steps == oracle.evolve_numeric(p, dims, t_grid=t_grid).n_steps
+
+
+def test_validate_reports_both_numeric_routes(tmp_path, capsys):
+    """A job with driven-numeric and wigner steps over its samples, then again
+    over the snapshot times; validate's total counts both."""
+    text = WIGNER_CONFIG.replace("t_end = 6.283185307179586e-06", "t_end = 1e-06").replace(
+        "modes = wigner", "modes = driven-numeric,wigner")
+    path = write_config(tmp_path, text)
+    (total,) = printed_steps(capsys, path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    wigner_dt = float(manifest_value(out, "wigner_numeric_dt"))
+    wigner_steps = sum(oracle.substeps(wigner.default_snapshot_times(WIGNER_PARAMS), wigner_dt))
+    assert wigner_steps > 0
+    assert total == int(manifest_value(out, "n_steps")) + wigner_steps
+
+
+def test_preset_runs_without_a_config(tmp_path, capsys):
+    """fig3 is one analytic job: nine files, and beta defects at rounding level."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--preset", "fig3", "--out", str(out)]) == 0
+    assert len(os.listdir(out)) == 9
+    assert float(manifest_value(out, "antisymmetry_defect")) <= 1e-9
+    assert float(manifest_value(out, "unitarity_defect")) <= 1e-9
+    assert cli.main(["run", "--out", str(out)]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """validate and run on a driven-numeric config with scipy made unimportable."""
+    path = write_config(tmp_path, TINY_DRIVEN_CONFIG)
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from optomech import cli\n"
+        f"print(cli.main(['validate', '--config', {path!r}]),"
+        f" cli.main(['run', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0", done.stderr
 
 
 def test_wigner_numeric_route_defaults_to_snapshot_horizon(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ladder_ops, tensor
 from optomech.errors import TruncationError
 from optomech.fock import (
     DensityMatrix,
@@ -11,12 +12,10 @@ from optomech.fock import (
     coherent_amplitudes,
     coherent_required_dim,
     coherent_state,
-    ladder_ops,
     partial_trace_field,
     partial_trace_mirror,
     recommend_field_dim,
     recommend_mirror_dim,
-    tensor,
 )
 
 RNG = np.random.default_rng(7)
@@ -31,14 +30,12 @@ class TestLadderOps:
 
     def test_adjoint_pair(self):
         ops = ladder_ops(6)
-        a = ops.lower.toarray()
-        np.testing.assert_allclose(ops.raise_.toarray(), a.conj().T, atol=1e-14)
+        np.testing.assert_allclose(ops.raise_, ops.lower.conj().T, atol=1e-14)
 
     def test_truncated_commutator(self):
         """[a, a^dag] = 1 - d |d-1><d-1| on a truncated basis."""
         d = 5
-        ops = ladder_ops(d)
-        a = ops.lower.toarray()
+        a = ladder_ops(d).lower
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(d)
         expected[-1, -1] = 1 - d
@@ -46,15 +43,14 @@ class TestLadderOps:
 
     def test_number_operator_diagonal(self):
         ops = ladder_ops(4)
-        np.testing.assert_allclose(ops.number.toarray(),
-                                   np.diag([0.0, 1, 2, 3]), atol=0)
+        np.testing.assert_allclose(ops.number, np.diag([0.0, 1, 2, 3]), atol=0)
 
     def test_tensor_shape_and_action(self):
-        fops = ladder_ops(3)
-        mops = ladder_ops(4)
-        joint = tensor(fops.number, mops.number)
-        dense = np.kron(fops.number.toarray(), mops.number.toarray())
-        np.testing.assert_allclose(joint.toarray(), dense, atol=0)
+        """The joint diagonal of n x N, reshaped field-major, is k * m."""
+        joint = tensor(ladder_ops(3).number, ladder_ops(4).number)
+        assert joint.shape == (12, 12)
+        np.testing.assert_allclose(np.diag(joint).reshape(3, 4),
+                                   np.outer(np.arange(3), np.arange(4)), atol=0)
 
 
 class TestCoherent:

@@ -5,15 +5,15 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from conftest import strong_system, thread_count, tiny_system
+from conftest import ladder_ops, strong_system, thread_count, tiny_system
 from optomech.errors import IntegrationError
 from optomech.fock import (
     FockDims,
     JointState,
     coherent_state,
-    ladder_ops,
     partial_trace_field,
 )
 from optomech.oracle import (
@@ -21,6 +21,7 @@ from optomech.oracle import (
     InteractionFrame,
     OracleRun,
     evolve_numeric,
+    interaction_terms,
     max_stable_dt,
     observables_numeric,
     recommend_integrator_config,
@@ -37,15 +38,40 @@ def dense_hamiltonian(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
     m = ladder_ops(dims.mirror_dim)
     If = np.eye(dims.field_dim)
     Im = np.eye(dims.mirror_dim)
-    n = f.number.toarray()
-    N = m.number.toarray()
-    x_m = (m.lower + m.raise_).toarray()
-    x_f = (f.lower + f.raise_).toarray()
+    n = f.number
+    N = m.number
+    x_m = m.lower + m.raise_
+    x_f = f.lower + f.raise_
     h = (p.omega_c * np.kron(n, Im)
          + p.omega_m * np.kron(If, N)
          - p.g0 * np.kron(n, x_m)
          + p.drive_amp * math.cos(p.omega_p * t) * np.kron(x_f, Im))
     return h
+
+
+def generator_matrix(frame: InteractionFrame, t: float) -> np.ndarray:
+    """The dense -i H_I(t) of a frame, column j being rhs applied to basis vector j."""
+    n = DIMS.joint
+    op = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        basis = np.zeros(n, dtype=complex)
+        basis[j] = 1.0
+        frame.rhs(t, frame.padded(basis)[0], op[:, j])
+    return op
+
+
+def dia_generator(p: SystemParams, dims: FockDims, t: float) -> sp.dia_matrix:
+    """-i H_I(t) as a scipy DIA matrix of the interaction terms and their adjoints."""
+    data, offsets = [], []
+    for term in interaction_terms(p, dims):
+        f = term.factor(t)
+        data.append(-1j * f * term.row)
+        offsets.append(term.offset)
+        # X^dagger on band -offset: column j holds X[j, j + offset] = row[j + offset].
+        adjoint = np.concatenate((term.row[term.offset:], np.zeros(term.offset)))
+        data.append(-1j * f.conjugate() * adjoint)
+        offsets.append(-term.offset)
+    return sp.dia_matrix((np.array(data), offsets), shape=(dims.joint, dims.joint))
 
 
 class TestStepSizing:
@@ -83,11 +109,12 @@ class TestInteractionFrame:
         frame = InteractionFrame(p, DIMS)
         rng = np.random.default_rng(7)
         psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
+        padded, _ = frame.padded(psi)
         for t in (0.0, 1.3e-7, 4.8e-7):
             v = dense_hamiltonian(p, DIMS, t) - np.diag(energies)
             rot = np.exp(1j * energies * t)
             expected = -1j * rot * (v @ (psi / rot))
-            np.testing.assert_allclose(frame.rhs(t, psi, np.empty_like(psi)), expected,
+            np.testing.assert_allclose(frame.rhs(t, padded, np.empty_like(psi)), expected,
                                        rtol=0, atol=1e-9 * np.abs(expected).max())
 
     @pytest.mark.parametrize("system", [
@@ -98,28 +125,29 @@ class TestInteractionFrame:
     def test_generator_is_anti_hermitian(self, system):
         """Each term brings its own adjoint band, so -i H_I(t) is anti-Hermitian."""
         frame = InteractionFrame(tiny_system(**system), DIMS)
-        psi = np.zeros(DIMS.joint, dtype=complex)
         for t in (0.0, 0.37e-7, 4.8e-7):
-            frame.rhs(t, psi, np.empty_like(psi))
-            op = frame._op.toarray()
+            op = generator_matrix(frame, t)
             assert np.abs(op).max() > 0
             np.testing.assert_array_equal(op + op.conj().T, 0)
 
     def test_undriven_frame_holds_only_coupling_bands(self):
         frame = InteractionFrame(tiny_system(drive_amp=0.0, omega_p=0.0), DIMS)
-        assert sorted(frame._op.offsets) == [-1, 1]
+        assert frame.offsets == (-1, 1)
 
     def test_direct_kernel_equals_operator_product(self):
-        """rhs calls scipy's DIA kernel itself; it must be bitwise `op @ vec`."""
+        """The padded band kernel against a scipy DIA product of the same terms."""
         p = tiny_system()
         frame = InteractionFrame(p, DIMS)
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
+        padded, _ = frame.padded(psi)
         out = np.full_like(psi, np.nan)  # stale contents must not leak in
         for t in (0.0, 1.3e-7, 1.3e-7, 4.8e-7):
-            got = frame.rhs(t, psi, out)
+            got = frame.rhs(t, padded, out)
             assert got is out
-            np.testing.assert_array_equal(out, frame._op @ psi)
+            expected = dia_generator(p, DIMS, t) @ psi
+            np.testing.assert_allclose(out, expected, rtol=0,
+                                       atol=1e-15 * np.abs(expected).max())
 
     def test_free_evolution_is_exact(self):
         """With g = 0 and no drive H_I vanishes, so only the rotation back acts."""
