@@ -666,15 +666,21 @@ def _run_job(job: _Job) -> tuple:
         note("wigner_analytic_mirror_dim", dims_a.mirror_dim)
         note("wigner_grid_points", cfg.wigner_grid_points)
         # The numeric snapshots honor the dt and norm_tolerance overrides.
-        icfg = _integrator_config(cfg, wigner.default_snapshot_times(p)[-1], dims_n)
+        times = wigner.default_snapshot_times(p)
+        icfg = _integrator_config(cfg, times[-1], dims_n)
+        run = oracle.evolve_numeric(p, dims_n, icfg, times)
         note("wigner_numeric_dt", icfg.dt)
-        for source, dims_s, icfg_s in (
-            (wigner.StateSource.ANALYTIC, dims_a, None),
-            (wigner.StateSource.NUMERIC, dims_n, icfg),
+        note("wigner_numeric_n_steps", run.n_steps)
+        note("wigner_numeric_norm_drift", run.norm_drift)
+        note("wigner_numeric_leak_max", run.leak_max)
+        for snaps in (
+            wigner.snapshot_set(
+                p, wigner.StateSource.ANALYTIC, dims_a, n_grid=cfg.wigner_grid_points
+            ),
+            wigner.snapshot_grids(
+                run.states, times, wigner.StateSource.NUMERIC, cfg.wigner_grid_points
+            ),
         ):
-            snaps = wigner.snapshot_set(
-                p, source, dims_s, n_grid=cfg.wigner_grid_points, config=icfg_s
-            )
             for i, snap in enumerate(snaps):
                 stem = _stem(
                     f"wigner_{snap.subsystem}_t{i // 2}", snap.source.value, job.tag

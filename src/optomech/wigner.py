@@ -395,13 +395,14 @@ def snapshot_set(
     dims: FockDims,
     times=None,
     n_grid: int = 161,
-    config=None,
 ) -> list:
     """Field and mirror Wigner grids at each snapshot time, from one propagator.
 
     Returns six WignerSnapshot entries per call (2 subsystems x 3 times by
     default), ordered by time with the field first. Grid bounds adapt to
-    each reduced state.
+    each reduced state. The numeric source steps at the recommended
+    integrator config; to choose another, evolve the states with
+    `oracle.evolve_numeric` and pass them to `snapshot_grids`.
     """
     if times is None:
         times = default_snapshot_times(p)
@@ -413,13 +414,20 @@ def snapshot_set(
             for i in range(t_arr.size)
         ]
     elif source is StateSource.NUMERIC:
-        run = _oracle.evolve_numeric(p, dims, config, t_arr)
-        states = run.states
+        states = _oracle.evolve_numeric(p, dims, t_grid=t_arr).states
     else:
         raise ValueError(f"unknown source {source!r}")
+    return snapshot_grids(states, t_arr, source, n_grid)
 
+
+def snapshot_grids(states, times, source: StateSource, n_grid: int = 161) -> list:
+    """Field and mirror grids of joint states taken at times, ordered as by snapshot_set.
+
+    For callers that evolve the states themselves, for instance to report
+    the diagnostics of the OracleRun they came from.
+    """
     snaps = []
-    for t, state in zip(t_arr, states):
+    for t, state in zip(times, states):
         rho_field = partial_trace_mirror(state)
         rho_mirror = partial_trace_field(state)
         snaps.append(

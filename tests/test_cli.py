@@ -137,6 +137,71 @@ def test_validate_reports_both_numeric_routes(tmp_path, capsys):
     assert total == int(manifest_value(out, "n_steps")) + wigner_steps
 
 
+def test_undriven_dt_between_the_caps_validates_and_runs(tmp_path, capsys):
+    """Undriven, the cap resolves omega_m, not omega_c: 5e-8 s sits between them."""
+    p = replace(tiny_system(), omega_p=0.0, drive_amp=0.0)
+    assert 2 * np.pi / (40 * p.omega_c) < 5e-8 < oracle.max_stable_dt(p)
+    text = "\n".join(line for line in TINY_DRIVEN_CONFIG.splitlines()
+                      if not line.startswith(("omega_p", "drive_amp")))
+    path = write_config(tmp_path, text + "\ndt = 5e-8\n")
+    (steps,) = printed_steps(capsys, path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    assert int(manifest_value(out, "n_steps")) == steps == 24  # 6 intervals of 4 steps
+    assert float(manifest_value(out, "norm_drift")) <= float(
+        manifest_value(out, "norm_tolerance"))
+
+
+def test_manifest_reports_the_wigner_numeric_run(tmp_path, capsys):
+    """The wigner route's steps, drift and leak, its steps as validate prints them."""
+    path = write_config(tmp_path, WIGNER_CONFIG)
+    (steps,) = printed_steps(capsys, path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    assert int(manifest_value(out, "wigner_numeric_n_steps")) == steps > 0
+    assert float(manifest_value(out, "wigner_numeric_norm_drift")) <= (
+        oracle.DEFAULT_NORM_TOLERANCE / 4)
+    assert 0 <= float(manifest_value(out, "wigner_numeric_leak_max")) <= oracle.LEAK_TOLERANCE
+
+
+def manifest_jobs(out_dir) -> dict:
+    """{job tag: {key: value}} of every [job ...] section of the manifest."""
+    jobs = {}
+    for section in (out_dir / "manifest.txt").read_text().strip().split("\n\n"):
+        header, *lines = section.splitlines()
+        jobs[header[len("[job "):-1]] = dict(line.partition("=")[::2] for line in lines)
+    return jobs
+
+
+def validated_steps(capsys, preset) -> dict:
+    """{job tag: est_steps} as `validate --preset` prints them, numeric jobs only."""
+    assert cli.main(["validate", "--preset", preset]) == 0
+    steps = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("job "):
+            tag = line[len("job "):].partition(":")[0]
+        found = re.search(r"est_steps=(\d+)", line)
+        if found:
+            steps[tag] = int(found.group(1))
+    return steps
+
+
+@pytest.mark.filterwarnings("ignore:population")
+@pytest.mark.parametrize("preset", ["fig5_6", pytest.param("fig7_8", marks=pytest.mark.slow)])
+def test_driven_preset_runs(tmp_path, capsys, preset):
+    """Exit 0; each numeric job takes the steps validate printed and drifts
+    under a quarter of its norm tolerance."""
+    steps = validated_steps(capsys, preset)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 0
+    jobs = manifest_jobs(out)
+    numeric = {tag: job for tag, job in jobs.items() if "n_steps" in job}
+    assert set(numeric) == set(steps) == {"red", "blue"}
+    for tag, job in numeric.items():
+        assert int(job["n_steps"]) == steps[tag], tag
+        assert float(job["norm_drift"]) <= float(job["norm_tolerance"]) / 4, tag
+
+
 def test_preset_runs_without_a_config(tmp_path, capsys):
     """fig3 is one analytic job: nine files, and beta defects at rounding level."""
     out = tmp_path / "out"

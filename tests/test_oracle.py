@@ -23,6 +23,7 @@ from optomech.oracle import (
     evolve_numeric,
     interaction_terms,
     max_stable_dt,
+    mean_interaction_scale,
     observables_numeric,
     recommend_integrator_config,
 )
@@ -88,6 +89,51 @@ class TestStepSizing:
         short = recommend_integrator_config(p, 1e-6, FockDims(20, 40))
         long = recommend_integrator_config(p, 1e-3, FockDims(20, 40))
         assert long.dt <= short.dt
+
+    def test_undriven_cap_resolves_omega_m(self):
+        """Without drive, H_I(t) carries only exp(-i omega_m t)."""
+        p = tiny_system(drive_amp=0.0, omega_p=0.0)
+        assert max_stable_dt(p) == pytest.approx(2 * math.pi / (40 * p.omega_m))
+
+
+# Strong coupling at dims small enough for a tenth of a mechanical period
+# to run in a fraction of a second; the top levels leak a little.
+MODEL_DIMS = FockDims(22, 60)
+
+
+@pytest.fixture(scope="module", params=[0.8, 1.2], ids=["red", "blue"])
+def strong_short(request):
+    p = strong_system(request.param)
+    return p, 0.1 * p.mech_period
+
+
+def sixth_moment(frame: InteractionFrame, t: float, psi: np.ndarray) -> float:
+    """<H_I(t)^6> = ||H_I(t)^3 psi_I||^2 of the lab-frame state psi."""
+    vec = frame.to_lab(-t, psi)  # exp(i H0 t) psi
+    for _ in range(3):
+        vec = frame.rhs(t, frame.padded(vec)[0], np.empty_like(vec))
+    return np.vdot(vec, vec).real
+
+
+@pytest.mark.filterwarnings("ignore:population")
+class TestStepModel:
+    """The step size is solved from (dt^5/144) t_end lambda_bar^6 = tol/2."""
+
+    def test_scale_bounds_the_measured_sixth_moment(self, strong_short):
+        p, t_end = strong_short
+        grid = np.linspace(0.0, t_end, 201)
+        run = evolve_numeric(p, MODEL_DIMS, t_grid=grid)
+        frame = InteractionFrame(p, MODEL_DIMS)
+        moments = np.array([sixth_moment(frame, t, state.amps)
+                            for t, state in zip(grid, run.states)])
+        time_average = np.mean(0.5 * (moments[1:] + moments[:-1]))
+        assert mean_interaction_scale(p, t_end, MODEL_DIMS) ** 6 >= time_average
+
+    def test_recommended_step_drifts_under_a_quarter_of_tolerance(self, strong_short):
+        p, t_end = strong_short
+        run = evolve_numeric(p, MODEL_DIMS, t_grid=np.array([0.0, t_end]))
+        assert run.config == recommend_integrator_config(p, t_end, MODEL_DIMS)
+        assert 0 < run.norm_drift <= run.config.norm_tolerance / 4
 
 
 class TestInteractionFrame:
