@@ -247,6 +247,7 @@ class OracleRun:
     norm_drift: float = 0.0
     leak_max: float = 0.0
     n_steps: int = 0
+    step_max: float = 0.0  # the longest RK4 step taken; config.dt only caps it
 
 
 class BandTerm(NamedTuple):
@@ -463,6 +464,7 @@ def evolve_numeric(
     for t_target, n_sub in zip(t_grid, substeps(t_grid, dt)):
         if n_sub:
             h = (t_target - t_now) / n_sub
+            run.step_max = max(run.step_max, h)
             for _ in range(n_sub):
                 rhs(t_now, psi_pad, k1)
                 np.multiply(k1, 0.5 * h, out=stage)

@@ -38,6 +38,7 @@ the equivalence down in tests.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -378,7 +379,12 @@ def suggested_half_width(rho: DensityMatrix) -> float:
     return 1.5 * math.sqrt(2.0 * (n1 + 3.0 * sigma)) + 4.0
 
 
-def _grid_for(rho: DensityMatrix, n_grid: int) -> WignerGrid:
+def snapshot_grid(rho: DensityMatrix, n_grid: int = 161) -> WignerGrid:
+    """Square n_grid x n_grid grid of one snapshot's reduced state.
+
+    The half-width comes from rho's populations (suggested_half_width), and
+    the series runs over rho with its unpopulated trailing block trimmed.
+    """
     half = suggested_half_width(rho)
     trimmed = DensityMatrix(_trimmed(rho))
     return wigner_continuous(trimmed, -half, half, -half, half, n_grid, n_grid)
@@ -395,6 +401,7 @@ def snapshot_set(
     dims: FockDims,
     times=None,
     n_grid: int = 161,
+    mapper=map,
 ) -> list:
     """Field and mirror Wigner grids at each snapshot time, from one propagator.
 
@@ -402,7 +409,8 @@ def snapshot_set(
     default), ordered by time with the field first. Grid bounds adapt to
     each reduced state. The numeric source steps at the recommended
     integrator config; to choose another, evolve the states with
-    `oracle.evolve_numeric` and pass them to `snapshot_grids`.
+    `oracle.evolve_numeric` and pass them to `snapshot_grids`. mapper is
+    passed on to snapshot_grids.
     """
     if times is None:
         times = default_snapshot_times(p)
@@ -417,23 +425,24 @@ def snapshot_set(
         states = _oracle.evolve_numeric(p, dims, t_grid=t_arr).states
     else:
         raise ValueError(f"unknown source {source!r}")
-    return snapshot_grids(states, t_arr, source, n_grid)
+    return snapshot_grids(states, t_arr, source, n_grid, mapper)
 
 
-def snapshot_grids(states, times, source: StateSource, n_grid: int = 161) -> list:
+def snapshot_grids(states, times, source: StateSource, n_grid: int = 161, mapper=map) -> list:
     """Field and mirror grids of joint states taken at times, ordered as by snapshot_set.
 
     For callers that evolve the states themselves, for instance to report
-    the diagnostics of the OracleRun they came from.
+    the diagnostics of the OracleRun they came from. The partial traces are
+    taken here; the grids, independent of each other, are computed by
+    snapshot_grid through mapper, any map-like callable (the CLI passes a
+    map shared with forked worker processes).
     """
-    snaps = []
+    keys, rhos = [], []
     for t, state in zip(times, states):
-        rho_field = partial_trace_mirror(state)
-        rho_mirror = partial_trace_field(state)
-        snaps.append(
-            WignerSnapshot("field", float(t), source, _grid_for(rho_field, n_grid))
-        )
-        snaps.append(
-            WignerSnapshot("mirror", float(t), source, _grid_for(rho_mirror, n_grid))
-        )
-    return snaps
+        keys += (("field", float(t)), ("mirror", float(t)))
+        rhos += (partial_trace_mirror(state), partial_trace_field(state))
+    grids = mapper(functools.partial(snapshot_grid, n_grid=n_grid), rhos)
+    return [
+        WignerSnapshot(subsystem, t, source, grid)
+        for (subsystem, t), grid in zip(keys, grids)
+    ]

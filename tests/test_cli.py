@@ -1,6 +1,6 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
-validate's step counts and preset list, jobs run in worker processes, and
-the wigner_snapshots preset."""
+validate's step counts and preset list, jobs and Wigner grids run in worker
+processes, the manifest's step_max, and the wigner_snapshots preset."""
 import os
 import re
 import subprocess
@@ -13,6 +13,7 @@ import pytest
 
 from conftest import thread_count, tiny_system
 from optomech import cli, oracle, wigner
+from optomech.errors import IntegrationError
 from optomech.fock import FockDims
 from optomech.system import SystemParams
 
@@ -253,11 +254,13 @@ def test_wigner_numeric_route_honors_integrator_overrides(tmp_path, capsys):
 
 @needs_linux
 @pytest.mark.filterwarnings("ignore:population")  # fig4 leaks at dims 22 x 22
-@pytest.mark.parametrize("text", [
-    "preset = fig2\n",
-    "preset = fig4\nfield_dim = 22\nmirror_dim = 22\n",
+@pytest.mark.parametrize("text, forks", [
+    # fig2's five jobs outnumber the CPUs, so one worker shares them with
+    # this process; fig4's two jobs get a worker each.
+    ("preset = fig2\n", [1]),
+    ("preset = fig4\nfield_dim = 22\nmirror_dim = 22\n", [1, 1]),
 ], ids=["fig2", "fig4-small"])
-def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text):
+def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text, forks):
     """Every file and the manifest are the bytes of `_run_job` on each job in order.
 
     The workers fork from a single-threaded process, so Python 3.12+ has no
@@ -268,7 +271,7 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         files = cli.run(replace(config, output_dir=str(out)))
-    assert pooled == [1, 1]
+    assert pooled == forks
     assert not [w for w in caught if "fork" in str(w.message)]
 
     serial = tmp_path / "serial"
@@ -281,6 +284,84 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text):
     assert sorted(files) == sorted(os.listdir(out)) == sorted(os.listdir(serial))
     for name in files:
         assert (out / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:population")  # fig4 leaks at dims 22 x 22
+def test_manifest_step_max_is_the_step_taken(tmp_path):
+    """fig4 cuts each sample interval into equal steps shorter than the dt cap."""
+    out = tmp_path / "out"
+    config = cli.load_config(write_config(tmp_path, "preset = fig4\nfield_dim = 22\n"
+                                                    "mirror_dim = 22\n"))
+    cli.run(replace(config, output_dir=str(out)))
+    for tag, job in manifest_jobs(out).items():
+        step_max = float(job["step_max"])
+        assert step_max == pytest.approx(float(job["t_end"]) / int(job["n_steps"]),
+                                         rel=1e-12), tag
+        assert step_max <= float(job["dt"]), tag
+
+
+@needs_linux
+def test_pooled_wigner_grids_equal_in_process_grids(tmp_path, monkeypatch, pooled):
+    """Each source's six grids, then the twelve grid writes, are shared with one
+    worker forked with one thread; every file and the manifest are the bytes
+    of the in-process run."""
+    path = write_config(tmp_path, WIGNER_CONFIG)
+    outs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        outs[cpus] = tmp_path / f"out{cpus}"
+        assert cli.main(["run", "--config", path, "--out", str(outs[cpus])]) == 0
+    assert pooled == [1, 1, 1]
+    names = sorted(os.listdir(outs[2]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert len([n for n in names if n.startswith("wigner_")]) == 24
+    for name in names:
+        assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert float(manifest_value(outs[2], "wigner_numeric_step_max")) <= float(
+        manifest_value(outs[2], "wigner_numeric_dt"))
+
+
+def failing_grid(rho, n_grid):
+    raise IntegrationError(f"grid of a dim-{rho.dim} state failed")
+
+
+@needs_linux
+def test_grid_task_errors_keep_their_exit_code(tmp_path, monkeypatch, capsys, pooled):
+    """An IntegrationError raised inside a grid task reaches main as it does in-process."""
+    monkeypatch.setattr(wigner, "snapshot_grid", failing_grid)
+    path = write_config(tmp_path, WIGNER_CONFIG)
+    outcomes = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        argv = ["run", "--config", path, "--out", str(tmp_path / f"out{cpus}")]
+        outcomes.append((cli.main(argv), capsys.readouterr().err))
+    assert pooled == [1]  # the first run forked a worker for the analytic grids
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2
+    assert outcomes[0][1].startswith("numerical failure: grid of a dim-")
+
+
+def forks_of_job(job) -> list:
+    """Run one job; the thread counts of the forks it made, in its own process."""
+    before = len(FORKS)
+    cli._run_job(job)
+    return FORKS[before:]
+
+
+@needs_linux
+def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
+    """Two wigner jobs go to two job workers, and each grids in-process; the
+    same job run here forks one worker for each source's grids and one for
+    the grid files."""
+    config = cli.load_config(write_config(tmp_path, WIGNER_CONFIG))
+    jobs = [cli._Job(replace(config, output_dir=str(tmp_path / tag)), tag=tag)
+            for tag in ("a", "b")]
+    for job in jobs:
+        os.makedirs(job.config.output_dir)
+    assert cli._forked_map(forks_of_job, jobs) == [[], []]
+    assert pooled == [1, 1]
+    assert len(os.listdir(tmp_path / "a")) == len(os.listdir(tmp_path / "b")) == 24
+    assert forks_of_job(jobs[0]) == [1, 1, 1]
 
 
 def fig4_dt_cap() -> float:
