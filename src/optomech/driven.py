@@ -16,9 +16,11 @@ and three displacement coefficients
 
 The right-hand sides depend on time alone, except for b3' = b1 b2', so the
 betas are a nested quadrature, not an initial-value problem.  b1 = -b2* and
-Re b3 = -|b1|^2 / 2 hold exactly; all three are summed independently here
-and the identities double as quadrature-error monitors.  The field then
-behaves as a coherent state of amplitude alpha + b1 riding the undriven phase
+Re b3 = -|b1|^2 / 2 hold exactly; all three are summed independently here.
+Only the second identity monitors quadrature error, through the nested b3.
+Simpson's rule is linear, so b1 + b2* is the rule applied to b1' + b2'* = 0:
+it compares the two rate formulas, not the step.  The field then behaves
+as a coherent state of amplitude alpha + b1 riding the undriven phase
 structure: the driven state is the undriven one with alpha -> alpha + b1,
 and every undriven observable lifts by |alpha|^2 -> |alpha + b1|^2.
 
@@ -64,8 +66,9 @@ class BetaSeries:
 
     antisymmetry_defect = max |b1 + b2*| and unitarity_defect =
     max |2 Re(b3 + alpha b2) - |alpha|^2 + |alpha + b1|^2| over the grid.
-    Both vanish identically for the exact solution, so they measure
-    quadrature error.
+    Both vanish identically for the exact solution. The unitarity defect
+    measures quadrature error; the antisymmetry defect only rounding in the
+    two rate formulas, which the linear Simpson sums carry over unchanged.
     """
 
     t: np.ndarray
@@ -97,9 +100,7 @@ def phi(p: SystemParams, t):
     E, F = envelope_EF(p, t)
     mirror = 2.0 * np.real(p.gamma * np.exp(-0.5j * th))
     mu = abs(p.alpha) ** 2
-    return (np.exp(-F * F / 2.0)
-            * np.exp(-1j * (F * mirror + E))
-            * np.exp(mu * (np.exp(-2j * E) - 1.0)))
+    return np.exp(mu * (np.exp(-2j * E) - 1.0) - F * F / 2.0 - 1j * (F * mirror + E))
 
 
 def beta1_rwa(p: SystemParams, t):
@@ -151,8 +152,9 @@ def integrate_betas(p: SystemParams, t_grid,
     density.  For b3 = Integral b1 b2' the cumulative b1 is taken at the
     panel nodes; at the midpoint it adds the panel's own parabola integrated
     over the left half, h/24 (5 f_0 + 8 f_mid - f_1), which with the right
-    half sums to the panel's Simpson rule.  Panels are evaluated in
-    vectorized chunks of bounded size.
+    half sums to the panel's Simpson rule.  A panel's right end is the next
+    panel's left end, so each node is evaluated once: two rate evaluations
+    per panel.  Panels are evaluated in vectorized chunks of bounded size.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -169,21 +171,28 @@ def integrate_betas(p: SystemParams, t_grid,
     ends = np.cumsum(n_sub)  # panels done at the end of each interval
     out = np.zeros((3, t_grid.size), dtype=np.complex128)
     b = np.zeros(3, dtype=np.complex128)  # b1, b2, b3 before the chunk
-    for first in range(0, int(ends[-1]), _PANEL_CHUNK):
-        j = np.arange(first, min(first + _PANEL_CHUNK, int(ends[-1])))
-        i = np.searchsorted(ends, j, side="right")
+    n_panels = int(ends[-1])
+    for first in range(0, n_panels, _PANEL_CHUNK):
+        # left ends of the chunk's panels and of the panel after it (past the
+        # last panel, the last one's left end plus h): panel n's right end is
+        # node n + 1
+        j = np.arange(first, min(first + _PANEL_CHUNK, n_panels) + 1)
+        i = np.searchsorted(ends, np.minimum(j, n_panels - 1), side="right")
         h = spans[i] / n_sub[i]
-        t0 = starts[i] + (j - ends[i] + n_sub[i]) * h
-        f1, f2 = _drive_rates(p, np.stack((t0, t0 + h / 2, t0 + h)))
+        nodes = starts[i] + (j - ends[i] + n_sub[i]) * h
+        j, h = j[:-1], h[:-1]
+        f1, f2 = _drive_rates(p, np.concatenate((nodes, nodes[:-1] + h / 2)))
+        f1_0, f1_1, f1_mid = f1[:j.size], f1[1:j.size + 1], f1[j.size + 1:]
+        f2_0, f2_1, f2_mid = f2[:j.size], f2[1:j.size + 1], f2[j.size + 1:]
         # cum[:, n] is the value after n panels of the chunk
         cum = np.empty((3, j.size + 1), dtype=np.complex128)
         cum[:, 0] = b
-        cum[0, 1:] = h / 6 * (f1[0] + 4 * f1[1] + f1[2])
-        cum[1, 1:] = h / 6 * (f2[0] + 4 * f2[1] + f2[2])
+        cum[0, 1:] = h / 6 * (f1_0 + 4 * f1_mid + f1_1)
+        cum[1, 1:] = h / 6 * (f2_0 + 4 * f2_mid + f2_1)
         np.cumsum(cum[:2], axis=1, out=cum[:2])
         b1_start, b1_end = cum[0, :-1], cum[0, 1:]
-        b1_mid = b1_start + h / 24 * (5 * f1[0] + 8 * f1[1] - f1[2])
-        cum[2, 1:] = h / 6 * (b1_start * f2[0] + 4 * b1_mid * f2[1] + b1_end * f2[2])
+        b1_mid = b1_start + h / 24 * (5 * f1_0 + 8 * f1_mid - f1_1)
+        cum[2, 1:] = h / 6 * (b1_start * f2_0 + 4 * b1_mid * f2_mid + b1_end * f2_1)
         np.cumsum(cum[2], out=cum[2])
         done = (ends > first) & (ends <= first + j.size)
         out[:, done] = cum[:, ends[done] - first]

@@ -15,7 +15,12 @@ where c_{L,n} = rho[n, n+L], doubled for L > 0 (the subdiagonals are the
 conjugates). Each f_L is a Clenshaw sum down the L-th superdiagonal; the
 sum over L is a Horner sum in gamma around it. The radial part depends on b
 only, so f_L is evaluated once per distinct radius of the grid and gathered
-to the points.
+to the points. The axes are mirror-exact (grid_axis) and b is summed from
+the squared axes, so the 4 to 8 mirror images of a radius on a symmetric
+square grid are one float, not a handful that differ in the last bit: a
+161^2 grid has at most 81 * 82 / 2 = 3,321 distinct radii (about 2,900 on a
+snapshot grid). The Clenshaw sums are still most of a grid's time, 16-24 ms
+per 161^2 snapshot grid at dims 22 to 29.
 
 The factor e^{-b/2} is folded into every Clenshaw coefficient rather than
 applied at the end: the bare Laguerre partial sums grow like e^{b/2} and
@@ -26,14 +31,12 @@ reaches out to its turning point b = 4n + 2 and a decaying tail beyond, so a
 grid that extends past b = 1,417 is served for states populated up to about
 n = 310. wigner_continuous raises IntegrationError when a grid extends past
 that radius while rho has population in levels that reach it, and when a
-value breaks |W| <= 1/pi, which every density matrix obeys.
+value breaks |W| <= 1/pi, which every density matrix obeys. The tests pin
+the series to the textbook integral definition
 
-The textbook integral definition
+    W(q,p) = (1/pi) Integral dx e^{2 i x p} <q - x| rho |q + x>
 
-    W(q,p) = (1/pi) Integral dx e^{-2 i x p} <q - x| rho |q + x>
-
-is kept as wigner_direct_integral, practical only at small dimension, to pin
-the equivalence down in tests.
+by brute quadrature at small dimension.
 """
 from __future__ import annotations
 
@@ -63,8 +66,8 @@ _UNDERFLOW_RADIUS = -2.0 * math.log(np.finfo(float).tiny)
 # population allowed in levels that reach past _UNDERFLOW_RADIUS
 UNDERFLOW_MASS_TOL = 1e-10
 # Distinct radii per Clenshaw pass. It bounds the (dim, block) work arrays:
-# a whole 161^2 grid (about 5,300 radii) in one pass raised the peak RSS of
-# a run by about 13 MB at dim 27.
+# three complex and one real, 56 bytes per (level, radius), so a whole 161^2
+# grid (up to 3,321 radii) in one pass would take about 56 MB at dim 300.
 _RADII_BLOCK = 512
 
 
@@ -230,6 +233,18 @@ def _check_bounded(values: np.ndarray, b: np.ndarray, dim: int) -> None:
         )
 
 
+def grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n points from lo to hi, center + (i - (n-1)/2) step, ends set to lo and hi.
+
+    Unlike np.linspace, a range symmetric about 0 gives an axis whose
+    mirror images are exact negatives, axis[n-1-i] == -axis[i].
+    """
+    step = (hi - lo) / (n - 1)
+    axis = 0.5 * (lo + hi) + (np.arange(n) - 0.5 * (n - 1)) * step
+    axis[0], axis[-1] = lo, hi
+    return axis
+
+
 def wigner_continuous(
     rho: DensityMatrix,
     q_min: float = -6.0,
@@ -245,11 +260,12 @@ def wigner_continuous(
     rho or a value breaks |W| <= 1/pi. Warns when |W| on the grid boundary
     exceeds 1e-4, the sign that the bounds clip the state's support.
     """
-    q_axis = np.linspace(q_min, q_max, nq)
-    p_axis = np.linspace(p_min, p_max, n_p)
+    q_axis = grid_axis(q_min, q_max, nq)
+    p_axis = grid_axis(p_min, p_max, n_p)
     beta = (q_axis[:, np.newaxis] + 1j * p_axis[np.newaxis, :]) / math.sqrt(2.0)
     gamma = 2.0 * beta.ravel()
-    b = gamma.real ** 2 + gamma.imag ** 2
+    # |gamma|^2 from the squared axes, so mirror images share one float
+    b = ((2.0 * q_axis ** 2)[:, np.newaxis] + (2.0 * p_axis ** 2)[np.newaxis, :]).ravel()
     _check_laguerre_domain(rho, float(b.max()))
     values = _laguerre_wigner(rho.data, gamma, b)
     _check_bounded(values, b, rho.dim)
@@ -261,55 +277,6 @@ def wigner_continuous(
             stacklevel=2,
         )
     return grid
-
-
-def _hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
-    """h[n, j] = psi_n(x_j), harmonic-oscillator eigenfunctions, unit mass."""
-    h = np.empty((dim, x.size))
-    h[0] = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)
-    if dim > 1:
-        h[1] = x * math.sqrt(2.0) * h[0]
-    for n in range(2, dim):
-        h[n] = x * math.sqrt(2.0 / n) * h[n - 1] - math.sqrt((n - 1) / n) * h[n - 2]
-    return h
-
-
-def wigner_direct_integral(
-    rho: DensityMatrix,
-    q_min: float = -6.0,
-    q_max: float = 6.0,
-    p_min: float = -6.0,
-    p_max: float = 6.0,
-    nq: int = 41,
-    n_p: int = 41,
-    x_pad: float = 8.0,
-    dx: float = 0.02,
-) -> WignerGrid:
-    """(1/pi) Integral dx e^{2 i x p} <q-x|rho|q+x>, by brute quadrature.
-
-    Slow on purpose; the small-dimension oracle the displaced-parity route
-    is checked against. The exponent sign pairs with the <q-x| ... |q+x>
-    ordering: together they put a coherent state's peak at p = +sqrt(2) Im
-    amp, matching the beta = (q + ip)/sqrt(2) convention of the parity
-    route (the same integral with e^{-2ixp} is the p-mirrored function).
-    """
-    q_axis = np.linspace(q_min, q_max, nq)
-    p_axis = np.linspace(p_min, p_max, n_p)
-    span = max(abs(q_min), abs(q_max)) + x_pad
-    x = np.arange(-span, span + dx / 2, dx)
-    values = np.empty((nq, n_p), dtype=np.complex128)
-    phases = np.exp(2j * np.outer(x, p_axis))
-    for i, q in enumerate(q_axis):
-        h_minus = _hermite_functions(q - x, rho.dim)
-        h_plus = _hermite_functions(q + x, rho.dim)
-        corr = np.einsum("mx,mn,nx->x", h_minus, rho.data, h_plus)
-        values[i] = (corr[:, np.newaxis] * phases).sum(axis=0) * dx / math.pi
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > 1e-8:
-        raise IntegrationError(
-            f"direct Wigner integral left imaginary residue {residue:.3g}"
-        )
-    return WignerGrid(q_axis, p_axis, values.real)
 
 
 def write_grid_csv(grid: WignerGrid, path: str) -> None:
@@ -370,7 +337,14 @@ def _trimmed(rho: DensityMatrix, tail_mass: float = 1e-10, pad: int = 4) -> np.n
 
 
 def suggested_half_width(rho: DensityMatrix) -> float:
-    """Grid half-width covering the populated amplitudes plus vacuum tails."""
+    """Grid half-width covering the populated amplitudes plus vacuum tails.
+
+    It clips the broadest snapshots slightly: the wigner_snapshots preset's
+    mirror grids at t = pi/omega_m carry mass 0.999998 (analytic) and
+    0.9999976 (numeric), so about 2e-6 of the state lies outside them.
+    Widening it would move the axes of every grid, which the committed
+    benchmark references pin to 1e-5.
+    """
     diag = np.real(np.diag(rho.data))
     levels = np.arange(rho.dim, dtype=float)
     n1 = float(diag @ levels)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_system, weak_system
+from conftest import strong_system, tiny_system, weak_system
 from optomech import driven
 from optomech.driven import (
     BetaCoefficients,
@@ -27,6 +27,47 @@ from optomech.driven import (
 from optomech.fock import FockDims, partial_trace_field
 from optomech.system import SystemParams
 from optomech.undriven import evolve_undriven, phonon_avg_closed_form
+
+
+def phi_by_factors(p, t):
+    """phi(t) as the module docstring writes it, one exponential per factor."""
+    th = p.omega_m * np.asarray(t, dtype=float)
+    E = p.g_ratio ** 2 * (th - np.sin(th))
+    F = 2.0 * p.g_ratio * np.sin(th / 2.0)
+    mirror = np.conj(p.gamma) * np.exp(0.5j * th) + p.gamma * np.exp(-0.5j * th)
+    return (np.exp(-F * F / 2.0) * np.exp(-1j * F * mirror) * np.exp(-1j * E)
+            * np.exp(abs(p.alpha) ** 2 * (np.exp(-2j * E) - 1.0)))
+
+
+def rates_by_definition(p, t):
+    """The integrands of b1 and b2 in the module docstring."""
+    c = -1j * p.drive_amp * np.cos(p.omega_p * t)
+    ph = phi_by_factors(p, t)
+    return (c * ph * np.exp(1j * p.omega_c * t),
+            c * np.conj(ph) * np.exp(-1j * p.omega_c * t))
+
+
+def three_node_simpson(p, t_grid, steps_per_period=driven.DEFAULT_STEPS_PER_PERIOD):
+    """integrate_betas' nested Simpson sums with three fresh rate evaluations per panel."""
+    dt_max = 2.0 * math.pi / p.fastest_angular_frequency / steps_per_period
+    out = np.zeros((3, len(t_grid)), dtype=np.complex128)
+    b = np.zeros(3, dtype=np.complex128)
+    prev = 0.0
+    for k, t in enumerate(t_grid):
+        if t > prev:
+            n = max(1, math.ceil((t - prev) / dt_max))
+            h = (t - prev) / n
+            t0 = prev + np.arange(n) * h
+            f1, f2 = rates_by_definition(p, np.stack((t0, t0 + h / 2, t0 + h)))
+            b1 = b[0] + np.cumsum(h / 6 * (f1[0] + 4 * f1[1] + f1[2]))
+            b2 = b[1] + np.cumsum(h / 6 * (f2[0] + 4 * f2[1] + f2[2]))
+            b1_start = np.concatenate(([b[0]], b1[:-1]))
+            b1_mid = b1_start + h / 24 * (5 * f1[0] + 8 * f1[1] - f1[2])
+            b3 = b[2] + np.cumsum(h / 6 * (b1_start * f2[0] + 4 * b1_mid * f2[1] + b1 * f2[2]))
+            b = np.array([b1[-1], b2[-1], b3[-1]])
+        out[:, k] = b
+        prev = t
+    return out
 
 
 class TestEnvelope:
@@ -162,6 +203,30 @@ class TestIntegrateBetas:
         assert isinstance(one, BetaCoefficients)
         assert one.t == grid[2]
         assert one.b1 == series.b1[2]
+
+    def test_drive_rates_match_their_definition(self):
+        p = strong_system()
+        scale = p.drive_amp
+        for t in (0.0, 0.37 * p.mech_period, np.linspace(0.0, 2 * p.mech_period, 501)):
+            got = driven._drive_rates(p, t)
+            want = rates_by_definition(p, t)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(t)
+                assert np.max(np.abs(g - w)) <= 1e-13 * scale
+
+    def test_shared_nodes_match_three_node_simpson(self):
+        """Reusing each panel's right end as the next panel's left end, at
+        strong coupling over half a mechanical period, uneven intervals and a
+        repeated point included."""
+        p = strong_system()
+        grid = np.concatenate((np.linspace(0.0, 0.2, 5), [0.2], np.linspace(0.27, 0.55, 9)))
+        grid *= p.mech_period
+        series = integrate_betas(p, grid)
+        ref = three_node_simpson(p, grid)
+        for got, want in zip((series.b1, series.b2, series.b3), ref):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert series.antisymmetry_defect <= 1e-9
+        assert series.unitarity_defect <= 1e-9
 
     def test_rejects_descending_grid(self):
         p = weak_system()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_system
+from optomech import wigner
 from optomech.errors import IntegrationError
 from optomech.fock import DensityMatrix, FockDims, coherent_amplitudes, coherent_state
 from optomech.system import SystemParams
@@ -11,10 +12,11 @@ from optomech.wigner import (
     StateSource,
     WignerGrid,
     default_snapshot_times,
+    grid_axis,
+    snapshot_grid,
     snapshot_set,
     suggested_half_width,
     wigner_continuous,
-    wigner_direct_integral,
     write_grid_csv,
     write_grid_pgm,
 )
@@ -41,6 +43,42 @@ def gaussian_mixture_wigner(grid, amps, weights):
         w * np.exp(-(qq - math.sqrt(2) * a.real) ** 2 - (pp - math.sqrt(2) * a.imag) ** 2)
         for w, a in zip(weights, np.asarray(amps, dtype=complex))
     ) / math.pi
+
+
+def hermite_functions(x, dim):
+    """h[n, j] = psi_n(x_j), harmonic-oscillator eigenfunctions, unit mass."""
+    h = np.empty((dim, x.size))
+    h[0] = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)
+    if dim > 1:
+        h[1] = x * math.sqrt(2.0) * h[0]
+    for n in range(2, dim):
+        h[n] = x * math.sqrt(2.0 / n) * h[n - 1] - math.sqrt((n - 1) / n) * h[n - 2]
+    return h
+
+
+def wigner_direct_integral(rho, q_min, q_max, p_min, p_max, nq, n_p, x_pad=8.0, dx=0.02):
+    """(1/pi) Integral dx e^{2 i x p} <q-x|rho|q+x>, by brute quadrature.
+
+    Slow on purpose; the small-dimension oracle the displaced-parity route
+    is checked against, on the same axes. The exponent sign pairs with the
+    <q-x| ... |q+x> ordering: together they put a coherent state's peak at
+    p = +sqrt(2) Im amp, matching the beta = (q + ip)/sqrt(2) convention of
+    the parity route (the same integral with e^{-2ixp} is the p-mirrored
+    function).
+    """
+    q_axis = grid_axis(q_min, q_max, nq)
+    p_axis = grid_axis(p_min, p_max, n_p)
+    span = max(abs(q_min), abs(q_max)) + x_pad
+    x = np.arange(-span, span + dx / 2, dx)
+    values = np.empty((nq, n_p), dtype=np.complex128)
+    phases = np.exp(2j * np.outer(x, p_axis))
+    for i, q in enumerate(q_axis):
+        h_minus = hermite_functions(q - x, rho.dim)
+        h_plus = hermite_functions(q + x, rho.dim)
+        corr = np.einsum("mx,mn,nx->x", h_minus, rho.data, h_plus)
+        values[i] = (corr[:, np.newaxis] * phases).sum(axis=0) * dx / math.pi
+    assert np.max(np.abs(values.imag)) <= 1e-8
+    return WignerGrid(q_axis, p_axis, values.real)
 
 
 def random_rho(dim, rank=3):
@@ -127,6 +165,60 @@ class TestContinuous:
         grid = wigner_continuous(random_rho(8), q_min=-4, q_max=4,
                                  p_min=-4, p_max=4, nq=41, n_p=41)
         assert grid.values.dtype == np.float64
+
+
+def linspace_wigner(rho, half_width, n):
+    """W of rho on np.linspace axes with b = |gamma|^2, rounded point by point."""
+    axis = np.linspace(-half_width, half_width, n)
+    gamma = math.sqrt(2.0) * (axis[:, None] + 1j * axis[None, :]).ravel()
+    b = gamma.real ** 2 + gamma.imag ** 2
+    return wigner._laguerre_wigner(rho.data, gamma, b).reshape(n, n)
+
+
+class TestMirrorExactAxes:
+
+    @pytest.mark.parametrize("half, n", [(6.0, 161), (6.123, 41), (17.73, 161), (1e-3, 8), (3.0, 2)])
+    def test_symmetric_bounds_give_mirror_exact_axes(self, half, n):
+        axis = grid_axis(-half, half, n)
+        assert axis[0] == -half and axis[-1] == half
+        assert np.array_equal(axis[::-1], -axis)
+        assert np.all(np.diff(axis) > 0)
+
+    @pytest.mark.parametrize("lo, hi, n", [(-1.0, 6.0, 101), (-2.5, 0.1, 7), (1e-3, 7.3, 160), (-3.0, 3.1, 11)])
+    def test_asymmetric_bounds_stay_ascending_to_the_bounds(self, lo, hi, n):
+        axis = grid_axis(lo, hi, n)
+        assert axis.size == n
+        assert np.all(np.diff(axis) > 0)
+        assert abs(axis[0] - lo) <= np.spacing(abs(lo))
+        assert abs(axis[-1] - hi) <= np.spacing(abs(hi))
+        np.testing.assert_allclose(axis, np.linspace(lo, hi, n), rtol=0,
+                                   atol=4 * np.spacing(max(abs(lo), abs(hi))))
+
+    def test_snapshot_grid_evaluates_each_radius_once(self, monkeypatch):
+        """A 161^2 square grid has 81 distinct |q| and 81 |p|: at most
+        81 * 82 / 2 = 3,321 radii, however many points share each one."""
+        seen = []
+        radial_sums = wigner._radial_sums
+
+        def spy(rho_mat, radii):
+            seen.append(radii.size)
+            return radial_sums(rho_mat, radii)
+
+        monkeypatch.setattr(wigner, "_radial_sums", spy)
+        snapshot_grid(coherent_rho(27, 1.3 + 0.4j), n_grid=161)
+        assert 0 < sum(seen) <= 81 * 82 // 2
+
+    def test_values_match_linspace_axes_at_dim_27(self):
+        rho = random_rho(27)
+        half = suggested_half_width(rho)
+        grid = wigner_continuous(rho, -half, half, -half, half, 161, 161)
+        assert np.max(np.abs(grid.values - linspace_wigner(rho, half, 161))) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:.*grid boundary")
+    def test_values_match_linspace_axes_at_dim_300(self):
+        rho = coherent_mixture(300, TestLargeDimension.AMPS, TestLargeDimension.WEIGHTS)
+        grid = wigner_continuous(rho, -26.0, 26.0, -26.0, 26.0, 41, 41)
+        assert np.max(np.abs(grid.values - linspace_wigner(rho, 26.0, 41))) <= 1e-12
 
 
 class TestLargeDimension:
