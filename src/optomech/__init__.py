@@ -54,13 +54,7 @@ from .undriven import (
     gamma_k,
     phonon_avg_closed_form,
 )
-from .wigner import (
-    StateSource,
-    WignerGrid,
-    WignerSnapshot,
-    snapshot_set,
-    wigner_continuous,
-)
+from .wigner import WignerGrid, snapshot_set, wigner_continuous
 
 __all__ = [
     "AlphaCoefficients",
@@ -74,11 +68,9 @@ __all__ = [
     "JointState",
     "ObservableSeries",
     "OracleRun",
-    "StateSource",
     "SystemParams",
     "TruncationError",
     "WignerGrid",
-    "WignerSnapshot",
     "alpha_coeffs",
     "beta1_phi_to_one",
     "beta1_rwa",

@@ -29,13 +29,14 @@ they plot.
 
 Presets that expand to several independent jobs (fig2, fig4, fig5_6,
 fig7_8) run them concurrently in forked worker processes, one per CPU
-available to the process. The Wigner grids of a wigner job, six per
-source, and then the writing of their twelve CSV and PGM pairs are shared
-out the same way, between the process itself and one worker fewer than
-CPUs. Everything runs in-process when one CPU is available, and work that
-already runs in a worker does not fork again: a wigner job of a multi-job
-preset grids where its job runs. Every output file and the manifest are
-byte-identical to running the jobs and grids one after another.
+available to the process. A wigner job shares out its grids the same way,
+one source at a time: each of the source's six reduced states is gridded
+and written as a CSV and PGM pair by whichever process claims it, the
+process itself or one of its workers, one fewer than CPUs. Everything runs
+in-process when one CPU is available, and work that already runs in a
+worker does not fork again: a wigner job of a multi-job preset grids where
+its job runs. Every output file and the manifest are byte-identical to
+running the jobs and grids one after another.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
 inadequacy.
@@ -243,7 +244,11 @@ def _dims_of(kv):
         raise ConfigError("field_dim and mirror_dim must be given together")
     if not has_f:
         return None
-    return FockDims(_int_of(kv, "field_dim"), _int_of(kv, "mirror_dim"))
+    try:
+        return FockDims(_int_of(kv, "field_dim"), _int_of(kv, "mirror_dim"))
+    except ValueError as exc:
+        lines = f"lines {kv['field_dim'][1]} and {kv['mirror_dim'][1]}"
+        raise ConfigError(f"{lines}: field_dim, mirror_dim: {exc}") from exc
 
 
 def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
@@ -480,7 +485,7 @@ def expand_jobs(config: RunConfig) -> tuple:
 def auto_numeric_dims(p: SystemParams, t_end: float) -> FockDims:
     """Default truncation for the brute-force run (k_max=20 policy)."""
     mu = (abs(p.alpha) + oracle.drive_growth(p, t_end)) ** 2
-    fd = max(recommend_field_dim(mu), 16)
+    fd = recommend_field_dim(mu)
     md = recommend_mirror_dim(abs(p.gamma), p.g_ratio, min(20, fd - 1))
     return FockDims(fd, md)
 
@@ -489,7 +494,7 @@ def auto_analytic_dims(p: SystemParams, t_end: float) -> FockDims:
     """Truncation for assembling the analytic state: every populated field
     level k needs mirror room for its displaced block."""
     mu = (abs(p.alpha) + oracle.drive_growth(p, t_end)) ** 2
-    fd = max(recommend_field_dim(mu), 16)
+    fd = recommend_field_dim(mu)
     md = recommend_mirror_dim(abs(p.gamma), p.g_ratio, fd - 1)
     return FockDims(fd, md)
 
@@ -529,17 +534,14 @@ class _Emitter:
         write_series(s, os.path.join(self.out_dir, name))
         self.files.append(name)
 
-    def grids(self, stems_grids: list):
-        """Write each (stem, grid) as CSV and PGM, the grids shared by _forked_map."""
-        tasks = [(grid, os.path.join(self.out_dir, stem)) for stem, grid in stems_grids]
-        _forked_map(_write_grid, tasks)
-        self.files.extend(stem + ext for stem, _ in stems_grids for ext in (".csv", ".pgm"))
 
-
-def _write_grid(task: tuple) -> None:
-    grid, path_stem = task
+def _grid_files(task: tuple) -> tuple:
+    """Grid one reduced state and write it as CSV and PGM; returns (mass, min W)."""
+    rho, n_grid, path_stem = task
+    grid = wigner.snapshot_grid(rho, n_grid)
     wigner.write_grid_csv(grid, path_stem + ".csv")
     wigner.write_grid_pgm(grid, path_stem + ".pgm")
+    return grid.total_mass(), float(grid.values.min())
 
 
 def _analytic_series(p: SystemParams, betas) -> dict:
@@ -686,25 +688,25 @@ def _run_job(job: _Job) -> tuple:
         note("wigner_numeric_step_max", run.step_max)
         note("wigner_numeric_norm_drift", run.norm_drift)
         note("wigner_numeric_leak_max", run.leak_max)
-        stems_grids = []
-        for snaps in (
-            wigner.snapshot_set(
-                p, wigner.StateSource.ANALYTIC, dims_a, n_grid=cfg.wigner_grid_points,
-                mapper=_forked_map,
-            ),
-            wigner.snapshot_grids(
-                run.states, times, wigner.StateSource.NUMERIC, cfg.wigner_grid_points,
-                mapper=_forked_map,
-            ),
-        ):
-            for i, snap in enumerate(snaps):
-                stem = _stem(
-                    f"wigner_{snap.subsystem}_t{i // 2}", snap.source.value, job.tag
-                )
-                stems_grids.append((stem, snap.grid))
-                note(f"{stem}_mass", snap.grid.total_mass())
-                note(f"{stem}_min", float(snap.grid.values.min()))
-        emit.grids(stems_grids)
+        betas_w = driven.integrate_betas(p, np.asarray(times))
+        analytic_states = [
+            driven.evolve_driven(p, t, betas_w.at(i), dims_a) for i, t in enumerate(times)
+        ]
+        # One map per source, so a forked worker inherits one source's reduced states.
+        for source, states in (("analytic", analytic_states), ("numeric", run.states)):
+            snaps = wigner.snapshot_set(states, times)
+            stems = [
+                _stem(f"wigner_{subsystem}_t{i // 2}", source, job.tag)
+                for i, (subsystem, _, _) in enumerate(snaps)
+            ]
+            tasks = [
+                (rho, cfg.wigner_grid_points, os.path.join(cfg.output_dir, stem))
+                for stem, (_, _, rho) in zip(stems, snaps)
+            ]
+            for stem, (mass, w_min) in zip(stems, _forked_map(_grid_files, tasks)):
+                note(f"{stem}_mass", mass)
+                note(f"{stem}_min", w_min)
+                emit.files += (stem + ".csv", stem + ".pgm")
 
     for name in emit.files:
         man.append(f"output={name}")
@@ -725,17 +727,18 @@ _mapping = False
 def _forked_map(fn, items) -> list:
     """[fn(item) for item in items], shared with forked worker processes.
 
-    Serves every level of independent work: a preset's jobs, the Wigner
-    grids of a wigner job and the writing of their files. The items run in
-    as many processes as there are usable CPUs, or items if fewer, each
-    process claiming the next unclaimed item, so none idles while another
-    has items queued. With more items than CPUs this process is one of
-    them; otherwise every item gets a forked worker of its own and this
-    process waits, since an item run here would add to the peak RSS the
-    library pages this process's imports mapped, which a forked worker
-    does not count (fig4: 60.3 MB against 56.4 MB). Each item writes its
-    own files and returns the result of fn. The first failing item in
-    order raises its own error here, after every item has run.
+    Serves both levels of independent work: a preset's jobs, and the
+    Wigner grids of one source of a wigner job, each computed and written
+    by the process that claims it. The items run in as many processes as
+    there are usable CPUs, or items if fewer, each process claiming the
+    next unclaimed item, so none idles while another has items queued.
+    With more items than CPUs this process is one of them; otherwise every
+    item gets a forked worker of its own and this process waits, since an
+    item run here would add to the peak RSS the library pages this
+    process's imports mapped, which a forked worker does not count (fig4:
+    60.3 MB against 56.4 MB). Each item writes its own files and returns
+    the result of fn. The first failing item in order raises its own
+    error here, after every item has run.
 
     fn runs in-process when one CPU is usable, when there is one item, and
     while a map already runs here or in the process that forked this one:
@@ -897,7 +900,10 @@ def _apply_flags(config: RunConfig, args) -> RunConfig:
             fd, md = (int(x) for x in args.dims.split(","))
         except ValueError as exc:
             raise ConfigError(f"--dims expects FIELD,MIRROR integers, got {args.dims!r}") from exc
-        config = replace(config, dims=FockDims(fd, md))
+        try:
+            config = replace(config, dims=FockDims(fd, md))
+        except ValueError as exc:
+            raise ConfigError(f"--dims {args.dims}: {exc}") from exc
     return config
 
 

@@ -180,10 +180,11 @@ def recommend_mirror_dim(gamma_abs: float, g_ratio: float, k_max: int) -> int:
     """Mirror truncation covering every conditional displacement up to k_max.
 
     The k-th field level drags the mirror to |Gamma_k| <= |Gamma| + 2 k g, a
-    Poisson state of mean x^2; mean + 5 sqrt(mean) covers its tail.
+    Poisson state of mean x^2; mean + 5 sqrt(mean) covers its tail. Like
+    the field's, it is at least 16, so a mirror at rest still gets a space.
     """
     x = gamma_abs + 2.0 * k_max * g_ratio
-    return int(math.ceil(x * x + 5.0 * x))
+    return max(16, int(math.ceil(x * x + 5.0 * x)))
 
 
 def recommend_field_dim(mu: float) -> int:

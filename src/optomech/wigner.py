@@ -40,23 +40,14 @@ by brute quadrature at small dimension.
 """
 from __future__ import annotations
 
-import enum
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import driven as _driven
-from . import oracle as _oracle
 from .errors import IntegrationError
-from .fock import (
-    DensityMatrix,
-    FockDims,
-    partial_trace_field,
-    partial_trace_mirror,
-)
+from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror
 from .postproc import atomic_write_text
 from .system import SystemParams
 
@@ -65,9 +56,10 @@ BOUNDARY_WARN_LEVEL = 1e-4
 _UNDERFLOW_RADIUS = -2.0 * math.log(np.finfo(float).tiny)
 # population allowed in levels that reach past _UNDERFLOW_RADIUS
 UNDERFLOW_MASS_TOL = 1e-10
-# Distinct radii per Clenshaw pass. It bounds the (dim, block) work arrays:
-# three complex and one real, 56 bytes per (level, radius), so a whole 161^2
-# grid (up to 3,321 radii) in one pass would take about 56 MB at dim 300.
+# Distinct radii per Clenshaw pass. It bounds the (dim, block) arrays, the
+# Clenshaw work arrays (three complex, one real) and the block's f_L, 72
+# bytes per (level, radius), so a whole 161^2 grid (up to 3,321 radii) in one
+# pass would take about 72 MB at dim 300.
 _RADII_BLOCK = 512
 
 
@@ -189,17 +181,23 @@ def _radial_sums(rho_mat: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _laguerre_wigner(rho_mat: np.ndarray, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W at displacements gamma = 2 beta with radii b = |gamma|^2."""
+    """W at displacements gamma = 2 beta with radii b = |gamma|^2.
+
+    One block of radii at a time: its f_L are summed over L at the points
+    with those radii, so only one block's f is held at once.
+    """
     radii, at = np.unique(b, return_inverse=True)
     dim = rho_mat.shape[0]
-    f = np.empty((dim, radii.size), dtype=np.complex128)
+    values = np.empty(b.size)
     for start in range(0, radii.size, _RADII_BLOCK):
-        block = slice(start, start + _RADII_BLOCK)
-        f[:, block] = _radial_sums(rho_mat, radii[block])
-    acc = f[dim - 1][at]
-    for L in range(dim - 2, -1, -1):
-        acc = f[L][at] + acc * gamma * (1.0 / math.sqrt(L + 1))
-    return acc.real / math.pi
+        f = _radial_sums(rho_mat, radii[start:start + _RADII_BLOCK])
+        points = np.flatnonzero((at >= start) & (at < start + _RADII_BLOCK))
+        at_f, g = at[points] - start, gamma[points]
+        acc = f[dim - 1][at_f]
+        for L in range(dim - 2, -1, -1):
+            acc = f[L][at_f] + acc * g * (1.0 / math.sqrt(L + 1))
+        values[points] = acc.real / math.pi
+    return values
 
 
 def _check_laguerre_domain(rho: DensityMatrix, b_max: float) -> None:
@@ -312,21 +310,6 @@ def write_grid_pgm(grid: WignerGrid, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-class StateSource(enum.Enum):
-    """Which propagator supplies the joint states for snapshots."""
-
-    ANALYTIC = "analytic"
-    NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class WignerSnapshot:
-    subsystem: str  # "field" or "mirror"
-    t: float
-    source: StateSource
-    grid: WignerGrid
-
-
 def _trimmed(rho: DensityMatrix, tail_mass: float = 1e-10, pad: int = 4) -> np.ndarray:
     """Drop the unpopulated trailing block; keeps >= 1 - tail_mass of the trace."""
     diag = np.real(np.diag(rho.data))
@@ -369,54 +352,16 @@ def default_snapshot_times(p: SystemParams):
     return (0.0, math.pi / p.omega_m, 2.0 * math.pi / p.omega_m)
 
 
-def snapshot_set(
-    p: SystemParams,
-    source: StateSource,
-    dims: FockDims,
-    times=None,
-    n_grid: int = 161,
-    mapper=map,
-) -> list:
-    """Field and mirror Wigner grids at each snapshot time, from one propagator.
+def snapshot_set(states, times) -> list:
+    """Reduced field and mirror states of joint states taken at times.
 
-    Returns six WignerSnapshot entries per call (2 subsystems x 3 times by
-    default), ordered by time with the field first. Grid bounds adapt to
-    each reduced state. The numeric source steps at the recommended
-    integrator config; to choose another, evolve the states with
-    `oracle.evolve_numeric` and pass them to `snapshot_grids`. mapper is
-    passed on to snapshot_grids.
+    Returns one (subsystem, t, DensityMatrix) entry per subsystem and time,
+    subsystem "field" or "mirror", ordered by time with the field first.
+    The states may come from either propagator (`driven.evolve_driven`,
+    `oracle.evolve_numeric`); snapshot_grid turns each entry into a grid.
     """
-    if times is None:
-        times = default_snapshot_times(p)
-    t_arr = np.asarray(times, dtype=float)
-    if source is StateSource.ANALYTIC:
-        betas = _driven.integrate_betas(p, t_arr)
-        states = [
-            _driven.evolve_driven(p, float(t_arr[i]), betas.at(i), dims)
-            for i in range(t_arr.size)
-        ]
-    elif source is StateSource.NUMERIC:
-        states = _oracle.evolve_numeric(p, dims, t_grid=t_arr).states
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    return snapshot_grids(states, t_arr, source, n_grid, mapper)
-
-
-def snapshot_grids(states, times, source: StateSource, n_grid: int = 161, mapper=map) -> list:
-    """Field and mirror grids of joint states taken at times, ordered as by snapshot_set.
-
-    For callers that evolve the states themselves, for instance to report
-    the diagnostics of the OracleRun they came from. The partial traces are
-    taken here; the grids, independent of each other, are computed by
-    snapshot_grid through mapper, any map-like callable (the CLI passes a
-    map shared with forked worker processes).
-    """
-    keys, rhos = [], []
+    snaps = []
     for t, state in zip(times, states):
-        keys += (("field", float(t)), ("mirror", float(t)))
-        rhos += (partial_trace_mirror(state), partial_trace_field(state))
-    grids = mapper(functools.partial(snapshot_grid, n_grid=n_grid), rhos)
-    return [
-        WignerSnapshot(subsystem, t, source, grid)
-        for (subsystem, t), grid in zip(keys, grids)
-    ]
+        snaps.append(("field", float(t), partial_trace_mirror(state)))
+        snaps.append(("mirror", float(t), partial_trace_field(state)))
+    return snaps

@@ -96,11 +96,60 @@ def printed_steps(capsys, path, *flags):
     return [int(n) for n in re.findall(r"est_steps=(\d+)", capsys.readouterr().out)]
 
 
+# The dims validate prints for each preset's jobs; fig2, fig3 and fig5_6's
+# nonforced job take the auto dims, the others fix theirs.
+PRESET_DIMS = {
+    "fig2": [(16, 24), (22, 28), (66, 28), (107, 28), (112, 28)],
+    "fig3": [(31, 28)],
+    "fig4": [(30, 35)] * 2,
+    "fig5_6": [(30, 35), (30, 35), (22, 28)],
+    "fig7_8": [(30, 308)] * 2,
+    "wigner_snapshots": [(30, 308)],
+}
+
+
 @pytest.mark.parametrize("preset", cli.PRESETS)
 def test_every_preset_validates(tmp_path, capsys, preset):
     path = write_config(tmp_path, f"preset = {preset}\n")
     assert cli.main(["validate", "--config", path]) == 0
-    assert "ok" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "ok" in out
+    found = re.findall(r"recommended_field_dim=(\d+) recommended_mirror_dim=(\d+)", out)
+    assert [(int(f), int(m)) for f, m in found] == PRESET_DIMS[preset]
+
+
+# The documented defaults: no drive, g_ratio = 0, alpha = gamma = 0.
+AT_REST_CONFIG = """\
+omega_c = 1e8
+omega_m = 1e7
+t_end = 1e-6
+n_samples = 3
+"""
+
+
+@pytest.mark.parametrize("modes", ["undriven", "driven-numeric"])
+def test_system_at_rest_validates_and_runs(tmp_path, capsys, modes):
+    """A mirror at rest and uncoupled still gets the 16-level floor."""
+    path = write_config(tmp_path, AT_REST_CONFIG + f"modes = {modes}\n")
+    assert cli.main(["validate", "--config", path]) == 0
+    assert "recommended_field_dim=16 recommended_mirror_dim=16" in capsys.readouterr().out
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("text, flags, cause", [
+    (AT_REST_CONFIG + "modes = undriven\n", ["--dims", "1,35"],
+     "--dims 1,35: each dimension must be >= 2"),
+    (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1000\nmirror_dim = 1001\n", [],
+     "lines 6 and 7: field_dim, mirror_dim: joint dimension 1001000 exceeds"),
+], ids=["flag-below-2", "config-over-budget"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_invalid_dims_are_config_errors(tmp_path, capsys, text, flags, cause, command):
+    path = write_config(tmp_path, text)
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")] + flags
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cause}")
+    assert "Traceback" not in err
 
 
 def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
@@ -302,16 +351,16 @@ def test_manifest_step_max_is_the_step_taken(tmp_path):
 
 @needs_linux
 def test_pooled_wigner_grids_equal_in_process_grids(tmp_path, monkeypatch, pooled):
-    """Each source's six grids, then the twelve grid writes, are shared with one
-    worker forked with one thread; every file and the manifest are the bytes
-    of the in-process run."""
+    """Each source's six grid-and-write tasks are shared with one worker forked
+    with one thread; every file and the manifest are the bytes of the
+    in-process run."""
     path = write_config(tmp_path, WIGNER_CONFIG)
     outs = {}
     for cpus in (2, 1):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         outs[cpus] = tmp_path / f"out{cpus}"
         assert cli.main(["run", "--config", path, "--out", str(outs[cpus])]) == 0
-    assert pooled == [1, 1, 1]
+    assert pooled == [1, 1]
     names = sorted(os.listdir(outs[2]))
     assert names == sorted(os.listdir(outs[1]))
     assert len([n for n in names if n.startswith("wigner_")]) == 24
@@ -351,8 +400,7 @@ def forks_of_job(job) -> list:
 @needs_linux
 def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
     """Two wigner jobs go to two job workers, and each grids in-process; the
-    same job run here forks one worker for each source's grids and one for
-    the grid files."""
+    same job run here forks one worker for each source's grids."""
     config = cli.load_config(write_config(tmp_path, WIGNER_CONFIG))
     jobs = [cli._Job(replace(config, output_dir=str(tmp_path / tag)), tag=tag)
             for tag in ("a", "b")]
@@ -361,7 +409,7 @@ def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
     assert cli._forked_map(forks_of_job, jobs) == [[], []]
     assert pooled == [1, 1]
     assert len(os.listdir(tmp_path / "a")) == len(os.listdir(tmp_path / "b")) == 24
-    assert forks_of_job(jobs[0]) == [1, 1, 1]
+    assert forks_of_job(jobs[0]) == [1, 1]
 
 
 def fig4_dt_cap() -> float:

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import tiny_system
 from optomech import wigner
+from optomech.driven import evolve_driven, integrate_betas
 from optomech.errors import IntegrationError
 from optomech.fock import DensityMatrix, FockDims, coherent_amplitudes, coherent_state
+from optomech.oracle import evolve_numeric
 from optomech.system import SystemParams
 from optomech.wigner import (
-    StateSource,
     WignerGrid,
     default_snapshot_times,
     grid_axis,
@@ -79,6 +80,24 @@ def wigner_direct_integral(rho, q_min, q_max, p_min, p_max, nq, n_p, x_pad=8.0, 
         values[i] = (corr[:, np.newaxis] * phases).sum(axis=0) * dx / math.pi
     assert np.max(np.abs(values.imag)) <= 1e-8
     return WignerGrid(q_axis, p_axis, values.real)
+
+
+def analytic_states(p, dims):
+    """Joint states of the coherent-averaged propagator at the snapshot times."""
+    t = np.asarray(default_snapshot_times(p))
+    betas = integrate_betas(p, t)
+    return [evolve_driven(p, float(t[i]), betas.at(i), dims) for i in range(t.size)]
+
+
+def numeric_states(p, dims):
+    """Joint states of the brute-force oracle at the snapshot times."""
+    return evolve_numeric(p, dims, t_grid=np.asarray(default_snapshot_times(p))).states
+
+
+def snapshot_grids_of(p, states, n_grid):
+    """(subsystem, t, grid) for each entry of snapshot_set."""
+    return [(subsystem, t, snapshot_grid(rho, n_grid))
+            for subsystem, t, rho in snapshot_set(states, default_snapshot_times(p))]
 
 
 def random_rho(dim, rank=3):
@@ -239,11 +258,11 @@ class TestLargeDimension:
     def test_strong_coupling_mirror_snapshots(self):
         """g = 0.3 at analytic dims (16, 150): widely split mirror mixtures at dim 150."""
         p = SystemParams(omega_c=1e7, omega_m=1e6, g_ratio=0.3, alpha=1.0, gamma=1.0)
-        snaps = snapshot_set(p, StateSource.ANALYTIC, FockDims(16, 150), n_grid=41)
-        for s in snaps:
-            assert s.grid.total_mass() == pytest.approx(1.0, abs=1e-3)
-            if s.subsystem == "mirror":  # a mixture of coherent states
-                assert s.grid.values.min() >= -1e-9
+        snaps = snapshot_grids_of(p, analytic_states(p, FockDims(16, 150)), n_grid=41)
+        for subsystem, _, grid in snaps:
+            assert grid.total_mass() == pytest.approx(1.0, abs=1e-3)
+            if subsystem == "mirror":  # a mixture of coherent states
+                assert grid.values.min() >= -1e-9
 
 
 class TestLaguerreGuard:
@@ -325,20 +344,21 @@ class TestSnapshots:
     def test_structure_and_normalization(self):
         p = tiny_system()
         dims = FockDims(14, 16)
-        snaps = snapshot_set(p, StateSource.ANALYTIC, dims, n_grid=41)
-        assert len(snaps) == 6
-        assert [s.subsystem for s in snaps] == ["field", "mirror"] * 3
-        for s in snaps:
-            assert s.source is StateSource.ANALYTIC
-            assert s.grid.total_mass() == pytest.approx(1.0, abs=2e-2)
+        times = default_snapshot_times(p)
+        reduced = snapshot_set(analytic_states(p, dims), times)
+        assert len(reduced) == 6
+        assert [s for s, _, _ in reduced] == ["field", "mirror"] * 3
+        assert [t for _, t, _ in reduced] == [t for t in times for _ in range(2)]
+        assert [rho.dim for _, _, rho in reduced] == [14, 16] * 3
+        for _, _, rho in reduced:
+            assert snapshot_grid(rho, n_grid=41).total_mass() == pytest.approx(1.0, abs=2e-2)
 
     def test_initial_snapshot_is_two_gaussians(self):
         """Product coherent state: both subsystems peak near sqrt(2) amp."""
         p = tiny_system()
-        snaps = snapshot_set(p, StateSource.ANALYTIC, FockDims(14, 16),
-                             n_grid=61)
-        for s in snaps[:2]:
-            g = s.grid
+        snaps = snapshot_grids_of(p, analytic_states(p, FockDims(14, 16)), n_grid=61)
+        for _, t, g in snaps[:2]:
+            assert t == 0.0
             i, j = np.unravel_index(g.values.argmax(), g.values.shape)
             assert g.values.max() == pytest.approx(1 / math.pi, abs=2e-3)
             assert g.q_axis[i] == pytest.approx(math.sqrt(2), abs=0.25)
@@ -347,15 +367,18 @@ class TestSnapshots:
     def test_sources_agree_on_tiny_system(self):
         p = tiny_system()
         dims = FockDims(14, 16)
-        an = snapshot_set(p, StateSource.ANALYTIC, dims, n_grid=41)
-        num = snapshot_set(p, StateSource.NUMERIC, dims, n_grid=41)
-        for a, b in zip(an, num):
-            assert a.subsystem == b.subsystem and a.t == b.t
+        an = snapshot_grids_of(p, analytic_states(p, dims), n_grid=41)
+        num = snapshot_grids_of(p, numeric_states(p, dims), n_grid=41)
+        assert len(an) == len(num) == 6
+        compared = 0
+        for (sub_a, t_a, a), (sub_b, t_b, b) in zip(an, num):
+            assert sub_a == sub_b and t_a == t_b
             # weak coupling and weak drive: the ansatz is nearly exact
-            if a.grid.values.shape == b.grid.values.shape and np.allclose(
-                    a.grid.q_axis, b.grid.q_axis) and np.allclose(
-                    a.grid.p_axis, b.grid.p_axis):
-                assert np.max(np.abs(a.grid.values - b.grid.values)) < 5e-3
+            if a.values.shape == b.values.shape and np.allclose(
+                    a.q_axis, b.q_axis) and np.allclose(a.p_axis, b.p_axis):
+                assert np.max(np.abs(a.values - b.values)) < 5e-3
+                compared += 1
+        assert compared >= 2  # at least the t = 0 pair, whose axes always match
 
 
 def test_suggested_half_width_covers_support():
