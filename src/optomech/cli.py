@@ -16,6 +16,15 @@ integration), wigner (phase-space snapshots from both propagators at
 t = 0, pi/omega_m, 2pi/omega_m), compare (metrics between the two driven
 routes; requires both).
 
+driven-numeric and wigner each make one oracle run, over the series grid
+and over the snapshot times, at the configured or auto dims, with the RK4
+step recommended over the run unless dt is set; the manifest records its
+diagnostics, prefixed `wigner_numeric_` for wigner. wigner's analytic joint
+states share that run's dims and times. `validate` prints per job
+`recommended_field_dim=F recommended_mirror_dim=M`, one
+`MODE: dt=... steps=N state_memory_mb=...` line per oracle run with the
+exact RK4 steps `run` takes, and their total as `est_steps=N ...`.
+
 A preset replaces the physics keys wholesale; configs may still set
 output_dir, filter, dims and integrator overrides next to it, and
 `--preset NAME` without `--config` runs the preset as it stands. Each run
@@ -58,6 +67,8 @@ from .postproc import ObservableSeries, atomic_write_text, compare, filter_fast,
 from .system import SystemParams
 
 MODES = ("undriven", "driven-analytic", "driven-numeric", "wigner", "compare")
+# The modes that make an oracle run, in the order a job makes them.
+_ORACLE_MODES = ("driven-numeric", "wigner")
 PRESETS = (
     "fig2",
     "fig3",
@@ -68,19 +79,6 @@ PRESETS = (
 )
 _PARAM_KEYS = ("omega_c", "omega_m", "omega_p", "drive_amp", "g_ratio", "alpha", "gamma")
 _REQUIRED_KEYS = ("omega_c", "omega_m", "t_end", "n_samples", "modes")
-_KNOWN_KEYS = _PARAM_KEYS + (
-    "t_end",
-    "n_samples",
-    "modes",
-    "preset",
-    "filter",
-    "output_dir",
-    "field_dim",
-    "mirror_dim",
-    "dt",
-    "norm_tolerance",
-    "wigner_grid_points",
-)
 # Keys that stay honored next to a preset; the rest belong to the preset.
 _PRESET_COMPATIBLE = (
     "preset",
@@ -92,6 +90,7 @@ _PRESET_COMPATIBLE = (
     "norm_tolerance",
     "wigner_grid_points",
 )
+_KNOWN_KEYS = _PARAM_KEYS + ("t_end", "n_samples", "modes") + _PRESET_COMPATIBLE
 
 _WEAK_OMEGA_C = 1.0e9
 _OMEGA_M_RATIO = 0.01
@@ -142,8 +141,8 @@ class RunConfig:
             )
         if self.dt is not None and not (self.dt > 0):
             raise ConfigError("dt must be positive")
-        if self.dt is not None and self.params is not None and (
-            "driven-numeric" in self.modes or "wigner" in self.modes
+        if self.dt is not None and self.params is not None and any(
+            mode in self.modes for mode in _ORACLE_MODES
         ):
             try:
                 oracle.require_stable_dt(self.params, self.dt)
@@ -251,6 +250,18 @@ def _dims_of(kv):
         raise ConfigError(f"{lines}: field_dim, mirror_dim: {exc}") from exc
 
 
+def _settings_of(kv: dict) -> dict:
+    """RunConfig fields from the keys a config may set next to a preset."""
+    return dict(
+        dims=_dims_of(kv),
+        filter=_bool_of(kv, "filter"),
+        output_dir=kv["output_dir"][0] if "output_dir" in kv else ".",
+        dt=_float_of(kv, "dt"),
+        norm_tolerance=_float_of(kv, "norm_tolerance", default=oracle.DEFAULT_NORM_TOLERANCE),
+        wigner_grid_points=_int_of(kv, "wigner_grid_points", default=161),
+    )
+
+
 def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
     """RunConfig from parsed key/value entries; all diagnostics cite lines."""
     preset = preset_override or (kv["preset"][0] if "preset" in kv else None)
@@ -261,19 +272,7 @@ def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
                 f"keys {stray} conflict with preset {preset!r}; a preset fixes the physics"
             )
         return RunConfig(
-            params=None,
-            t_end=1.0,
-            n_samples=2,
-            modes=(),
-            dims=_dims_of(kv),
-            preset=preset,
-            filter=_bool_of(kv, "filter"),
-            output_dir=kv["output_dir"][0] if "output_dir" in kv else ".",
-            dt=_float_of(kv, "dt"),
-            norm_tolerance=_float_of(
-                kv, "norm_tolerance", default=oracle.DEFAULT_NORM_TOLERANCE
-            ),
-            wigner_grid_points=_int_of(kv, "wigner_grid_points", default=161),
+            params=None, t_end=1.0, n_samples=2, modes=(), preset=preset, **_settings_of(kv)
         )
     missing = [k for k in _REQUIRED_KEYS if k not in kv]
     if missing:
@@ -299,15 +298,7 @@ def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
         t_end=_float_of(kv, "t_end"),
         n_samples=_int_of(kv, "n_samples"),
         modes=tuple(m.strip() for m in kv["modes"][0].split(",") if m.strip()),
-        dims=_dims_of(kv),
-        preset=None,
-        filter=_bool_of(kv, "filter"),
-        output_dir=kv["output_dir"][0] if "output_dir" in kv else ".",
-        dt=_float_of(kv, "dt"),
-        norm_tolerance=_float_of(
-            kv, "norm_tolerance", default=oracle.DEFAULT_NORM_TOLERANCE
-        ),
-        wigner_grid_points=_int_of(kv, "wigner_grid_points", default=161),
+        **_settings_of(kv),
     )
 
 
@@ -483,26 +474,45 @@ def expand_jobs(config: RunConfig) -> tuple:
 
 
 def auto_numeric_dims(p: SystemParams, t_end: float) -> FockDims:
-    """Default truncation for the brute-force run (k_max=20 policy)."""
+    """Default truncation of a job's oracle runs, each dim at least what its
+    initial coherent state needs. The mirror covers field levels up to
+    k_max = min(20, field_dim - 1): 308 for the strong presets, not 585;
+    above that it can leak (alpha = 5, g_ratio = 0.033: 1e-4 at (59, 16))."""
     mu = (abs(p.alpha) + oracle.drive_growth(p, t_end)) ** 2
     fd = recommend_field_dim(mu)
     md = recommend_mirror_dim(abs(p.gamma), p.g_ratio, min(20, fd - 1))
     return FockDims(fd, md)
 
 
-def auto_analytic_dims(p: SystemParams, t_end: float) -> FockDims:
-    """Truncation for assembling the analytic state: every populated field
-    level k needs mirror room for its displaced block."""
-    mu = (abs(p.alpha) + oracle.drive_growth(p, t_end)) ** 2
-    fd = recommend_field_dim(mu)
-    md = recommend_mirror_dim(abs(p.gamma), p.g_ratio, fd - 1)
-    return FockDims(fd, md)
+def _job_dims(cfg: RunConfig) -> FockDims:
+    """The job's configured dims, else its auto dims."""
+    return cfg.dims or auto_numeric_dims(cfg.params, cfg.t_end)
 
 
-def _integrator_config(cfg: RunConfig, t_total: float, dims: FockDims) -> oracle.IntegratorConfig:
-    """RK4 settings recommended over t_total, with the config's dt override applied."""
-    icfg = oracle.recommend_integrator_config(cfg.params, t_total, dims, cfg.norm_tolerance)
-    return icfg if cfg.dt is None else replace(icfg, dt=cfg.dt)
+def _oracle_runs(cfg: RunConfig) -> list:
+    """(mode, manifest prefix, sample times, dims, RK4 settings) of each
+    oracle run a job makes; `run` executes them and `validate` counts them.
+
+    driven-numeric samples the series grid, wigner the snapshot times, both
+    at the job's dims and with the step recommended over their own span
+    unless cfg.dt overrides it.
+    """
+    dims = _job_dims(cfg)
+    sampled = {
+        "driven-numeric": ("", np.linspace(0.0, cfg.t_end, cfg.n_samples)),
+        "wigner": ("wigner_numeric_", np.asarray(wigner.default_snapshot_times(cfg.params))),
+    }
+    runs = []
+    for mode in _ORACLE_MODES:
+        if mode in cfg.modes:
+            prefix, times = sampled[mode]
+            icfg = oracle.recommend_integrator_config(
+                cfg.params, float(times[-1]), dims, cfg.norm_tolerance
+            )
+            if cfg.dt is not None:
+                icfg = replace(icfg, dt=cfg.dt)
+            runs.append((mode, prefix, times, dims, icfg))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -633,21 +643,21 @@ def _run_job(job: _Job) -> tuple:
             for label, y in variants:
                 emit.series(ObservableSeries(t_grid, y, label, "analytic"))
 
-    if "driven-numeric" in cfg.modes:
-        dims = cfg.dims or auto_numeric_dims(p, cfg.t_end)
-        icfg = _integrator_config(cfg, cfg.t_end, dims)
-        run = oracle.evolve_numeric(p, dims, icfg, t_grid)
-        numeric = oracle.observables_numeric(run)
-        for s in numeric.values():
-            emit.series(s)
-        note("field_dim", dims.field_dim)
-        note("mirror_dim", dims.mirror_dim)
-        note("dt", icfg.dt)
-        note("norm_tolerance", icfg.norm_tolerance)
-        note("n_steps", run.n_steps)
-        note("step_max", run.step_max)
-        note("norm_drift", run.norm_drift)
-        note("leak_max", run.leak_max)
+    wigner_run = None
+    for mode, prefix, times, dims, icfg in _oracle_runs(cfg):
+        run = oracle.evolve_numeric(p, dims, icfg, times)
+        note(prefix + "field_dim", dims.field_dim)
+        note(prefix + "mirror_dim", dims.mirror_dim)
+        note(prefix + "dt", icfg.dt)
+        note(prefix + "norm_tolerance", icfg.norm_tolerance)
+        for key in ("n_steps", "step_max", "norm_drift", "leak_max"):
+            note(prefix + key, getattr(run, key))
+        if mode == "wigner":
+            wigner_run = run
+        else:
+            numeric = oracle.observables_numeric(run)
+            for s in numeric.values():
+                emit.series(s)
 
     if cfg.filter:
         for name in _FILTERABLE:
@@ -671,29 +681,17 @@ def _run_job(job: _Job) -> tuple:
                 for mkey, mval in metrics.items():
                     note(f"compare_filtered_{name}_{mkey}", mval)
 
-    if "wigner" in cfg.modes:
-        dims_n = cfg.dims or auto_numeric_dims(p, cfg.t_end)
-        dims_a = auto_analytic_dims(p, cfg.t_end)
-        note("wigner_numeric_field_dim", dims_n.field_dim)
-        note("wigner_numeric_mirror_dim", dims_n.mirror_dim)
-        note("wigner_analytic_field_dim", dims_a.field_dim)
-        note("wigner_analytic_mirror_dim", dims_a.mirror_dim)
+    if wigner_run is not None:
         note("wigner_grid_points", cfg.wigner_grid_points)
-        # The numeric snapshots honor the dt and norm_tolerance overrides.
-        times = wigner.default_snapshot_times(p)
-        icfg = _integrator_config(cfg, times[-1], dims_n)
-        run = oracle.evolve_numeric(p, dims_n, icfg, times)
-        note("wigner_numeric_dt", icfg.dt)
-        note("wigner_numeric_n_steps", run.n_steps)
-        note("wigner_numeric_step_max", run.step_max)
-        note("wigner_numeric_norm_drift", run.norm_drift)
-        note("wigner_numeric_leak_max", run.leak_max)
-        betas_w = driven.integrate_betas(p, np.asarray(times))
+        # The analytic source at the numeric run's dims and times.
+        times = wigner_run.t
+        betas_w = driven.integrate_betas(p, times)
         analytic_states = [
-            driven.evolve_driven(p, t, betas_w.at(i), dims_a) for i, t in enumerate(times)
+            driven.evolve_driven(p, float(t), betas_w.at(i), wigner_run.dims)
+            for i, t in enumerate(times)
         ]
         # One map per source, so a forked worker inherits one source's reduced states.
-        for source, states in (("analytic", analytic_states), ("numeric", run.states)):
+        for source, states in (("analytic", analytic_states), ("numeric", wigner_run.states)):
             snaps = wigner.snapshot_set(states, times)
             stems = [
                 _stem(f"wigner_{subsystem}_t{i // 2}", source, job.tag)
@@ -828,7 +826,7 @@ def validate(config: RunConfig) -> str:
     for job in expand_jobs(config):
         cfg = job.config
         p = cfg.params
-        dims = cfg.dims or auto_numeric_dims(p, cfg.t_end)
+        dims = _job_dims(cfg)
         lines.append(f"job {job.tag or 'main'}: ok")
         for key in _PARAM_KEYS:
             lines.append(f"  {key}={_fmt(getattr(p, key))}")
@@ -838,33 +836,16 @@ def validate(config: RunConfig) -> str:
             f"  recommended_field_dim={dims.field_dim}"
             f" recommended_mirror_dim={dims.mirror_dim}"
         )
-        # The steps `run` takes on each numeric route: driven-numeric over
-        # the sample grid, wigner over the snapshot times with its own dt.
-        routes = []
-        if "driven-numeric" in cfg.modes:
-            routes.append(("driven-numeric", np.linspace(0.0, cfg.t_end, cfg.n_samples)))
-        if "wigner" in cfg.modes:
-            routes.append(("wigner", wigner.default_snapshot_times(p)))
-        estimates = []
-        for route, t_grid in routes:
-            dt = _integrator_config(cfg, float(t_grid[-1]), dims).dt
-            n_steps = sum(oracle.substeps(t_grid, dt))
-            state_mb = dims.joint * 16 * (len(t_grid) + 8) / 1e6
-            estimates.append((route, dt, n_steps, state_mb))
-        if len(estimates) == 1:
-            _, dt, n_steps, state_mb = estimates[0]
-            lines.append(
-                f"  dt={_fmt(dt)} est_steps={n_steps} est_state_memory_mb={state_mb:.1f}"
-            )
-        elif estimates:
-            for route, dt, n_steps, state_mb in estimates:
-                lines.append(
-                    f"  {route}: dt={_fmt(dt)} steps={n_steps} state_memory_mb={state_mb:.1f}"
-                )
-            lines.append(
-                f"  est_steps={sum(e[2] for e in estimates)}"
-                f" est_state_memory_mb={sum(e[3] for e in estimates):.1f}"
-            )
+        runs = _oracle_runs(cfg)
+        total_steps = total_mb = 0
+        for mode, _, times, _, icfg in runs:
+            n_steps = sum(oracle.substeps(times, icfg.dt))
+            state_mb = dims.joint * 16 * (len(times) + 8) / 1e6
+            lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps} state_memory_mb={state_mb:.1f}")
+            total_steps += n_steps
+            total_mb += state_mb
+        if runs:
+            lines.append(f"  est_steps={total_steps} est_state_memory_mb={total_mb:.1f}")
     return "\n".join(lines)
 
 

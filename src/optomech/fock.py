@@ -177,16 +177,21 @@ def partial_trace_mirror(state: JointState) -> DensityMatrix:
 
 
 def recommend_mirror_dim(gamma_abs: float, g_ratio: float, k_max: int) -> int:
-    """Mirror truncation covering every conditional displacement up to k_max.
+    """Mirror truncation covering every conditional displacement up to k_max
+    (the CLI's auto dims cap k_max at 20).
 
     The k-th field level drags the mirror to |Gamma_k| <= |Gamma| + 2 k g, a
     Poisson state of mean x^2; mean + 5 sqrt(mean) covers its tail. Like
-    the field's, it is at least 16, so a mirror at rest still gets a space.
+    the field's, it is at least 16, so a mirror at rest still gets a space,
+    and at least what the initial coherent state needs (gamma_abs = 2: 21).
     """
     x = gamma_abs + 2.0 * k_max * g_ratio
-    return max(16, int(math.ceil(x * x + 5.0 * x)))
+    return max(16, int(math.ceil(x * x + 5.0 * x)), coherent_required_dim(gamma_abs))
 
 
 def recommend_field_dim(mu: float) -> int:
-    """Field truncation for a coherent-scale mean photon number mu."""
-    return max(16, int(math.ceil(mu + 5.0 * math.sqrt(mu) + 8.0)))
+    """Field truncation for a coherent-scale mean photon number mu:
+    mu + 5 sqrt(mu) + 8, at least 16, and at least what a coherent state of
+    mean mu needs (mu = 25 needs 59, one above the formula)."""
+    return max(16, int(math.ceil(mu + 5.0 * math.sqrt(mu) + 8.0)),
+               coherent_required_dim(math.sqrt(mu)))

@@ -381,8 +381,8 @@ class InteractionFrame:
         return vec * phase.ravel()
 
 
-def _leak_fraction(psi: np.ndarray, dims: FockDims) -> float:
-    """Largest population sitting in the top levels of either subsystem.
+def _leak_fractions(psi: np.ndarray, dims: FockDims) -> tuple:
+    """Population in the top levels of the field and of the mirror.
 
     Checks the top 3 levels, but never more than dim - 1 of an axis so a
     deliberately tiny subsystem does not count its ground state as leakage.
@@ -390,7 +390,7 @@ def _leak_fraction(psi: np.ndarray, dims: FockDims) -> float:
     prob = np.abs(psi.reshape(dims.field_dim, dims.mirror_dim)) ** 2
     kf = min(3, dims.field_dim - 1)
     km = min(3, dims.mirror_dim - 1)
-    return max(float(prob[-kf:, :].sum()), float(prob[:, -km:].sum()))
+    return float(prob[-kf:, :].sum()), float(prob[:, -km:].sum())
 
 
 def evolve_numeric(
@@ -406,8 +406,9 @@ def evolve_numeric(
     is never renormalized while stepping; snapshots are renormalized copies
     taken only while the accumulated drift is inside config.norm_tolerance,
     past which IntegrationError is raised. Snapshots with more than
-    LEAK_TOLERANCE of population in the top Fock levels raise one
-    UserWarning per run, naming the worst of them.
+    LEAK_TOLERANCE of population in the top Fock levels of a subsystem
+    raise one UserWarning per run, naming each such subsystem and its worst
+    snapshot; run.leak_max is the largest leak of either subsystem.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -449,14 +450,14 @@ def evolve_numeric(
             )
         return nrm
 
-    leaky = []  # (leak, t) of every snapshot over LEAK_TOLERANCE
+    leaky = {"field": [], "mirror": []}  # (leak, t) of each snapshot over LEAK_TOLERANCE
 
     def snapshot(vec, t_snap):
         nrm = check(vec)
-        leak = _leak_fraction(vec, dims)
-        run.leak_max = max(run.leak_max, leak)
-        if leak > LEAK_TOLERANCE:
-            leaky.append((leak, t_snap))
+        for found, leak in zip(leaky.values(), _leak_fractions(vec, dims)):
+            run.leak_max = max(run.leak_max, leak)
+            if leak > LEAK_TOLERANCE:
+                found.append((leak, t_snap))
         lab = frame.to_lab(t_snap, vec)
         lab /= nrm
         run.states.append(JointState(dims, lab, meta={"t": t_snap, "norm_drift": abs(nrm - 1.0)}))
@@ -492,14 +493,17 @@ def evolve_numeric(
             t_now = t_target
         snapshot(psi, float(t_target))
     run.n_steps = steps_done
-    if leaky:
-        leak, t_leak = max(leaky)
-        warnings.warn(
-            f"population {leak:.3g} in the top 3 Fock levels at t={t_leak:g} "
-            f"(worst of {len(leaky)} of {len(t_grid)} snapshots over {LEAK_TOLERANCE:g}); "
-            f"increase dims beyond ({dims.field_dim}, {dims.mirror_dim})",
-            stacklevel=2,
-        )
+    leaks = []
+    for (subsystem, found), dim in zip(leaky.items(), (dims.field_dim, dims.mirror_dim)):
+        if found:
+            leak, t_leak = max(found)
+            leaks.append(
+                f"population {leak:.3g} in the top 3 {subsystem} Fock levels at t={t_leak:g} "
+                f"(worst of {len(found)} of {len(t_grid)} snapshots over {LEAK_TOLERANCE:g}); "
+                f"increase {subsystem}_dim beyond {dim}"
+            )
+    if leaks:
+        warnings.warn("; ".join(leaks), stacklevel=2)
     return run
 
 

@@ -1,6 +1,7 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
-validate's step counts and preset list, jobs and Wigner grids run in worker
-processes, the manifest's step_max, and the wigner_snapshots preset."""
+validate's step counts and preset list, the auto dims' floor, jobs and Wigner
+grids run in worker processes, the manifest's step_max, and the
+wigner_snapshots preset."""
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import thread_count, tiny_system
-from optomech import cli, oracle, wigner
+from optomech import cli, driven, oracle, wigner
 from optomech.errors import IntegrationError
 from optomech.fock import FockDims
 from optomech.system import SystemParams
@@ -97,9 +98,10 @@ def printed_steps(capsys, path, *flags):
 
 
 # The dims validate prints for each preset's jobs; fig2, fig3 and fig5_6's
-# nonforced job take the auto dims, the others fix theirs.
+# nonforced job take the auto dims, the others fix theirs. fig2's two
+# largest fields are what their initial coherent states need.
 PRESET_DIMS = {
-    "fig2": [(16, 24), (22, 28), (66, 28), (107, 28), (112, 28)],
+    "fig2": [(16, 24), (22, 28), (66, 28), (109, 28), (115, 28)],
     "fig3": [(31, 28)],
     "fig4": [(30, 35)] * 2,
     "fig5_6": [(30, 35), (30, 35), (22, 28)],
@@ -133,6 +135,21 @@ def test_system_at_rest_validates_and_runs(tmp_path, capsys, modes):
     path = write_config(tmp_path, AT_REST_CONFIG + f"modes = {modes}\n")
     assert cli.main(["validate", "--config", path]) == 0
     assert "recommended_field_dim=16 recommended_mirror_dim=16" in capsys.readouterr().out
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:population")  # alpha = 5 outgrows the k_max = 20 mirror
+@pytest.mark.parametrize("extra, dims", [
+    ("gamma = 2\n", (16, 21)),  # the mirror formula alone gives 16
+    ("alpha = 5\ng_ratio = 0.033\n", (59, 16)),  # the field formula alone gives 58
+], ids=["uncoupled-mirror", "alpha-5"])
+def test_recommended_dims_hold_the_initial_state(tmp_path, capsys, extra, dims):
+    """Each recommended dim is at least what its initial coherent state needs,
+    so `run` at the auto dims exits 0, not 3."""
+    path = write_config(tmp_path, AT_REST_CONFIG + extra + "modes = driven-numeric\n")
+    assert cli.main(["validate", "--config", path]) == 0
+    assert (f"recommended_field_dim={dims[0]} recommended_mirror_dim={dims[1]}"
+            in capsys.readouterr().out)
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
@@ -448,19 +465,40 @@ def test_config_errors_are_raised_before_any_fork(tmp_path, capsys, pooled):
     assert pooled == []
 
 
+@pytest.fixture(scope="module")
+def wigner_snapshots_out(tmp_path_factory):
+    """Output directory of one `simulate run --preset wigner_snapshots`."""
+    out = tmp_path_factory.mktemp("wigner_snapshots")
+    assert cli.main(["run", "--preset", "wigner_snapshots", "--out", str(out)]) == 0
+    return out
+
+
 @pytest.mark.slow
-def test_wigner_snapshots_preset_runs(tmp_path):
+def test_wigner_snapshots_preset_runs(wigner_snapshots_out):
     """Mirror states trimmed to dim 308 evaluate: exit 0 and unit grid masses."""
-    out = tmp_path / "out"
-    path = write_config(tmp_path, "preset = wigner_snapshots\n")
-    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
-    masses = {
-        key: float(value)
-        for key, _, value in (
-            line.partition("=") for line in (out / "manifest.txt").read_text().splitlines()
-        )
-        if key.endswith("_mass")
-    }
+    job = manifest_jobs(wigner_snapshots_out)["red"]
+    masses = {key: float(value) for key, value in job.items() if key.endswith("_mass")}
     assert len(masses) == 12
     for key, mass in masses.items():
         assert mass == pytest.approx(1.0, abs=2e-2), key
+
+
+@pytest.mark.slow
+def test_wigner_snapshots_analytic_grids_keep_their_values(wigner_snapshots_out):
+    """The analytic source, built at the preset dims (30, 308), draws the grids
+    it drew at (31, 585), the dims of the analytic-only truncation it
+    replaced (max |dW| 3.0e-7 measured); the manifest no longer has that
+    truncation's keys."""
+    job = manifest_jobs(wigner_snapshots_out)["red"]
+    assert not [key for key in job if key.startswith("wigner_analytic_")]
+    (preset_job,) = cli.preset_jobs("wigner_snapshots")
+    p = preset_job.config.params
+    times = np.asarray(wigner.default_snapshot_times(p))
+    betas = driven.integrate_betas(p, times)
+    states = [driven.evolve_driven(p, float(t), betas.at(i), FockDims(31, 585))
+              for i, t in enumerate(times)]
+    for i, (subsystem, _, rho) in enumerate(wigner.snapshot_set(states, times)):
+        before = wigner.snapshot_grid(rho, int(job["wigner_grid_points"]))
+        path = wigner_snapshots_out / f"wigner_{subsystem}_t{i // 2}_analytic_red.csv"
+        now = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2].reshape(before.values.shape)
+        np.testing.assert_allclose(now, before.values, rtol=0, atol=1e-6, err_msg=path.name)

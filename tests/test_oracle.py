@@ -283,7 +283,7 @@ class TestEvolution:
 
     def test_leak_warning_on_tight_dims(self):
         p = tiny_system(alpha=0.8, gamma=0.8, g_ratio=0.4, drive_amp=0.2e7)
-        with pytest.warns(UserWarning, match="increase dims"):
+        with pytest.warns(UserWarning, match=r"increase (field|mirror)_dim beyond 10"):
             evolve_numeric(p, FockDims(10, 10),
                            t_grid=np.array([0.0, 0.5 * p.mech_period]))
 
@@ -295,8 +295,26 @@ class TestEvolution:
         assert len(record) == 1
         message = str(record[0].message)
         assert f"population {run.leak_max:.3g} " in message
-        assert "increase dims" in message
+        assert re.search(r"increase (field|mirror)_dim beyond 10", message)
         assert re.search(r"worst of \d+ of 9 snapshots", message)
+
+    @pytest.mark.parametrize("p, dims, leaking, other", [
+        # uncoupled and driven: the field outgrows 8 levels, the mirror stays put
+        (tiny_system(g_ratio=0.0, alpha=0.5, gamma=0.5, drive_amp=0.2e7), FockDims(8, 16),
+         "field", "mirror"),
+        # undriven and strongly coupled: the photons drag the mirror past 12 levels
+        (tiny_system(drive_amp=0.0, omega_p=0.0, g_ratio=0.4, alpha=0.8, gamma=0.8),
+         FockDims(16, 12), "mirror", "field"),
+    ], ids=["field", "mirror"])
+    def test_leak_warning_names_the_leaking_subsystem(self, p, dims, leaking, other):
+        grid = np.linspace(0.0, 0.5 * p.mech_period, 9)
+        with pytest.warns(UserWarning) as record:
+            run = evolve_numeric(p, dims, t_grid=grid)
+        (message,) = [str(w.message) for w in record]
+        dim = getattr(dims, f"{leaking}_dim")
+        assert message.startswith(f"population {run.leak_max:.3g} in the top 3 {leaking} ")
+        assert message.endswith(f"increase {leaking}_dim beyond {dim}")
+        assert other not in message
 
     def test_grid_validation(self):
         p = tiny_system()

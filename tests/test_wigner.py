@@ -364,21 +364,31 @@ class TestSnapshots:
             assert g.q_axis[i] == pytest.approx(math.sqrt(2), abs=0.25)
             assert g.p_axis[j] == pytest.approx(0.0, abs=0.25)
 
+    # Bound on max |W_analytic - W_numeric| per (subsystem, snapshot), with
+    # the numeric state evaluated on the analytic grid's bounds. Measured:
+    # <= 1e-8 at t = 0; field 2.74e-3 and mirror 1.47e-2 at t = pi/omega_m;
+    # field 5.95e-3 and mirror 1.75e-3 at t = 2pi/omega_m. The gaps are the
+    # same at dims (14, 16), (14, 24) and (20, 32), so they are the
+    # coherent-averaged ansatz's, not truncation's.
+    SOURCE_GAPS = {
+        ("field", 0): 1e-8, ("mirror", 0): 1e-8,
+        ("field", 1): 3e-3, ("mirror", 1): 1.6e-2,
+        ("field", 2): 6.5e-3, ("mirror", 2): 2e-3,
+    }
+
     def test_sources_agree_on_tiny_system(self):
         p = tiny_system()
         dims = FockDims(14, 16)
-        an = snapshot_grids_of(p, analytic_states(p, dims), n_grid=41)
-        num = snapshot_grids_of(p, numeric_states(p, dims), n_grid=41)
+        times = default_snapshot_times(p)
+        an = snapshot_set(analytic_states(p, dims), times)
+        num = snapshot_set(numeric_states(p, dims), times)
         assert len(an) == len(num) == 6
-        compared = 0
-        for (sub_a, t_a, a), (sub_b, t_b, b) in zip(an, num):
+        for i, ((sub_a, t_a, rho_a), (sub_b, t_b, rho_b)) in enumerate(zip(an, num)):
             assert sub_a == sub_b and t_a == t_b
-            # weak coupling and weak drive: the ansatz is nearly exact
-            if a.values.shape == b.values.shape and np.allclose(
-                    a.q_axis, b.q_axis) and np.allclose(a.p_axis, b.p_axis):
-                assert np.max(np.abs(a.values - b.values)) < 5e-3
-                compared += 1
-        assert compared >= 2  # at least the t = 0 pair, whose axes always match
+            a = snapshot_grid(rho_a, n_grid=41)
+            b = wigner_continuous(rho_b, a.q_min, a.q_max, a.p_min, a.p_max, 41, 41)
+            gap = np.max(np.abs(a.values - b.values))
+            assert gap <= self.SOURCE_GAPS[(sub_a, i // 2)], (sub_a, t_a, gap)
 
 
 def test_suggested_half_width_covers_support():
