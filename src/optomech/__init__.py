@@ -3,22 +3,22 @@ brute-force cross-check.
 
 The package models a single cavity mode coupled to a mechanical oscillator
 through radiation pressure, with an optional classical drive on the cavity.
-`undriven` carries the exact product-of-exponentials solution, `driven` the
-coherent-averaging approximation for the pumped system, `oracle` the
-brute-force integration both are validated against, `wigner` phase-space
-snapshots, `postproc` filtering/comparison utilities and `cli` the
-figure-reproducing command line (`simulate`).
+`undriven` carries the exact product-of-exponentials solution and its two
+time-dependent exponents (`exponents`), `driven` the coherent-averaging
+approximation for the pumped system, built on the same exponents, whose
+state at zero betas (`BetaCoefficients.zero`) is the exact undriven one,
+`oracle` the brute-force integration both are validated against, `wigner`
+phase-space snapshots, `postproc` filtering/comparison utilities and `cli`
+the figure-reproducing command line (`simulate`).
 """
 from .driven import (
     BetaCoefficients,
     BetaSeries,
     beta1_phi_to_one,
     beta1_rwa,
-    coherent_photon_moments,
     evolve_driven,
     integrate_betas,
     linear_entropy_mirror,
-    mandel_field,
     mandel_mirror,
     phi,
     phonon_avg,
@@ -44,20 +44,17 @@ from .oracle import (
     observables_numeric,
     recommend_integrator_config,
 )
-from .postproc import ObservableSeries, compare, filter_fast, read_series, write_series
+from .postproc import ObservableSeries, compare, filter_fast, write_series
 from .system import SystemParams
 from .undriven import (
-    AlphaCoefficients,
-    alpha_coeffs,
     cooling_threshold,
-    evolve_undriven,
+    exponents,
     gamma_k,
     phonon_avg_closed_form,
 )
 from .wigner import WignerGrid, snapshot_set, wigner_continuous
 
 __all__ = [
-    "AlphaCoefficients",
     "BetaCoefficients",
     "BetaSeries",
     "ConfigError",
@@ -71,21 +68,18 @@ __all__ = [
     "SystemParams",
     "TruncationError",
     "WignerGrid",
-    "alpha_coeffs",
     "beta1_phi_to_one",
     "beta1_rwa",
-    "coherent_photon_moments",
     "coherent_state",
     "compare",
     "cooling_threshold",
     "evolve_driven",
     "evolve_numeric",
-    "evolve_undriven",
+    "exponents",
     "filter_fast",
     "gamma_k",
     "integrate_betas",
     "linear_entropy_mirror",
-    "mandel_field",
     "mandel_mirror",
     "observables_numeric",
     "partial_trace_field",
@@ -96,7 +90,6 @@ __all__ = [
     "phonon_second_moment",
     "photon_avg",
     "photon_avg_weak_closed_form",
-    "read_series",
     "recommend_field_dim",
     "recommend_integrator_config",
     "recommend_mirror_dim",

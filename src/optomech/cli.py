@@ -191,50 +191,43 @@ def _fail(kv: dict, key: str, problem: str):
     raise ConfigError(f"line {kv[key][1]}: {key}: {problem}")
 
 
-def _float_of(kv, key, omega_c=None, default=None):
+def _boolean(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+# kind of a config value -> (its parser, what its parse errors call it)
+_PARSERS = {
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    complex: (complex, "a complex number"),
+    bool: (_boolean, "a boolean"),
+}
+
+
+def _parsed(kv, key, kind, default=None, omega_c=None):
+    """kv[key] parsed as kind (float, int, complex or bool), default if unset.
+
+    A float may be a ratio `x*omega_c` to the given omega_c.
+    """
     if key not in kv:
         return default
     raw = kv[key][0]
-    if raw.endswith("*omega_c"):
+    scale = 1.0
+    if kind is float and raw.endswith("*omega_c"):
         if omega_c is None:
             _fail(kv, key, "ratio syntax needs omega_c set to an absolute value")
-        raw = raw[: -len("*omega_c")].strip()
-        scale = omega_c
-    else:
-        scale = 1.0
+        raw, scale = raw[: -len("*omega_c")].strip(), omega_c
+    parse, what = _PARSERS[kind]
     try:
-        return float(raw) * scale
+        value = parse(raw)
     except ValueError:
-        _fail(kv, key, f"not a number: {raw!r}")
-
-
-def _int_of(kv, key, default=None):
-    if key not in kv:
-        return default
-    try:
-        return int(kv[key][0])
-    except ValueError:
-        _fail(kv, key, f"not an integer: {kv[key][0]!r}")
-
-
-def _complex_of(kv, key, default=0j):
-    if key not in kv:
-        return default
-    try:
-        return complex(kv[key][0])
-    except ValueError:
-        _fail(kv, key, f"not a complex number: {kv[key][0]!r}")
-
-
-def _bool_of(kv, key, default=False):
-    if key not in kv:
-        return default
-    raw = kv[key][0].lower()
-    if raw in ("true", "1", "yes"):
-        return True
-    if raw in ("false", "0", "no"):
-        return False
-    _fail(kv, key, f"not a boolean: {kv[key][0]!r}")
+        _fail(kv, key, f"not {what}: {raw!r}")
+    return value * scale if kind is float else value
 
 
 def _dims_of(kv):
@@ -244,7 +237,7 @@ def _dims_of(kv):
     if not has_f:
         return None
     try:
-        return FockDims(_int_of(kv, "field_dim"), _int_of(kv, "mirror_dim"))
+        return FockDims(_parsed(kv, "field_dim", int), _parsed(kv, "mirror_dim", int))
     except ValueError as exc:
         lines = f"lines {kv['field_dim'][1]} and {kv['mirror_dim'][1]}"
         raise ConfigError(f"{lines}: field_dim, mirror_dim: {exc}") from exc
@@ -254,11 +247,11 @@ def _settings_of(kv: dict) -> dict:
     """RunConfig fields from the keys a config may set next to a preset."""
     return dict(
         dims=_dims_of(kv),
-        filter=_bool_of(kv, "filter"),
+        filter=_parsed(kv, "filter", bool, default=False),
         output_dir=kv["output_dir"][0] if "output_dir" in kv else ".",
-        dt=_float_of(kv, "dt"),
-        norm_tolerance=_float_of(kv, "norm_tolerance", default=oracle.DEFAULT_NORM_TOLERANCE),
-        wigner_grid_points=_int_of(kv, "wigner_grid_points", default=161),
+        dt=_parsed(kv, "dt", float),
+        norm_tolerance=_parsed(kv, "norm_tolerance", float, default=oracle.DEFAULT_NORM_TOLERANCE),
+        wigner_grid_points=_parsed(kv, "wigner_grid_points", int, default=161),
     )
 
 
@@ -280,23 +273,23 @@ def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
             "missing required keys: " + ", ".join(missing)
             + " (required: " + ", ".join(_REQUIRED_KEYS) + ")"
         )
-    omega_c = _float_of(kv, "omega_c")
+    omega_c = _parsed(kv, "omega_c", float)
     try:
         params = SystemParams(
             omega_c=omega_c,
-            omega_m=_float_of(kv, "omega_m", omega_c),
-            omega_p=_float_of(kv, "omega_p", omega_c, default=0.0),
-            drive_amp=_float_of(kv, "drive_amp", omega_c, default=0.0),
-            g_ratio=_float_of(kv, "g_ratio", default=0.0),
-            alpha=_complex_of(kv, "alpha"),
-            gamma=_complex_of(kv, "gamma"),
+            omega_m=_parsed(kv, "omega_m", float, omega_c=omega_c),
+            omega_p=_parsed(kv, "omega_p", float, 0.0, omega_c),
+            drive_amp=_parsed(kv, "drive_amp", float, 0.0, omega_c),
+            g_ratio=_parsed(kv, "g_ratio", float, default=0.0),
+            alpha=_parsed(kv, "alpha", complex, default=0j),
+            gamma=_parsed(kv, "gamma", complex, default=0j),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(
         params=params,
-        t_end=_float_of(kv, "t_end"),
-        n_samples=_int_of(kv, "n_samples"),
+        t_end=_parsed(kv, "t_end", float),
+        n_samples=_parsed(kv, "n_samples", int),
         modes=tuple(m.strip() for m in kv["modes"][0].split(",") if m.strip()),
         **_settings_of(kv),
     )
@@ -561,10 +554,9 @@ def _analytic_series(p: SystemParams, betas) -> dict:
         "linear_entropy_mirror": driven.linear_entropy_mirror(p, betas),
     }
     # Mandel parameters are undefined wherever the mean occupation vanishes.
-    try:
-        out["mandel_field"] = driven.mandel_field(p, betas) * np.ones_like(betas.t)
-    except ValueError:
-        pass
+    # The field stays coherent, so its Mandel parameter is 1 where defined.
+    if np.all(out["photon_avg"] > 0):
+        out["mandel_field"] = np.ones_like(betas.t)
     try:
         out["mandel_mirror"] = driven.mandel_mirror(p, betas)
     except ValueError:

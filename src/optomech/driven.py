@@ -2,12 +2,18 @@
 
 Moving the exact undriven propagator through the drive leaves a residual
 interaction whose operator-valued exponents are replaced by their averages in
-the initial coherent states.  What survives is a scalar weight
+the initial coherent states.  In terms of the undriven exponents a3(t), E(t)
+and a5 = -|a3|^2/2 + i E (`undriven` docstring), what survives is a scalar
+weight
+
+    phi(t) = exp( a5* - 2i Im(a3 Gamma*) + |alpha|^2 (e^{-2iE} - 1) ),
+
+which with F = |a3| = 2 g sin(omega_m t/2) and
+2 Im(a3 Gamma*) = F (Gamma* e^{i omega_m t/2} + Gamma e^{-i omega_m t/2}) reads
 
     phi(t) = e^{-F^2/2} e^{-i F (Gamma* e^{i omega_m t/2} + Gamma e^{-i omega_m t/2})}
-             e^{-i E} e^{|alpha|^2 (e^{-2iE} - 1)}
+             e^{-i E} e^{|alpha|^2 (e^{-2iE} - 1)},
 
-with E(t) = g^2 (omega_m t - sin omega_m t) and F(t) = 2 g sin(omega_m t / 2),
 and three displacement coefficients
 
     b1(t) = -i Omega Integral_0^t phi(s)  cos(omega_p s) e^{+i omega_c s} ds
@@ -39,7 +45,7 @@ import numpy as np
 
 from .fock import FockDims, JointState, coherent_amplitudes
 from .system import SystemParams
-from .undriven import _assemble_blocks, _phonon_avg, alpha_coeffs
+from .undriven import _assemble_blocks, _phonon_avg, exponents
 
 DEFAULT_STEPS_PER_PERIOD = 160
 # Simpson panels evaluated per vectorized chunk; bounds the working memory.
@@ -86,21 +92,12 @@ class BetaSeries:
                                 complex(self.b3[i]), float(self.t[i]))
 
 
-def envelope_EF(p: SystemParams, t):
-    """Averaged Kerr phase E(t) and displacement envelope F(t)."""
-    th = p.omega_m * np.asarray(t, dtype=float)
-    E = p.g_ratio ** 2 * (th - np.sin(th))
-    F = 2.0 * p.g_ratio * np.sin(th / 2.0)
-    return E, F
-
-
 def phi(p: SystemParams, t):
     """Scalar drive weight phi(t); |phi| <= 1 and phi(0) = 1."""
-    th = p.omega_m * np.asarray(t, dtype=float)
-    E, F = envelope_EF(p, t)
-    mirror = 2.0 * np.real(p.gamma * np.exp(-0.5j * th))
+    a3, E = exponents(p, t)
     mu = abs(p.alpha) ** 2
-    return np.exp(mu * (np.exp(-2j * E) - 1.0) - F * F / 2.0 - 1j * (F * mirror + E))
+    return np.exp(mu * (np.exp(-2j * E) - 1.0) - 0.5 * np.abs(a3) ** 2
+                  - 1j * (2.0 * np.imag(a3 * np.conj(p.gamma)) + E))
 
 
 def beta1_rwa(p: SystemParams, t):
@@ -211,7 +208,8 @@ def evolve_driven(p: SystemParams, t: float, betas: BetaCoefficients,
     """Approximate driven state at time t given the beta coefficients.
 
     The undriven state with field amplitude alpha + b1: the mirror blocks and
-    the per-photon phases are untouched by the drive.  The scalar prefactor
+    the per-photon phases are untouched by the drive, and at zero betas this
+    is the exact undriven state.  The scalar prefactor
     has modulus one exactly when Re b3 = -|b1|^2/2, so only its phase is
     kept; normalization absorbs truncation residue.
     """
@@ -257,24 +255,16 @@ def phonon_avg(p: SystemParams, betas, t=None):
     return _phonon_avg(p, _times(betas, t), _mu(p, betas))
 
 
-def coherent_photon_moments(mu):
-    """Raw number moments <n^k>, k = 1..4, for a coherent state of mean mu.
+def phonon_second_moment(p: SystemParams, betas, t=None):
+    """<N^2(t)> via coherent-state photon moments of mean mu = |alpha + b1|^2.
 
-    Touchard polynomials in mu: <n^2> = mu + mu^2, <n^3> = mu + 3mu^2 + mu^3,
-    <n^4> = mu + 7mu^2 + 6mu^3 + mu^4.
+    The raw moments <n^k> are the Touchard polynomials in mu.
     """
-    mu = np.asarray(mu, dtype=float)
+    a3, _ = exponents(p, _times(betas, t))
+    mu = _mu(p, betas)
     n2 = mu + mu ** 2
     n3 = mu + 3 * mu ** 2 + mu ** 3
     n4 = mu + 7 * mu ** 2 + 6 * mu ** 3 + mu ** 4
-    return mu, n2, n3, n4
-
-
-def phonon_second_moment(p: SystemParams, betas, t=None):
-    """<N^2(t)> via coherent-state photon moments of mean mu = |alpha + b1|^2."""
-    a3 = alpha_coeffs(p, _times(betas, t)).a3
-    mu = _mu(p, betas)
-    _, n2, n3, n4 = coherent_photon_moments(mu)
     gam2 = abs(p.gamma) ** 2
     x = a3 * np.conj(p.gamma)
     a3sq = np.abs(a3) ** 2
@@ -283,15 +273,6 @@ def phonon_second_moment(p: SystemParams, betas, t=None):
             + 2.0 * (np.real(x * x) + a3sq * (2.0 * gam2 + 0.5)) * n2
             + 4.0 * a3sq * np.real(x) * n3
             + a3sq ** 2 * n4)
-
-
-def mandel_field(p: SystemParams, betas):
-    """(<n^2> - <n>^2)/<n> for the field; identically 1 (coherent in, coherent out)."""
-    mu = _mu(p, betas)
-    if np.any(mu == 0):
-        raise ValueError("Mandel parameter undefined at <n> = 0")
-    n2 = mu + mu ** 2
-    return (n2 - mu ** 2) / mu
 
 
 def mandel_mirror(p: SystemParams, betas, t=None):
@@ -319,7 +300,7 @@ def linear_entropy_mirror(p: SystemParams, betas, t=None, kmax: int | None = Non
     """
     tt = np.atleast_1d(_times(betas, t))
     mu = np.atleast_1d(_mu(p, betas)) * np.ones_like(tt)
-    a3sq = np.abs(alpha_coeffs(p, tt).a3) ** 2
+    a3sq = np.abs(exponents(p, tt)[0]) ** 2
     if kmax is None:
         kmax = entropy_kmax(float(np.max(mu)))
     # P is the squared amplitude of the coherent state |sqrt(mu)>

@@ -59,7 +59,8 @@ from .postproc import ObservableSeries
 from .system import SystemParams
 
 DEFAULT_NORM_TOLERANCE = 1e-6
-DEFAULT_NORM_CHECK_EVERY = 1000
+# RK4 steps between norm checks; snapshots check the norm too.
+NORM_CHECK_EVERY = 1000
 LEAK_TOLERANCE = 1e-6
 # Resolve the fastest phase of H_I(t) with at least this many steps/period.
 MIN_STEPS_PER_FAST_PERIOD = 40
@@ -72,14 +73,11 @@ _SERIAL_GEMM_SIZE = 65536
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    norm_check_every: int = DEFAULT_NORM_CHECK_EVERY
     norm_tolerance: float = DEFAULT_NORM_TOLERANCE
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
-        if self.norm_check_every < 1:
-            raise ValueError("norm_check_every must be >= 1")
         if self.norm_tolerance <= 0:
             raise ValueError("norm_tolerance must be positive")
 
@@ -487,7 +485,7 @@ def evolve_numeric(
                 t_now += h
                 steps_done += 1
                 since_check += 1
-                if since_check >= config.norm_check_every:
+                if since_check >= NORM_CHECK_EVERY:
                     since_check = 0
                     check(psi)
             t_now = t_target

@@ -108,22 +108,3 @@ def write_series(series: ObservableSeries, path: str) -> None:
     lines = [f"t,{series.label},{series.provenance}"]
     lines.extend(f"{t:.17g},{y:.17g}" for t, y in zip(series.t, series.y))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_series(path: str) -> ObservableSeries:
-    """Inverse of write_series."""
-    with open(path) as f:
-        header = f.readline().strip()
-        parts = header.split(",")
-        if len(parts) != 3 or parts[0] != "t":
-            raise ValueError(f"unrecognized series header {header!r}")
-        _, label, provenance = parts
-        t, y = [], []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            t.append(float(a))
-            y.append(float(b))
-    return ObservableSeries(np.array(t), np.array(y), label, provenance)

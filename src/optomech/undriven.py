@@ -1,17 +1,25 @@
 """Exact undriven evolution of the optomechanical system.
 
-Without the pump the propagator factors into a product of exponentials whose
-scalar coefficients are known in closed form.  Acting on coherent x coherent
-initial data |alpha>|Gamma| the state stays a Poisson-weighted sum of Fock
-blocks, each dragging a conditionally displaced mirror coherent state:
+Without the pump the propagator factors into a product of exponentials.
+Besides the free rotations, its time dependence is two closed forms,
+returned together by `exponents`:
+
+    a3(t) = -g (1 - e^{i omega_m t})         conditional mirror displacement
+    E(t)  = g^2 (omega_m t - sin omega_m t)  Kerr phase of the field
+
+and the field exponent a5 = -|a3|^2/2 + i E, whose real part keeps the
+product unitary.  Acting on coherent x coherent initial data
+|alpha>|Gamma> the state stays a Poisson-weighted sum of Fock blocks, each
+dragging a conditionally displaced mirror coherent state:
 
     |Psi(t)> = e^{-|alpha|^2/2} sum_k alpha^k/sqrt(k!)
-               e^{-i (omega_c t - Im(a3 Gamma*)) k}
-               e^{+i g^2 (omega_m t - sin omega_m t) k^2}  |k> |Gamma_k(t)>
+               e^{-i (omega_c t - Im(a3 Gamma*)) k} e^{i E k^2}  |k> |Gamma_k(t)>
 
     Gamma_k(t) = (Gamma + k a3(t)) e^{-i omega_m t}
 
-The phonon mean admits a closed form; for real Gamma it reduces to
+The drive only changes the field weights (`driven`), so this is
+`driven.evolve_driven` at zero betas.  The phonon mean admits a closed form;
+for real Gamma it reduces to
 
     <N(t)> = |Gamma|^2 + 4 g |alpha|^2 sin^2(omega_m t/2)
              [ g (|alpha|^2 + 1) - Gamma ]
@@ -19,9 +27,6 @@ The phonon mean admits a closed form; for real Gamma it reduces to
 which cools the mirror for |alpha|^2 below Gamma/g - 1 and heats above it.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,47 +37,17 @@ from .system import SystemParams
 EVOLVE_RESIDUE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class AlphaCoefficients:
-    """Scalar exponents of the factored undriven propagator at one time."""
-
-    a1: complex
-    a2: complex
-    a3: complex
-    a4: complex
-    a5: complex
-
-
-def alpha_coeffs(p: SystemParams, t) -> AlphaCoefficients:
-    """Closed-form propagator coefficients at time t.
-
-    a1, a2 are the free rotations, a3/a4 the conditional mirror displacement,
-    a5 the Kerr-type field phase; a4 = -conj(a3) and Re a5 = -|a3|^2/2 keep
-    the product unitary.  Vectorized over t.
-    """
+def exponents(p: SystemParams, t):
+    """(a3(t), E(t)) of the factored propagator; vectorized over t."""
     g = p.g_ratio
-    t = np.asarray(t, dtype=float)
-    th = p.omega_m * t
-    a3 = -g * (1.0 - np.exp(1j * th))
-    return AlphaCoefficients(
-        a1=-1j * p.omega_c * t,
-        a2=-1j * th,
-        a3=a3,
-        a4=-np.conj(a3),
-        a5=g * g * (1j * th - 1.0 + np.exp(-1j * th)),
-    )
+    th = p.omega_m * np.asarray(t, dtype=float)
+    return -g * (1.0 - np.exp(1j * th)), g * g * (th - np.sin(th))
 
 
 def gamma_k(p: SystemParams, k, t: float):
     """Mirror coherent amplitude dragged by the k-photon sector at time t."""
-    a3 = alpha_coeffs(p, t).a3
+    a3, _ = exponents(p, t)
     return (p.gamma + np.asarray(k) * a3) * np.exp(-1j * p.omega_m * t)
-
-
-def kerr_phase(p: SystemParams, t: float) -> float:
-    """Coefficient of k^2 in the field phase: g^2 (omega_m t - sin omega_m t)."""
-    th = p.omega_m * t
-    return p.g_ratio ** 2 * (th - math.sin(th))
 
 
 def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, t: float,
@@ -87,8 +62,9 @@ def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, t: float,
     if t < 0:
         raise ValueError("t must be >= 0")
     k = np.arange(dims.field_dim)
-    rot = p.omega_c * t - np.imag(alpha_coeffs(p, t).a3 * np.conj(p.gamma))
-    c = field_weights * np.exp(-1j * rot * k) * np.exp(1j * kerr_phase(p, t) * k * k)
+    a3, E = exponents(p, t)
+    rot = p.omega_c * t - np.imag(a3 * np.conj(p.gamma))
+    c = field_weights * np.exp(-1j * rot * k) * np.exp(1j * E * k * k)
 
     # mirror coherent series for all k at once (rows: k, cols: m)
     blocks, loss = coherent_amplitudes(dims.mirror_dim, gamma_k(p, k, t))
@@ -106,16 +82,10 @@ def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, t: float,
     return JointState(dims, amps, meta={"prenorm": prenorm, "residue": residue})
 
 
-def evolve_undriven(p: SystemParams, t: float, dims: FockDims) -> JointState:
-    """Exact undriven state at time t from |alpha>|Gamma> initial data."""
-    weights, _ = coherent_amplitudes(dims.field_dim, p.alpha)
-    return _assemble_blocks(p, weights, t, dims)
-
-
 def _phonon_avg(p: SystemParams, t, mu) -> np.ndarray:
     """<N(t)> = |Gamma|^2 + 2 Re(a3 Gamma*) mu + |a3|^2 (mu + mu^2) for a
     coherent field of mean photon number mu."""
-    a3 = alpha_coeffs(p, t).a3
+    a3, _ = exponents(p, t)
     cross = 2.0 * np.real(a3 * np.conj(p.gamma))
     return abs(p.gamma) ** 2 + cross * mu + np.abs(a3) ** 2 * (mu + mu * mu)
 

@@ -1,7 +1,7 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
-validate's step counts and preset list, the auto dims' floor, jobs and Wigner
-grids run in worker processes, the manifest's step_max, and the
-wigner_snapshots preset."""
+config value parsing, validate's step counts and preset list, the auto
+dims' floor, the analytic field Mandel series, jobs and Wigner grids run in
+worker processes, the manifest's step_max, and the wigner_snapshots preset."""
 import os
 import re
 import subprocess
@@ -14,7 +14,7 @@ import pytest
 
 from conftest import thread_count, tiny_system
 from optomech import cli, driven, oracle, wigner
-from optomech.errors import IntegrationError
+from optomech.errors import ConfigError, IntegrationError
 from optomech.fock import FockDims
 from optomech.system import SystemParams
 
@@ -167,6 +167,28 @@ def test_invalid_dims_are_config_errors(tmp_path, capsys, text, flags, cause, co
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cause}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("omega_p = x*omega_c", "omega_p: not a number: 'x'"),
+    ("dt = 1e-9*omega_c", "dt: ratio syntax needs omega_c set to an absolute value"),
+    ("wigner_grid_points = 1e3", "wigner_grid_points: not an integer: '1e3'"),
+    ("alpha = 1+", "alpha: not a complex number: '1+'"),
+    ("filter = maybe", "filter: not a boolean: 'maybe'"),
+], ids=["ratio", "ratio-without-omega_c", "integer", "complex", "boolean"])
+def test_unparsable_values_name_their_line_and_kind(line, message):
+    text = AT_REST_CONFIG + "modes = undriven\n" + line + "\n"
+    with pytest.raises(ConfigError) as err:
+        cli.build_config(cli.parse_config_text(text))
+    assert str(err.value) == "line 6: " + message
+
+
+def test_config_values_parse_by_kind():
+    text = AT_REST_CONFIG + "modes = undriven\nomega_p = 0.8*omega_c\nfilter = YES\ngamma = 2-1j\n"
+    cfg = cli.build_config(cli.parse_config_text(text))
+    assert cfg.params.omega_p == 0.8 * 1e8
+    assert cfg.params.gamma == 2 - 1j and cfg.params.alpha == 0j
+    assert cfg.filter is True and cfg.n_samples == 3 and cfg.wigner_grid_points == 161
 
 
 def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):

@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import strong_system, tiny_system, weak_system
-from optomech import driven
+from optomech import cli, driven
 from optomech.driven import (
     BetaCoefficients,
-    BetaSeries,
     beta1_phi_to_one,
     beta1_rwa,
-    coherent_photon_moments,
-    envelope_EF,
     evolve_driven,
     integrate_betas,
     linear_entropy_mirror,
-    mandel_field,
     mandel_mirror,
     phi,
     phonon_avg,
@@ -26,7 +22,7 @@ from optomech.driven import (
 )
 from optomech.fock import FockDims, partial_trace_field
 from optomech.system import SystemParams
-from optomech.undriven import evolve_undriven, phonon_avg_closed_form
+from optomech.undriven import exponents, phonon_avg_closed_form
 
 
 def phi_by_factors(p, t):
@@ -37,6 +33,12 @@ def phi_by_factors(p, t):
     mirror = np.conj(p.gamma) * np.exp(0.5j * th) + p.gamma * np.exp(-0.5j * th)
     return (np.exp(-F * F / 2.0) * np.exp(-1j * F * mirror) * np.exp(-1j * E)
             * np.exp(abs(p.alpha) ** 2 * (np.exp(-2j * E) - 1.0)))
+
+
+def coherent_by_series(dim, x):
+    """The first dim amplitudes e^{-|x|^2/2} x^m / sqrt(m!) of |x>, not renormalized."""
+    m = np.arange(dim)
+    return np.exp(-abs(x) ** 2 / 2) * complex(x) ** m / np.sqrt([float(math.factorial(j)) for j in m])
 
 
 def rates_by_definition(p, t):
@@ -74,12 +76,17 @@ class TestEnvelope:
 
     def test_values_at_half_period(self):
         p = weak_system()
-        th = math.pi
-        t = th / p.omega_m
-        E, F = envelope_EF(p, t)
+        a3, E = exponents(p, math.pi / p.omega_m)
         g = p.g_ratio
-        assert E == pytest.approx(g * g * (math.pi - 0.0))
-        assert F == pytest.approx(2 * g)
+        assert E == pytest.approx(g * g * math.pi)
+        assert a3 == pytest.approx(-2 * g, abs=1e-15)
+
+    @pytest.mark.parametrize("g_ratio", [0.033, 0.33])
+    def test_phi_is_the_docstring_formula_at_complex_gamma(self, g_ratio):
+        """A complex Gamma catches a conjugation or sign slip in Im(a3 Gamma*)."""
+        p = dataclasses.replace(weak_system(), g_ratio=g_ratio, gamma=1.5 - 0.7j)
+        t = np.linspace(0.0, 3 * p.mech_period, 1001)
+        np.testing.assert_allclose(phi(p, t), phi_by_factors(p, t), rtol=0, atol=1e-13)
 
     def test_phi_properties(self):
         p = weak_system()
@@ -103,7 +110,7 @@ class TestEnvelope:
         t_revival = None
         # E(t) = g^2 (w t - sin w t) sweeps through pi near w t ~ 28.6
         for t in np.linspace(2.7e-6, 3.1e-6, 400):
-            E, _ = envelope_EF(strong, float(t))
+            _, E = exponents(strong, float(t))
             if E >= math.pi:
                 t_revival = float(t)
                 break
@@ -302,13 +309,25 @@ class TestObservables:
                                                                    abs=1e-9)
 
 
-def test_undriven_is_driven_at_zero_betas():
-    p = tiny_system()
-    dims = FockDims(16, 24)
+def test_driven_at_zero_betas_is_the_undriven_formula():
+    """The state the undriven module docstring writes out, from E and a3
+    computed here, at a complex Gamma."""
+    p = tiny_system(gamma=1.5 - 0.7j, g_ratio=0.1)
+    dims = FockDims(14, 40)
+    k = np.arange(dims.field_dim)
     for t in (0.0, 0.3 * p.mech_period, 0.7 * p.mech_period):
-        exact = evolve_undriven(p, t, dims)
-        driven_state = evolve_driven(p, t, BetaCoefficients.zero(t), dims)
-        np.testing.assert_allclose(driven_state.amps, exact.amps, rtol=0, atol=1e-12)
+        th = p.omega_m * t
+        g = p.g_ratio
+        E = g * g * (th - math.sin(th))
+        a3 = -g * (1.0 - np.exp(1j * th))
+        c = (coherent_by_series(dims.field_dim, p.alpha)
+             * np.exp(-1j * (p.omega_c * t - (a3 * np.conj(p.gamma)).imag) * k)
+             * np.exp(1j * E * k * k))
+        blocks = [coherent_by_series(dims.mirror_dim, (p.gamma + n * a3) * np.exp(-1j * th))
+                  for n in k]
+        want = (c[:, None] * np.array(blocks)).ravel()
+        got = evolve_driven(p, t, BetaCoefficients.zero(t), dims)
+        np.testing.assert_allclose(got.amps, want, rtol=0, atol=1e-11)
 
 
 def test_phonon_closed_form_is_phonon_avg_at_zero_betas():
@@ -319,16 +338,21 @@ def test_phonon_closed_form_is_phonon_avg_at_zero_betas():
 
 
 def test_mandel_field_identically_one():
+    """The field stays coherent, so the analytic field Mandel parameter the
+    CLI writes is a series of ones."""
     p = weak_system()
     grid = np.linspace(0.0, p.beat_period, 17)
-    series = integrate_betas(p, grid)
-    np.testing.assert_allclose(mandel_field(p, series), 1.0, atol=1e-12)
+    series = cli._analytic_series(p, integrate_betas(p, grid))
+    np.testing.assert_array_equal(series["mandel_field"].y, np.ones(17))
 
 
 def test_mandel_field_undefined_at_zero_mean():
+    """With <n> = 0 the field Mandel parameter is undefined and left out;
+    the mirror's is still written."""
     p = SystemParams(omega_c=1e9, omega_m=1e7, alpha=0.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        mandel_field(p, BetaCoefficients.zero())
+    series = cli._analytic_series(p, integrate_betas(p, np.linspace(0.0, 1e-6, 5)))
+    assert "mandel_field" not in series
+    assert "mandel_mirror" in series
 
 
 def test_entropy_zero_at_mechanical_periods():
@@ -347,13 +371,18 @@ def test_entropy_is_non_negative_at_pure_states():
     assert np.all(s >= 0.0)
 
 
-def test_coherent_photon_moments_poisson_sums():
+def test_phonon_second_moment_is_a_poisson_sum():
+    """<N^2> = sum_k P_k (|Gamma + k a3|^4 + |Gamma + k a3|^2): each photon
+    block carries a mirror coherent state, here at means where the raw
+    photon moments up to <n^4> matter and at a complex Gamma."""
     ks = np.arange(200)
     log_fact = np.cumsum(np.log(np.maximum(ks, 1)))
-    for mu in (0.5, 1.0, 4.0, 9.0):
-        weights = np.exp(-mu + ks * math.log(mu) - log_fact)
-        n1, n2, n3, n4 = coherent_photon_moments(mu)
-        for order, val in ((1, n1), (2, n2), (3, n3), (4, n4)):
-            brute = float(weights @ ks.astype(float) ** order)
-            assert val == pytest.approx(brute, rel=1e-10)
-    assert coherent_photon_moments(4.0)[3] == pytest.approx(756.0)
+    for mu in (0.5, 4.0, 9.0):
+        p = tiny_system(alpha=math.sqrt(mu), gamma=1.5 - 0.7j, g_ratio=0.3)
+        for t in (0.2 * p.mech_period, 0.5 * p.mech_period):
+            weights = np.exp(-mu + ks * math.log(mu) - log_fact)
+            a3, _ = exponents(p, t)
+            block = np.abs(p.gamma + ks * a3) ** 2
+            brute = float(weights @ (block ** 2 + block))
+            got = phonon_second_moment(p, BetaCoefficients.zero(t), t=t)
+            assert got == pytest.approx(brute, rel=1e-12)

@@ -9,6 +9,8 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from conftest import ladder_ops, strong_system, thread_count, tiny_system
+from optomech import oracle
+from optomech.driven import BetaCoefficients, evolve_driven
 from optomech.errors import IntegrationError
 from optomech.fock import (
     FockDims,
@@ -28,7 +30,6 @@ from optomech.oracle import (
     recommend_integrator_config,
 )
 from optomech.system import SystemParams
-from optomech.undriven import evolve_undriven
 
 DIMS = FockDims(12, 14)
 
@@ -237,7 +238,7 @@ class TestEvolution:
         dims = FockDims(14, 16)
         t_end = 0.5 * p.mech_period
         run = evolve_numeric(p, dims, t_grid=np.array([0.0, t_end]))
-        exact = evolve_undriven(p, t_end, dims)
+        exact = evolve_driven(p, t_end, BetaCoefficients.zero(t_end), dims)
         fid = abs(np.vdot(exact.amps, run.states[-1].amps)) ** 2
         assert fid > 1 - 1e-6
 
@@ -273,10 +274,10 @@ class TestEvolution:
         for st in run.states:
             assert st.norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_norm_monitor_raises(self):
+    def test_norm_monitor_raises(self, monkeypatch):
         p = tiny_system()
-        cfg = IntegratorConfig(dt=max_stable_dt(p), norm_check_every=1,
-                               norm_tolerance=1e-16)
+        monkeypatch.setattr(oracle, "NORM_CHECK_EVERY", 1)
+        cfg = IntegratorConfig(dt=max_stable_dt(p), norm_tolerance=1e-16)
         with pytest.raises(IntegrationError):
             evolve_numeric(p, FockDims(14, 16), config=cfg,
                            t_grid=np.array([0.0, 1e-6]))

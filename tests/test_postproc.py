@@ -9,9 +9,27 @@ from optomech.postproc import (
     atomic_write_text,
     compare,
     filter_fast,
-    read_series,
     write_series,
 )
+
+
+def read_series(path: str) -> ObservableSeries:
+    """Inverse of write_series."""
+    with open(path) as f:
+        header = f.readline().strip()
+        parts = header.split(",")
+        if len(parts) != 3 or parts[0] != "t":
+            raise ValueError(f"unrecognized series header {header!r}")
+        _, label, provenance = parts
+        t, y = [], []
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            a, b = line.split(",")
+            t.append(float(a))
+            y.append(float(b))
+    return ObservableSeries(np.array(t), np.array(y), label, provenance)
 
 
 def series(t, y, label="x", provenance="numeric"):

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from optomech.driven import BetaCoefficients, evolve_driven
 from optomech.errors import TruncationError
 from optomech.fock import FockDims, coherent_state, partial_trace_field
 from optomech.system import SystemParams
 from optomech.undriven import (
-    alpha_coeffs,
     cooling_threshold,
-    evolve_undriven,
+    exponents,
     gamma_k,
-    kerr_phase,
     phonon_avg_closed_form,
 )
 
@@ -29,37 +28,31 @@ def photon_from_state(state) -> float:
     return float(pk @ np.arange(pk.size))
 
 
+def evolve_undriven(p, t, dims):
+    """The undriven state: the driven one at zero betas."""
+    return evolve_driven(p, t, BetaCoefficients.zero(t), dims)
+
+
 class TestCoefficients:
-
-    def test_closed_under_conjugation(self):
-        for t in (0.0, 1e-8, 0.37 * T_M, T_M):
-            c = alpha_coeffs(P, t)
-            assert c.a4 == pytest.approx(-np.conj(c.a3), abs=1e-15)
-
-    def test_linear_phases(self):
-        t = 2.5e-8
-        c = alpha_coeffs(P, t)
-        assert c.a1 == pytest.approx(-1j * P.omega_c * t)
-        assert c.a2 == pytest.approx(-1j * P.omega_m * t)
 
     def test_displacement_vanishes_each_mechanical_period(self):
         for n in (1, 2, 3):
-            c = alpha_coeffs(P, n * T_M)
-            assert abs(c.a3) < 1e-12
+            a3, _ = exponents(P, n * T_M)
+            assert abs(a3) < 1e-12
 
     def test_a5_value(self):
-        th = math.pi / 2
-        t = th / P.omega_m
-        c = alpha_coeffs(P, t)
+        """a5 = -|a3|^2/2 + i E is the factorization's g^2 (i th - 1 + e^{-i th})."""
+        th = np.array([0.3, math.pi / 2, 2.0, 5.0])
+        a3, E = exponents(P, th / P.omega_m)
         g = P.g_ratio
         expected = g * g * (1j * th - 1.0 + np.exp(-1j * th))
-        assert c.a5 == pytest.approx(expected, abs=1e-15)
+        np.testing.assert_allclose(-np.abs(a3) ** 2 / 2 + 1j * E, expected,
+                                   rtol=0, atol=1e-15)
 
     def test_kerr_phase(self):
-        th = math.pi
-        assert kerr_phase(P, th / P.omega_m) == pytest.approx(
-            P.g_ratio ** 2 * (th - math.sin(th)))
-        assert kerr_phase(P, 0.0) == 0.0
+        _, E = exponents(P, math.pi / P.omega_m)
+        assert E == pytest.approx(P.g_ratio ** 2 * math.pi)
+        assert exponents(P, 0.0)[1] == 0.0
 
 
 def test_gamma_k_half_period_value():
