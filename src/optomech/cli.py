@@ -19,11 +19,15 @@ routes; requires both).
 driven-numeric and wigner each make one oracle run, over the series grid
 and over the snapshot times, at the configured or auto dims, with the RK4
 step recommended over the run unless dt is set; the manifest records its
-diagnostics, prefixed `wigner_numeric_` for wigner. wigner's analytic joint
-states share that run's dims and times. `validate` prints per job
-`recommended_field_dim=F recommended_mirror_dim=M`, one
-`MODE: dt=... steps=N state_memory_mb=...` line per oracle run with the
-exact RK4 steps `run` takes, and their total as `est_steps=N ...`.
+diagnostics, prefixed `wigner_numeric_` for wigner. Only the wigner run
+keeps its states; the driven-numeric run keeps each sample's marginals and
+purity. wigner's analytic joint states share that run's dims and times.
+`validate` prints per job `recommended_field_dim=F recommended_mirror_dim=M`,
+one `MODE: dt=... steps=N state_memory_mb=...` line per oracle run, and
+their total as `est_steps=N ...`. N is the exact RK4 step count `run`
+takes (`oracle.step_count`); the memory is what the run holds: its working
+vectors plus, for driven-numeric, P(k) and P(m) of every sample, or, for
+wigner, its three kept states.
 
 A preset replaces the physics keys wholesale; configs may still set
 output_dir, filter, dims and integrator overrides next to it, and
@@ -69,6 +73,9 @@ from .system import SystemParams
 MODES = ("undriven", "driven-analytic", "driven-numeric", "wigner", "compare")
 # The modes that make an oracle run, in the order a job makes them.
 _ORACLE_MODES = ("driven-numeric", "wigner")
+# Joint-size vectors an oracle run works in: state, stage, k1..k4, the
+# dense sample and its scratch.
+_WORK_VECTORS = 8
 PRESETS = (
     "fig2",
     "fig3",
@@ -236,8 +243,10 @@ def _dims_of(kv):
         raise ConfigError("field_dim and mirror_dim must be given together")
     if not has_f:
         return None
+    # Parsed before the try, so a parse error is not prefixed a second time.
+    field_dim, mirror_dim = _parsed(kv, "field_dim", int), _parsed(kv, "mirror_dim", int)
     try:
-        return FockDims(_parsed(kv, "field_dim", int), _parsed(kv, "mirror_dim", int))
+        return FockDims(field_dim, mirror_dim)
     except ValueError as exc:
         lines = f"lines {kv['field_dim'][1]} and {kv['mirror_dim'][1]}"
         raise ConfigError(f"{lines}: field_dim, mirror_dim: {exc}") from exc
@@ -468,12 +477,14 @@ def expand_jobs(config: RunConfig) -> tuple:
 
 def auto_numeric_dims(p: SystemParams, t_end: float) -> FockDims:
     """Default truncation of a job's oracle runs, each dim at least what its
-    initial coherent state needs. The mirror covers field levels up to
-    k_max = min(20, field_dim - 1): 308 for the strong presets, not 585;
-    above that it can leak (alpha = 5, g_ratio = 0.033: 1e-4 at (59, 16))."""
+    initial coherent state needs. The mirror covers the populated field
+    levels, up to k_max = mu + 5 sqrt(mu), the Poisson tail the field dim
+    also covers, but never fewer than min(20, field_dim - 1) nor more than
+    field_dim - 1 (alpha = 5, g_ratio = 0.033: k_max = 50, dims (59, 28))."""
     mu = (abs(p.alpha) + oracle.drive_growth(p, t_end)) ** 2
     fd = recommend_field_dim(mu)
-    md = recommend_mirror_dim(abs(p.gamma), p.g_ratio, min(20, fd - 1))
+    k_max = min(max(math.ceil(mu + 5.0 * math.sqrt(mu)), 20), fd - 1)
+    md = recommend_mirror_dim(abs(p.gamma), p.g_ratio, k_max)
     return FockDims(fd, md)
 
 
@@ -637,7 +648,7 @@ def _run_job(job: _Job) -> tuple:
 
     wigner_run = None
     for mode, prefix, times, dims, icfg in _oracle_runs(cfg):
-        run = oracle.evolve_numeric(p, dims, icfg, times)
+        run = oracle.evolve_numeric(p, dims, icfg, times, keep_states=mode == "wigner")
         note(prefix + "field_dim", dims.field_dim)
         note(prefix + "mirror_dim", dims.mirror_dim)
         note(prefix + "dt", icfg.dt)
@@ -831,8 +842,12 @@ def validate(config: RunConfig) -> str:
         runs = _oracle_runs(cfg)
         total_steps = total_mb = 0
         for mode, _, times, _, icfg in runs:
-            n_steps = sum(oracle.substeps(times, icfg.dt))
-            state_mb = dims.joint * 16 * (len(times) + 8) / 1e6
+            n_steps = oracle.step_count(float(times[-1]), icfg.dt)
+            # The RK4 working vectors, plus the wigner run's kept states or
+            # the driven-numeric run's per-sample P(k) and P(m).
+            state_mb = (_WORK_VECTORS * dims.joint * 16 + len(times) * (
+                dims.joint * 16 if mode == "wigner" else (dims.field_dim + dims.mirror_dim) * 8
+            )) / 1e6
             lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps} state_memory_mb={state_mb:.1f}")
             total_steps += n_steps
             total_mb += state_mb

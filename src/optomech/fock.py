@@ -178,7 +178,7 @@ def partial_trace_mirror(state: JointState) -> DensityMatrix:
 
 def recommend_mirror_dim(gamma_abs: float, g_ratio: float, k_max: int) -> int:
     """Mirror truncation covering every conditional displacement up to k_max
-    (the CLI's auto dims cap k_max at 20).
+    (the CLI's auto dims take k_max from the field's Poisson tail).
 
     The k-th field level drags the mirror to |Gamma_k| <= |Gamma| + 2 k g, a
     Poisson state of mean x^2; mean + 5 sqrt(mean) covers its tail. Like

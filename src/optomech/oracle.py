@@ -19,10 +19,23 @@ closed-form scalar f(t):
 
 `interaction_terms` returns them; `InteractionFrame` lays each term and
 its adjoint out as band rows, rescales them in place at each new RK4 stage
-time and applies them with one numpy multiply per band. Every snapshot is
-rotated back to the lab frame with the diagonal phase exp(-i H0 t), so
-callers only ever see lab-frame states. Everything else in the package is
-measured against this.
+time and applies them with one numpy multiply per band. Everything else in
+the package is measured against this.
+
+The run takes `step_count` equal steps over [0, t_end], on its own grid,
+whatever the sample times. A sample inside a step is read from RK4's cubic
+continuous extension with that step's own stages (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6),
+
+    psi(t + theta h) = psi + h [b1 k1 + b2 (k2 + k3) + b4 k4],
+    b1 = theta - 3 theta^2/2 + 2 theta^3/3,  b2 = theta^2 - 2 theta^3/3,
+    b4 = -theta^2/2 + 2 theta^3/3,
+
+which at theta = 1 is the step itself. Each sample is reduced as it is
+taken, in the interaction frame (`reduce_sample`): exp(-i H0 t) is a
+diagonal phase on each subsystem, so |psi_I|^2, its marginals and the
+purity of either reduction are the lab-frame values. Only a run asked to
+keep its states rotates its samples back to the lab frame.
 
 The band kernel reads the state from a buffer with `pad` = max|offset|
 zeros on each side of it (`InteractionFrame.padded`). Each band's row is
@@ -48,7 +61,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,16 +125,21 @@ def max_stable_dt(p: SystemParams) -> float:
     return 2.0 * math.pi / (MIN_STEPS_PER_FAST_PERIOD * _fastest_phase(p)[1])
 
 
-def substeps(t_grid, dt: float) -> list:
-    """RK4 steps evolve_numeric takes to reach each sample from the one before.
+def step_count(t_end: float, dt: float) -> int:
+    """Equal RK4 steps evolve_numeric takes over [0, t_end].
 
-    The first sample is reached from t = 0. Each interval is cut into the
-    fewest equal steps no longer than dt, so the total exceeds t_end / dt
-    by up to one step per sample.
+    The fewest N whose step t_end / N is at most dt as computed, so that
+    the step taken never exceeds dt by a rounding: t_end / dt may round up
+    past an integer N whose t_end / N is still 1 ulp over dt.
     """
-    spans = np.diff(np.asarray(t_grid, dtype=float), prepend=0.0)
-    steps = np.where(spans > 0, np.maximum(1, np.ceil(spans / dt - 1e-9)), 0)
-    return steps.astype(int).tolist()
+    if t_end <= 0:
+        return 0
+    n = max(1, math.ceil(t_end / dt))
+    while n > 1 and t_end / (n - 1) <= dt:
+        n -= 1
+    while t_end / n > dt:
+        n += 1
+    return n
 
 
 def require_stable_dt(p: SystemParams, dt: float) -> None:
@@ -235,13 +253,26 @@ def recommend_integrator_config(
 
 @dataclass
 class OracleRun:
-    """States sampled on the requested grid plus integration diagnostics."""
+    """The reductions of each sample on the requested grid, plus integration diagnostics.
+
+    Row i of `field_probs` (P(k)) and `mirror_probs` (P(m)) belongs to
+    t[i], normalized; `norms` is the unnormalized state's norm, `leaks`
+    the population of its top field and mirror levels and `purity`
+    Tr[rho_m^2] = Tr[rho_f^2], all as `reduce_sample` gives them. `states`
+    holds the lab-frame states, normalized, only when the run was asked to
+    keep them.
+    """
 
     params: SystemParams
     dims: FockDims
     config: IntegratorConfig
     t: np.ndarray
-    states: list
+    field_probs: np.ndarray
+    mirror_probs: np.ndarray
+    norms: np.ndarray
+    leaks: np.ndarray
+    purity: np.ndarray
+    states: list = field(default_factory=list)
     norm_drift: float = 0.0
     leak_max: float = 0.0
     n_steps: int = 0
@@ -379,16 +410,56 @@ class InteractionFrame:
         return vec * phase.ravel()
 
 
-def _leak_fractions(psi: np.ndarray, dims: FockDims) -> tuple:
-    """Population in the top levels of the field and of the mirror.
+class SampleReduction(NamedTuple):
+    """What a run keeps of one sample; the fields are as in OracleRun."""
 
-    Checks the top 3 levels, but never more than dim - 1 of an axis so a
-    deliberately tiny subsystem does not count its ground state as leakage.
+    field_probs: np.ndarray
+    mirror_probs: np.ndarray
+    norm: float
+    leaks: tuple
+    purity: float
+
+
+def gram_blocks(dims: FockDims) -> list:
+    """Slices of mirror levels over which `reduce_sample` sums the field Gram.
+
+    A product big enough for OpenBLAS to thread waits on waking a BLAS
+    thread, which took up to 0.4 s per run when the other core was busy;
+    each block's product stays under _SERIAL_GEMM_SIZE.
     """
-    prob = np.abs(psi.reshape(dims.field_dim, dims.mirror_dim)) ** 2
+    n_blocks = -(-dims.field_dim ** 2 * dims.mirror_dim // _SERIAL_GEMM_SIZE)
+    return [slice(i * dims.mirror_dim // n_blocks, (i + 1) * dims.mirror_dim // n_blocks)
+            for i in range(n_blocks)]
+
+
+def reduce_sample(vec: np.ndarray, dims: FockDims) -> SampleReduction:
+    """P(k), P(m), norm, top-level leaks and purity of one unnormalized state.
+
+    The marginals and the purity are those of the normalized state; the
+    leaks are the population of the top 3 levels of each subsystem as the
+    state stands, never more than dim - 1 of an axis, so a deliberately
+    tiny subsystem does not count its ground state as leakage. A state in
+    the interaction frame gives the lab-frame values (module docstring).
+    Both reductions of a pure state share their nonzero spectrum, so
+    Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the smaller one (30 x 30
+    against 308 x 308 at the strong-coupling dims), summed over
+    `gram_blocks`.
+    """
+    psi = vec.reshape(dims.field_dim, dims.mirror_dim)
+    psi_c = psi.conj()
+    prob = (psi * psi_c).real
+    pk = prob.sum(axis=1)
+    pm = prob.sum(axis=0)
+    norm2 = float(pk.sum())
     kf = min(3, dims.field_dim - 1)
     km = min(3, dims.mirror_dim - 1)
-    return float(prob[-kf:, :].sum()), float(prob[:, -km:].sum())
+    leaks = (float(pk[-kf:].sum()), float(pm[-km:].sum()))
+    first, *rest = gram_blocks(dims)
+    rho_f = np.dot(psi[:, first], psi_c[:, first].T)
+    for block in rest:
+        rho_f += np.dot(psi[:, block], psi_c[:, block].T)
+    purity = float(np.vdot(rho_f, rho_f).real) / norm2 ** 2
+    return SampleReduction(pk / norm2, pm / norm2, math.sqrt(norm2), leaks, purity)
 
 
 def evolve_numeric(
@@ -396,25 +467,30 @@ def evolve_numeric(
     dims: FockDims,
     config: IntegratorConfig | None = None,
     t_grid=None,
+    keep_states: bool = False,
 ) -> OracleRun:
     """Integrate from the product of coherent states, sampling at t_grid.
 
-    Steps run in the interaction frame (see the module docstring); each
-    snapshot is rotated back, so run.states are lab-frame states. The state
-    is never renormalized while stepping; snapshots are renormalized copies
-    taken only while the accumulated drift is inside config.norm_tolerance,
-    past which IntegrationError is raised. Snapshots with more than
-    LEAK_TOLERANCE of population in the top Fock levels of a subsystem
-    raise one UserWarning per run, naming each such subsystem and its worst
-    snapshot; run.leak_max is the largest leak of either subsystem.
+    Takes `step_count(t_grid[-1], config.dt)` equal RK4 steps in the
+    interaction frame and reads each sample from the continuous extension
+    of the step it falls in (module docstring), reducing it as it is taken
+    (`reduce_sample`). With keep_states, run.states also holds each sample
+    as a normalized lab-frame JointState. The state is never renormalized
+    while stepping; its norm is checked at every sample and every
+    NORM_CHECK_EVERY steps, and IntegrationError is raised once the drift
+    exceeds config.norm_tolerance. Samples with more than LEAK_TOLERANCE of
+    population in the top Fock levels of a subsystem raise one UserWarning
+    per run, naming each such subsystem and its worst sample; run.leak_max
+    is the largest leak of either subsystem.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be non-negative and strictly ascending")
+    t_end = float(t_grid[-1])
     if config is None:
-        config = recommend_integrator_config(p, max(float(t_grid[-1]), 1e-300), dims)
+        config = recommend_integrator_config(p, max(t_end, 1e-300), dims)
     require_stable_dt(p, config.dt)
 
     psi0 = JointState.from_product(
@@ -429,16 +505,33 @@ def evolve_numeric(
     # write only the interior views.
     psi_pad, psi = frame.padded(psi0)
     stage_pad, stage = frame.padded(psi0)
-    k1, k2, k3, k4 = (np.empty_like(psi) for _ in range(4))
+    k1, k2, k3, k4, dense, scratch = (np.empty_like(psi) for _ in range(6))
 
-    run = OracleRun(p, dims, config, t_grid, [])
+    n_t = t_grid.size
+    run = OracleRun(
+        p, dims, config, t_grid,
+        field_probs=np.empty((n_t, dims.field_dim)),
+        mirror_probs=np.empty((n_t, dims.mirror_dim)),
+        norms=np.empty(n_t),
+        leaks=np.empty((n_t, 2)),
+        purity=np.empty(n_t),
+    )
     dt = config.dt
-    t_now = 0.0
+    n_steps = step_count(t_end, dt)
+    h = t_end / n_steps if n_steps else 0.0
+    run.n_steps = n_steps
+    run.step_max = h
+    # Sample i is read from step owner[i] at theta[i] in (0, 1]: a sample on
+    # a step boundary is the end of the step before it. Samples at t = 0
+    # are the initial state.
+    if n_steps:
+        position = t_grid / h
+        owner = np.clip(np.ceil(position) - 1, 0, n_steps - 1).astype(int)
+        theta = (position - owner).tolist()
+        owner = owner.tolist()
     steps_done = 0
-    since_check = 0
 
-    def check(vec):
-        nrm = math.sqrt(np.vdot(vec, vec).real)
+    def check(nrm):
         drift = abs(nrm - 1.0)
         run.norm_drift = max(run.norm_drift, drift)
         if drift > config.norm_tolerance:
@@ -446,51 +539,69 @@ def evolve_numeric(
                 f"norm drift {drift:.3g} exceeded {config.norm_tolerance:g} after "
                 f"{steps_done} steps; reduce dt below {dt:g}"
             )
-        return nrm
 
-    leaky = {"field": [], "mirror": []}  # (leak, t) of each snapshot over LEAK_TOLERANCE
+    leaky = {"field": [], "mirror": []}  # (leak, t) of each sample over LEAK_TOLERANCE
 
-    def snapshot(vec, t_snap):
-        nrm = check(vec)
-        for found, leak in zip(leaky.values(), _leak_fractions(vec, dims)):
+    def sample(i, vec):
+        red = reduce_sample(vec, dims)
+        check(red.norm)
+        t_i = float(t_grid[i])
+        run.field_probs[i] = red.field_probs
+        run.mirror_probs[i] = red.mirror_probs
+        run.norms[i] = red.norm
+        run.leaks[i] = red.leaks
+        run.purity[i] = red.purity
+        for found, leak in zip(leaky.values(), red.leaks):
             run.leak_max = max(run.leak_max, leak)
             if leak > LEAK_TOLERANCE:
-                found.append((leak, t_snap))
-        lab = frame.to_lab(t_snap, vec)
-        lab /= nrm
-        run.states.append(JointState(dims, lab, meta={"t": t_snap, "norm_drift": abs(nrm - 1.0)}))
+                found.append((leak, t_i))
+        if keep_states:
+            lab = frame.to_lab(t_i, vec)
+            lab /= red.norm
+            run.states.append(JointState(dims, lab, meta={"t": t_i, "norm_drift": abs(red.norm - 1.0)}))
 
-    for t_target, n_sub in zip(t_grid, substeps(t_grid, dt)):
-        if n_sub:
-            h = (t_target - t_now) / n_sub
-            run.step_max = max(run.step_max, h)
-            for _ in range(n_sub):
-                rhs(t_now, psi_pad, k1)
-                np.multiply(k1, 0.5 * h, out=stage)
-                stage += psi
-                rhs(t_now + 0.5 * h, stage_pad, k2)
-                np.multiply(k2, 0.5 * h, out=stage)
-                stage += psi
-                rhs(t_now + 0.5 * h, stage_pad, k3)
-                np.multiply(k3, h, out=stage)
-                stage += psi
-                rhs(t_now + h, stage_pad, k4)
-                # psi += (h/6) (k1 + 2 k2 + 2 k3 + k4), reusing k2 as scratch
-                k2 += k3
-                k2 *= 2.0
-                k2 += k1
-                k2 += k4
-                k2 *= h / 6.0
-                psi += k2
-                t_now += h
-                steps_done += 1
-                since_check += 1
-                if since_check >= NORM_CHECK_EVERY:
-                    since_check = 0
-                    check(psi)
-            t_now = t_target
-        snapshot(psi, float(t_target))
-    run.n_steps = steps_done
+    i = 0
+    while i < n_t and t_grid[i] == 0.0:
+        sample(i, psi)
+        i += 1
+    take_at = owner[i] if i < n_t else -1
+    for j in range(n_steps):
+        t_now = j * h
+        t_next = (j + 1) * h
+        rhs(t_now, psi_pad, k1)
+        np.multiply(k1, 0.5 * h, out=stage)
+        stage += psi
+        rhs(t_now + 0.5 * h, stage_pad, k2)
+        np.multiply(k2, 0.5 * h, out=stage)
+        stage += psi
+        rhs(t_now + 0.5 * h, stage_pad, k3)
+        np.multiply(k3, h, out=stage)
+        stage += psi
+        rhs(t_next, stage_pad, k4)
+        while take_at == j:
+            # dense = psi + h [b1 k1 + b2 (k2 + k3) + b4 k4]
+            th = theta[i]
+            th2, th3 = th * th, th * th * th
+            np.add(k2, k3, out=dense)
+            dense *= h * (th2 - 2.0 * th3 / 3.0)
+            np.multiply(k1, h * (th - 1.5 * th2 + 2.0 * th3 / 3.0), out=scratch)
+            dense += scratch
+            np.multiply(k4, h * (-0.5 * th2 + 2.0 * th3 / 3.0), out=scratch)
+            dense += scratch
+            dense += psi
+            sample(i, dense)
+            i += 1
+            take_at = owner[i] if i < n_t else -1
+        # psi += (h/6) (k1 + 2 k2 + 2 k3 + k4), reusing k2 as scratch
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= h / 6.0
+        psi += k2
+        steps_done = j + 1
+        if steps_done % NORM_CHECK_EVERY == 0:
+            check(math.sqrt(np.vdot(psi, psi).real))
     leaks = []
     for (subsystem, found), dim in zip(leaky.items(), (dims.field_dim, dims.mirror_dim)):
         if found:
@@ -505,59 +616,35 @@ def evolve_numeric(
     return run
 
 
-def _marginal_probs(state: JointState):
-    prob = np.abs(state.as_matrix()) ** 2
-    return prob.sum(axis=1), prob.sum(axis=0)
-
-
 def observables_numeric(run: OracleRun) -> dict:
-    """Per-snapshot observables as {name: ObservableSeries}, provenance "numeric".
+    """Per-sample observables as {name: ObservableSeries}, provenance "numeric",
+    from the marginals and purity the run recorded.
 
     Keys: photon_avg, phonon_avg, mandel_field, mandel_mirror,
     purity_mirror, linear_entropy_mirror.
     """
-    n_t = len(run.states)
-    cols = {
-        name: np.empty(n_t)
-        for name in (
-            "photon_avg",
-            "phonon_avg",
-            "mandel_field",
-            "mandel_mirror",
-            "purity_mirror",
-            "linear_entropy_mirror",
-        )
-    }
     ks = np.arange(run.dims.field_dim, dtype=float)
     ms = np.arange(run.dims.mirror_dim, dtype=float)
-    # Blocks of mirror levels over which the field Gram is summed: a product
-    # big enough for OpenBLAS to thread waits on waking a BLAS thread, which
-    # took up to 0.4 s per run when the other core was busy.
-    n_blocks = -(-run.dims.field_dim ** 2 * run.dims.mirror_dim // _SERIAL_GEMM_SIZE)
-    edges = np.linspace(0, run.dims.mirror_dim, n_blocks + 1).astype(int)
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    for i, state in enumerate(run.states):
-        pk, pm = _marginal_probs(state)
-        n1 = float(pk @ ks)
-        n2 = float(pk @ ks ** 2)
-        m1 = float(pm @ ms)
-        m2 = float(pm @ ms ** 2)
-        cols["photon_avg"][i] = n1
-        cols["phonon_avg"][i] = m1
-        # Mandel parameter as variance over mean: 1 on a coherent state.
-        cols["mandel_field"][i] = (n2 - n1 ** 2) / n1 if n1 > 0 else 1.0
-        cols["mandel_mirror"][i] = (m2 - m1 ** 2) / m1 if m1 > 0 else 1.0
-        # Both reductions of a pure state share their nonzero spectrum, so
-        # Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the smaller one
-        # (30 x 30 against 308 x 308 at the strong-coupling dims).
-        psi = state.as_matrix()
-        psi_c = psi.conj()
-        rho_f = psi[:, blocks[0]] @ psi_c[:, blocks[0]].T
-        for block in blocks[1:]:
-            rho_f += psi[:, block] @ psi_c[:, block].T
-        purity = float(np.sum(np.abs(rho_f) ** 2))
-        cols["purity_mirror"][i] = purity
-        cols["linear_entropy_mirror"][i] = 1.0 - purity
+    # Elementwise sums, not matrix products, so that no BLAS thread wakes.
+    n1 = (run.field_probs * ks).sum(axis=1)
+    n2 = (run.field_probs * ks ** 2).sum(axis=1)
+    m1 = (run.mirror_probs * ms).sum(axis=1)
+    m2 = (run.mirror_probs * ms ** 2).sum(axis=1)
+
+    def mandel(mean, second):
+        # Variance over mean: 1 on a coherent state, and where the mean vanishes.
+        q = np.ones_like(mean)
+        np.divide(second - mean ** 2, mean, out=q, where=mean > 0)
+        return q
+
+    cols = {
+        "photon_avg": n1,
+        "phonon_avg": m1,
+        "mandel_field": mandel(n1, n2),
+        "mandel_mirror": mandel(m1, m2),
+        "purity_mirror": run.purity.copy(),
+        "linear_entropy_mirror": 1.0 - run.purity,
+    }
     return {
         name: ObservableSeries(run.t, col, name, "numeric")
         for name, col in cols.items()

@@ -358,7 +358,8 @@ def snapshot_set(states, times) -> list:
     Returns one (subsystem, t, DensityMatrix) entry per subsystem and time,
     subsystem "field" or "mirror", ordered by time with the field first.
     The states may come from either propagator (`driven.evolve_driven`,
-    `oracle.evolve_numeric`); snapshot_grid turns each entry into a grid.
+    `oracle.evolve_numeric` with keep_states); snapshot_grid turns each
+    entry into a grid.
     """
     snaps = []
     for t, state in zip(times, states):

@@ -1,5 +1,5 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
-config value parsing, validate's step counts and preset list, the auto
+config value parsing, validate's step counts, memory and preset list, the auto
 dims' floor, the analytic field Mandel series, jobs and Wigner grids run in
 worker processes, the manifest's step_max, and the wigner_snapshots preset."""
 import os
@@ -99,10 +99,11 @@ def printed_steps(capsys, path, *flags):
 
 # The dims validate prints for each preset's jobs; fig2, fig3 and fig5_6's
 # nonforced job take the auto dims, the others fix theirs. fig2's two
-# largest fields are what their initial coherent states need.
+# largest fields are what their initial coherent states need; each mirror
+# covers its field's Poisson tail, but at least field levels up to 20.
 PRESET_DIMS = {
-    "fig2": [(16, 24), (22, 28), (66, 28), (109, 28), (115, 28)],
-    "fig3": [(31, 28)],
+    "fig2": [(16, 24), (22, 28), (66, 64), (109, 116), (115, 123)],
+    "fig3": [(31, 30)],
     "fig4": [(30, 35)] * 2,
     "fig5_6": [(30, 35), (30, 35), (22, 28)],
     "fig7_8": [(30, 308)] * 2,
@@ -138,19 +139,21 @@ def test_system_at_rest_validates_and_runs(tmp_path, capsys, modes):
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:population")  # alpha = 5 outgrows the k_max = 20 mirror
 @pytest.mark.parametrize("extra, dims", [
     ("gamma = 2\n", (16, 21)),  # the mirror formula alone gives 16
-    ("alpha = 5\ng_ratio = 0.033\n", (59, 16)),  # the field formula alone gives 58
+    # the field formula alone gives 58; the mirror covers field levels up to 50
+    ("alpha = 5\ng_ratio = 0.033\n", (59, 28)),
 ], ids=["uncoupled-mirror", "alpha-5"])
 def test_recommended_dims_hold_the_initial_state(tmp_path, capsys, extra, dims):
     """Each recommended dim is at least what its initial coherent state needs,
-    so `run` at the auto dims exits 0, not 3."""
+    so `run` at the auto dims exits 0, not 3, and leaks nothing to warn of."""
     path = write_config(tmp_path, AT_REST_CONFIG + extra + "modes = driven-numeric\n")
     assert cli.main(["validate", "--config", path]) == 0
     assert (f"recommended_field_dim={dims[0]} recommended_mirror_dim={dims[1]}"
             in capsys.readouterr().out)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("text, flags, cause", [
@@ -183,6 +186,18 @@ def test_unparsable_values_name_their_line_and_kind(line, message):
     assert str(err.value) == "line 6: " + message
 
 
+@pytest.mark.parametrize("field_dim, message", [
+    ("3.0", "line 6: field_dim: not an integer: '3.0'"),
+    ("1", "lines 6 and 7: field_dim, mirror_dim: each dimension must be >= 2, "
+          "got FockDims(field_dim=1, mirror_dim=4)"),
+], ids=["parse", "below-2"])
+def test_dims_errors_are_prefixed_once(field_dim, message):
+    text = AT_REST_CONFIG + f"modes = undriven\nfield_dim = {field_dim}\nmirror_dim = 4\n"
+    with pytest.raises(ConfigError) as err:
+        cli.build_config(cli.parse_config_text(text))
+    assert str(err.value) == message
+
+
 def test_config_values_parse_by_kind():
     text = AT_REST_CONFIG + "modes = undriven\nomega_p = 0.8*omega_c\nfilter = YES\ngamma = 2-1j\n"
     cfg = cli.build_config(cli.parse_config_text(text))
@@ -192,9 +207,33 @@ def test_config_values_parse_by_kind():
 
 
 def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
-    """The fig4 manifests record n_steps=3200 for both jobs."""
+    """The fig4 manifests record n_steps=1736 (red) and 1761 (blue)."""
     path = write_config(tmp_path, "preset = fig4\n")
-    assert printed_steps(capsys, path) == [3200, 3200]
+    assert printed_steps(capsys, path) == [1736, 1761]
+
+
+def test_fig4_blue_steps_stay_within_dt():
+    """fig4 blue's t_end / dt is 1760.0000000000005 and t_end / 1760 exceeds
+    dt by 1 ulp, so the run takes 1761 steps, each no longer than dt."""
+    (_, _, times, _, icfg), = cli._oracle_runs(cli.preset_jobs("fig4")[1].config)
+    t_end = float(times[-1])
+    assert t_end / icfg.dt == 1760.0000000000005 and t_end / 1760 > icfg.dt
+    n_steps = oracle.step_count(t_end, icfg.dt)
+    assert n_steps == 1761 and t_end / n_steps <= icfg.dt
+
+
+@pytest.mark.parametrize("preset, memory", [
+    # 1,601 samples x (30 + 35) levels x 8 B plus 8 x 1,050 amplitudes x 16 B
+    ("fig4", ["1.0", "1.0"]),
+    # 1,101 x (30 + 308) x 8 B plus 8 x 9,240 x 16 B
+    ("fig7_8", ["4.2", "4.2"]),
+    # three kept states plus the working vectors, (3 + 8) x 9,240 x 16 B
+    ("wigner_snapshots", ["1.6"]),
+], ids=["fig4", "fig7_8", "wigner_snapshots"])
+def test_validate_reports_the_memory_a_run_holds(capsys, preset, memory):
+    """Per-sample marginals for driven-numeric, kept states for wigner."""
+    assert cli.main(["validate", "--preset", preset]) == 0
+    assert re.findall(r"\bstate_memory_mb=([\d.]+)", capsys.readouterr().out) == memory
 
 
 @pytest.mark.parametrize("text, p, dims, t_grid", [
@@ -205,8 +244,8 @@ def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
 ], ids=["driven-numeric", "wigner"])
 def test_validate_reports_the_steps_evolve_numeric_takes(tmp_path, capsys, text, p, dims,
                                                          t_grid):
-    """Steps are rounded up per sample interval, not once over t_end; a
-    wigner-only job steps over its snapshot times."""
+    """Equal steps over the run, whatever the samples; a wigner-only job
+    steps over its snapshot times."""
     (steps,) = printed_steps(capsys, write_config(tmp_path, text))
     assert steps == oracle.evolve_numeric(p, dims, t_grid=t_grid).n_steps
 
@@ -221,7 +260,7 @@ def test_validate_reports_both_numeric_routes(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
     wigner_dt = float(manifest_value(out, "wigner_numeric_dt"))
-    wigner_steps = sum(oracle.substeps(wigner.default_snapshot_times(WIGNER_PARAMS), wigner_dt))
+    wigner_steps = oracle.step_count(wigner.default_snapshot_times(WIGNER_PARAMS)[-1], wigner_dt)
     assert wigner_steps > 0
     assert total == int(manifest_value(out, "n_steps")) + wigner_steps
 
@@ -236,7 +275,7 @@ def test_undriven_dt_between_the_caps_validates_and_runs(tmp_path, capsys):
     (steps,) = printed_steps(capsys, path)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
-    assert int(manifest_value(out, "n_steps")) == steps == 24  # 6 intervals of 4 steps
+    assert int(manifest_value(out, "n_steps")) == steps == 20  # 1e-6 s in steps of 5e-8 s
     assert float(manifest_value(out, "norm_drift")) <= float(
         manifest_value(out, "norm_tolerance"))
 
@@ -376,7 +415,7 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text, forks):
 
 @pytest.mark.filterwarnings("ignore:population")  # fig4 leaks at dims 22 x 22
 def test_manifest_step_max_is_the_step_taken(tmp_path):
-    """fig4 cuts each sample interval into equal steps shorter than the dt cap."""
+    """fig4 cuts the run into equal steps no longer than the dt cap."""
     out = tmp_path / "out"
     config = cli.load_config(write_config(tmp_path, "preset = fig4\nfield_dim = 22\n"
                                                     "mirror_dim = 22\n"))

@@ -17,17 +17,18 @@ from optomech.fock import (
     JointState,
     coherent_state,
     partial_trace_field,
+    partial_trace_mirror,
 )
 from optomech.oracle import (
     IntegratorConfig,
     InteractionFrame,
-    OracleRun,
     evolve_numeric,
     interaction_terms,
     max_stable_dt,
     mean_interaction_scale,
     observables_numeric,
     recommend_integrator_config,
+    reduce_sample,
 )
 from optomech.system import SystemParams
 
@@ -123,7 +124,7 @@ class TestStepModel:
     def test_scale_bounds_the_measured_sixth_moment(self, strong_short):
         p, t_end = strong_short
         grid = np.linspace(0.0, t_end, 201)
-        run = evolve_numeric(p, MODEL_DIMS, t_grid=grid)
+        run = evolve_numeric(p, MODEL_DIMS, t_grid=grid, keep_states=True)
         frame = InteractionFrame(p, MODEL_DIMS)
         moments = np.array([sixth_moment(frame, t, state.amps)
                             for t, state in zip(grid, run.states)])
@@ -204,7 +205,7 @@ class TestInteractionFrame:
         grid = np.array([0.0, 100 * dt, 200 * dt])
         run = evolve_numeric(p, dims,
                              config=IntegratorConfig(dt=dt, norm_tolerance=1e-6),
-                             t_grid=grid)
+                             t_grid=grid, keep_states=True)
         assert run.n_steps == 200
         assert run.norm_drift <= 1e-14
         psi0 = JointState.from_product(dims, coherent_state(13, 1.0),
@@ -219,7 +220,7 @@ class TestInteractionFrame:
         """Recommended steps against DOP853 on the dense lab-frame H(t)."""
         p = dataclasses.replace(strong_system(), alpha=1.0, gamma=1.0)
         t_end = 0.02 * p.mech_period
-        run = evolve_numeric(p, DIMS, t_grid=np.array([0.0, t_end]))
+        run = evolve_numeric(p, DIMS, t_grid=np.array([0.0, t_end]), keep_states=True)
         assert run.norm_drift <= run.config.norm_tolerance
         h_static = -1j * dense_hamiltonian(dataclasses.replace(p, drive_amp=0.0), DIMS, 0.0)
         h_drive = -1j * dense_hamiltonian(p, DIMS, 0.0) - h_static
@@ -237,7 +238,7 @@ class TestEvolution:
         p = tiny_system(drive_amp=0.0, omega_p=0.0)
         dims = FockDims(14, 16)
         t_end = 0.5 * p.mech_period
-        run = evolve_numeric(p, dims, t_grid=np.array([0.0, t_end]))
+        run = evolve_numeric(p, dims, t_grid=np.array([0.0, t_end]), keep_states=True)
         exact = evolve_driven(p, t_end, BetaCoefficients.zero(t_end), dims)
         fid = abs(np.vdot(exact.amps, run.states[-1].amps)) ** 2
         assert fid > 1 - 1e-6
@@ -246,7 +247,7 @@ class TestEvolution:
         p = tiny_system(drive_amp=0.0, omega_p=0.0)
         dims = FockDims(14, 16)
         grid = np.linspace(0.0, p.mech_period, 5)
-        run = evolve_numeric(p, dims, t_grid=grid)
+        run = evolve_numeric(p, dims, t_grid=grid, keep_states=True)
         h = dense_hamiltonian(p, dims, 0.0)
         energies = [np.vdot(st.amps, h @ st.amps).real for st in run.states]
         for e in energies[1:]:
@@ -260,15 +261,15 @@ class TestEvolution:
         fine = IntegratorConfig(dt=cfg.dt / 2,
                                 norm_tolerance=cfg.norm_tolerance)
         grid = np.array([0.0, t_end])
-        a = evolve_numeric(p, dims, config=cfg, t_grid=grid)
-        b = evolve_numeric(p, dims, config=fine, t_grid=grid)
+        a = evolve_numeric(p, dims, config=cfg, t_grid=grid, keep_states=True)
+        b = evolve_numeric(p, dims, config=fine, t_grid=grid, keep_states=True)
         fid = abs(np.vdot(a.states[-1].amps, b.states[-1].amps)) ** 2
         assert fid > 1 - 1e-8
 
     def test_snapshots_on_requested_grid(self):
         p = tiny_system()
         grid = np.linspace(0.0, 1e-6, 7)
-        run = evolve_numeric(p, FockDims(16, 18), t_grid=grid)
+        run = evolve_numeric(p, FockDims(16, 18), t_grid=grid, keep_states=True)
         np.testing.assert_array_equal(run.t, grid)
         assert len(run.states) == 7
         for st in run.states:
@@ -325,15 +326,95 @@ class TestEvolution:
             evolve_numeric(p, DIMS, t_grid=np.array([-1e-7, 1e-7]))
 
 
-def random_run(dims: FockDims, n_states: int, seed: int) -> OracleRun:
-    """An OracleRun holding random normalized states, for the observables alone."""
+def random_states(dims: FockDims, n_states: int, seed: int) -> list:
+    """Random normalized joint states, for the per-sample reduction alone."""
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(n_states):
         amps = rng.standard_normal(dims.joint) + 1j * rng.standard_normal(dims.joint)
         states.append(JointState(dims, amps / np.linalg.norm(amps)))
-    return OracleRun(tiny_system(), dims, IntegratorConfig(dt=1e-10),
-                     np.arange(float(n_states)), states)
+    return states
+
+
+def rk4_states(p: SystemParams, dims: FockDims, t_end: float, n_steps: int) -> list:
+    """Lab-frame states after each of n_steps plain RK4 steps of -i H_I, normalized."""
+    frame = InteractionFrame(p, dims)
+    psi = JointState.from_product(dims, coherent_state(dims.field_dim, p.alpha),
+                                  coherent_state(dims.mirror_dim, p.gamma)).amps
+    h = t_end / n_steps
+
+    def f(t, vec):
+        return frame.rhs(t, frame.padded(vec)[0], np.empty_like(vec))
+
+    out = []
+    for j in range(n_steps):
+        t = j * h
+        k1 = f(t, psi)
+        k2 = f(t + 0.5 * h, psi + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, psi + 0.5 * h * k2)
+        k4 = f((j + 1) * h, psi + h * k3)
+        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        lab = frame.to_lab((j + 1) * h, psi)
+        out.append(lab / np.linalg.norm(lab))
+    return out
+
+
+class TestSampling:
+    """One grid of equal steps over the run; samples from the continuous extension."""
+
+    def test_step_count_is_the_fewest_steps_within_dt(self):
+        dt = 7.1399833036131657e-11
+        assert oracle.step_count(0.0, dt) == 0
+        assert oracle.step_count(0.5 * dt, dt) == 1
+        for n in (3, 1000, 1761):
+            t_end = n * dt
+            steps = oracle.step_count(t_end, dt)
+            assert t_end / steps <= dt < t_end / (steps - 1)
+
+    def test_samples_on_step_ends_are_the_stepped_states(self):
+        """theta = 1 is the step itself: to rounding, the states of plain RK4."""
+        p = tiny_system()
+        dims = FockDims(14, 16)
+        t_end = 0.01 * p.mech_period
+        cfg = IntegratorConfig(dt=t_end / 8 * (1 + 1e-12))
+        grid = np.linspace(0.0, t_end, 5)  # every second step end
+        run = evolve_numeric(p, dims, cfg, grid, keep_states=True)
+        assert run.n_steps == 8
+        stepped = rk4_states(p, dims, t_end, 8)
+        for state, expected in zip(run.states[1:], stepped[1::2]):
+            np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-14)
+
+    def test_mid_step_sample_matches_a_run_stepping_onto_it(self):
+        """Half-way through step 72 of 145, the cubic extension is within
+        1e-7 of a run whose 73 steps end there (4.9e-8 measured; both are
+        within 4.5e-8 of a dt/16 run)."""
+        p = tiny_system()
+        dims = FockDims(14, 16)
+        t_end = 0.2 * p.mech_period
+        cfg = recommend_integrator_config(p, t_end, dims)
+        assert oracle.step_count(t_end, cfg.dt) == 145
+        t_mid = 72.5 * t_end / 145
+        dense = evolve_numeric(p, dims, cfg, np.array([0.0, t_mid, t_end]), keep_states=True)
+        landing = evolve_numeric(p, dims, IntegratorConfig(dt=t_mid / 73 * (1 + 1e-12)),
+                                 np.array([0.0, t_mid]), keep_states=True)
+        assert landing.n_steps == 73
+        assert np.linalg.norm(dense.states[1].amps - landing.states[1].amps) <= 1e-7
+
+    def test_reductions_equal_those_of_the_lab_states(self):
+        """Taken in the interaction frame, P(k), P(m) and the purity are the
+        lab-frame partial traces' own."""
+        p = tiny_system(g_ratio=0.3)
+        grid = np.linspace(0.0, 0.5 * p.mech_period, 6)
+        run = evolve_numeric(p, FockDims(20, 36), t_grid=grid, keep_states=True)
+        assert min(run.purity) < 0.9  # the later samples are entangled
+        for i, state in enumerate(run.states):
+            rho_f, rho_m = partial_trace_mirror(state), partial_trace_field(state)
+            np.testing.assert_allclose(run.field_probs[i], np.diag(rho_f.data).real,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(run.mirror_probs[i], np.diag(rho_m.data).real,
+                                       rtol=0, atol=1e-12)
+            assert run.purity[i] == pytest.approx(rho_m.purity(), abs=1e-12)
+            assert run.norms[i] == pytest.approx(1.0, abs=run.config.norm_tolerance)
 
 
 class TestObservables:
@@ -355,7 +436,7 @@ class TestObservables:
         """Tr rho_m^2 is read from the field reduction; both agree on a pure state."""
         p = tiny_system(g_ratio=0.3, drive_amp=0.0, omega_p=0.0)
         run = evolve_numeric(p, FockDims(14, 30),
-                             t_grid=np.array([0.0, 0.5 * p.mech_period]))
+                             t_grid=np.array([0.0, 0.5 * p.mech_period]), keep_states=True)
         purity = observables_numeric(run)["purity_mirror"].y
         mirror = partial_trace_field(run.states[-1]).purity()
         assert mirror < 0.9  # the snapshot is entangled
@@ -363,15 +444,18 @@ class TestObservables:
 
     def test_blocked_purity_at_strong_dims(self):
         """30 x 308 is summed in five blocks of mirror levels; the purity stays exact."""
-        run = random_run(FockDims(30, 308), 1, seed=11)
-        purity = observables_numeric(run)["purity_mirror"].y[0]
-        mirror = partial_trace_field(run.states[0]).purity()
+        dims = FockDims(30, 308)
+        (state,) = random_states(dims, 1, seed=11)
+        assert len(oracle.gram_blocks(dims)) == 5
+        purity = reduce_sample(state.amps, dims).purity
+        mirror = partial_trace_field(state).purity()
         assert purity == pytest.approx(mirror, abs=1e-12)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
     def test_observables_wake_no_blas_thread(self):
         """At 30 x 308 one field Gram product is big enough for OpenBLAS to thread."""
-        run = random_run(FockDims(30, 308), 3, seed=12)
+        dims = FockDims(30, 308)
+        states = random_states(dims, 3, seed=12)
         # OpenBLAS joins its threads before a fork; they restart on demand.
         pid = os.fork()
         if pid == 0:
@@ -379,7 +463,8 @@ class TestObservables:
         os.waitpid(pid, 0)
         if thread_count() != 1:
             pytest.skip("other threads are running in this process")
-        observables_numeric(run)
+        for state in states:
+            reduce_sample(state.amps, dims)
         assert thread_count() == 1
 
     def test_series_metadata(self):

@@ -91,7 +91,8 @@ def analytic_states(p, dims):
 
 def numeric_states(p, dims):
     """Joint states of the brute-force oracle at the snapshot times."""
-    return evolve_numeric(p, dims, t_grid=np.asarray(default_snapshot_times(p))).states
+    return evolve_numeric(p, dims, t_grid=np.asarray(default_snapshot_times(p)),
+                          keep_states=True).states
 
 
 def snapshot_grids_of(p, states, n_grid):
