@@ -43,13 +43,13 @@ they plot.
 Presets that expand to several independent jobs (fig2, fig4, fig5_6,
 fig7_8) run them concurrently in forked worker processes, one per CPU
 available to the process. A wigner job shares out its grids the same way,
-one source at a time: each of the source's six reduced states is gridded
-and written as a CSV and PGM pair by whichever process claims it, the
-process itself or one of its workers, one fewer than CPUs. Everything runs
-in-process when one CPU is available, and work that already runs in a
-worker does not fork again: a wigner job of a multi-job preset grids where
-its job runs. Every output file and the manifest are byte-identical to
-running the jobs and grids one after another.
+in one map over both sources' twelve reduced states, analytic first: each
+is gridded and written as a CSV and PGM pair by whichever process claims
+it, the process itself or one of its workers, one fewer than CPUs.
+Everything runs in-process when one CPU is available, and work that
+already runs in a worker does not fork again: a wigner job of a multi-job
+preset grids where its job runs. Every output file and the manifest are
+byte-identical to running the jobs and grids one after another.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
 inadequacy.
@@ -693,21 +693,18 @@ def _run_job(job: _Job) -> tuple:
             driven.evolve_driven(p, float(t), betas_w.at(i), wigner_run.dims)
             for i, t in enumerate(times)
         ]
-        # One map per source, so a forked worker inherits one source's reduced states.
+        # Both sources' reduced states first, then one map over all twelve
+        # grids, analytic first: one fork and no barrier between the sources.
+        stems, tasks = [], []
         for source, states in (("analytic", analytic_states), ("numeric", wigner_run.states)):
-            snaps = wigner.snapshot_set(states, times)
-            stems = [
-                _stem(f"wigner_{subsystem}_t{i // 2}", source, job.tag)
-                for i, (subsystem, _, _) in enumerate(snaps)
-            ]
-            tasks = [
-                (rho, cfg.wigner_grid_points, os.path.join(cfg.output_dir, stem))
-                for stem, (_, _, rho) in zip(stems, snaps)
-            ]
-            for stem, (mass, w_min) in zip(stems, _forked_map(_grid_files, tasks)):
-                note(f"{stem}_mass", mass)
-                note(f"{stem}_min", w_min)
-                emit.files += (stem + ".csv", stem + ".pgm")
+            for i, (subsystem, _, rho) in enumerate(wigner.snapshot_set(states, times)):
+                stem = _stem(f"wigner_{subsystem}_t{i // 2}", source, job.tag)
+                stems.append(stem)
+                tasks.append((rho, cfg.wigner_grid_points, os.path.join(cfg.output_dir, stem)))
+        for stem, (mass, w_min) in zip(stems, _forked_map(_grid_files, tasks)):
+            note(f"{stem}_mass", mass)
+            note(f"{stem}_min", w_min)
+            emit.files += (stem + ".csv", stem + ".pgm")
 
     for name in emit.files:
         man.append(f"output={name}")
@@ -729,7 +726,7 @@ def _forked_map(fn, items) -> list:
     """[fn(item) for item in items], shared with forked worker processes.
 
     Serves both levels of independent work: a preset's jobs, and the
-    Wigner grids of one source of a wigner job, each computed and written
+    Wigner grids of both sources of a wigner job, each computed and written
     by the process that claims it. The items run in as many processes as
     there are usable CPUs, or items if fewer, each process claiming the
     next unclaimed item, so none idles while another has items queued.

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror
-from .postproc import atomic_write_text
+from .postproc import atomic_write_text, median
 from .system import SystemParams
 
 BOUNDARY_WARN_LEVEL = 1e-4
@@ -109,8 +109,8 @@ class WignerGrid:
 
     @property
     def cell_area(self) -> float:
-        dq = float(np.median(np.diff(self.q_axis)))
-        dp = float(np.median(np.diff(self.p_axis)))
+        dq = median(np.diff(self.q_axis))
+        dp = median(np.diff(self.p_axis))
         return dq * dp
 
     def total_mass(self) -> float:
@@ -279,13 +279,15 @@ def wigner_continuous(
 
 def write_grid_csv(grid: WignerGrid, path: str) -> None:
     """Long format, one `q,p,W` row per grid point, q varying slowest."""
-    # Each axis value is formatted once; float and np.float64 print alike.
-    ps = [f"{p:.17g}," for p in grid.p_axis.tolist()]
-    lines = ["q,p,W"]
-    for q, row in zip(grid.q_axis.tolist(), grid.values):
+    # Each axis value is formatted once, into a template that one % fills
+    # with every W: a q's rows are `q,p,%.17g` joined on newline + `q,`.
+    ps = [f"{p:.17g},%.17g" for p in grid.p_axis.tolist()]
+    blocks = []
+    for q in grid.q_axis.tolist():
         qs = f"{q:.17g},"
-        lines.extend([f"{qs}{p}{w:.17g}" for p, w in zip(ps, row.tolist())])
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        blocks.append(qs + ("\n" + qs).join(ps))
+    template = "q,p,W\n" + "\n".join(blocks) + "\n"
+    atomic_write_text(path, template % tuple(grid.values.ravel().tolist()))
 
 
 def write_grid_pgm(grid: WignerGrid, path: str) -> None:
@@ -306,8 +308,9 @@ def write_grid_pgm(grid: WignerGrid, path: str) -> None:
         f"{grid.n_p} {grid.nq}",
         "255",
     ]
-    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    row = " ".join(["%d"] * grid.n_p) + "\n"
+    body = (row * grid.nq) % tuple(gray.ravel().tolist())
+    atomic_write_text(path, "\n".join(lines) + "\n" + body)
 
 
 def _trimmed(rho: DensityMatrix, tail_mass: float = 1e-10, pad: int = 4) -> np.ndarray:

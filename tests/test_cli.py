@@ -429,8 +429,8 @@ def test_manifest_step_max_is_the_step_taken(tmp_path):
 
 @needs_linux
 def test_pooled_wigner_grids_equal_in_process_grids(tmp_path, monkeypatch, pooled):
-    """Each source's six grid-and-write tasks are shared with one worker forked
-    with one thread; every file and the manifest are the bytes of the
+    """Both sources' twelve grid-and-write tasks are shared with one worker
+    forked with one thread; every file and the manifest are the bytes of the
     in-process run."""
     path = write_config(tmp_path, WIGNER_CONFIG)
     outs = {}
@@ -438,7 +438,7 @@ def test_pooled_wigner_grids_equal_in_process_grids(tmp_path, monkeypatch, poole
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         outs[cpus] = tmp_path / f"out{cpus}"
         assert cli.main(["run", "--config", path, "--out", str(outs[cpus])]) == 0
-    assert pooled == [1, 1]
+    assert pooled == [1]
     names = sorted(os.listdir(outs[2]))
     assert names == sorted(os.listdir(outs[1]))
     assert len([n for n in names if n.startswith("wigner_")]) == 24
@@ -462,7 +462,7 @@ def test_grid_task_errors_keep_their_exit_code(tmp_path, monkeypatch, capsys, po
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         argv = ["run", "--config", path, "--out", str(tmp_path / f"out{cpus}")]
         outcomes.append((cli.main(argv), capsys.readouterr().err))
-    assert pooled == [1]  # the first run forked a worker for the analytic grids
+    assert pooled == [1]  # the first run forked one worker for all twelve grids
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 2
     assert outcomes[0][1].startswith("numerical failure: grid of a dim-")
@@ -478,7 +478,7 @@ def forks_of_job(job) -> list:
 @needs_linux
 def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
     """Two wigner jobs go to two job workers, and each grids in-process; the
-    same job run here forks one worker for each source's grids."""
+    same job run here forks one worker for both sources' grids."""
     config = cli.load_config(write_config(tmp_path, WIGNER_CONFIG))
     jobs = [cli._Job(replace(config, output_dir=str(tmp_path / tag)), tag=tag)
             for tag in ("a", "b")]
@@ -487,7 +487,7 @@ def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
     assert cli._forked_map(forks_of_job, jobs) == [[], []]
     assert pooled == [1, 1]
     assert len(os.listdir(tmp_path / "a")) == len(os.listdir(tmp_path / "b")) == 24
-    assert forks_of_job(jobs[0]) == [1, 1]
+    assert forks_of_job(jobs[0]) == [1]
 
 
 def fig4_dt_cap() -> float:

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from optomech.postproc import (
     atomic_write_text,
     compare,
     filter_fast,
+    median,
     write_series,
 )
 
@@ -156,6 +159,69 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.y, y)
         assert back.label == "phonon_avg"
         assert back.provenance == "numeric"
+
+
+    @staticmethod
+    def reference_text(s: ObservableSeries) -> str:
+        """The series file written one f-string per row."""
+        lines = [f"t,{s.label},{s.provenance}"]
+        lines.extend(f"{t:.17g},{y:.17g}" for t, y in zip(s.t, s.y))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("t, y", [
+        ([-0.0, 5e-324, 1e300], [math.nan, -0.0, 5e-324]),
+        ([0.0, 1e-9, 2.5e-9, 1.0], [1e300, -1e300, math.inf, 2.0 / 3.0]),
+        # the same values as the first grid but +0.0: the cached rows stay apart
+        ([0.0, 5e-324, 1e300], [-5e-324, 0.1, math.nan]),
+    ], ids=["negative-zero-grid", "large-values", "positive-zero-grid"])
+    def test_bytes_equal_per_row_formatting(self, tmp_path, t, y):
+        path = tmp_path / "s.csv"
+        for label in ("a", "b"):  # the second series reuses the grid's rows
+            s = series(t, y, label=label)
+            write_series(s, str(path))
+            assert path.read_text() == self.reference_text(s)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0],
+    [2.0, -1.0],
+    [5.0, 1.0, 4.0],
+    [0.1, 0.7, 0.2, 0.3],
+    [1e308, 1e308],
+    [-0.0, 0.0, -0.0],
+    [1.0, math.nan, 2.0],
+    list(np.random.default_rng(7).normal(size=101)),
+    list(np.random.default_rng(8).normal(size=100)),
+    list(np.diff(np.linspace(0.0, 3e-6, 1601))),
+], ids=lambda v: f"n{len(v)}")
+def test_median_equals_numpy(values):
+    ours, theirs = median(values), float(np.median(values))
+    if math.isnan(theirs):
+        assert math.isnan(ours)
+    else:
+        assert ours == theirs
+        assert math.copysign(1.0, ours) == math.copysign(1.0, theirs)
+
+
+def test_filter_and_grid_mass_leave_numpy_ma_unloaded():
+    """np.median imports numpy.ma, about 20 ms a process; median does not."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from optomech import postproc, wigner\n"
+        "t = np.linspace(0.0, 1.0, 101)\n"
+        "postproc.filter_fast(postproc.ObservableSeries(t, np.sin(t), 'x', 'numeric'), 0.1)\n"
+        "grid = wigner.WignerGrid(t[:5], t[:4], np.ones((5, 4)))\n"
+        "grid.total_mass()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_atomic_write(tmp_path):

@@ -333,6 +333,46 @@ class TestGridOutput:
         assert any(ln.startswith("# W range") for ln in lines)
 
 
+    @staticmethod
+    def reference_csv(grid) -> str:
+        """The grid CSV written one f-string per row."""
+        lines = ["q,p,W"]
+        for i, q in enumerate(grid.q_axis):
+            for j, p in enumerate(grid.p_axis):
+                lines.append(f"{q:.17g},{p:.17g},{grid.values[i, j]:.17g}")
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def reference_pgm(grid) -> str:
+        """The graymap written one joined row of str(int) at a time."""
+        lo, hi = float(grid.values.min()), float(grid.values.max())
+        span = hi - lo if hi > lo else 1.0
+        gray = np.rint((grid.values - lo) / span * 255).astype(int)
+        lines = [
+            "P2",
+            f"# W range [{lo:.17g}, {hi:.17g}]",
+            f"# q in [{grid.q_min:.17g}, {grid.q_max:.17g}], "
+            f"p in [{grid.p_min:.17g}, {grid.p_max:.17g}]",
+            f"{grid.n_p} {grid.nq}",
+            "255",
+        ]
+        lines.extend(" ".join(str(v) for v in row) for row in gray.tolist())
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("grid", [
+        WignerGrid(np.array([-1e300, -0.0, 5e-324]), np.array([-0.0, 0.5]),
+                   np.array([[-0.0, 5e-324], [1e300, -1e300], [0.0, -5e-324]])),
+        WignerGrid(np.array([0.0, 1.0, 2.0]), np.array([-1.0, 0.0, 1.0, 2.0]),
+                   np.full((3, 4), 0.25)),  # constant: the PGM's span is 0
+        wigner_continuous(coherent_rho(12, 0.5), -6, 6, -5, 5, 11, 13),
+    ], ids=["awkward-floats", "constant", "coherent"])
+    def test_files_equal_per_row_formatting(self, tmp_path, grid):
+        write_grid_csv(grid, str(tmp_path / "g.csv"))
+        write_grid_pgm(grid, str(tmp_path / "g.pgm"))
+        assert (tmp_path / "g.csv").read_text() == self.reference_csv(grid)
+        assert (tmp_path / "g.pgm").read_text() == self.reference_pgm(grid)
+
+
 class TestSnapshots:
 
     def test_default_times(self):
