@@ -22,12 +22,17 @@ step recommended over the run unless dt is set; the manifest records its
 diagnostics, prefixed `wigner_numeric_` for wigner. Only the wigner run
 keeps its states; the driven-numeric run keeps each sample's marginals and
 purity. wigner's analytic joint states share that run's dims and times.
-`validate` prints per job `recommended_field_dim=F recommended_mirror_dim=M`,
-one `MODE: dt=... steps=N state_memory_mb=...` line per oracle run, and
+`validate` prints per job `recommended_field_dim=F recommended_mirror_dim=M`;
+for a job that integrates the beta coefficients (driven-analytic or
+wigner), `driven-analytic: panels=N`, the panels `driven.beta_panels` cuts
+its series grid and snapshot times into; one
+`MODE: dt=... steps=N state_memory_mb=...` line per oracle run, and
 their total as `est_steps=N ...`. N is the exact RK4 step count `run`
 takes (`oracle.step_count`); the memory is what the run holds: its working
 vectors plus, for driven-numeric, P(k) and P(m) of every sample, or, for
-wigner, its three kept states.
+wigner, its three kept states. For driven-analytic the manifest records the
+beta integration's `antisymmetry_defect`, `unitarity_defect`,
+`envelope_tail` and `beta_panels` (`driven.BetaSeries`).
 
 A preset replaces the physics keys wholesale; configs may still set
 output_dir, filter, dims and integrator overrides next to it, and
@@ -628,6 +633,8 @@ def _run_job(job: _Job) -> tuple:
         betas = driven.integrate_betas(p, t_grid)
         note("antisymmetry_defect", betas.antisymmetry_defect)
         note("unitarity_defect", betas.unitarity_defect)
+        note("envelope_tail", betas.envelope_tail)
+        note("beta_panels", betas.panels)
         prenorm = np.exp(np.real(betas.b3) + 0.5 * np.abs(betas.b1) ** 2)
         note("prenorm_min", float(prenorm.min()))
         note("prenorm_max", float(prenorm.max()))
@@ -837,6 +844,13 @@ def validate(config: RunConfig) -> str:
             f" recommended_mirror_dim={dims.mirror_dim}"
         )
         runs = _oracle_runs(cfg)
+        # run integrates the betas over the series grid and the snapshot times
+        beta_grids = [times for mode, _, times, _, _ in runs if mode == "wigner"]
+        if "driven-analytic" in cfg.modes:
+            beta_grids.append(np.linspace(0.0, cfg.t_end, cfg.n_samples))
+        if beta_grids:
+            panels = sum(int(driven.beta_panels(p, grid).sum()) for grid in beta_grids)
+            lines.append(f"  driven-analytic: panels={panels}")
         total_steps = total_mb = 0
         for mode, _, times, _, icfg in runs:
             n_steps = oracle.step_count(float(times[-1]), icfg.dt)

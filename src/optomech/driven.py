@@ -21,11 +21,18 @@ and three displacement coefficients
     b3(t) = Integral_0^t b1(s) b2'(s) ds
 
 The right-hand sides depend on time alone, except for b3' = b1 b2', so the
-betas are a nested quadrature, not an initial-value problem.  b1 = -b2* and
-Re b3 = -|b1|^2 / 2 hold exactly; all three are summed independently here.
-Only the second identity monitors quadrature error, through the nested b3.
-Simpson's rule is linear, so b1 + b2* is the rule applied to b1' + b2'* = 0:
-it compares the two rate formulas, not the step.  The field then behaves
+betas are a nested quadrature, not an initial-value problem.  It is done by
+product integration (Filon; Iserles & Norsett, Proc. R. Soc. A 461, 1383
+(2005)): cos(omega_p s) e^{i omega_c s} is split into the two carriers
+e^{i kappa s}, kappa = omega_c +- omega_p, which are integrated exactly
+against a polynomial interpolant of phi alone (`integrate_betas`).  phi
+turns far slower than the carriers, |d ln phi/dt| <= omega_env
+(`envelope_rate`), so panels are sized by phi and not by the carrier.
+b1 = -b2* and Re b3 = -|b1|^2 / 2 hold exactly, and with exact carrier
+weights they hold for the interpolant too: b2 is -b1*, and Re b3 +
+|b1|^2 / 2 is rounding at any panel width.  Both defects therefore check
+the sums, not the accuracy; that is bounded by how well the panels resolve
+phi (`BetaSeries.envelope_tail`).  The field then behaves
 as a coherent state of amplitude alpha + b1 riding the undriven phase
 structure: the driven state is the undriven one with alpha -> alpha + b1,
 and every undriven observable lifts by |alpha|^2 -> |alpha + b1|^2.
@@ -47,9 +54,16 @@ from .fock import FockDims, JointState, coherent_amplitudes
 from .system import SystemParams
 from .undriven import _assemble_blocks, _phonon_avg, exponents
 
-DEFAULT_STEPS_PER_PERIOD = 160
-# Simpson panels evaluated per vectorized chunk; bounds the working memory.
-_PANEL_CHUNK = 1024
+# phi is interpolated on each panel at this many Chebyshev-Lobatto nodes,
+# and no panel spans more than PANEL_PHASE of the envelope bound omega_env.
+PANEL_NODES = 7
+PANEL_PHASE = 0.5
+# Carrier phases kappa H up to _BASE_PHASE are integrated by a nested rule on
+# _BASE_NODES nodes; larger ones are halved down to it first.
+_BASE_PHASE = 2.0
+_BASE_NODES = 33
+# Panel widths within this relative distance share one set of weights.
+_SAME_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,9 +86,18 @@ class BetaSeries:
 
     antisymmetry_defect = max |b1 + b2*| and unitarity_defect =
     max |2 Re(b3 + alpha b2) - |alpha|^2 + |alpha + b1|^2| over the grid.
-    Both vanish identically for the exact solution. The unitarity defect
-    measures quadrature error; the antisymmetry defect only rounding in the
-    two rate formulas, which the linear Simpson sums carry over unchanged.
+    Both vanish identically for the exact solution, and product integration
+    keeps both identities for any interpolant of phi: the antisymmetry
+    defect is 0, as b2 is -b1*, and the unitarity defect is the rounding
+    of the nested sums.  Neither measures quadrature error.
+
+    envelope_tail is the largest last Chebyshev coefficient of phi's
+    interpolant over the panels, relative to max |phi| at the nodes.  Where
+    the coefficients decay, as they do on panels within PANEL_PHASE of
+    omega_env, it is the size of the interpolation error of phi, the only
+    approximation made; b1 is then off by at most about
+    Omega t max|phi| envelope_tail.  panels is how many panels were
+    integrated (`beta_panels`).
     """
 
     t: np.ndarray
@@ -83,6 +106,8 @@ class BetaSeries:
     b3: np.ndarray
     antisymmetry_defect: float
     unitarity_defect: float
+    envelope_tail: float
+    panels: int
 
     def __len__(self) -> int:
         return self.t.size
@@ -129,78 +154,177 @@ def beta1_phi_to_one(p: SystemParams, t):
                    - om_c)
 
 
-def _drive_rates(p: SystemParams, t):
-    """(b1', b2') at the times t: the integrands of b1 and b2."""
-    ph = phi(p, t)
-    c = -1j * p.drive_amp * np.cos(p.omega_p * t)
-    rot = np.exp(1j * p.omega_c * t)
-    return c * ph * rot, c * np.conj(ph) / rot
+def envelope_rate(p: SystemParams) -> float:
+    """omega_env = omega_m (1 + 4|alpha|^2 g^2 + 4 g^2 + 2 g |Gamma|), in rad/s.
+
+    A bound on |d ln phi/dt| from the derivatives of the exponents:
+    |E'| <= 2 g^2 omega_m, |a3'| = g omega_m and |a3 a3'| <= 2 g^2 omega_m.
+    The leading omega_m keeps panels finite where phi is constant (g = 0).
+    """
+    g = p.g_ratio
+    return p.omega_m * (1.0 + 4.0 * abs(p.alpha) ** 2 * g * g + 4.0 * g * g
+                        + 2.0 * g * abs(p.gamma))
 
 
-def integrate_betas(p: SystemParams, t_grid,
-                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> BetaSeries:
-    """Beta coefficients over t_grid by nested composite Simpson quadrature.
+def beta_panels(p: SystemParams, t_grid) -> np.ndarray:
+    """Panels integrate_betas cuts each interval of (0, *t_grid) into.
+
+    The fewest equal panels no wider than PANEL_PHASE / envelope_rate(p);
+    none for an empty interval.  The carrier does not size them.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    spans = np.diff(t_grid, prepend=0.0)
+    h_max = PANEL_PHASE / envelope_rate(p)
+    return np.where(spans > 0, np.maximum(1.0, np.ceil(spans / h_max)), 0.0).astype(np.int64)
+
+
+def _lobatto(n: int):
+    """n Chebyshev-Lobatto nodes on [0, 1], ascending, and the Clenshaw-Curtis
+    weights that integrate their interpolant (n odd)."""
+    m = n - 1
+    theta = np.pi * np.arange(n) / m
+    j = np.arange(1, m // 2 + 1)
+    b = np.where(2 * j == m, 1.0, 2.0)
+    w = 1.0 - np.sum(b / (4.0 * j * j - 1.0) * np.cos(2.0 * j * theta[:, None]), axis=1)
+    w[1:-1] *= 2.0
+    return np.sin(theta / 2.0) ** 2, w / (2 * m)
+
+
+def _lagrange(nodes: np.ndarray, x) -> np.ndarray:
+    """The Lagrange basis on nodes at the points x; shape x.shape + (nodes.size,)."""
+    d = np.asarray(x, dtype=float)[..., None] - nodes
+    out = np.empty(d.shape)
+    for j in range(nodes.size):
+        others = np.arange(nodes.size) != j
+        out[..., j] = np.prod(d[..., others], axis=-1) / np.prod(nodes[j] - nodes[others])
+    return out
+
+
+def _weight_tables():
+    """What _carrier_weights needs of the panel basis L_j on the nodes u_a.
+
+    The base rule (tau, omega) on _BASE_NODES nodes; the basis at tau_q and
+    at tau_q tau_r; and the basis restricted to each half panel in the
+    half's own basis, halves[s, a, j] = L_j((s + u_a) / 2).
+    """
+    u, _ = _lobatto(PANEL_NODES)
+    tau, omega = _lobatto(_BASE_NODES)
+    halves = np.stack((_lagrange(u, u / 2.0), _lagrange(u, (1.0 + u) / 2.0)))
+    return tau, omega, _lagrange(u, tau), _lagrange(u, np.multiply.outer(tau, tau)), halves
+
+
+def _carrier_weights(x: np.ndarray, tables: tuple):
+    """Weights of the panel basis L_j against the carriers e^{i x_a u}, u in [0, 1].
+
+    x holds the two carrier phases kappa H of one panel width, tables is
+    _weight_tables().  Returns
+    w[a, j] = Integral_0^1 L_j(u) e^{i x_a u} du and the nested
+    W[a, b, j, l] = Integral_0^1 L_l(u) e^{-i x_b u} Integral_0^u L_j(v) e^{i x_a v} dv du.
+    Phases up to _BASE_PHASE are integrated by a nested Clenshaw-Curtis rule,
+    exact to rounding there.  Larger ones are halved k times first and the
+    weights doubled back up: a panel is its two halves, and on each half the
+    basis is a combination of the half's own basis (`halves`).  As the L_j
+    are real, the weights of -x are the conjugates of those of x.
+    """
+    tau, omega, basis, inner, halves = tables
+    big = float(np.max(np.abs(x)))
+    k = math.ceil(math.log2(big / _BASE_PHASE)) if big > _BASE_PHASE else 0
+    x = x / 2.0 ** k
+    w = np.einsum("q,cq,qj->cj", omega, np.exp(1j * np.multiply.outer(x, tau)), basis)
+    # Integral_0^tau_q L_j(v) e^{i x_c v} dv, then the outer rule against L_l e^{-i x_b u}
+    g = tau[:, None] * np.einsum("r,cqr,qrj->cqj", omega,
+                                 np.exp(1j * np.multiply.outer(x, np.multiply.outer(tau, tau))),
+                                 inner)
+    W = np.einsum("q,ql,bq,aqj->abjl", omega, basis, np.exp(-1j * np.multiply.outer(x, tau)), g)
+    for _ in range(k):
+        x = 2.0 * x
+        turn = np.exp(0.5j * x)  # each carrier's phase across the first half
+        lr = np.einsum("saj,ca->csj", halves, w)
+        both = np.einsum("saj,cdab,sbl->scdjl", halves, W, halves)
+        W = 0.25 * (both[0] + np.multiply.outer(turn, turn.conj())[..., None, None] * both[1]
+                    + turn.conj()[:, None, None] * lr[:, None, 0, :, None]
+                    * lr[None, :, 1, None, :].conj())
+        w = 0.5 * (lr[:, 0] + turn[:, None] * lr[:, 1])
+    return w, W
+
+
+def integrate_betas(p: SystemParams, t_grid) -> BetaSeries:
+    """Beta coefficients over t_grid by product integration (module docstring).
 
     Each interval between consecutive points of (0, *t_grid) is cut into
-    equal panels no wider than the period of the fastest angular frequency
-    over steps_per_period.  One classical RK4 step on a right-hand side
-    that depends on t alone is exactly the Simpson panel
-    h/6 (f_0 + 4 f_mid + f_1), so b1 and b2 are what RK4 gives at this step
-    density.  For b3 = Integral b1 b2' the cumulative b1 is taken at the
-    panel nodes; at the midpoint it adds the panel's own parabola integrated
-    over the left half, h/24 (5 f_0 + 8 f_mid - f_1), which with the right
-    half sums to the panel's Simpson rule.  A panel's right end is the next
-    panel's left end, so each node is evaluated once: two rate evaluations
-    per panel.  Panels are evaluated in vectorized chunks of bounded size.
+    beta_panels equal panels.  On a panel [s0, s0 + H], phi is interpolated
+    at PANEL_NODES Chebyshev-Lobatto nodes, the ends shared with the
+    neighbouring panels, and the carriers are integrated exactly against
+    the interpolant:
+
+        db1 = -i (Omega H / 2) sum_kappa e^{i kappa s0} sum_j phi_j w_j(kappa H)
+        db3 = b1(s0) db2 - (Omega H / 2)^2 sum_{kappa, kappa'} e^{i (kappa - kappa') s0}
+                                         sum_{j, l} phi_j W_jl(kappa H, kappa' H) phi_l*
+
+    with kappa, kappa' in {omega_c + omega_p, omega_c - omega_p} and
+    b2 = -b1*.  The weights (_carrier_weights) are built once per distinct
+    panel width.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
-    if steps_per_period < 1:
-        raise ValueError("steps_per_period must be >= 1")
-    dt_max = 2.0 * math.pi / p.fastest_angular_frequency / steps_per_period
-
+    counts = beta_panels(p, t_grid)
+    done = np.cumsum(counts)  # panels done at each sample
+    interval = np.repeat(np.arange(t_grid.size), counts)
     starts = np.concatenate(([0.0], t_grid[:-1]))
-    spans = t_grid - starts
-    n_sub = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / dt_max)), 0.0).astype(np.int64)
-    ends = np.cumsum(n_sub)  # panels done at the end of each interval
-    out = np.zeros((3, t_grid.size), dtype=np.complex128)
-    b = np.zeros(3, dtype=np.complex128)  # b1, b2, b3 before the chunk
-    n_panels = int(ends[-1])
-    for first in range(0, n_panels, _PANEL_CHUNK):
-        # left ends of the chunk's panels and of the panel after it (past the
-        # last panel, the last one's left end plus h): panel n's right end is
-        # node n + 1
-        j = np.arange(first, min(first + _PANEL_CHUNK, n_panels) + 1)
-        i = np.searchsorted(ends, np.minimum(j, n_panels - 1), side="right")
-        h = spans[i] / n_sub[i]
-        nodes = starts[i] + (j - ends[i] + n_sub[i]) * h
-        j, h = j[:-1], h[:-1]
-        f1, f2 = _drive_rates(p, np.concatenate((nodes, nodes[:-1] + h / 2)))
-        f1_0, f1_1, f1_mid = f1[:j.size], f1[1:j.size + 1], f1[j.size + 1:]
-        f2_0, f2_1, f2_mid = f2[:j.size], f2[1:j.size + 1], f2[j.size + 1:]
-        # cum[:, n] is the value after n panels of the chunk
-        cum = np.empty((3, j.size + 1), dtype=np.complex128)
-        cum[:, 0] = b
-        cum[0, 1:] = h / 6 * (f1_0 + 4 * f1_mid + f1_1)
-        cum[1, 1:] = h / 6 * (f2_0 + 4 * f2_mid + f2_1)
-        np.cumsum(cum[:2], axis=1, out=cum[:2])
-        b1_start, b1_end = cum[0, :-1], cum[0, 1:]
-        b1_mid = b1_start + h / 24 * (5 * f1_0 + 8 * f1_mid - f1_1)
-        cum[2, 1:] = h / 6 * (b1_start * f2_0 + 4 * b1_mid * f2_mid + b1_end * f2_1)
-        np.cumsum(cum[2], out=cum[2])
-        done = (ends > first) & (ends <= first + j.size)
-        out[:, done] = cum[:, ends[done] - first]
-        b = cum[:, -1].copy()
+    h = ((t_grid - starts) / np.maximum(counts, 1))[interval]
+    s0 = starts[interval] + (np.arange(interval.size) - (done - counts)[interval]) * h
+    u, _ = _lobatto(PANEL_NODES)
+    # phi once at every panel end, then at each interior node
+    f = np.empty((s0.size, PANEL_NODES), dtype=np.complex128)
+    ends = phi(p, np.append(s0, t_grid[-1]))
+    f[:, 0], f[:, -1] = ends[:-1], ends[1:]
+    for j in range(1, PANEL_NODES - 1):
+        f[:, j] = phi(p, s0 + h * u[j])
 
-    anti = float(np.max(np.abs(out[0] + np.conj(out[1]))))
+    kappa = np.array([p.omega_c + p.omega_p, p.omega_c - p.omega_p])
+    # panels whose widths differ only in their last bits share one set of weights
+    which = np.full(s0.size, -1)
+    widths = []
+    while (left := np.flatnonzero(which < 0)).size:
+        width = h[left[0]]
+        which[(which < 0) & (np.abs(h - width) <= _SAME_WIDTH * width)] = len(widths)
+        widths.append(width)
+    tables = _weight_tables()
+    d1 = np.empty(s0.size, dtype=np.complex128)
+    inner = np.empty(s0.size, dtype=np.complex128)
+    for i, width in enumerate(widths):
+        w, W = _carrier_weights(width * kappa, tables)
+        sel = slice(None) if len(widths) == 1 else which == i  # no copies for one width
+        fs = f[sel]
+        fc = fs.conj()
+        rot = np.exp(1j * np.multiply.outer(s0[sel], kappa))  # e^{i kappa s0}
+        beat = rot[:, 0] * rot[:, 1].conj()  # e^{2i omega_p s0}
+        d1[sel] = np.einsum("pa,pj,aj->p", rot, fs, w)
+        inner[sel] = (np.einsum("pj,jl,pl->p", fs, W[0, 0] + W[1, 1], fc)
+                      + beat * np.einsum("pj,jl,pl->p", fs, W[0, 1], fc)
+                      + beat.conj() * np.einsum("pj,jl,pl->p", fs, W[1, 0], fc))
+    d1 *= -0.5j * p.drive_amp * h
+    inner *= -(0.5 * p.drive_amp * h) ** 2
+    b1 = np.concatenate(([0.0], np.cumsum(d1)))
+    b3 = np.concatenate(([0.0], np.cumsum(inner - b1[:-1] * np.conj(d1))))
+    b1, b3 = b1[done], b3[done]
+    b2 = -np.conj(b1)
+
+    anti = float(np.max(np.abs(b1 + np.conj(b2))))
     a = p.alpha
-    unit = float(np.max(np.abs(2.0 * np.real(out[2] + a * out[1])
-                               - abs(a) ** 2 + np.abs(a + out[0]) ** 2)))
-    return BetaSeries(t=t_grid.copy(), b1=out[0], b2=out[1], b3=out[2],
-                      antisymmetry_defect=anti, unitarity_defect=unit)
+    unit = float(np.max(np.abs(2.0 * np.real(b3 + a * b2) - abs(a) ** 2 + np.abs(a + b1) ** 2)))
+    # last Chebyshev coefficient of each panel's interpolant
+    alternating = np.where(np.arange(PANEL_NODES) % 2, -1.0, 1.0)
+    alternating[[0, -1]] *= 0.5
+    tail = np.abs(np.einsum("pj,j->p", f, alternating))
+    scale = np.max(np.abs(f), initial=abs(ends[-1]))  # max |phi| at the nodes
+    envelope_tail = float(np.max(tail, initial=0.0) / (PANEL_NODES - 1) / scale)
+    return BetaSeries(t=t_grid.copy(), b1=b1, b2=b2, b3=b3,
+                      antisymmetry_defect=anti, unitarity_defect=unit,
+                      envelope_tail=envelope_tail, panels=int(done[-1]))
 
 
 def evolve_driven(p: SystemParams, t: float, betas: BetaCoefficients,

@@ -54,7 +54,3 @@ class SystemParams:
         """Slow envelope period 2 pi / |detuning| (inf on resonance)."""
         d = abs(self.detuning)
         return math.inf if d == 0.0 else 2.0 * math.pi / d
-
-    @property
-    def fastest_angular_frequency(self) -> float:
-        return max(self.omega_c + self.omega_p, self.omega_c, self.omega_m)

@@ -236,6 +236,22 @@ def test_validate_reports_the_memory_a_run_holds(capsys, preset, memory):
     assert re.findall(r"\bstate_memory_mb=([\d.]+)", capsys.readouterr().out) == memory
 
 
+@pytest.mark.parametrize("preset, panels", [
+    # one panel per sample interval: 1,600 and 1,100 intervals, each shorter
+    # than PANEL_PHASE / omega_env
+    ("fig4", [1600, 1600]),
+    ("fig7_8", [1100, 1100]),
+    # two intervals of pi / omega_m, 29 panels each at omega_env = 4.5 omega_m
+    ("wigner_snapshots", [58]),
+    ("fig2", []),
+], ids=["fig4", "fig7_8", "wigner_snapshots", "fig2"])
+def test_validate_reports_the_beta_panels(capsys, preset, panels):
+    """Every job that integrates betas, through driven-analytic or wigner."""
+    assert cli.main(["validate", "--preset", preset]) == 0
+    printed = re.findall(r"driven-analytic: panels=(\d+)", capsys.readouterr().out)
+    assert [int(n) for n in printed] == panels
+
+
 @pytest.mark.parametrize("text, p, dims, t_grid", [
     (TINY_DRIVEN_CONFIG, tiny_system(), FockDims(16, 18), np.linspace(0.0, 1e-6, 7)),
     # t_end short of the snapshot horizon, which alone sets the wigner route's steps
@@ -331,12 +347,15 @@ def test_driven_preset_runs(tmp_path, capsys, preset):
 
 
 def test_preset_runs_without_a_config(tmp_path, capsys):
-    """fig3 is one analytic job: nine files, and beta defects at rounding level."""
+    """fig3 is one analytic job: nine files, beta defects at rounding level,
+    and the panels validate counts."""
     out = tmp_path / "out"
     assert cli.main(["run", "--preset", "fig3", "--out", str(out)]) == 0
     assert len(os.listdir(out)) == 9
-    assert float(manifest_value(out, "antisymmetry_defect")) <= 1e-9
-    assert float(manifest_value(out, "unitarity_defect")) <= 1e-9
+    assert float(manifest_value(out, "antisymmetry_defect")) <= 1e-11
+    assert float(manifest_value(out, "unitarity_defect")) <= 1e-11
+    assert float(manifest_value(out, "envelope_tail")) <= 1e-9
+    assert int(manifest_value(out, "beta_panels")) == 2000
     assert cli.main(["run", "--out", str(out)]) == 1
     assert "--config" in capsys.readouterr().err
 
@@ -358,6 +377,24 @@ def test_runtime_imports_no_scipy(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 0", done.stderr
+
+
+def test_cli_import_loads_no_optional_modules():
+    """A fresh import of the CLI, which every validate and run pays, loads
+    none of these."""
+    script = (
+        "import sys\n"
+        "import optomech.cli\n"
+        "print(sorted(m for m in ('numpy.polynomial', 'numpy.random', 'scipy',"
+        " 'multiprocessing') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_wigner_numeric_route_defaults_to_snapshot_horizon(tmp_path):

@@ -84,7 +84,7 @@ class TestStepSizing:
         cfg = recommend_integrator_config(p, 1e-5, DIMS)
         assert cfg.dt <= max_stable_dt(p)
         assert max_stable_dt(p) == pytest.approx(
-            2 * math.pi / (40 * p.fastest_angular_frequency))
+            2 * math.pi / (40 * (p.omega_c + p.omega_p)))
 
     def test_longer_runs_get_smaller_steps(self):
         p = tiny_system()

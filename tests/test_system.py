@@ -17,15 +17,10 @@ def test_derived_quantities():
     assert p.detuning == pytest.approx(-0.2e9)
     assert p.mech_period == pytest.approx(2 * math.pi / 1e7)
     assert p.beat_period == pytest.approx(2 * math.pi / 0.2e9)
-    assert p.fastest_angular_frequency == pytest.approx(1.8e9)
 
 
 def test_resonant_beat_period_is_infinite():
     assert make(omega_p=1e9).beat_period == math.inf
-
-
-def test_undriven_fastest_frequency_is_cavity():
-    assert make().fastest_angular_frequency == 1e9
 
 
 @pytest.mark.parametrize("kw", [
