@@ -34,11 +34,27 @@ wigner, its three kept states. For driven-analytic the manifest records the
 beta integration's `antisymmetry_defect`, `unitarity_defect`,
 `envelope_tail` and `beta_panels` (`driven.BetaSeries`).
 
+`filter` adds, for each analytic and numeric photon_avg, phonon_avg,
+mandel_mirror and linear_entropy_mirror series, its centered moving
+average over the beat period 2 pi / |omega_p - omega_c|. It needs
+omega_p != omega_c and, in a job with driven-analytic or driven-numeric, a
+beat period at least twice the median spacing of the series grid, about
+t_end / (n_samples - 1) (`postproc.require_window`).
+
 A preset replaces the physics keys wholesale; configs may still set
 output_dir, filter, dims and integrator overrides next to it, and
-`--preset NAME` without `--config` runs the preset as it stands. Each run
-writes `manifest.txt` recording every expanded value, so any output can be
+`--preset NAME` without `--config` runs the preset as it stands. These
+settings and the flags `--out`, `--filter` and `--dims`, each replacing
+its key, apply to every job: dims as set, else the job's own; filter if
+the job or the setting asks; the rest as set. Each run writes
+`manifest.txt` recording every expanded value, so any output can be
 reproduced from the manifest alone.
+
+A config is built into its resolved, checked jobs, and `validate` and
+`run` take those. So every config error (exit 1) is raised while the jobs
+are built, before `validate` prints a job and before `run` creates
+output_dir or forks; only an output_dir that cannot be created is found by
+`run` itself, before it forks.
 
 fig7_8's `*_red` files are what the former presets for the paper's Figs. 9
 and 10 wrote: each re-ran fig7_8's red job. Presets of their own for those
@@ -72,7 +88,9 @@ import numpy as np
 from . import driven, oracle, undriven, wigner
 from .errors import ConfigError, IntegrationError, TruncationError
 from .fock import FockDims, recommend_field_dim, recommend_mirror_dim
-from .postproc import ObservableSeries, atomic_write_text, compare, filter_fast, write_series
+from .postproc import (
+    ObservableSeries, atomic_write_text, compare, filter_fast, require_window, write_series,
+)
 from .system import SystemParams
 
 MODES = ("undriven", "driven-analytic", "driven-numeric", "wigner", "compare")
@@ -114,14 +132,13 @@ _BEAT_PERIOD = 2.0 * math.pi / (abs(_RED - 1.0) * _WEAK_OMEGA_C)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved description of one run (or of a preset to expand)."""
+    """Fully resolved and checked description of one job."""
 
-    params: SystemParams | None
+    params: SystemParams
     t_end: float
     n_samples: int
     modes: tuple
     dims: FockDims | None = None
-    preset: str | None = None
     filter: bool = False
     output_dir: str = "."
     dt: float | None = None
@@ -129,47 +146,53 @@ class RunConfig:
     wigner_grid_points: int = 161
 
     def __post_init__(self):
-        if self.preset is None:
-            if self.params is None:
-                raise ConfigError("params are required when no preset is set")
-            if not (self.t_end > 0):
-                raise ConfigError("t_end must be positive")
-            if self.n_samples < 2:
-                raise ConfigError("n_samples must be at least 2")
-            if not self.modes:
-                raise ConfigError("modes must not be empty")
-            bad = [m for m in self.modes if m not in MODES]
-            if bad:
-                raise ConfigError(f"unknown modes {bad}; valid: {', '.join(MODES)}")
-            if "compare" in self.modes and not (
-                "driven-analytic" in self.modes and "driven-numeric" in self.modes
-            ):
-                raise ConfigError(
-                    "mode 'compare' needs both 'driven-analytic' and 'driven-numeric'"
-                )
-        elif self.preset not in PRESETS:
+        if not (self.t_end > 0):
+            raise ConfigError("t_end must be positive")
+        if not math.isfinite(self.t_end):
+            raise ConfigError("t_end must be finite")
+        if self.n_samples < 2:
+            raise ConfigError("n_samples must be at least 2")
+        if not self.modes:
+            raise ConfigError("modes must not be empty")
+        bad = [m for m in self.modes if m not in MODES]
+        if bad:
+            raise ConfigError(f"unknown modes {bad}; valid: {', '.join(MODES)}")
+        if "compare" in self.modes and not (
+            "driven-analytic" in self.modes and "driven-numeric" in self.modes
+        ):
             raise ConfigError(
-                f"unknown preset {self.preset!r}; valid: {', '.join(PRESETS)}"
+                "mode 'compare' needs both 'driven-analytic' and 'driven-numeric'"
             )
         if self.dt is not None and not (self.dt > 0):
             raise ConfigError("dt must be positive")
-        if self.dt is not None and self.params is not None and any(
-            mode in self.modes for mode in _ORACLE_MODES
-        ):
+        if self.dt is not None and any(mode in self.modes for mode in _ORACLE_MODES):
             try:
                 oracle.require_stable_dt(self.params, self.dt)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        if not (self.norm_tolerance > 0 and math.isfinite(self.norm_tolerance)):
+            raise ConfigError("norm_tolerance must be positive and finite")
         if self.wigner_grid_points < 8:
             raise ConfigError("wigner_grid_points must be at least 8")
+        if self.filter:
+            window = self.params.beat_period
+            if not math.isfinite(window):
+                raise ConfigError("filter window undefined: drive on cavity resonance")
+            if any(mode in self.modes for mode in ("driven-analytic", "driven-numeric")):
+                try:
+                    require_window(np.linspace(0.0, self.t_end, self.n_samples), window)
+                except ValueError as exc:
+                    raise ConfigError(f"filter: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class _Job:
-    """One executable unit: a resolved RunConfig plus emission details."""
+    """One executable unit: a resolved RunConfig, the preset it belongs to
+    (for the manifest) and emission details."""
 
     config: RunConfig
     tag: str = ""
+    preset: str | None = None
     emit_beta_variants: bool = False
     emit_closed_form_photon: bool = False
 
@@ -257,9 +280,10 @@ def _dims_of(kv):
         raise ConfigError(f"{lines}: field_dim, mirror_dim: {exc}") from exc
 
 
-def _settings_of(kv: dict) -> dict:
-    """RunConfig fields from the keys a config may set next to a preset."""
-    return dict(
+def _settings_of(kv: dict, overrides: dict | None = None) -> dict:
+    """RunConfig fields from the keys a config may set next to a preset,
+    each replaced by its entry in overrides (the flags' settings)."""
+    settings = dict(
         dims=_dims_of(kv),
         filter=_parsed(kv, "filter", bool, default=False),
         output_dir=kv["output_dir"][0] if "output_dir" in kv else ".",
@@ -267,20 +291,22 @@ def _settings_of(kv: dict) -> dict:
         norm_tolerance=_parsed(kv, "norm_tolerance", float, default=oracle.DEFAULT_NORM_TOLERANCE),
         wigner_grid_points=_parsed(kv, "wigner_grid_points", int, default=161),
     )
+    settings.update(overrides or {})
+    return settings
 
 
-def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
-    """RunConfig from parsed key/value entries; all diagnostics cite lines."""
-    preset = preset_override or (kv["preset"][0] if "preset" in kv else None)
+def build_jobs(kv: dict, preset: str | None = None, overrides: dict | None = None) -> tuple:
+    """The resolved, checked jobs of parsed key/value entries; `preset`
+    replaces the config's own and `overrides` its settings. All diagnostics
+    cite lines."""
+    preset = preset or (kv["preset"][0] if "preset" in kv else None)
     if preset is not None:
         stray = sorted(k for k in kv if k not in _PRESET_COMPATIBLE)
         if stray:
             raise ConfigError(
                 f"keys {stray} conflict with preset {preset!r}; a preset fixes the physics"
             )
-        return RunConfig(
-            params=None, t_end=1.0, n_samples=2, modes=(), preset=preset, **_settings_of(kv)
-        )
+        return preset_jobs(preset, _settings_of(kv, overrides))
     missing = [k for k in _REQUIRED_KEYS if k not in kv]
     if missing:
         raise ConfigError(
@@ -300,22 +326,28 @@ def build_config(kv: dict, preset_override: str | None = None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        params=params,
-        t_end=_parsed(kv, "t_end", float),
-        n_samples=_parsed(kv, "n_samples", int),
-        modes=tuple(m.strip() for m in kv["modes"][0].split(",") if m.strip()),
-        **_settings_of(kv),
+    config = RunConfig(
+        params,
+        _parsed(kv, "t_end", float),
+        _parsed(kv, "n_samples", int),
+        tuple(m.strip() for m in kv["modes"][0].split(",") if m.strip()),
+        **_settings_of(kv, overrides),
     )
+    return (_Job(config),)
 
 
-def load_config(path: str, preset_override: str | None = None) -> RunConfig:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return build_config(parse_config_text(text), preset_override)
+def load_jobs(path: str | None, preset: str | None = None,
+              overrides: dict | None = None) -> tuple:
+    """`build_jobs` of a config file, or of no entries when path is None."""
+    kv = {}
+    if path is not None:
+        try:
+            with open(path) as f:
+                text = f.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        kv = parse_config_text(text)
+    return build_jobs(kv, preset, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +374,20 @@ _WEAK_DIMS = FockDims(30, 35)
 _STRONG_DIMS = FockDims(30, 308)
 
 
-def preset_jobs(name: str) -> tuple:
-    """Pure expansion of a preset into jobs; overrides are applied afterward."""
+def preset_jobs(name: str, settings: dict | None = None) -> tuple:
+    """A preset's jobs under a run's settings (`_settings_of`), the
+    defaults when None: the settings' dims if given, else the job's own;
+    filter if the job or the settings ask; every other setting as set."""
+    settings = settings or _settings_of({})
+
+    def job(tag, params, t_end, n_samples, modes, dims=None, filter=False, **emit):
+        own = {"dims": dims if settings["dims"] is None else settings["dims"],
+               "filter": filter or settings["filter"]}
+        config = RunConfig(params, t_end, n_samples, modes, **{**settings, **own})
+        return _Job(config, tag, name, **emit)
+
     driven_modes = ("driven-analytic", "driven-numeric", "compare")
+    detunings = (("red", _RED), ("blue", _BLUE))
     if name == "fig2":
         # Undriven mirror dynamics for a sweep of field intensities around
         # the cooling/heating thresholds of |alpha|^2.
@@ -359,121 +402,34 @@ def preset_jobs(name: str) -> tuple:
             ("alpha_sq_64", 8.0),
         )
         return tuple(
-            _Job(
-                RunConfig(
-                    params=replace(base, alpha=complex(a)),
-                    t_end=2.0 * math.pi / base.omega_m,
-                    n_samples=201,
-                    modes=("undriven",),
-                ),
-                tag=tag,
-            )
+            job(tag, replace(base, alpha=complex(a)), 2.0 * math.pi / base.omega_m, 201,
+                ("undriven",))
             for tag, a in alphas
         )
     if name == "fig3":
-        return (
-            _Job(
-                RunConfig(
-                    params=_weak(_RED),
-                    t_end=2.0 * _BEAT_PERIOD,
-                    n_samples=2001,
-                    modes=("driven-analytic",),
-                ),
-                tag="red",
-                emit_beta_variants=True,
-            ),
-        )
+        return (job("red", _weak(_RED), 2.0 * _BEAT_PERIOD, 2001, ("driven-analytic",),
+                    emit_beta_variants=True),)
     if name == "fig4":
         return tuple(
-            _Job(
-                RunConfig(
-                    params=_weak(r),
-                    t_end=4.0 * _BEAT_PERIOD,
-                    n_samples=1601,
-                    modes=driven_modes,
-                    dims=_WEAK_DIMS,
-                ),
-                tag=tag,
-                emit_closed_form_photon=True,
-            )
-            for tag, r in (("red", _RED), ("blue", _BLUE))
+            job(tag, _weak(r), 4.0 * _BEAT_PERIOD, 1601, driven_modes, _WEAK_DIMS,
+                emit_closed_form_photon=True)
+            for tag, r in detunings
         )
     if name == "fig5_6":
-        jobs = [
-            _Job(
-                RunConfig(
-                    params=_weak(r),
-                    t_end=_MECH_PERIOD,
-                    n_samples=2001,
-                    modes=driven_modes,
-                    dims=_WEAK_DIMS,
-                    filter=True,
-                ),
-                tag=tag,
-            )
-            for tag, r in (("red", _RED), ("blue", _BLUE))
-        ]
-        jobs.append(
-            _Job(
-                RunConfig(
-                    params=replace(_weak(_RED), omega_p=0.0, drive_amp=0.0),
-                    t_end=_MECH_PERIOD,
-                    n_samples=2001,
-                    modes=("undriven",),
-                ),
-                tag="nonforced",
-            )
-        )
-        return tuple(jobs)
+        nonforced = replace(_weak(_RED), omega_p=0.0, drive_amp=0.0)
+        return tuple(
+            job(tag, _weak(r), _MECH_PERIOD, 2001, driven_modes, _WEAK_DIMS, filter=True)
+            for tag, r in detunings
+        ) + (job("nonforced", nonforced, _MECH_PERIOD, 2001, ("undriven",)),)
     if name == "fig7_8":
         return tuple(
-            _Job(
-                RunConfig(
-                    params=_strong(r),
-                    t_end=5.5 * _MECH_PERIOD,
-                    n_samples=1101,
-                    modes=driven_modes,
-                    dims=_STRONG_DIMS,
-                    filter=True,
-                ),
-                tag=tag,
-            )
-            for tag, r in (("red", _RED), ("blue", _BLUE))
+            job(tag, _strong(r), 5.5 * _MECH_PERIOD, 1101, driven_modes, _STRONG_DIMS,
+                filter=True)
+            for tag, r in detunings
         )
     if name == "wigner_snapshots":
-        return (
-            _Job(
-                RunConfig(
-                    params=_strong(_RED),
-                    t_end=_MECH_PERIOD,
-                    n_samples=3,
-                    modes=("wigner",),
-                    dims=_STRONG_DIMS,
-                ),
-                tag="red",
-            ),
-        )
+        return (job("red", _strong(_RED), _MECH_PERIOD, 3, ("wigner",), _STRONG_DIMS),)
     raise ConfigError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
-
-
-def expand_jobs(config: RunConfig) -> tuple:
-    """Jobs to execute for a config, with preset-compatible overrides applied."""
-    if config.preset is None:
-        return (_Job(config),)
-    jobs = []
-    for job in preset_jobs(config.preset):
-        jc = replace(
-            job.config,
-            preset=config.preset,
-            output_dir=config.output_dir,
-            filter=job.config.filter or config.filter,
-            dims=config.dims if config.dims is not None else job.config.dims,
-            dt=config.dt,
-            norm_tolerance=config.norm_tolerance,
-            wigner_grid_points=config.wigner_grid_points,
-        )
-        jobs.append(replace(job, config=jc))
-    return tuple(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +552,8 @@ def _run_job(job: _Job) -> tuple:
         man.append(f"{key}={_fmt(value)}")
 
     note("tag", job.tag or "main")
-    if cfg.preset:
-        note("preset", cfg.preset)
+    if job.preset:
+        note("preset", job.preset)
     for key in _PARAM_KEYS:
         note(key, getattr(p, key))
     note("t_end", cfg.t_end)
@@ -606,9 +562,6 @@ def _run_job(job: _Job) -> tuple:
     note("filter", cfg.filter)
 
     t_grid = np.linspace(0.0, cfg.t_end, cfg.n_samples)
-    window = p.beat_period
-    if cfg.filter and not math.isfinite(window):
-        raise ConfigError("filter window undefined: drive on cavity resonance")
 
     analytic = {}
     numeric = {}
@@ -673,10 +626,10 @@ def _run_job(job: _Job) -> tuple:
         for name in _FILTERABLE:
             for route, route_name in ((analytic, "analytic"), (numeric, "numeric")):
                 if name in route:
-                    f = filter_fast(route[name], window)
+                    f = filter_fast(route[name], p.beat_period)
                     filtered[(name, route_name)] = f
                     emit.series(replace(f, label=f"{name}_{route_name}"))
-        note("filter_window", window)
+        note("filter_window", p.beat_period)
 
     if "compare" in cfg.modes:
         for name in sorted(set(analytic) & set(numeric)):
@@ -809,28 +762,30 @@ def _forked_map(fn, items) -> list:
     return results
 
 
-def run(config: RunConfig) -> list:
-    """Execute a RunConfig (expanding its preset); returns the files written."""
+def run(jobs) -> list:
+    """Execute the jobs of one config, which share their output_dir; returns
+    the files written."""
+    out_dir = jobs[0].config.output_dir
     try:
-        os.makedirs(config.output_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output_dir {config.output_dir!r}: {exc}") from exc
-    jobs = expand_jobs(config)
+        raise ConfigError(f"cannot create output_dir {out_dir!r}: {exc}") from exc
     sections = []
     files = []
     for job, (job_files, man) in zip(jobs, _forked_map(_run_job, jobs)):
         files.extend(job_files)
         sections.append(f"[job {job.tag or 'main'}]\n" + "\n".join(man))
-    manifest = os.path.join(config.output_dir, "manifest.txt")
+    manifest = os.path.join(out_dir, "manifest.txt")
     atomic_write_text(manifest, "\n\n".join(sections) + "\n")
     files.append("manifest.txt")
     return files
 
 
-def validate(config: RunConfig) -> str:
-    """Check a config and report recommended dims and effort, without running."""
+def validate(jobs) -> str:
+    """Report the jobs of one config with their recommended dims and effort,
+    without running."""
     lines = []
-    for job in expand_jobs(config):
+    for job in jobs:
         cfg = job.config
         p = cfg.params
         dims = _job_dims(cfg)
@@ -889,38 +844,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_flags(config: RunConfig, args) -> RunConfig:
+def _flag_settings(args) -> dict:
+    """The settings the given flags set; each replaces the config's."""
+    settings = {}
     if args.out:
-        config = replace(config, output_dir=args.out)
+        settings["output_dir"] = args.out
     if args.filter:
-        config = replace(config, filter=True)
+        settings["filter"] = True
     if args.dims:
         try:
             fd, md = (int(x) for x in args.dims.split(","))
         except ValueError as exc:
             raise ConfigError(f"--dims expects FIELD,MIRROR integers, got {args.dims!r}") from exc
         try:
-            config = replace(config, dims=FockDims(fd, md))
+            settings["dims"] = FockDims(fd, md)
         except ValueError as exc:
             raise ConfigError(f"--dims {args.dims}: {exc}") from exc
-    return config
+    return settings
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.config is not None:
-            config = load_config(args.config, args.preset)
-        elif args.preset is not None:
-            config = build_config({}, args.preset)
-        else:
+        if args.config is None and args.preset is None:
             raise ConfigError("the following arguments are required: --config (or --preset)")
-        config = _apply_flags(config, args)
+        jobs = load_jobs(args.config, args.preset, _flag_settings(args))
         if args.command == "validate":
-            print(validate(config))
+            print(validate(jobs))
             return 0
-        files = run(config)
-        print(f"wrote {len(files)} files to {config.output_dir}")
+        files = run(jobs)
+        print(f"wrote {len(files)} files to {jobs[0].config.output_dir}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

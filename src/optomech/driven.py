@@ -340,10 +340,7 @@ def evolve_driven(p: SystemParams, t: float, betas: BetaCoefficients,
     weights, _ = coherent_amplitudes(dims.field_dim, p.alpha + betas.b1)
     lead = cmath.exp(betas.b3 + abs(betas.b1) ** 2 / 2.0
                      + 1j * (betas.b1 * np.conj(p.alpha)).imag)
-    state = _assemble_blocks(p, weights * (lead / abs(lead)), t, dims)
-    state.meta["b1"] = betas.b1
-    state.meta["b3"] = betas.b3
-    return state
+    return _assemble_blocks(p, weights * (lead / abs(lead)), t, dims)
 
 
 def _mu(p: SystemParams, betas) -> np.ndarray:

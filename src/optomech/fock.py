@@ -10,7 +10,7 @@ Conventions fixed here and imported everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class JointState:
 
     dims: FockDims
     amps: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=np.complex128)

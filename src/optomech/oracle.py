@@ -91,8 +91,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
-        if self.norm_tolerance <= 0:
-            raise ValueError("norm_tolerance must be positive")
+        if not (self.norm_tolerance > 0 and math.isfinite(self.norm_tolerance)):
+            raise ValueError("norm_tolerance must be positive and finite")
 
 
 def drive_growth(p: SystemParams, t_total: float) -> float:
@@ -256,9 +256,8 @@ class OracleRun:
     """The reductions of each sample on the requested grid, plus integration diagnostics.
 
     Row i of `field_probs` (P(k)) and `mirror_probs` (P(m)) belongs to
-    t[i], normalized; `norms` is the unnormalized state's norm, `leaks`
-    the population of its top field and mirror levels and `purity`
-    Tr[rho_m^2] = Tr[rho_f^2], all as `reduce_sample` gives them. `states`
+    t[i], normalized; `norms` is the unnormalized state's norm and `purity`
+    Tr[rho_m^2] = Tr[rho_f^2], both as `reduce_sample` gives them. `states`
     holds the lab-frame states, normalized, only when the run was asked to
     keep them.
     """
@@ -270,7 +269,6 @@ class OracleRun:
     field_probs: np.ndarray
     mirror_probs: np.ndarray
     norms: np.ndarray
-    leaks: np.ndarray
     purity: np.ndarray
     states: list = field(default_factory=list)
     norm_drift: float = 0.0
@@ -411,7 +409,9 @@ class InteractionFrame:
 
 
 class SampleReduction(NamedTuple):
-    """What a run keeps of one sample; the fields are as in OracleRun."""
+    """What a run takes of one sample; the fields are as in OracleRun, and
+    `leaks` is the population of the top field and mirror levels, which
+    feeds leak_max and the leak warning."""
 
     field_probs: np.ndarray
     mirror_probs: np.ndarray
@@ -513,7 +513,6 @@ def evolve_numeric(
         field_probs=np.empty((n_t, dims.field_dim)),
         mirror_probs=np.empty((n_t, dims.mirror_dim)),
         norms=np.empty(n_t),
-        leaks=np.empty((n_t, 2)),
         purity=np.empty(n_t),
     )
     dt = config.dt
@@ -549,7 +548,6 @@ def evolve_numeric(
         run.field_probs[i] = red.field_probs
         run.mirror_probs[i] = red.mirror_probs
         run.norms[i] = red.norm
-        run.leaks[i] = red.leaks
         run.purity[i] = red.purity
         for found, leak in zip(leaky.values(), red.leaks):
             run.leak_max = max(run.leak_max, leak)
@@ -558,7 +556,7 @@ def evolve_numeric(
         if keep_states:
             lab = frame.to_lab(t_i, vec)
             lab /= red.norm
-            run.states.append(JointState(dims, lab, meta={"t": t_i, "norm_drift": abs(red.norm - 1.0)}))
+            run.states.append(JointState(dims, lab))
 
     i = 0
     while i < n_t and t_grid[i] == 0.0:

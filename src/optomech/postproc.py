@@ -58,17 +58,23 @@ def median(values) -> float:
     return float(s[mid]) if s.size % 2 else float((s[mid - 1] + s[mid]) / 2.0)
 
 
-def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
-    """Centered moving average over the given time window.
-
-    Near the edges the window shrinks symmetrically so the average stays
-    centered; the result carries provenance "filtered".
-    """
-    spacing = median(np.diff(series.t)) if len(series) > 1 else 0.0
+def require_window(t: np.ndarray, window: float) -> float:
+    """The median spacing of grid t; ValueError unless the window is at least twice it."""
+    spacing = median(np.diff(t)) if t.size > 1 else 0.0
     if window < 2.0 * spacing or spacing == 0.0:
         raise ValueError(
             f"window {window:g} must be at least twice the median spacing {spacing:g}"
         )
+    return spacing
+
+
+def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
+    """Centered moving average over the given time window (`require_window`).
+
+    Near the edges the window shrinks symmetrically so the average stays
+    centered; the result carries provenance "filtered".
+    """
+    spacing = require_window(series.t, window)
     t, y = series.t, series.y
     half = np.minimum(window / 2.0, np.minimum(t - t[0], t[-1] - t))
     eps = spacing * 1e-9

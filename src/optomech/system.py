@@ -9,8 +9,9 @@ hbar = 1 throughout.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,9 @@ class SystemParams:
     gamma: complex = 0.0 + 0.0j
 
     def __post_init__(self):
+        for f in fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.omega_c <= 0 or self.omega_m <= 0:
             raise ValueError("omega_c and omega_m must be positive")
         if self.omega_p < 0:

@@ -77,9 +77,7 @@ def _assemble_blocks(p: SystemParams, field_weights: np.ndarray, t: float,
         )
 
     amps = (c / np.sqrt(1.0 - loss))[:, None] * blocks
-    prenorm = float(np.linalg.norm(amps))
-    amps = (amps / prenorm).ravel()
-    return JointState(dims, amps, meta={"prenorm": prenorm, "residue": residue})
+    return JointState(dims, (amps / np.linalg.norm(amps)).ravel())
 
 
 def _phonon_avg(p: SystemParams, t, mu) -> np.ndarray:

@@ -1,7 +1,8 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
 config value parsing, validate's step counts, memory and preset list, the auto
 dims' floor, the analytic field Mandel series, jobs and Wigner grids run in
-worker processes, the manifest's step_max, and the wigner_snapshots preset."""
+worker processes, the manifest's step_max, config errors raised alike by
+validate and run before anything is written, and the wigner_snapshots preset."""
 import os
 import re
 import subprocess
@@ -182,7 +183,7 @@ def test_invalid_dims_are_config_errors(tmp_path, capsys, text, flags, cause, co
 def test_unparsable_values_name_their_line_and_kind(line, message):
     text = AT_REST_CONFIG + "modes = undriven\n" + line + "\n"
     with pytest.raises(ConfigError) as err:
-        cli.build_config(cli.parse_config_text(text))
+        cli.build_jobs(cli.parse_config_text(text))
     assert str(err.value) == "line 6: " + message
 
 
@@ -194,13 +195,14 @@ def test_unparsable_values_name_their_line_and_kind(line, message):
 def test_dims_errors_are_prefixed_once(field_dim, message):
     text = AT_REST_CONFIG + f"modes = undriven\nfield_dim = {field_dim}\nmirror_dim = 4\n"
     with pytest.raises(ConfigError) as err:
-        cli.build_config(cli.parse_config_text(text))
+        cli.build_jobs(cli.parse_config_text(text))
     assert str(err.value) == message
 
 
 def test_config_values_parse_by_kind():
     text = AT_REST_CONFIG + "modes = undriven\nomega_p = 0.8*omega_c\nfilter = YES\ngamma = 2-1j\n"
-    cfg = cli.build_config(cli.parse_config_text(text))
+    (job,) = cli.build_jobs(cli.parse_config_text(text))
+    cfg = job.config
     assert cfg.params.omega_p == 0.8 * 1e8
     assert cfg.params.gamma == 2 - 1j and cfg.params.alpha == 0j
     assert cfg.filter is True and cfg.n_samples == 3 and cfg.wigner_grid_points == 161
@@ -430,18 +432,18 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text, forks):
     The workers fork from a single-threaded process, so Python 3.12+ has no
     multi-threaded fork to warn about.
     """
-    config = cli.load_config(write_config(tmp_path, text))
+    path = write_config(tmp_path, text)
     out = tmp_path / "pooled"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        files = cli.run(replace(config, output_dir=str(out)))
+        files = cli.run(cli.load_jobs(path, overrides={"output_dir": str(out)}))
     assert pooled == forks
     assert not [w for w in caught if "fork" in str(w.message)]
 
     serial = tmp_path / "serial"
     serial.mkdir()
     sections = []
-    for job in cli.expand_jobs(replace(config, output_dir=str(serial))):
+    for job in cli.load_jobs(path, overrides={"output_dir": str(serial)}):
         _, man = cli._run_job(job)
         sections.append(f"[job {job.tag}]\n" + "\n".join(man))
     (serial / "manifest.txt").write_text("\n\n".join(sections) + "\n")
@@ -454,9 +456,8 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text, forks):
 def test_manifest_step_max_is_the_step_taken(tmp_path):
     """fig4 cuts the run into equal steps no longer than the dt cap."""
     out = tmp_path / "out"
-    config = cli.load_config(write_config(tmp_path, "preset = fig4\nfield_dim = 22\n"
-                                                    "mirror_dim = 22\n"))
-    cli.run(replace(config, output_dir=str(out)))
+    path = write_config(tmp_path, "preset = fig4\nfield_dim = 22\nmirror_dim = 22\n")
+    cli.run(cli.load_jobs(path, overrides={"output_dir": str(out)}))
     for tag, job in manifest_jobs(out).items():
         step_max = float(job["step_max"])
         assert step_max == pytest.approx(float(job["t_end"]) / int(job["n_steps"]),
@@ -516,9 +517,9 @@ def forks_of_job(job) -> list:
 def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
     """Two wigner jobs go to two job workers, and each grids in-process; the
     same job run here forks one worker for both sources' grids."""
-    config = cli.load_config(write_config(tmp_path, WIGNER_CONFIG))
-    jobs = [cli._Job(replace(config, output_dir=str(tmp_path / tag)), tag=tag)
-            for tag in ("a", "b")]
+    path = write_config(tmp_path, WIGNER_CONFIG)
+    jobs = [replace(job, tag=tag) for tag in ("a", "b")
+            for job in cli.load_jobs(path, overrides={"output_dir": str(tmp_path / tag)})]
     for job in jobs:
         os.makedirs(job.config.output_dir)
     assert cli._forked_map(forks_of_job, jobs) == [[], []]
@@ -561,6 +562,99 @@ def test_config_errors_are_raised_before_any_fork(tmp_path, capsys, pooled):
     assert cli.main(argv) == 1
     assert f"unknown preset 'fig9'; valid: {', '.join(cli.PRESETS)}" in capsys.readouterr().err
     assert pooled == []
+
+
+# A driven analytic job on the AT_REST_CONFIG system.
+DRIVEN_AT_REST = AT_REST_CONFIG + "modes = driven-analytic\ndrive_amp = 0.01*omega_c\n"
+
+# (config text or None for no --config, flags, what the message names)
+CONFIG_ERRORS = {
+    "dt-over-cap": ("preset = fig7_8\ndt = 1e-9\n", [], "max_stable_dt"),
+    "dt-over-cap-fig4": ("preset = fig4\ndt = 1e-9\n", [], "max_stable_dt"),
+    "dims-flag-below-2": (AT_REST_CONFIG + "modes = undriven\n", ["--dims", "1,35"],
+                          "--dims 1,35: each dimension must be >= 2"),
+    "dims-flag-syntax": (AT_REST_CONFIG + "modes = undriven\n", ["--dims", "4"],
+                         "--dims expects FIELD,MIRROR integers, got '4'"),
+    "dims-over-budget": (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1000\n"
+                         "mirror_dim = 1001\n", [], "lines 6 and 7: field_dim, mirror_dim: "),
+    "dims-parse": (AT_REST_CONFIG + "modes = undriven\nfield_dim = 3.0\nmirror_dim = 4\n", [],
+                   "line 6: field_dim: not an integer: '3.0'"),
+    "dims-below-2": (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1\nmirror_dim = 4\n", [],
+                     "lines 6 and 7: field_dim, mirror_dim: each dimension must be >= 2"),
+    "ratio": (AT_REST_CONFIG + "modes = undriven\nomega_p = x*omega_c\n", [],
+              "line 6: omega_p: not a number: 'x'"),
+    "ratio-without-omega_c": (AT_REST_CONFIG + "modes = undriven\ndt = 1e-9*omega_c\n", [],
+                              "line 6: dt: ratio syntax needs omega_c"),
+    "integer": (AT_REST_CONFIG + "modes = undriven\nwigner_grid_points = 1e3\n", [],
+                "line 6: wigner_grid_points: not an integer: '1e3'"),
+    "complex": (AT_REST_CONFIG + "modes = undriven\nalpha = 1+\n", [],
+                "line 6: alpha: not a complex number: '1+'"),
+    "boolean": (AT_REST_CONFIG + "modes = undriven\nfilter = maybe\n", [],
+                "line 6: filter: not a boolean: 'maybe'"),
+    "no-config": (None, [], "the following arguments are required: --config (or --preset)"),
+    "unknown-preset": ("preset = fig4\n", ["--preset", "fig9"], "unknown preset 'fig9'"),
+    "key-next-to-preset": ("preset = fig4\nomega_c = 1e8\n", [],
+                           "keys ['omega_c'] conflict with preset 'fig4'"),
+    "missing-keys": ("omega_c = 1e8\n", [], "missing required keys: omega_m"),
+    "filter-on-resonance": (DRIVEN_AT_REST + "omega_p = 1*omega_c\nfilter = true\n", [],
+                            "filter window undefined: drive on cavity resonance"),
+    "filter-on-resonance-flag": (AT_REST_CONFIG + "modes = undriven\nomega_p = 1e8\n",
+                                 ["--filter"], "filter window undefined"),
+    # a beat period of 3.1e-7 s against samples 1e-6 s apart
+    "filter-window": (DRIVEN_AT_REST.replace("t_end = 1e-6\nn_samples = 3", "t_end = 1e-5\n"
+                                             "n_samples = 11") + "omega_p = 0.8*omega_c\n",
+                      ["--filter"], "filter: window 3.14159e-07 must be at least twice the "
+                                    "median spacing 1e-06"),
+    "norm_tolerance-nan": (AT_REST_CONFIG + "modes = undriven\nnorm_tolerance = nan\n", [],
+                           "norm_tolerance must be positive and finite"),
+    "norm_tolerance-negative": (AT_REST_CONFIG + "modes = driven-numeric\n"
+                                "norm_tolerance = -1\n", [], "norm_tolerance must be positive"),
+    "t_end-inf": (AT_REST_CONFIG.replace("t_end = 1e-6", "t_end = inf") + "modes = undriven\n",
+                  [], "t_end must be finite"),
+    "omega_m-nan": (AT_REST_CONFIG.replace("omega_m = 1e7", "omega_m = nan")
+                    + "modes = undriven\n", [], "omega_m must be finite"),
+    "omega_c-inf": (AT_REST_CONFIG.replace("omega_c = 1e8", "omega_c = inf").replace(
+                    "omega_m = 1e7", "omega_m = 0.1*omega_c") + "modes = undriven\n", [],
+                    "omega_c must be finite"),
+    "alpha-nan": (AT_REST_CONFIG + "modes = undriven\nalpha = nan\n", [],
+                  "alpha must be finite"),
+    "g_ratio-nan": (AT_REST_CONFIG + "modes = undriven\ng_ratio = nan\n", [],
+                    "g_ratio must be finite"),
+    "drive_amp-inf": (AT_REST_CONFIG + "modes = driven-analytic\ndrive_amp = inf\n", [],
+                      "drive_amp must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_validate_and_run_report_config_errors_alike(tmp_path, capsys, case):
+    """Every config error is raised while the jobs are built: validate and
+    run both exit 1 with the same first line naming the cause, and run
+    creates no output directory."""
+    text, flags, cause = CONFIG_ERRORS[case]
+    argv = flags if text is None else ["--config", write_config(tmp_path, text)] + flags
+    out = tmp_path / "out"
+    first_lines = []
+    for command in ("validate", "run"):
+        assert cli.main([command, *argv, "--out", str(out)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, command
+        first_lines.append(captured.err.splitlines()[0])
+    assert first_lines[0] == first_lines[1]
+    assert first_lines[0].startswith("config error: ")
+    assert cause in first_lines[0]
+    assert not out.exists()
+
+
+def test_filter_checks_only_the_series_it_filters(tmp_path):
+    """The window check is on the driven series' grid; undriven and wigner
+    outputs are never filtered, so three samples pass it: 24 grid files,
+    two undriven series and the manifest."""
+    path = write_config(tmp_path, WIGNER_CONFIG.replace("modes = wigner", "modes = undriven,wigner")
+                        + "filter = true\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", path]) == 0
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    assert len(os.listdir(out)) == 27
 
 
 @pytest.fixture(scope="module")

@@ -326,6 +326,13 @@ class TestEvolution:
             evolve_numeric(p, DIMS, t_grid=np.array([-1e-7, 1e-7]))
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_norm_tolerance_must_be_positive_and_finite(tolerance):
+    """A nan tolerance would switch the norm monitor off: drift > nan is never true."""
+    with pytest.raises(ValueError, match="^norm_tolerance must be positive and finite$"):
+        IntegratorConfig(dt=1e-9, norm_tolerance=tolerance)
+
+
 def random_states(dims: FockDims, n_states: int, seed: int) -> list:
     """Random normalized joint states, for the per-sample reduction alone."""
     rng = np.random.default_rng(seed)

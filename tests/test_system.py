@@ -36,6 +36,16 @@ def test_invalid_parameters_rejected(kw):
         make(**kw)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omega_c", math.inf), ("omega_m", math.nan), ("omega_p", math.inf),
+    ("drive_amp", math.inf), ("g_ratio", math.nan), ("alpha", complex(math.nan, 0)),
+    ("gamma", complex(0, math.inf)),
+])
+def test_non_finite_parameters_rejected_by_name(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        make(**{key: value})
+
+
 def test_frozen():
     p = make()
     with pytest.raises(Exception):

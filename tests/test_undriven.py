@@ -83,10 +83,9 @@ class TestEvolveUndriven:
             assert phonon_from_state(st) == pytest.approx(
                 float(phonon_avg_closed_form(P, t)), rel=1e-7)
 
-    def test_norm_and_residue_meta(self):
+    def test_state_is_normalized(self):
         st = evolve_undriven(P, 0.3 * T_M, self.DIMS)
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
-        assert st.meta["residue"] < 1e-6
 
     def test_truncation_gate(self):
         with pytest.raises(TruncationError):
