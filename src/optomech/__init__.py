@@ -8,8 +8,9 @@ time-dependent exponents (`exponents`), `driven` the coherent-averaging
 approximation for the pumped system, built on the same exponents, whose
 state at zero betas (`BetaCoefficients.zero`) is the exact undriven one,
 `oracle` the brute-force integration both are validated against, `wigner`
-phase-space snapshots, `postproc` filtering/comparison utilities and `cli`
-the figure-reproducing command line (`simulate`).
+phase-space snapshots, `postproc` filtering/comparison utilities, `config`
+the config keys and presets, and `cli` the figure-reproducing command line
+(`simulate`).
 """
 from .driven import (
     BetaCoefficients,

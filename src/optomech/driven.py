@@ -404,6 +404,10 @@ def mandel_mirror(p: SystemParams, betas, t=None):
     return (phonon_second_moment(p, betas, t) - avg ** 2) / avg
 
 
+# Samples per block of linear_entropy_mirror's double Poisson sum.
+_ENTROPY_BLOCK = 256
+
+
 def entropy_kmax(mu: float) -> int:
     """Photon cutoff keeping the Poisson tail below 1e-10 for mu <= 25."""
     return int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0))
@@ -424,11 +428,15 @@ def linear_entropy_mirror(p: SystemParams, betas, t=None, kmax: int | None = Non
     a3sq = np.abs(exponents(p, tt)[0]) ** 2
     if kmax is None:
         kmax = entropy_kmax(float(np.max(mu)))
-    # P is the squared amplitude of the coherent state |sqrt(mu)>
-    weights = np.abs(coherent_amplitudes(kmax + 1, np.sqrt(mu))[0]) ** 2
     out = np.zeros(tt.size, dtype=float)
-    for d in range(1, kmax + 1):
-        lagged = np.einsum("tk,tk->t", weights[:, :-d], weights[:, d:])
-        out -= np.expm1(-d * d * a3sq) * lagged
+    # In blocks of samples, so the amplitudes stay small at any n_samples.
+    for lo in range(0, tt.size, _ENTROPY_BLOCK):
+        block = slice(lo, lo + _ENTROPY_BLOCK)
+        out_b, a3sq_b = out[block], a3sq[block]
+        # P is the squared amplitude of the coherent state |sqrt(mu)>
+        weights = np.abs(coherent_amplitudes(kmax + 1, np.sqrt(mu[block]))[0]) ** 2
+        for d in range(1, kmax + 1):
+            lagged = np.einsum("tk,tk->t", weights[:, :-d], weights[:, d:])
+            out_b -= np.expm1(-d * d * a3sq_b) * lagged
     out *= 2.0
     return float(out[0]) if out.size == 1 else out

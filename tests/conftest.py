@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from optomech.cli import preset_jobs
+from optomech.config import preset_jobs
 from optomech.driven import (
     integrate_betas,
     linear_entropy_mirror,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import thread_count, tiny_system
-from optomech import cli, driven, oracle, wigner
+from optomech import cli, config, driven, oracle, wigner
 from optomech.errors import ConfigError, IntegrationError
 from optomech.fock import FockDims
 from optomech.system import SystemParams
@@ -88,7 +88,7 @@ def test_dt_above_stability_cap_is_a_config_error(tmp_path, capsys, command):
     code = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    cap = oracle.max_stable_dt(cli.preset_jobs("fig7_8")[0].config.params)
+    cap = oracle.max_stable_dt(config.preset_jobs("fig7_8")[0].config.params)
     assert "max_stable_dt" in err
     assert f"{cap:g}" in err
 
@@ -112,7 +112,7 @@ PRESET_DIMS = {
 }
 
 
-@pytest.mark.parametrize("preset", cli.PRESETS)
+@pytest.mark.parametrize("preset", config.PRESETS)
 def test_every_preset_validates(tmp_path, capsys, preset):
     path = write_config(tmp_path, f"preset = {preset}\n")
     assert cli.main(["validate", "--config", path]) == 0
@@ -183,7 +183,7 @@ def test_invalid_dims_are_config_errors(tmp_path, capsys, text, flags, cause, co
 def test_unparsable_values_name_their_line_and_kind(line, message):
     text = AT_REST_CONFIG + "modes = undriven\n" + line + "\n"
     with pytest.raises(ConfigError) as err:
-        cli.build_jobs(cli.parse_config_text(text))
+        config.build_jobs(config.parse_config_text(text))
     assert str(err.value) == "line 6: " + message
 
 
@@ -195,13 +195,13 @@ def test_unparsable_values_name_their_line_and_kind(line, message):
 def test_dims_errors_are_prefixed_once(field_dim, message):
     text = AT_REST_CONFIG + f"modes = undriven\nfield_dim = {field_dim}\nmirror_dim = 4\n"
     with pytest.raises(ConfigError) as err:
-        cli.build_jobs(cli.parse_config_text(text))
+        config.build_jobs(config.parse_config_text(text))
     assert str(err.value) == message
 
 
 def test_config_values_parse_by_kind():
     text = AT_REST_CONFIG + "modes = undriven\nomega_p = 0.8*omega_c\nfilter = YES\ngamma = 2-1j\n"
-    (job,) = cli.build_jobs(cli.parse_config_text(text))
+    (job,) = config.build_jobs(config.parse_config_text(text))
     cfg = job.config
     assert cfg.params.omega_p == 0.8 * 1e8
     assert cfg.params.gamma == 2 - 1j and cfg.params.alpha == 0j
@@ -217,7 +217,7 @@ def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
 def test_fig4_blue_steps_stay_within_dt():
     """fig4 blue's t_end / dt is 1760.0000000000005 and t_end / 1760 exceeds
     dt by 1 ulp, so the run takes 1761 steps, each no longer than dt."""
-    (_, _, times, _, icfg), = cli._oracle_runs(cli.preset_jobs("fig4")[1].config)
+    (_, _, times, _, icfg), = cli._oracle_runs(config.preset_jobs("fig4")[1].config)
     t_end = float(times[-1])
     assert t_end / icfg.dt == 1760.0000000000005 and t_end / 1760 > icfg.dt
     n_steps = oracle.step_count(t_end, icfg.dt)
@@ -436,14 +436,14 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text, forks):
     out = tmp_path / "pooled"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        files = cli.run(cli.load_jobs(path, overrides={"output_dir": str(out)}))
+        files = cli.run(config.load_jobs(path, overrides={"output_dir": str(out)}))
     assert pooled == forks
     assert not [w for w in caught if "fork" in str(w.message)]
 
     serial = tmp_path / "serial"
     serial.mkdir()
     sections = []
-    for job in cli.load_jobs(path, overrides={"output_dir": str(serial)}):
+    for job in config.load_jobs(path, overrides={"output_dir": str(serial)}):
         _, man = cli._run_job(job)
         sections.append(f"[job {job.tag}]\n" + "\n".join(man))
     (serial / "manifest.txt").write_text("\n\n".join(sections) + "\n")
@@ -457,7 +457,7 @@ def test_manifest_step_max_is_the_step_taken(tmp_path):
     """fig4 cuts the run into equal steps no longer than the dt cap."""
     out = tmp_path / "out"
     path = write_config(tmp_path, "preset = fig4\nfield_dim = 22\nmirror_dim = 22\n")
-    cli.run(cli.load_jobs(path, overrides={"output_dir": str(out)}))
+    cli.run(config.load_jobs(path, overrides={"output_dir": str(out)}))
     for tag, job in manifest_jobs(out).items():
         step_max = float(job["step_max"])
         assert step_max == pytest.approx(float(job["t_end"]) / int(job["n_steps"]),
@@ -519,7 +519,7 @@ def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
     same job run here forks one worker for both sources' grids."""
     path = write_config(tmp_path, WIGNER_CONFIG)
     jobs = [replace(job, tag=tag) for tag in ("a", "b")
-            for job in cli.load_jobs(path, overrides={"output_dir": str(tmp_path / tag)})]
+            for job in config.load_jobs(path, overrides={"output_dir": str(tmp_path / tag)})]
     for job in jobs:
         os.makedirs(job.config.output_dir)
     assert cli._forked_map(forks_of_job, jobs) == [[], []]
@@ -529,7 +529,7 @@ def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
 
 
 def fig4_dt_cap() -> float:
-    return min(oracle.max_stable_dt(job.config.params) for job in cli.preset_jobs("fig4"))
+    return min(oracle.max_stable_dt(job.config.params) for job in config.preset_jobs("fig4"))
 
 
 @needs_linux
@@ -560,12 +560,14 @@ def test_config_errors_are_raised_before_any_fork(tmp_path, capsys, pooled):
     assert "max_stable_dt" in capsys.readouterr().err
     argv = ["run", "--config", path, "--out", str(tmp_path / "out"), "--preset", "fig9"]
     assert cli.main(argv) == 1
-    assert f"unknown preset 'fig9'; valid: {', '.join(cli.PRESETS)}" in capsys.readouterr().err
+    assert f"unknown preset 'fig9'; valid: {', '.join(config.PRESETS)}" in capsys.readouterr().err
     assert pooled == []
 
 
 # A driven analytic job on the AT_REST_CONFIG system.
 DRIVEN_AT_REST = AT_REST_CONFIG + "modes = driven-analytic\ndrive_amp = 0.01*omega_c\n"
+# A field of 10^4 photons: auto dims (10567, 4420500), far over fock.MAX_JOINT_DIM.
+HUGE_FIELD = AT_REST_CONFIG + "alpha = 100\ng_ratio = 0.1\n"
 
 # (config text or None for no --config, flags, what the message names)
 CONFIG_ERRORS = {
@@ -622,6 +624,9 @@ CONFIG_ERRORS = {
                     "g_ratio must be finite"),
     "drive_amp-inf": (AT_REST_CONFIG + "modes = driven-analytic\ndrive_amp = inf\n", [],
                       "drive_amp must be finite"),
+    "auto-dims-over-budget": (HUGE_FIELD + "modes = driven-numeric\n", [],
+                              "auto dims 10567,4420500: joint dimension 46711423500 exceeds "
+                              "the memory budget 1000000"),
 }
 
 
@@ -643,6 +648,18 @@ def test_validate_and_run_report_config_errors_alike(tmp_path, capsys, case):
     assert first_lines[0].startswith("config error: ")
     assert cause in first_lines[0]
     assert not out.exists()
+
+
+def test_job_without_an_oracle_run_builds_no_dims(tmp_path, capsys):
+    """Dims over the memory budget fail only a job that would use them:
+    undriven, validate prints the auto dims and run writes its two series."""
+    path = write_config(tmp_path, HUGE_FIELD + "modes = undriven\n")
+    assert cli.main(["validate", "--config", path]) == 0
+    assert "recommended_field_dim=10567 recommended_mirror_dim=4420500" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "manifest.txt", "phonon_avg_undriven_analytic.csv", "photon_avg_undriven_analytic.csv"]
 
 
 def test_filter_checks_only_the_series_it_filters(tmp_path):
@@ -683,7 +700,7 @@ def test_wigner_snapshots_analytic_grids_keep_their_values(wigner_snapshots_out)
     truncation's keys."""
     job = manifest_jobs(wigner_snapshots_out)["red"]
     assert not [key for key in job if key.startswith("wigner_analytic_")]
-    (preset_job,) = cli.preset_jobs("wigner_snapshots")
+    (preset_job,) = config.preset_jobs("wigner_snapshots")
     p = preset_job.config.params
     times = np.asarray(wigner.default_snapshot_times(p))
     betas = driven.integrate_betas(p, times)

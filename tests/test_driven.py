@@ -381,6 +381,17 @@ def test_entropy_is_non_negative_at_pure_states():
     assert np.all(s >= 0.0)
 
 
+def test_entropy_blocks_keep_each_sample_bit_for_bit():
+    """The double Poisson sum runs over blocks of samples; each sample gets
+    the bits it gets evaluated alone."""
+    p = weak_system()
+    grid = np.linspace(0.0, p.mech_period, 2 * driven._ENTROPY_BLOCK + 3)
+    b = integrate_betas(p, grid)
+    kmax = driven.entropy_kmax(float(np.max(np.abs(p.alpha + b.b1) ** 2)))
+    alone = [linear_entropy_mirror(p, b.at(i), kmax=kmax) for i in range(grid.size)]
+    assert linear_entropy_mirror(p, b, kmax=kmax).tobytes() == np.array(alone).tobytes()
+
+
 def test_phonon_second_moment_is_a_poisson_sum():
     """<N^2> = sum_k P_k (|Gamma + k a3|^4 + |Gamma + k a3|^2): each photon
     block carries a mirror coherent state, here at means where the raw
