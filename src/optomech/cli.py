@@ -12,8 +12,9 @@ t = 0, pi/omega_m, 2pi/omega_m), compare (metrics between the two driven
 routes; requires both).
 
 driven-numeric and wigner each make one oracle run, over the series grid
-and over the snapshot times, at the job's dims, with the RK4
-step recommended over the run unless dt is set; the manifest records its
+and over the snapshot times, at the job's dims, with the RK4 step
+recommended over the run unless dt is set (`RunConfig.oracle_runs`,
+from the table `config.ORACLE_RUNS`); the manifest records its
 diagnostics, prefixed `wigner_numeric_` for wigner. Only the wigner run
 keeps its states; the driven-numeric run keeps each sample's marginals and
 purity. wigner's analytic joint states share that run's dims and times.
@@ -23,9 +24,9 @@ wigner), `driven-analytic: panels=N`, the panels `driven.beta_panels` cuts
 its series grid and snapshot times into; one
 `MODE: dt=... steps=N state_memory_mb=...` line per oracle run, and
 their total as `est_steps=N ...`. N is the exact RK4 step count `run`
-takes (`oracle.step_count`); the memory is what the run holds: its working
-vectors plus, for driven-numeric, P(k) and P(m) of every sample, or, for
-wigner, its three kept states. For driven-analytic the manifest records the
+takes (`oracle.step_count`); the memory is what the run holds
+(`oracle.state_memory_mb`): its working vectors plus, for driven-numeric,
+P(k) and P(m) of every sample, or, for wigner, its three kept states. For driven-analytic the manifest records the
 beta integration's `antisymmetry_defect`, `unitarity_defect`,
 `envelope_tail` and `beta_panels` (`driven.BetaSeries`).
 
@@ -48,7 +49,7 @@ preset grids where its job runs. Every output file and the manifest are
 byte-identical to running the jobs and grids one after another.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
-inadequacy.
+inadequacy, 4 a worker process that died without reporting (killed, say).
 """
 from __future__ import annotations
 
@@ -60,38 +61,11 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import driven, oracle, undriven, wigner
-from .config import Job, RunConfig, auto_dims, load_jobs
-from .errors import ConfigError, IntegrationError, TruncationError
+from .config import Job, auto_dims, load_jobs
+from .errors import ConfigError, IntegrationError, TruncationError, WorkerError
 from .fock import FockDims
 from .postproc import ObservableSeries, atomic_write_text, compare, filter_fast, write_series
 from .system import SystemParams
-
-# Joint-size vectors an oracle run works in: state, stage, k1..k4, the
-# dense sample and its scratch.
-_WORK_VECTORS = 8
-
-
-def _oracle_runs(cfg: RunConfig) -> list:
-    """(mode, manifest prefix, sample times, dims, RK4 settings) of each
-    oracle run a job makes; `run` executes them and `validate` counts them.
-
-    driven-numeric samples the series grid, wigner the snapshot times, both
-    at the job's dims and with the step recommended over their own span
-    unless cfg.dt overrides it.
-    """
-    runs = []
-    for mode, prefix, times in (
-        ("driven-numeric", "", cfg.t_grid),
-        ("wigner", "wigner_numeric_", np.asarray(wigner.default_snapshot_times(cfg.params))),
-    ):
-        if mode in cfg.modes:
-            icfg = oracle.recommend_integrator_config(
-                cfg.params, float(times[-1]), cfg.dims, cfg.norm_tolerance)
-            if cfg.dt is not None:
-                icfg = replace(icfg, dt=cfg.dt)
-            runs.append((mode, prefix, times, cfg.dims, icfg))
-    return runs
-
 
 # ---------------------------------------------------------------------------
 # Execution
@@ -199,10 +173,10 @@ def _run_job(job: Job) -> tuple:
                 emit(ObservableSeries(t_grid, y, label, "analytic"))
 
     wigner_run = None
-    for mode, prefix, times, dims, icfg in _oracle_runs(cfg):
-        run = oracle.evolve_numeric(p, dims, icfg, times, keep_states=mode == "wigner")
-        note(prefix + "field_dim", dims.field_dim)
-        note(prefix + "mirror_dim", dims.mirror_dim)
+    for mode, prefix, times, icfg, keep_states in cfg.oracle_runs:
+        run = oracle.evolve_numeric(p, cfg.dims, icfg, times, keep_states)
+        note(prefix + "field_dim", cfg.dims.field_dim)
+        note(prefix + "mirror_dim", cfg.dims.mirror_dim)
         note(prefix + "dt", icfg.dt)
         note(prefix + "norm_tolerance", icfg.norm_tolerance)
         for key in ("n_steps", "step_max", "norm_drift", "leak_max"):
@@ -281,8 +255,9 @@ def _forked_map(fn, items) -> list:
     With more items than CPUs this process is one of them; otherwise every
     item gets a forked worker of its own and this process waits, since an
     item run here would add to the peak RSS the library pages this
-    process's imports mapped, which a forked worker does not count (fig4:
-    60.3 MB against 56.4 MB). Each item writes its own files and returns
+    process's imports mapped, which a forked worker does not count (fig4,
+    peak RSS of `simulate run` over 10 runs: 34.5 MB with a job run here,
+    30.2 MB without). Each item writes its own files and returns
     the result of fn. The first failing item in order raises its own
     error here, after every item has run.
 
@@ -337,7 +312,7 @@ def _forked_map(fn, items) -> list:
                 outcomes.update(receiver.recv())
             except EOFError:
                 proc.join()
-                raise RuntimeError(f"a worker process died with exit code {proc.exitcode}") from None
+                raise WorkerError(f"a worker process died with exit code {proc.exitcode}") from None
             proc.join()
     finally:
         _mapping = False
@@ -386,7 +361,7 @@ def validate(jobs) -> str:
         lines.append(f"  t_end={_fmt(cfg.t_end)} n_samples={cfg.n_samples}")
         lines.append(f"  modes={','.join(cfg.modes)} filter={_fmt(cfg.filter)}")
         lines.append(f"  recommended_field_dim={fd} recommended_mirror_dim={md}")
-        runs = _oracle_runs(cfg)
+        runs = cfg.oracle_runs
         # run integrates the betas over the series grid and the snapshot times
         beta_grids = [times for mode, _, times, _, _ in runs if mode == "wigner"]
         if "driven-analytic" in cfg.modes:
@@ -395,13 +370,9 @@ def validate(jobs) -> str:
             panels = sum(int(driven.beta_panels(p, grid).sum()) for grid in beta_grids)
             lines.append(f"  driven-analytic: panels={panels}")
         total_steps = total_mb = 0
-        for mode, _, times, dims, icfg in runs:
+        for mode, _, times, icfg, keep_states in runs:
             n_steps = oracle.step_count(float(times[-1]), icfg.dt)
-            # The RK4 working vectors, plus the wigner run's kept states or
-            # the driven-numeric run's per-sample P(k) and P(m).
-            state_mb = (_WORK_VECTORS * dims.joint * 16 + len(times) * (
-                dims.joint * 16 if mode == "wigner" else (dims.field_dim + dims.mirror_dim) * 8
-            )) / 1e6
+            state_mb = oracle.state_memory_mb(cfg.dims, times.size, keep_states)
             lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps} state_memory_mb={state_mb:.1f}")
             total_steps += n_steps
             total_mb += state_mb
@@ -472,6 +443,9 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation inadequacy: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

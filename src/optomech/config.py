@@ -68,10 +68,16 @@ from .errors import ConfigError
 from .fock import FockDims, recommend_field_dim, recommend_mirror_dim
 from .postproc import require_window
 from .system import SystemParams
+from .wigner import default_snapshot_times
 
 MODES = ("undriven", "driven-analytic", "driven-numeric", "wigner", "compare")
-# The modes that make an oracle run, in the order a job makes them.
-ORACLE_MODES = ("driven-numeric", "wigner")
+# The modes that make an oracle run, in the order a job makes them: mode ->
+# (manifest prefix, the run's sample times, whether it keeps its states).
+ORACLE_RUNS = {
+    "driven-numeric": ("", lambda cfg: cfg.t_grid, False),
+    "wigner": ("wigner_numeric_", lambda cfg: np.asarray(default_snapshot_times(cfg.params)),
+               True),
+}
 PRESETS = ("fig2", "fig3", "fig4", "fig5_6", "fig7_8", "wigner_snapshots")
 
 
@@ -123,7 +129,7 @@ class RunConfig:
             raise ConfigError("mode 'compare' needs both 'driven-analytic' and 'driven-numeric'")
         if self.dt is not None and not (self.dt > 0):
             raise ConfigError("dt must be positive")
-        oracle_job = any(mode in self.modes for mode in ORACLE_MODES)
+        oracle_job = any(mode in self.modes for mode in ORACLE_RUNS)
         if self.dt is not None and oracle_job:
             try:
                 oracle.require_stable_dt(self.params, self.dt)
@@ -153,6 +159,23 @@ class RunConfig:
     def t_grid(self) -> np.ndarray:
         """The series grid: n_samples times from 0 to t_end."""
         return np.linspace(0.0, self.t_end, self.n_samples)
+
+    @cached_property
+    def oracle_runs(self) -> tuple:
+        """(mode, manifest prefix, sample times, RK4 settings, keep_states)
+        of each oracle run of the job, in `ORACLE_RUNS` order: at the job's
+        dims, with the step recommended over the run's own span unless dt
+        is set. `run` executes them and `validate` counts them."""
+        runs = []
+        for mode, (prefix, sample_times, keep_states) in ORACLE_RUNS.items():
+            if mode in self.modes:
+                times = sample_times(self)
+                icfg = oracle.recommend_integrator_config(
+                    self.params, float(times[-1]), self.dims, self.norm_tolerance)
+                if self.dt is not None:
+                    icfg = replace(icfg, dt=self.dt)
+                runs.append((mode, prefix, times, icfg, keep_states))
+        return tuple(runs)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, IntegrationError -> 2,
-TruncationError -> 3.
+TruncationError -> 3, WorkerError -> 4.
 """
 
 
@@ -22,3 +22,7 @@ class IntegrationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without reporting its items' outcomes."""

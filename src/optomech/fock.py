@@ -119,8 +119,8 @@ def coherent_amplitudes(dim: int, amp):
     return c, loss[()]
 
 
-def coherent_required_dim(amp: complex, loss_tol: float = COHERENT_LOSS_TOL) -> int:
-    """Smallest dimension whose Poisson tail beyond it stays under loss_tol."""
+def coherent_required_dim(amp: complex) -> int:
+    """Smallest dimension whose Poisson tail beyond it stays under COHERENT_LOSS_TOL."""
     mu = abs(amp) ** 2
     # walk the Poisson tail; start from a safe underestimate
     d = max(2, int(mu))
@@ -131,7 +131,7 @@ def coherent_required_dim(amp: complex, loss_tol: float = COHERENT_LOSS_TOL) -> 
         k += 1
         log_term += math.log(mu / k) if mu > 0 else -math.inf
         acc += math.exp(log_term)
-    while 1.0 - acc > loss_tol:
+    while 1.0 - acc > COHERENT_LOSS_TOL:
         d += 1
         k += 1
         log_term += math.log(mu / k)

@@ -81,6 +81,9 @@ MIN_STEPS_PER_FAST_PERIOD = 40
 _PHASE_NODES = 64
 # OpenBLAS runs a GEMM with m * n * k at most this on the calling thread.
 _SERIAL_GEMM_SIZE = 65536
+# Joint-size vectors evolve_numeric works in: the padded state and stage,
+# k1..k4, the dense sample and its scratch.
+_WORK_VECTORS = 8
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,13 @@ def recommend_integrator_config(
         return IntegratorConfig(dt=cap, norm_tolerance=norm_tolerance)
     dt_norm = (72.0 * norm_tolerance / (t_total * lam ** 6)) ** 0.2
     return IntegratorConfig(dt=min(cap, dt_norm), norm_tolerance=norm_tolerance)
+
+
+def state_memory_mb(dims: FockDims, n_samples: int, keep_states: bool) -> float:
+    """MB of the buffers an evolve_numeric run holds: its working vectors
+    plus, per sample, the kept state, or P(k) and P(m)."""
+    per_sample = dims.joint * 16 if keep_states else (dims.field_dim + dims.mirror_dim) * 8
+    return (_WORK_VECTORS * dims.joint * 16 + n_samples * per_sample) / 1e6
 
 
 @dataclass
@@ -502,7 +512,8 @@ def evolve_numeric(
     frame = InteractionFrame(p, dims)
     rhs = frame.rhs
     # rhs reads psi and stage from their padded buffers; the steps below
-    # write only the interior views.
+    # write only the interior views. With the six below, these are the
+    # _WORK_VECTORS that state_memory_mb counts.
     psi_pad, psi = frame.padded(psi0)
     stage_pad, stage = frame.padded(psi0)
     k1, k2, k3, k4, dense, scratch = (np.empty_like(psi) for _ in range(6))

@@ -61,6 +61,10 @@ UNDERFLOW_MASS_TOL = 1e-10
 # bytes per (level, radius), so a whole 161^2 grid (up to 3,321 radii) in one
 # pass would take about 72 MB at dim 300.
 _RADII_BLOCK = 512
+# A snapshot's series runs over the levels below the tail that holds less
+# than _TRIM_TAIL_MASS of the trace, and _TRIM_PAD levels of that tail.
+_TRIM_TAIL_MASS = 1e-10
+_TRIM_PAD = 4
 
 
 @dataclass(frozen=True)
@@ -127,20 +131,6 @@ class WignerGrid:
                 np.abs(v[:, -1]).max(),
             )
         )
-
-    def moments(self):
-        """(mean_q, mean_p, var_q, var_p) of the grid treated as a density."""
-        w = self.values
-        mass = w.sum()
-        if mass == 0:
-            raise ValueError("grid carries no mass")
-        pq = w.sum(axis=1) / mass
-        pp = w.sum(axis=0) / mass
-        mq = float(pq @ self.q_axis)
-        mp = float(pp @ self.p_axis)
-        vq = float(pq @ (self.q_axis - mq) ** 2)
-        vp = float(pp @ (self.p_axis - mp) ** 2)
-        return mq, mp, vq, vp
 
 
 def _radial_sums(rho_mat: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -243,15 +233,8 @@ def grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return axis
 
 
-def wigner_continuous(
-    rho: DensityMatrix,
-    q_min: float = -6.0,
-    q_max: float = 6.0,
-    p_min: float = -6.0,
-    p_max: float = 6.0,
-    nq: int = 121,
-    n_p: int = 121,
-) -> WignerGrid:
+def wigner_continuous(rho: DensityMatrix, q_min: float, q_max: float, p_min: float,
+                      p_max: float, nq: int, n_p: int) -> WignerGrid:
     """Wigner function on a rectangular (q, p) grid by the Laguerre series.
 
     Raises IntegrationError when the grid leaves the series' domain for this
@@ -313,12 +296,13 @@ def write_grid_pgm(grid: WignerGrid, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n" + body)
 
 
-def _trimmed(rho: DensityMatrix, tail_mass: float = 1e-10, pad: int = 4) -> np.ndarray:
-    """Drop the unpopulated trailing block; keeps >= 1 - tail_mass of the trace."""
+def _trimmed(rho: DensityMatrix) -> np.ndarray:
+    """Drop the unpopulated trailing block: keep >= 1 - _TRIM_TAIL_MASS of
+    the trace, _TRIM_PAD levels more and at least 16."""
     diag = np.real(np.diag(rho.data))
     tail = np.cumsum(diag[::-1])[::-1]
-    keep = int(np.argmax(tail < tail_mass)) if tail[-1] < tail_mass else rho.dim
-    keep = min(rho.dim, max(16, keep + pad))
+    keep = int(np.argmax(tail < _TRIM_TAIL_MASS)) if tail[-1] < _TRIM_TAIL_MASS else rho.dim
+    keep = min(rho.dim, max(16, keep + _TRIM_PAD))
     return rho.data[:keep, :keep]
 
 
@@ -339,7 +323,7 @@ def suggested_half_width(rho: DensityMatrix) -> float:
     return 1.5 * math.sqrt(2.0 * (n1 + 3.0 * sigma)) + 4.0
 
 
-def snapshot_grid(rho: DensityMatrix, n_grid: int = 161) -> WignerGrid:
+def snapshot_grid(rho: DensityMatrix, n_grid: int) -> WignerGrid:
     """Square n_grid x n_grid grid of one snapshot's reduced state.
 
     The half-width comes from rho's populations (suggested_half_width), and

@@ -2,9 +2,11 @@
 config value parsing, validate's step counts, memory and preset list, the auto
 dims' floor, the analytic field Mandel series, jobs and Wigner grids run in
 worker processes, the manifest's step_max, config errors raised alike by
-validate and run before anything is written, and the wigner_snapshots preset."""
+validate and run before anything is written, the exit code of a worker that
+dies, and the wigner_snapshots preset."""
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -217,7 +219,7 @@ def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
 def test_fig4_blue_steps_stay_within_dt():
     """fig4 blue's t_end / dt is 1760.0000000000005 and t_end / 1760 exceeds
     dt by 1 ulp, so the run takes 1761 steps, each no longer than dt."""
-    (_, _, times, _, icfg), = cli._oracle_runs(config.preset_jobs("fig4")[1].config)
+    (_, _, times, icfg, _), = config.preset_jobs("fig4")[1].config.oracle_runs
     t_end = float(times[-1])
     assert t_end / icfg.dt == 1760.0000000000005 and t_end / 1760 > icfg.dt
     n_steps = oracle.step_count(t_end, icfg.dt)
@@ -332,11 +334,19 @@ def validated_steps(capsys, preset) -> dict:
     return steps
 
 
+# Each numeric job's norm_drift bound, as a fraction of its norm tolerance.
+# fig4 is held to the step model's own target, tolerance/2: its red job's
+# samples carry the cubic extension's norm error on top of the drift its
+# steps accrue (4.4e-7 sampled, 1.5e-7 at the end point alone).
+DRIFT_FRACTION = {"fig4": 1 / 2, "fig5_6": 1 / 4, "fig7_8": 1 / 4}
+
+
 @pytest.mark.filterwarnings("ignore:population")
-@pytest.mark.parametrize("preset", ["fig5_6", pytest.param("fig7_8", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("preset", ["fig4", "fig5_6",
+                                    pytest.param("fig7_8", marks=pytest.mark.slow)])
 def test_driven_preset_runs(tmp_path, capsys, preset):
     """Exit 0; each numeric job takes the steps validate printed and drifts
-    under a quarter of its norm tolerance."""
+    under its DRIFT_FRACTION of its norm tolerance."""
     steps = validated_steps(capsys, preset)
     out = tmp_path / "out"
     assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 0
@@ -345,7 +355,8 @@ def test_driven_preset_runs(tmp_path, capsys, preset):
     assert set(numeric) == set(steps) == {"red", "blue"}
     for tag, job in numeric.items():
         assert int(job["n_steps"]) == steps[tag], tag
-        assert float(job["norm_drift"]) <= float(job["norm_tolerance"]) / 4, tag
+        bound = float(job["norm_tolerance"]) * DRIFT_FRACTION[preset]
+        assert float(job["norm_drift"]) <= bound, tag
 
 
 def test_preset_runs_without_a_config(tmp_path, capsys):
@@ -551,6 +562,22 @@ def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, pool
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code
     assert outcomes[0][1].startswith(prefix)
+
+
+@needs_linux
+def test_a_worker_that_dies_exits_4(tmp_path, monkeypatch, capsys, pooled):
+    """A job worker killed before it reports ends the run with exit 4 and one
+    line naming its exit status, not a traceback."""
+    run_job = cli._run_job
+
+    def blue_dies(job):
+        if job.tag == "blue":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_job(job)
+
+    monkeypatch.setattr(cli, "_run_job", blue_dies)
+    assert cli.main(["run", "--preset", "fig4", "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "worker failure: a worker process died with exit code -9\n"
 
 
 @needs_linux
