@@ -179,7 +179,7 @@ def oracle_probe() -> dict:
         per_step = []
         for _ in range(PROBE_REPEATS):
             start = time.perf_counter()
-            run = oracle.evolve_numeric(cfg.params, cfg.dims, icfg, times)
+            run = oracle.evolve_numeric(cfg.params, cfg.dims, times, icfg)
             per_step.append(1e6 * (time.perf_counter() - start) / run.n_steps)
         probes[f"{cfg.dims.field_dim}x{cfg.dims.mirror_dim}"] = {
             "preset": name, "job": "red", "n_steps": run.n_steps, "repeats": PROBE_REPEATS,

@@ -1,9 +1,9 @@
 """Experiment runner: one config in, CSV series, Wigner grids and a manifest out.
 
 `simulate validate` reports a config's jobs and `simulate run` runs them;
-each takes `--config FILE`, `--preset NAME` or both, and `--out`, `--filter`
-and `--dims FIELD,MIRROR` replace their keys. `config` holds the keys, the
-presets and every check on them, made while the jobs are built.
+each takes `--config FILE`, `--preset NAME` or both, and `--out DIR` for
+output_dir; every other setting is a config key. `config` holds the keys,
+the presets and every check on them, made while the jobs are built.
 
 `modes` is a comma list drawn from: undriven (closed-form series),
 driven-analytic (coherent-averaged propagator), driven-numeric (brute-force
@@ -63,7 +63,6 @@ import numpy as np
 from . import driven, oracle, undriven, wigner
 from .config import Job, auto_dims, load_jobs
 from .errors import ConfigError, IntegrationError, TruncationError, WorkerError
-from .fock import FockDims
 from .postproc import ObservableSeries, atomic_write_text, compare, filter_fast, write_series
 from .system import SystemParams
 
@@ -174,7 +173,7 @@ def _run_job(job: Job) -> tuple:
 
     wigner_run = None
     for mode, prefix, times, icfg, keep_states in cfg.oracle_runs:
-        run = oracle.evolve_numeric(p, cfg.dims, icfg, times, keep_states)
+        run = oracle.evolve_numeric(p, cfg.dims, times, icfg, keep_states)
         note(prefix + "field_dim", cfg.dims.field_dim)
         note(prefix + "mirror_dim", cfg.dims.mirror_dim)
         note(prefix + "dt", icfg.dt)
@@ -212,10 +211,8 @@ def _run_job(job: Job) -> tuple:
         # The analytic source at the numeric run's dims and times.
         times = wigner_run.t
         betas_w = driven.integrate_betas(p, times)
-        analytic_states = [
-            driven.evolve_driven(p, float(t), betas_w.at(i), wigner_run.dims)
-            for i, t in enumerate(times)
-        ]
+        analytic_states = [driven.evolve_driven(p, betas_w.at(i), wigner_run.dims)
+                           for i in range(len(betas_w))]
         # Both sources' reduced states first, then one map over all twelve
         # grids, analytic first: one fork and no barrier between the sources.
         stems, tasks = [], []
@@ -397,29 +394,8 @@ def _build_parser() -> _Parser:
         s = sub.add_parser(name, help=text)
         s.add_argument("--config", help="path to key=value config file; optional with --preset")
         s.add_argument("--preset", help="preset name, overriding the config file")
-        s.add_argument("--out", help="output directory")
-        s.add_argument("--filter", action="store_true", help="also emit filtered series")
-        s.add_argument("--dims", help="truncation as FIELD,MIRROR")
+        s.add_argument("--out", help="output directory, replacing the config's output_dir")
     return parser
-
-
-def _flag_settings(args) -> dict:
-    """The settings the given flags set; each replaces the config's."""
-    settings = {}
-    if args.out:
-        settings["output_dir"] = args.out
-    if args.filter:
-        settings["filter"] = True
-    if args.dims:
-        try:
-            fd, md = (int(x) for x in args.dims.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"--dims expects FIELD,MIRROR integers, got {args.dims!r}") from exc
-        try:
-            settings["dims"] = FockDims(fd, md)
-        except ValueError as exc:
-            raise ConfigError(f"--dims {args.dims}: {exc}") from exc
-    return settings
 
 
 def main(argv=None) -> int:
@@ -427,7 +403,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.config is None and args.preset is None:
             raise ConfigError("the following arguments are required: --config (or --preset)")
-        jobs = load_jobs(args.config, args.preset, _flag_settings(args))
+        jobs = load_jobs(args.config, args.preset, {"output_dir": args.out} if args.out else None)
         if args.command == "validate":
             print(validate(jobs))
             return 0

@@ -35,10 +35,9 @@ config error. dt, unset, is the RK4 step recommended over each oracle run.
 
 A preset replaces the physics keys wholesale: next to `preset` a config may
 set only the keys marked preset, and `--preset NAME` without a config runs
-the preset as it stands. These settings and the flags `--out`, `--filter`
-and `--dims`, each replacing its key, apply to every job of the preset:
-dims as set, else the job's own; filter if the job or the setting asks;
-the rest as set.
+the preset as it stands. These settings, with `--out` replacing
+output_dir, apply to every job of the preset: dims as set, else the job's
+own; filter if the job or the setting asks; the rest as set.
 
 `filter` needs omega_p != omega_c and, in a job with driven-analytic or
 driven-numeric, a beat period 2 pi / |omega_p - omega_c| at least twice the
@@ -170,10 +169,11 @@ class RunConfig:
         for mode, (prefix, sample_times, keep_states) in ORACLE_RUNS.items():
             if mode in self.modes:
                 times = sample_times(self)
-                icfg = oracle.recommend_integrator_config(
-                    self.params, float(times[-1]), self.dims, self.norm_tolerance)
                 if self.dt is not None:
-                    icfg = replace(icfg, dt=self.dt)
+                    icfg = oracle.IntegratorConfig(self.dt, self.norm_tolerance)
+                else:
+                    icfg = oracle.recommend_integrator_config(
+                        self.params, float(times[-1]), self.dims, self.norm_tolerance)
                 runs.append((mode, prefix, times, icfg, keep_states))
         return tuple(runs)
 
@@ -359,7 +359,6 @@ _WEAK_OMEGA_C = 1.0e9
 _OMEGA_M_RATIO = 0.01
 _DRIVE_RATIO = math.pi / 20.0
 _RED, _BLUE = 0.8, 1.2
-_MECH_PERIOD = 2.0 * math.pi / (_WEAK_OMEGA_C * _OMEGA_M_RATIO)
 _BEAT_PERIOD = 2.0 * math.pi / (abs(_RED - 1.0) * _WEAK_OMEGA_C)
 _WEAK_DIMS = FockDims(30, 35)
 _STRONG_DIMS = FockDims(30, 308)
@@ -376,7 +375,7 @@ def _strong(ratio: float) -> SystemParams:
 
 
 def preset_jobs(name: str, settings: dict | None = None) -> tuple:
-    """A preset's jobs under the RunConfig settings a config or the flags
+    """A preset's jobs under the RunConfig settings a config and `--out`
     set: the settings' dims if given, else the job's own; filter if the job
     or the settings ask; every other setting as set."""
     settings = settings or {}
@@ -387,6 +386,7 @@ def preset_jobs(name: str, settings: dict | None = None) -> tuple:
 
     driven_modes = ("driven-analytic", "driven-numeric", "compare")
     detunings = (("red", _RED), ("blue", _BLUE))
+    t_m = _weak(_RED).mech_period  # of every preset but fig2
     if name == "fig2":
         # Undriven mirror dynamics for a sweep of field intensities around
         # the cooling/heating thresholds of |alpha|^2.
@@ -394,8 +394,7 @@ def preset_jobs(name: str, settings: dict | None = None) -> tuple:
         alphas = (("alpha_sq_0", 0.0), ("alpha_sq_4", 2.0), ("alpha_sq_29p8", math.sqrt(29.8)),
                   ("alpha_sq_59p6", math.sqrt(59.6)), ("alpha_sq_64", 8.0))
         return tuple(
-            job(tag, replace(base, alpha=complex(a)), 2.0 * math.pi / base.omega_m, 201,
-                ("undriven",))
+            job(tag, replace(base, alpha=complex(a)), base.mech_period, 201, ("undriven",))
             for tag, a in alphas
         )
     if name == "fig3":
@@ -410,15 +409,14 @@ def preset_jobs(name: str, settings: dict | None = None) -> tuple:
     if name == "fig5_6":
         nonforced = replace(_weak(_RED), omega_p=0.0, drive_amp=0.0)
         return tuple(
-            job(tag, _weak(r), _MECH_PERIOD, 2001, driven_modes, _WEAK_DIMS, filter=True)
+            job(tag, _weak(r), t_m, 2001, driven_modes, _WEAK_DIMS, filter=True)
             for tag, r in detunings
-        ) + (job("nonforced", nonforced, _MECH_PERIOD, 2001, ("undriven",)),)
+        ) + (job("nonforced", nonforced, t_m, 2001, ("undriven",)),)
     if name == "fig7_8":
         return tuple(
-            job(tag, _strong(r), 5.5 * _MECH_PERIOD, 1101, driven_modes, _STRONG_DIMS,
-                filter=True)
+            job(tag, _strong(r), 5.5 * t_m, 1101, driven_modes, _STRONG_DIMS, filter=True)
             for tag, r in detunings
         )
     if name == "wigner_snapshots":
-        return (job("red", _strong(_RED), _MECH_PERIOD, 3, ("wigner",), _STRONG_DIMS),)
+        return (job("red", _strong(_RED), t_m, 3, ("wigner",), _STRONG_DIMS),)
     raise ConfigError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")

@@ -68,15 +68,15 @@ _SAME_WIDTH = 1e-12
 
 @dataclass(frozen=True)
 class BetaCoefficients:
-    """Displacement coefficients of the driven propagator at one time."""
+    """Displacement coefficients of the driven propagator at time t."""
 
     b1: complex
     b2: complex
     b3: complex
-    t: float = 0.0
+    t: float
 
     @staticmethod
-    def zero(t: float = 0.0) -> "BetaCoefficients":
+    def zero(t: float) -> "BetaCoefficients":
         return BetaCoefficients(0j, 0j, 0j, t)
 
 
@@ -327,9 +327,8 @@ def integrate_betas(p: SystemParams, t_grid) -> BetaSeries:
                       envelope_tail=envelope_tail, panels=int(done[-1]))
 
 
-def evolve_driven(p: SystemParams, t: float, betas: BetaCoefficients,
-                  dims: FockDims) -> JointState:
-    """Approximate driven state at time t given the beta coefficients.
+def evolve_driven(p: SystemParams, betas: BetaCoefficients, dims: FockDims) -> JointState:
+    """Approximate driven state at the betas' time t.
 
     The undriven state with field amplitude alpha + b1: the mirror blocks and
     the per-photon phases are untouched by the drive, and at zero betas this
@@ -340,19 +339,19 @@ def evolve_driven(p: SystemParams, t: float, betas: BetaCoefficients,
     weights, _ = coherent_amplitudes(dims.field_dim, p.alpha + betas.b1)
     lead = cmath.exp(betas.b3 + abs(betas.b1) ** 2 / 2.0
                      + 1j * (betas.b1 * np.conj(p.alpha)).imag)
-    return _assemble_blocks(p, weights * (lead / abs(lead)), t, dims)
+    return _assemble_blocks(p, weights * (lead / abs(lead)), betas.t, dims)
 
 
 def _mu(p: SystemParams, betas) -> np.ndarray:
     return np.abs(p.alpha + np.asarray(betas.b1)) ** 2
 
 
-def _times(betas, t):
-    return np.asarray(betas.t if t is None else t, dtype=float)
-
-
 def photon_avg(p: SystemParams, betas):
-    """<n(t)> = |alpha + b1|^2; accepts BetaCoefficients or BetaSeries."""
+    """<n(t)> = |alpha + b1|^2 at the betas' own time.
+
+    A value for BetaCoefficients, an array over the grid for a BetaSeries;
+    the mirror observables below take their times from the betas alike.
+    """
     return _mu(p, betas)
 
 
@@ -371,17 +370,17 @@ def photon_avg_weak_closed_form(p: SystemParams, t):
     return mu + (p.drive_amp / d) * swing * (p.drive_amp / (2.0 * d) - p.alpha.real)
 
 
-def phonon_avg(p: SystemParams, betas, t=None):
+def phonon_avg(p: SystemParams, betas):
     """<N(t)> = |Gamma|^2 + 2 Re(a3 Gamma*) <n> + |a3|^2 (<n> + <n>^2)."""
-    return _phonon_avg(p, _times(betas, t), _mu(p, betas))
+    return _phonon_avg(p, np.asarray(betas.t, dtype=float), _mu(p, betas))
 
 
-def phonon_second_moment(p: SystemParams, betas, t=None):
+def phonon_second_moment(p: SystemParams, betas):
     """<N^2(t)> via coherent-state photon moments of mean mu = |alpha + b1|^2.
 
     The raw moments <n^k> are the Touchard polynomials in mu.
     """
-    a3, _ = exponents(p, _times(betas, t))
+    a3, _ = exponents(p, np.asarray(betas.t, dtype=float))
     mu = _mu(p, betas)
     n2 = mu + mu ** 2
     n3 = mu + 3 * mu ** 2 + mu ** 3
@@ -396,12 +395,12 @@ def phonon_second_moment(p: SystemParams, betas, t=None):
             + a3sq ** 2 * n4)
 
 
-def mandel_mirror(p: SystemParams, betas, t=None):
+def mandel_mirror(p: SystemParams, betas):
     """(<N^2> - <N>^2)/<N> for the mirror; super-Poissonian once displaced."""
-    avg = phonon_avg(p, betas, t)
+    avg = phonon_avg(p, betas)
     if np.any(avg == 0):
         raise ValueError("Mandel parameter undefined at <N> = 0")
-    return (phonon_second_moment(p, betas, t) - avg ** 2) / avg
+    return (phonon_second_moment(p, betas) - avg ** 2) / avg
 
 
 # Samples per block of linear_entropy_mirror's double Poisson sum.
@@ -413,7 +412,7 @@ def entropy_kmax(mu: float) -> int:
     return int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0))
 
 
-def linear_entropy_mirror(p: SystemParams, betas, t=None, kmax: int | None = None):
+def linear_entropy_mirror(p: SystemParams, betas, kmax: int | None = None):
     """1 - Tr[rho_m^2] of the mirror from the closed double Poisson sum.
 
     Tr[rho_m^2] = sum_{p,q} P_p P_q e^{-(p-q)^2 |a3|^2} with P the Poisson
@@ -423,7 +422,7 @@ def linear_entropy_mirror(p: SystemParams, betas, t=None, kmax: int | None = Non
     2 sum_{d>=1} (1 - e^{-d^2 |a3|^2}) sum_p P_p P_{p+d}, which keeps it >= 0
     where 1 - Tr[rho_m^2] would cancel to rounding.
     """
-    tt = np.atleast_1d(_times(betas, t))
+    tt = np.atleast_1d(np.asarray(betas.t, dtype=float))
     mu = np.atleast_1d(_mu(p, betas)) * np.ones_like(tt)
     a3sq = np.abs(exponents(p, tt)[0]) ** 2
     if kmax is None:

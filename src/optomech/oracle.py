@@ -475,8 +475,8 @@ def reduce_sample(vec: np.ndarray, dims: FockDims) -> SampleReduction:
 def evolve_numeric(
     p: SystemParams,
     dims: FockDims,
+    t_grid,
     config: IntegratorConfig | None = None,
-    t_grid=None,
     keep_states: bool = False,
 ) -> OracleRun:
     """Integrate from the product of coherent states, sampling at t_grid.

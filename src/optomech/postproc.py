@@ -111,10 +111,14 @@ def compare(a: ObservableSeries, b: ObservableSeries) -> dict:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename, with the mode
+    open(path, "w") gives, 0o666 less the umask, not the temp file's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)

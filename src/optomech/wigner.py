@@ -88,30 +88,6 @@ class WignerGrid:
             raise ValueError("values must be finite")
 
     @property
-    def q_min(self) -> float:
-        return float(self.q_axis[0])
-
-    @property
-    def q_max(self) -> float:
-        return float(self.q_axis[-1])
-
-    @property
-    def p_min(self) -> float:
-        return float(self.p_axis[0])
-
-    @property
-    def p_max(self) -> float:
-        return float(self.p_axis[-1])
-
-    @property
-    def nq(self) -> int:
-        return self.q_axis.size
-
-    @property
-    def n_p(self) -> int:
-        return self.p_axis.size
-
-    @property
     def cell_area(self) -> float:
         dq = median(np.diff(self.q_axis))
         dp = median(np.diff(self.p_axis))
@@ -233,16 +209,14 @@ def grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return axis
 
 
-def wigner_continuous(rho: DensityMatrix, q_min: float, q_max: float, p_min: float,
-                      p_max: float, nq: int, n_p: int) -> WignerGrid:
-    """Wigner function on a rectangular (q, p) grid by the Laguerre series.
+def wigner_continuous(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
+    """Wigner function on the grid q_axis x p_axis by the Laguerre series.
 
-    Raises IntegrationError when the grid leaves the series' domain for this
-    rho or a value breaks |W| <= 1/pi. Warns when |W| on the grid boundary
-    exceeds 1e-4, the sign that the bounds clip the state's support.
+    The axes are ascending arrays, best made by grid_axis. Raises
+    IntegrationError when the grid leaves the series' domain for this rho or
+    a value breaks |W| <= 1/pi. Warns when |W| on the grid boundary exceeds
+    1e-4, the sign that the bounds clip the state's support.
     """
-    q_axis = grid_axis(q_min, q_max, nq)
-    p_axis = grid_axis(p_min, p_max, n_p)
     beta = (q_axis[:, np.newaxis] + 1j * p_axis[np.newaxis, :]) / math.sqrt(2.0)
     gamma = 2.0 * beta.ravel()
     # |gamma|^2 from the squared axes, so mirror images share one float
@@ -250,7 +224,7 @@ def wigner_continuous(rho: DensityMatrix, q_min: float, q_max: float, p_min: flo
     _check_laguerre_domain(rho, float(b.max()))
     values = _laguerre_wigner(rho.data, gamma, b)
     _check_bounded(values, b, rho.dim)
-    grid = WignerGrid(q_axis, p_axis, values.reshape(nq, n_p))
+    grid = WignerGrid(q_axis, p_axis, values.reshape(q_axis.size, p_axis.size))
     if grid.boundary_max() > BOUNDARY_WARN_LEVEL:
         warnings.warn(
             f"|W| reaches {grid.boundary_max():.3g} on the grid boundary; "
@@ -283,16 +257,17 @@ def write_grid_pgm(grid: WignerGrid, path: str) -> None:
     hi = float(grid.values.max())
     span = hi - lo if hi > lo else 1.0
     gray = np.rint((grid.values - lo) / span * 255).astype(int)
+    q, p = grid.q_axis, grid.p_axis
     lines = [
         "P2",
         f"# W range [{lo:.17g}, {hi:.17g}]",
-        f"# q in [{grid.q_min:.17g}, {grid.q_max:.17g}], "
-        f"p in [{grid.p_min:.17g}, {grid.p_max:.17g}]",
-        f"{grid.n_p} {grid.nq}",
+        f"# q in [{q[0]:.17g}, {q[-1]:.17g}], "
+        f"p in [{p[0]:.17g}, {p[-1]:.17g}]",
+        f"{p.size} {q.size}",
         "255",
     ]
-    row = " ".join(["%d"] * grid.n_p) + "\n"
-    body = (row * grid.nq) % tuple(gray.ravel().tolist())
+    row = " ".join(["%d"] * p.size) + "\n"
+    body = (row * q.size) % tuple(gray.ravel().tolist())
     atomic_write_text(path, "\n".join(lines) + "\n" + body)
 
 
@@ -330,13 +305,13 @@ def snapshot_grid(rho: DensityMatrix, n_grid: int) -> WignerGrid:
     the series runs over rho with its unpopulated trailing block trimmed.
     """
     half = suggested_half_width(rho)
-    trimmed = DensityMatrix(_trimmed(rho))
-    return wigner_continuous(trimmed, -half, half, -half, half, n_grid, n_grid)
+    axis = grid_axis(-half, half, n_grid)
+    return wigner_continuous(DensityMatrix(_trimmed(rho)), axis, axis)
 
 
 def default_snapshot_times(p: SystemParams):
     """Start, half mechanical period, full period: the entanglement extrema."""
-    return (0.0, math.pi / p.omega_m, 2.0 * math.pi / p.omega_m)
+    return (0.0, 0.5 * p.mech_period, p.mech_period)
 
 
 def snapshot_set(states, times) -> list:

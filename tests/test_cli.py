@@ -2,8 +2,9 @@
 config value parsing, validate's step counts, memory and preset list, the auto
 dims' floor, the analytic field Mandel series, jobs and Wigner grids run in
 worker processes, the manifest's step_max, config errors raised alike by
-validate and run before anything is written, the exit code of a worker that
-dies, and the wigner_snapshots preset."""
+validate and run before anything is written, the removed --dims and --filter
+flags, the mode of output files, the exit code of a worker that dies, and
+the wigner_snapshots preset."""
 import os
 import re
 import signal
@@ -95,8 +96,8 @@ def test_dt_above_stability_cap_is_a_config_error(tmp_path, capsys, command):
     assert f"{cap:g}" in err
 
 
-def printed_steps(capsys, path, *flags):
-    assert cli.main(["validate", "--config", path, *flags]) == 0
+def printed_steps(capsys, path):
+    assert cli.main(["validate", "--config", path]) == 0
     return [int(n) for n in re.findall(r"est_steps=(\d+)", capsys.readouterr().out)]
 
 
@@ -159,16 +160,14 @@ def test_recommended_dims_hold_the_initial_state(tmp_path, capsys, extra, dims):
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("text, flags, cause", [
-    (AT_REST_CONFIG + "modes = undriven\n", ["--dims", "1,35"],
-     "--dims 1,35: each dimension must be >= 2"),
-    (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1000\nmirror_dim = 1001\n", [],
+@pytest.mark.parametrize("text, cause", [
+    (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1000\nmirror_dim = 1001\n",
      "lines 6 and 7: field_dim, mirror_dim: joint dimension 1001000 exceeds"),
-], ids=["flag-below-2", "config-over-budget"])
+], ids=["config-over-budget"])
 @pytest.mark.parametrize("command", ["validate", "run"])
-def test_invalid_dims_are_config_errors(tmp_path, capsys, text, flags, cause, command):
+def test_invalid_dims_are_config_errors(tmp_path, capsys, text, cause, command):
     path = write_config(tmp_path, text)
-    argv = [command, "--config", path, "--out", str(tmp_path / "out")] + flags
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cause}")
@@ -544,19 +543,19 @@ def fig4_dt_cap() -> float:
 
 
 @needs_linux
-@pytest.mark.parametrize("text, flags, code, prefix", [
-    (f"preset = fig4\ndt = {fig4_dt_cap()!r}\nnorm_tolerance = 1e-12\n", [], 2,
+@pytest.mark.parametrize("text, code, prefix", [
+    (f"preset = fig4\ndt = {fig4_dt_cap()!r}\nnorm_tolerance = 1e-12\n", 2,
      "numerical failure: norm drift"),
-    ("preset = fig4\n", ["--dims", "4,35"], 3, "truncation inadequacy: "),
+    ("preset = fig4\nfield_dim = 4\nmirror_dim = 35\n", 3, "truncation inadequacy: "),
 ], ids=["exit-2", "exit-3"])
 def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, pooled,
-                                             text, flags, code, prefix):
+                                             text, code, prefix):
     """An error raised inside a worker reaches main as it does in-process."""
     path = write_config(tmp_path, text)
     outcomes = []
     for cpus in (2, 1):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        argv = ["run", "--config", path, "--out", str(tmp_path / f"out{cpus}")] + flags
+        argv = ["run", "--config", path, "--out", str(tmp_path / f"out{cpus}")]
         outcomes.append((cli.main(argv), capsys.readouterr().err))
     assert pooled == [1, 1]  # the first run forked its two workers
     assert outcomes[0] == outcomes[1]
@@ -600,10 +599,6 @@ HUGE_FIELD = AT_REST_CONFIG + "alpha = 100\ng_ratio = 0.1\n"
 CONFIG_ERRORS = {
     "dt-over-cap": ("preset = fig7_8\ndt = 1e-9\n", [], "max_stable_dt"),
     "dt-over-cap-fig4": ("preset = fig4\ndt = 1e-9\n", [], "max_stable_dt"),
-    "dims-flag-below-2": (AT_REST_CONFIG + "modes = undriven\n", ["--dims", "1,35"],
-                          "--dims 1,35: each dimension must be >= 2"),
-    "dims-flag-syntax": (AT_REST_CONFIG + "modes = undriven\n", ["--dims", "4"],
-                         "--dims expects FIELD,MIRROR integers, got '4'"),
     "dims-over-budget": (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1000\n"
                          "mirror_dim = 1001\n", [], "lines 6 and 7: field_dim, mirror_dim: "),
     "dims-parse": (AT_REST_CONFIG + "modes = undriven\nfield_dim = 3.0\nmirror_dim = 4\n", [],
@@ -627,12 +622,11 @@ CONFIG_ERRORS = {
     "missing-keys": ("omega_c = 1e8\n", [], "missing required keys: omega_m"),
     "filter-on-resonance": (DRIVEN_AT_REST + "omega_p = 1*omega_c\nfilter = true\n", [],
                             "filter window undefined: drive on cavity resonance"),
-    "filter-on-resonance-flag": (AT_REST_CONFIG + "modes = undriven\nomega_p = 1e8\n",
-                                 ["--filter"], "filter window undefined"),
     # a beat period of 3.1e-7 s against samples 1e-6 s apart
     "filter-window": (DRIVEN_AT_REST.replace("t_end = 1e-6\nn_samples = 3", "t_end = 1e-5\n"
-                                             "n_samples = 11") + "omega_p = 0.8*omega_c\n",
-                      ["--filter"], "filter: window 3.14159e-07 must be at least twice the "
+                                             "n_samples = 11")
+                      + "omega_p = 0.8*omega_c\nfilter = true\n",
+                      [], "filter: window 3.14159e-07 must be at least twice the "
                                     "median spacing 1e-06"),
     "norm_tolerance-nan": (AT_REST_CONFIG + "modes = undriven\nnorm_tolerance = nan\n", [],
                            "norm_tolerance must be positive and finite"),
@@ -675,6 +669,34 @@ def test_validate_and_run_report_config_errors_alike(tmp_path, capsys, case):
     assert first_lines[0].startswith("config error: ")
     assert cause in first_lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--dims", "4,35"], ["--filter"]], ids=["dims", "filter"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_removed_flags_are_unrecognized(tmp_path, capsys, flags, command):
+    """--dims and --filter restated the keys field_dim, mirror_dim and filter
+    and are gone: one line naming them, exit 1, no traceback, no output."""
+    out = tmp_path / "out"
+    assert cli.main([command, "--preset", "fig4", "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: unrecognized arguments: {' '.join(flags)}\n"
+    assert not out.exists()
+
+
+def test_output_files_take_the_umask(tmp_path):
+    """Every CSV, PGM and the manifest is created as open() creates a file:
+    0o644 under umask 022, not the temp file's owner-only 0o600."""
+    path = write_config(tmp_path, WIGNER_CONFIG.replace("modes = wigner", "modes = undriven,wigner"))
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {name: os.stat(out / name).st_mode & 0o777 for name in os.listdir(out)}
+    assert len(modes) == 27
+    assert set(modes.values()) == {0o644}
 
 
 def test_job_without_an_oracle_run_builds_no_dims(tmp_path, capsys):
@@ -731,8 +753,7 @@ def test_wigner_snapshots_analytic_grids_keep_their_values(wigner_snapshots_out)
     p = preset_job.config.params
     times = np.asarray(wigner.default_snapshot_times(p))
     betas = driven.integrate_betas(p, times)
-    states = [driven.evolve_driven(p, float(t), betas.at(i), FockDims(31, 585))
-              for i, t in enumerate(times)]
+    states = [driven.evolve_driven(p, betas.at(i), FockDims(31, 585)) for i in range(len(betas))]
     for i, (subsystem, _, rho) in enumerate(wigner.snapshot_set(states, times)):
         before = wigner.snapshot_grid(rho, int(job["wigner_grid_points"]))
         path = wigner_snapshots_out / f"wigner_{subsystem}_t{i // 2}_analytic_red.csv"

@@ -281,7 +281,7 @@ class TestObservables:
     def states(self):
         for i in range(1, len(self.series)):
             b = self.series.at(i)
-            yield b, evolve_driven(self.p, b.t, b, self.dims)
+            yield b, evolve_driven(self.p, b, self.dims)
 
     def test_photon_avg(self):
         for b, st in self.states():
@@ -336,14 +336,14 @@ def test_driven_at_zero_betas_is_the_undriven_formula():
         blocks = [coherent_by_series(dims.mirror_dim, (p.gamma + n * a3) * np.exp(-1j * th))
                   for n in k]
         want = (c[:, None] * np.array(blocks)).ravel()
-        got = evolve_driven(p, t, BetaCoefficients.zero(t), dims)
+        got = evolve_driven(p, BetaCoefficients.zero(t), dims)
         np.testing.assert_allclose(got.amps, want, rtol=0, atol=1e-11)
 
 
 def test_phonon_closed_form_is_phonon_avg_at_zero_betas():
     p = tiny_system()
     for t in np.linspace(0.0, p.mech_period, 7):
-        assert phonon_avg(p, BetaCoefficients.zero(t), t=t) == pytest.approx(
+        assert phonon_avg(p, BetaCoefficients.zero(t)) == pytest.approx(
             float(phonon_avg_closed_form(p, t)), rel=1e-14)
 
 
@@ -368,8 +368,7 @@ def test_mandel_field_undefined_at_zero_mean():
 def test_entropy_zero_at_mechanical_periods():
     p = tiny_system()
     b = BetaCoefficients.zero(p.mech_period)
-    assert linear_entropy_mirror(p, b, t=p.mech_period) == pytest.approx(
-        0.0, abs=1e-12)
+    assert linear_entropy_mirror(p, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_is_non_negative_at_pure_states():
@@ -405,5 +404,5 @@ def test_phonon_second_moment_is_a_poisson_sum():
             a3, _ = exponents(p, t)
             block = np.abs(p.gamma + ks * a3) ** 2
             brute = float(weights @ (block ** 2 + block))
-            got = phonon_second_moment(p, BetaCoefficients.zero(t), t=t)
+            got = phonon_second_moment(p, BetaCoefficients.zero(t))
             assert got == pytest.approx(brute, rel=1e-12)

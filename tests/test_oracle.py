@@ -239,7 +239,7 @@ class TestEvolution:
         dims = FockDims(14, 16)
         t_end = 0.5 * p.mech_period
         run = evolve_numeric(p, dims, t_grid=np.array([0.0, t_end]), keep_states=True)
-        exact = evolve_driven(p, t_end, BetaCoefficients.zero(t_end), dims)
+        exact = evolve_driven(p, BetaCoefficients.zero(t_end), dims)
         fid = abs(np.vdot(exact.amps, run.states[-1].amps)) ** 2
         assert fid > 1 - 1e-6
 
@@ -385,7 +385,7 @@ class TestSampling:
         t_end = 0.01 * p.mech_period
         cfg = IntegratorConfig(dt=t_end / 8 * (1 + 1e-12))
         grid = np.linspace(0.0, t_end, 5)  # every second step end
-        run = evolve_numeric(p, dims, cfg, grid, keep_states=True)
+        run = evolve_numeric(p, dims, grid, cfg, keep_states=True)
         assert run.n_steps == 8
         stepped = rk4_states(p, dims, t_end, 8)
         for state, expected in zip(run.states[1:], stepped[1::2]):
@@ -401,9 +401,9 @@ class TestSampling:
         cfg = recommend_integrator_config(p, t_end, dims)
         assert oracle.step_count(t_end, cfg.dt) == 145
         t_mid = 72.5 * t_end / 145
-        dense = evolve_numeric(p, dims, cfg, np.array([0.0, t_mid, t_end]), keep_states=True)
-        landing = evolve_numeric(p, dims, IntegratorConfig(dt=t_mid / 73 * (1 + 1e-12)),
-                                 np.array([0.0, t_mid]), keep_states=True)
+        dense = evolve_numeric(p, dims, np.array([0.0, t_mid, t_end]), cfg, keep_states=True)
+        landing = evolve_numeric(p, dims, np.array([0.0, t_mid]),
+                                 IntegratorConfig(dt=t_mid / 73 * (1 + 1e-12)), keep_states=True)
         assert landing.n_steps == 73
         assert np.linalg.norm(dense.states[1].amps - landing.states[1].amps) <= 1e-7
 

@@ -230,3 +230,15 @@ def test_atomic_write(tmp_path):
     atomic_write_text(path, "second")
     assert open(path).read() == "second"
     assert os.listdir(tmp_path) == ["out.txt"]  # no temp litter
+
+
+def test_atomic_write_follows_the_umask(tmp_path):
+    """0o666 less the umask, as open(path, "w") creates a file: neither the
+    temp file's 0o600 nor a fixed mode."""
+    path = str(tmp_path / "out.txt")
+    old = os.umask(0o027)
+    try:
+        atomic_write_text(path, "text")
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o640

@@ -30,7 +30,7 @@ def photon_from_state(state) -> float:
 
 def evolve_undriven(p, t, dims):
     """The undriven state: the driven one at zero betas."""
-    return evolve_driven(p, t, BetaCoefficients.zero(t), dims)
+    return evolve_driven(p, BetaCoefficients.zero(t), dims)
 
 
 class TestCoefficients:

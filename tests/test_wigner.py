@@ -57,7 +57,7 @@ def hermite_functions(x, dim):
     return h
 
 
-def wigner_direct_integral(rho, q_min, q_max, p_min, p_max, nq, n_p, x_pad=8.0, dx=0.02):
+def wigner_direct_integral(rho, q_axis, p_axis, x_pad=8.0, dx=0.02):
     """(1/pi) Integral dx e^{2 i x p} <q-x|rho|q+x>, by brute quadrature.
 
     Slow on purpose; the small-dimension oracle the displaced-parity route
@@ -67,11 +67,9 @@ def wigner_direct_integral(rho, q_min, q_max, p_min, p_max, nq, n_p, x_pad=8.0, 
     the parity route (the same integral with e^{-2ixp} is the p-mirrored
     function).
     """
-    q_axis = grid_axis(q_min, q_max, nq)
-    p_axis = grid_axis(p_min, p_max, n_p)
-    span = max(abs(q_min), abs(q_max)) + x_pad
+    span = max(abs(q_axis[0]), abs(q_axis[-1])) + x_pad
     x = np.arange(-span, span + dx / 2, dx)
-    values = np.empty((nq, n_p), dtype=np.complex128)
+    values = np.empty((q_axis.size, p_axis.size), dtype=np.complex128)
     phases = np.exp(2j * np.outer(x, p_axis))
     for i, q in enumerate(q_axis):
         h_minus = hermite_functions(q - x, rho.dim)
@@ -86,7 +84,7 @@ def analytic_states(p, dims):
     """Joint states of the coherent-averaged propagator at the snapshot times."""
     t = np.asarray(default_snapshot_times(p))
     betas = integrate_betas(p, t)
-    return [evolve_driven(p, float(t[i]), betas.at(i), dims) for i in range(t.size)]
+    return [evolve_driven(p, betas.at(i), dims) for i in range(t.size)]
 
 
 def numeric_states(p, dims):
@@ -116,8 +114,8 @@ class TestContinuous:
 
     def test_vacuum_peak(self):
         rho = DensityMatrix(np.diag([1.0] + [0.0] * 5))
-        grid = wigner_continuous(rho, q_min=-4, q_max=4, p_min=-4, p_max=4,
-                                 nq=81, n_p=81)
+        axis = grid_axis(-4, 4, 81)
+        grid = wigner_continuous(rho, axis, axis)
         assert grid.values.max() == pytest.approx(1 / math.pi, abs=1e-4)
         # peak sits at the origin
         i, j = np.unravel_index(grid.values.argmax(), grid.values.shape)
@@ -128,8 +126,7 @@ class TestContinuous:
     def test_coherent_state_is_displaced_gaussian(self):
         """alpha = 2 puts the blob at (2 sqrt 2, 0); q + ip = sqrt(2) beta."""
         rho = coherent_rho(30, 2.0)
-        grid = wigner_continuous(rho, q_min=-1, q_max=6, p_min=-3, p_max=3,
-                                 nq=101, n_p=101)
+        grid = wigner_continuous(rho, grid_axis(-1, 6, 101), grid_axis(-3, 3, 101))
         qq = grid.q_axis[:, None]
         pp = grid.p_axis[None, :]
         exact = np.exp(-(qq - 2 * math.sqrt(2)) ** 2 - pp ** 2) / math.pi
@@ -137,8 +134,8 @@ class TestContinuous:
 
     def test_complex_amplitude_lands_in_the_right_quadrant(self):
         rho = coherent_rho(18, 1.0 + 1.0j)
-        grid = wigner_continuous(rho, q_min=-4, q_max=4, p_min=-4, p_max=4,
-                                 nq=81, n_p=81)
+        axis = grid_axis(-4, 4, 81)
+        grid = wigner_continuous(rho, axis, axis)
         i, j = np.unravel_index(grid.values.argmax(), grid.values.shape)
         assert grid.q_axis[i] == pytest.approx(math.sqrt(2), abs=0.11)
         assert grid.p_axis[j] == pytest.approx(math.sqrt(2), abs=0.11)
@@ -146,9 +143,9 @@ class TestContinuous:
     def test_matches_direct_integral_oracle(self):
         """Displaced-parity evaluation against the defining integral."""
         rho = random_rho(6)
-        kw = dict(q_min=-3.0, q_max=3.0, p_min=-3.0, p_max=3.0, nq=21, n_p=21)
-        fast = wigner_continuous(rho, **kw)
-        slow = wigner_direct_integral(rho, **kw)
+        axis = grid_axis(-3.0, 3.0, 21)
+        fast = wigner_continuous(rho, axis, axis)
+        slow = wigner_direct_integral(rho, axis, axis)
         np.testing.assert_allclose(fast.values, slow.values, atol=1e-8)
 
     def test_cat_state_negativity_and_floor(self):
@@ -157,8 +154,8 @@ class TestContinuous:
         v = c1 + c2
         v /= np.linalg.norm(v)
         rho = DensityMatrix(np.outer(v, v.conj()))
-        grid = wigner_continuous(rho, q_min=-5, q_max=5, p_min=-5, p_max=5,
-                                 nq=121, n_p=121)
+        axis = grid_axis(-5, 5, 121)
+        grid = wigner_continuous(rho, axis, axis)
         assert grid.values.min() < -0.2  # interference fringes
         assert grid.values.min() >= -1 / math.pi - 1e-6
         assert grid.total_mass() == pytest.approx(1.0, abs=2e-2)
@@ -168,22 +165,22 @@ class TestContinuous:
             (coherent_rho(16, 0.8), 1.0),
             (DensityMatrix(np.diag([0.5, 0.25, 0.25] + [0.0] * 5)), 0.375),
         ]
+        axis = grid_axis(-5, 5, 161)
         for rho, purity in cases:
-            grid = wigner_continuous(rho, q_min=-5, q_max=5, p_min=-5,
-                                     p_max=5, nq=161, n_p=161)
+            grid = wigner_continuous(rho, axis, axis)
             estimate = 2 * math.pi * grid.cell_area * np.sum(
                 grid.values ** 2)
             assert estimate == pytest.approx(purity, abs=1e-3)
 
     def test_boundary_warning(self):
         rho = coherent_rho(21, 2.0)
+        axis = grid_axis(-2, 2, 41)
         with pytest.warns(UserWarning, match="boundary"):
-            wigner_continuous(rho, q_min=-2, q_max=2, p_min=-2, p_max=2,
-                              nq=41, n_p=41)
+            wigner_continuous(rho, axis, axis)
 
     def test_realness_of_output(self):
-        grid = wigner_continuous(random_rho(8), q_min=-4, q_max=4,
-                                 p_min=-4, p_max=4, nq=41, n_p=41)
+        axis = grid_axis(-4, 4, 41)
+        grid = wigner_continuous(random_rho(8), axis, axis)
         assert grid.values.dtype == np.float64
 
 
@@ -231,13 +228,15 @@ class TestMirrorExactAxes:
     def test_values_match_linspace_axes_at_dim_27(self):
         rho = random_rho(27)
         half = suggested_half_width(rho)
-        grid = wigner_continuous(rho, -half, half, -half, half, 161, 161)
+        axis = grid_axis(-half, half, 161)
+        grid = wigner_continuous(rho, axis, axis)
         assert np.max(np.abs(grid.values - linspace_wigner(rho, half, 161))) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:.*grid boundary")
     def test_values_match_linspace_axes_at_dim_300(self):
         rho = coherent_mixture(300, TestLargeDimension.AMPS, TestLargeDimension.WEIGHTS)
-        grid = wigner_continuous(rho, -26.0, 26.0, -26.0, 26.0, 41, 41)
+        axis = grid_axis(-26.0, 26.0, 41)
+        grid = wigner_continuous(rho, axis, axis)
         assert np.max(np.abs(grid.values - linspace_wigner(rho, 26.0, 41))) <= 1e-12
 
 
@@ -251,8 +250,8 @@ class TestLargeDimension:
     @pytest.mark.parametrize("half_width", [12.0, 20.0, 26.0, 32.0])
     def test_coherent_mixture_matches_gaussians_at_dim_330(self, half_width):
         rho = coherent_mixture(330, self.AMPS, self.WEIGHTS)
-        grid = wigner_continuous(rho, -half_width, half_width, -half_width,
-                                 half_width, 61, 61)
+        axis = grid_axis(-half_width, half_width, 61)
+        grid = wigner_continuous(rho, axis, axis)
         exact = gaussian_mixture_wigner(grid, self.AMPS, self.WEIGHTS)
         assert np.max(np.abs(grid.values - exact)) <= 1e-9
 
@@ -272,20 +271,20 @@ class TestLaguerreGuard:
         """Hermitian and trace 1 but not positive: W(0) = 3/pi."""
         rho = DensityMatrix(np.diag([2.0, -1.0]))
         with pytest.raises(IntegrationError, match=r"Laguerre.*dim 2"):
-            wigner_continuous(rho, -2, 2, -2, 2, 9, 9)
+            wigner_continuous(rho, grid_axis(-2, 2, 9), grid_axis(-2, 2, 9))
 
     def test_underflowing_radii_with_population_raise(self):
         """|Gamma|^2 = 420 lives at |2 beta|^2 ~ 1680, where e^{-b/2} underflows."""
         rho = coherent_mixture(560, [math.sqrt(420.0)], np.array([1.0]))
         with pytest.raises(IntegrationError, match=r"Laguerre.*underflows.*dim 560"):
-            wigner_continuous(rho, -32, 32, -32, 32, 61, 61)
+            wigner_continuous(rho, grid_axis(-32, 32, 61), grid_axis(-32, 32, 61))
 
 
 class TestGridOutput:
 
     def grid(self):
-        return wigner_continuous(coherent_rho(12, 0.5), q_min=-3, q_max=3,
-                                 p_min=-3, p_max=3, nq=11, n_p=11)
+        axis = grid_axis(-3, 3, 11)
+        return wigner_continuous(coherent_rho(12, 0.5), axis, axis)
 
     def test_csv_layout(self, tmp_path):
         path = str(tmp_path / "g.csv")
@@ -313,7 +312,7 @@ class TestGridOutput:
         )
         rows = [line.split(",") for line in text.splitlines()[1:]]
         for k, (q, p, w) in enumerate(rows):
-            i, j = divmod(k, grid.n_p)
+            i, j = divmod(k, grid.p_axis.size)
             assert float(q) == grid.q_axis[i]
             assert float(p) == grid.p_axis[j]
             assert float(w) == grid.values[i, j]
@@ -351,9 +350,9 @@ class TestGridOutput:
         lines = [
             "P2",
             f"# W range [{lo:.17g}, {hi:.17g}]",
-            f"# q in [{grid.q_min:.17g}, {grid.q_max:.17g}], "
-            f"p in [{grid.p_min:.17g}, {grid.p_max:.17g}]",
-            f"{grid.n_p} {grid.nq}",
+            f"# q in [{grid.q_axis[0]:.17g}, {grid.q_axis[-1]:.17g}], "
+            f"p in [{grid.p_axis[0]:.17g}, {grid.p_axis[-1]:.17g}]",
+            f"{grid.p_axis.size} {grid.q_axis.size}",
             "255",
         ]
         lines.extend(" ".join(str(v) for v in row) for row in gray.tolist())
@@ -364,7 +363,7 @@ class TestGridOutput:
                    np.array([[-0.0, 5e-324], [1e300, -1e300], [0.0, -5e-324]])),
         WignerGrid(np.array([0.0, 1.0, 2.0]), np.array([-1.0, 0.0, 1.0, 2.0]),
                    np.full((3, 4), 0.25)),  # constant: the PGM's span is 0
-        wigner_continuous(coherent_rho(12, 0.5), -6, 6, -5, 5, 11, 13),
+        wigner_continuous(coherent_rho(12, 0.5), grid_axis(-6, 6, 11), grid_axis(-5, 5, 13)),
     ], ids=["awkward-floats", "constant", "coherent"])
     def test_files_equal_per_row_formatting(self, tmp_path, grid):
         write_grid_csv(grid, str(tmp_path / "g.csv"))
@@ -427,7 +426,7 @@ class TestSnapshots:
         for i, ((sub_a, t_a, rho_a), (sub_b, t_b, rho_b)) in enumerate(zip(an, num)):
             assert sub_a == sub_b and t_a == t_b
             a = snapshot_grid(rho_a, n_grid=41)
-            b = wigner_continuous(rho_b, a.q_min, a.q_max, a.p_min, a.p_max, 41, 41)
+            b = wigner_continuous(rho_b, a.q_axis, a.p_axis)
             gap = np.max(np.abs(a.values - b.values))
             assert gap <= self.SOURCE_GAPS[(sub_a, i // 2)], (sub_a, t_a, gap)
 
