@@ -1,6 +1,6 @@
 """Performance record of a checkout, written as one JSON file.
 
-Usage, from the root of a checkout (about 2.5 minutes on 2 CPUs, most of it
+Usage, from the root of a checkout (about 70 s on 2 CPUs, a third of it
 the fig7_8 preset):
 
     python3 bench.py BENCH_<n>.json

@@ -6,63 +6,68 @@ No approximation beyond Fock truncation: the joint Hamiltonian
     V(t) = - G0 n (b + b^dagger) + drive_amp cos(omega_p t) (a + a^dagger)
 
 is integrated with classical fixed-step RK4 in the interaction frame of
-H0, psi_I = exp(i H0 t) psi. There H0 drops out, and
+H0, displaced by the drive's classical field response (Aspelmeyer,
+Kippenberg & Marquardt, Rev. Mod. Phys. 86, 1391 (2014)):
 
-    H_I(t) = exp(i H0 t) V(t) exp(-i H0 t) = sum_terms f(t) X + conj(f(t)) X^dagger
+    phi = D(xi(t))^dagger psi_I,   psi_I = exp(i H0 t) psi,
+    xi(t) = -(drive_amp/2) [(exp(i(omega_c + omega_p) t) - 1)/(omega_c + omega_p)
+                            + (exp(i(omega_c - omega_p) t) - 1)/(omega_c - omega_p)],
 
-is a list of two terms, each one band X of ladder factors above the
-diagonal of the field-major index i = k * mirror_dim + m, times a
-closed-form scalar f(t):
+with the second term i t on resonance (`classical_field`), so xi(0) = 0
+and phi(0) = psi(0). The forcing term, linear in a and a^dagger, is then
+gone exactly, and no term is dropped: up to a global phase,
 
-    coupling  offset +1           row -G0 (k x sqrt(m))   f = exp(-i omega_m t)
-    drive     offset +mirror_dim  row sqrt(k) x 1         f = drive_amp cos(omega_p t) exp(-i omega_c t)
+    i phi' = H'(t) phi,   H'(t) = -G0 (a^dagger + conj(xi))(a + xi) x B(t),
+    B(t) = exp(-i omega_m t) b + exp(i omega_m t) b^dagger.
 
-`interaction_terms` returns them; `InteractionFrame` lays each term and
-its adjoint out as band rows, rescales them in place at each new RK4 stage
-time and applies them with one numpy multiply per band. Everything else in
-the package is measured against this.
+`DisplacedFrame` applies H' as a mirror bidiagonal and then a field
+tridiagonal, 8 vector passes per RK4 stage. Undriven, xi = 0 and H' is
+the interaction-frame coupling -G0 n x B(t), two bands. With g = 0, H' = 0
+and a run is exact at any step. Everything else in the package is
+measured against this.
 
 The run takes `step_count` equal steps over [0, t_end], on its own grid,
 whatever the sample times. A sample inside a step is read from RK4's cubic
 continuous extension with that step's own stages (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6),
 
-    psi(t + theta h) = psi + h [b1 k1 + b2 (k2 + k3) + b4 k4],
+    phi(t + theta h) = phi + h [b1 k1 + b2 (k2 + k3) + b4 k4],
     b1 = theta - 3 theta^2/2 + 2 theta^3/3,  b2 = theta^2 - 2 theta^3/3,
     b4 = -theta^2/2 + 2 theta^3/3,
 
 which at theta = 1 is the step itself. Each sample is reduced as it is
-taken, in the interaction frame (`reduce_sample`): exp(-i H0 t) is a
-diagonal phase on each subsystem, so |psi_I|^2, its marginals and the
-purity of either reduction are the lab-frame values. Only a run asked to
-keep its states rotates its samples back to the lab frame.
+taken (`reduce_sample`). exp(-i H0 t) D(xi) acts on the field alone,
+apart from a diagonal mirror phase, so P(m) and the purity are those of
+phi. The lab field marginal is P(k) = diag(D rho_f D^dagger) from phi's
+field Gram matrix rho_f and the exact field block of D (`displacement_block`),
+about 20 us per sample at 30 x 35. It is normalized by phi's norm, as P(m)
+is, so it sums to one less the lab population above field_dim - 1. The
+leaks are measured on phi, the basis that is integrated. A run asked to
+keep its states maps each sample to the lab frame, exp(-i H0 t) D phi,
+renormalized on the truncated space.
 
-The band kernel reads the state from a buffer with `pad` = max|offset|
-zeros on each side of it (`InteractionFrame.padded`). Each band's row is
-aligned to the output index, out[i] += row[i] * psi[i + offset], so every
-band is one elementwise product of its row with a shifted slice of the
-buffer; the guard zeros stand in for the amplitudes past either end of
-the truncated space. The stepper keeps its state and its stage vector in
-such buffers and writes only their interiors, so no stage copies the state
-or zero-fills a result.
-
-RK4 applied to -i H_I keeps |R(-i theta)|^2 = 1 - theta^6/72 + O(theta^8)
+RK4 applied to -i H' keeps |R(-i theta)|^2 = 1 - theta^6/72 + O(theta^8)
 of each eigen-direction per step, theta = lambda dt, so a state loses
-amplitude at dt^6 <H_I(t)^6>/144 per step, and the norm monitor sees the sum
-of that over the run. The recommended step size is solved from that sum,
-with <H_I^6> averaged over the run and bounded from the coherent statistics
-of the initial state (`mean_interaction_scale`). Only the surviving coupling
-and drive terms enter; the free energies omega_c k and omega_m m, which
-dominate the lab-frame spectrum, do not. The norm monitor backstops the
-estimate.
+amplitude at dt^6 <H'(t)^6>/144 per step, and the norm monitor sees the
+sum of that over the run: on fig7_8 red at 60,295 steps, 1.36e-8 measured
+against 1.44e-8 from the <H'^6> measured along the run. The recommended
+step size is solved from that sum, with <H'^6> averaged over the run and
+modeled from the coherent statistics of the initial state
+(`mean_interaction_scale`). Only the coupling enters: the drive has left
+H', and the free energies omega_c k and omega_m m, which dominate the
+lab-frame spectrum, never enter. The norm monitor backstops the model.
+The norm does not see RK4 mis-integrating xi's omega_c + omega_p phase,
+so `max_stable_dt` still resolves it, at STEPS_PER_PUMP_PERIOD steps per
+period (`recommend_integrator_config`).
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,15 +80,22 @@ DEFAULT_NORM_TOLERANCE = 1e-6
 # RK4 steps between norm checks; snapshots check the norm too.
 NORM_CHECK_EVERY = 1000
 LEAK_TOLERANCE = 1e-6
-# Resolve the fastest phase of H_I(t) with at least this many steps/period.
+# Steps per period of omega_m, the phase of B(t), and of omega_c + omega_p,
+# the fastest phase of xi(t) (`max_stable_dt`).
 MIN_STEPS_PER_FAST_PERIOD = 40
-# Midpoint nodes per period, and per remainder, in the step model's time averages.
+STEPS_PER_PUMP_PERIOD = 12
+# Midpoint nodes per period, and per remainder, in the step model's time
+# averages; the pump phase, averaged at each beat node, takes fewer.
 _PHASE_NODES = 64
+_PUMP_NODES = 16
 # OpenBLAS runs a GEMM with m * n * k at most this on the calling thread.
 _SERIAL_GEMM_SIZE = 65536
 # Joint-size vectors evolve_numeric works in: the padded state and stage,
 # k1..k4, the dense sample and its scratch.
 _WORK_VECTORS = 8
+# Samples whose displacement blocks are built in one vectorized pass: 0.35 MB
+# of transients at field_dim 30, 15-20 us per sample.
+_DISPLACEMENT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -112,20 +124,35 @@ def drive_growth(p: SystemParams, t_total: float) -> float:
     return 0.5 * p.drive_amp * t_total
 
 
-def _fastest_phase(p: SystemParams) -> tuple:
-    """(name, angular frequency) of the fastest phase in H_I(t).
+def _phase_limits(p: SystemParams) -> list:
+    """(name, angular frequency, steps per period) of each phase of H'(t) the step resolves.
 
-    The coupling bands turn at omega_m; the drive bands carry cos(omega_p t)
-    exp(-i omega_c t), so up to omega_c + omega_p. Undriven, only omega_m is left.
+    B turns at omega_m, as the undriven cap has always resolved it; xi(t),
+    present only under a drive, turns at up to omega_c + omega_p.
     """
-    if p.drive_amp == 0.0 or p.omega_m >= p.omega_c + p.omega_p:
-        return "omega_m", p.omega_m
-    return "omega_c + omega_p", p.omega_c + p.omega_p
+    limits = [("omega_m", p.omega_m, MIN_STEPS_PER_FAST_PERIOD)]
+    if p.drive_amp != 0.0:
+        limits.append(("omega_c + omega_p", p.omega_c + p.omega_p, STEPS_PER_PUMP_PERIOD))
+    return limits
 
 
 def max_stable_dt(p: SystemParams) -> float:
-    """Hard cap: resolve the fastest phase of H_I(t), whatever the amplitudes."""
-    return 2.0 * math.pi / (MIN_STEPS_PER_FAST_PERIOD * _fastest_phase(p)[1])
+    """Hard cap: resolve each phase of H'(t), whatever the amplitudes.
+
+    MIN_STEPS_PER_FAST_PERIOD steps per period of omega_m, and under a
+    drive STEPS_PER_PUMP_PERIOD steps per period of omega_c + omega_p, the
+    fastest phase of xi(t). RK4 integrates a factor exp(i w t) with the
+    error of Simpson's rule on its stages, a relative (w h)^4/2880 per
+    step: 2.6e-5 at 12 steps per period, 1.3e-4 at 8. The norm monitor
+    does not see all of that error, so the count was measured against
+    lab-frame runs at a quarter of the parent's steps. On strong_oracle
+    (g = 0.33, 0.05 T_m, 30 x 308) the drift is 3.6e-7 at 8 steps per
+    period, 1.1e-7 at 10, 2.9e-8 at 12 and 2.1e-8 at 16, and every series
+    is within 6e-7 at 12. At weak coupling (fig4, fig5_6) 6 steps would do:
+    errors of 1e-7 besides mandel_field's 9.3e-7 (fig4) and 3.5e-6
+    (fig5_6), a basis-truncation difference that does not change with dt.
+    """
+    return min(2.0 * math.pi / (steps * omega) for _, omega, steps in _phase_limits(p))
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -149,10 +176,10 @@ def require_stable_dt(p: SystemParams, dt: float) -> None:
     """Raise ValueError when dt exceeds max_stable_dt(p)."""
     cap = max_stable_dt(p)
     if dt > cap * (1 + 1e-12):
-        name, omega = _fastest_phase(p)
+        name, omega, steps = min(_phase_limits(p), key=lambda limit: 1.0 / (limit[1] * limit[2]))
         raise ValueError(
             f"dt {dt:g} does not resolve the fastest period; need dt <= "
-            f"max_stable_dt = {cap:g} s ({MIN_STEPS_PER_FAST_PERIOD} steps per period of "
+            f"max_stable_dt = {cap:g} s ({steps} steps per period of "
             f"{name} = {omega:g} rad/s)"
         )
 
@@ -180,35 +207,53 @@ def _phase_mean(f, x_end: float):
 
 
 def mean_interaction_scale(p: SystemParams, t_total: float, dims: FockDims) -> float:
-    """Bound on (mean over [0, t_total] of <H_I(t)^6>)^(1/6) along the run.
+    """Model of (mean over [0, t_total] of <H'(t)^6>)^(1/6) along the run.
 
-    The two terms of H_I are bounded apart and added (Minkowski's inequality
-    in L^6 over time and state). Each is a rate times a quadrature
-    x = c exp(-i phi) + c^dagger exp(i phi) of one mode, which on a coherent
-    state of amplitude beta is a unit-variance Gaussian of mean at most
-    2|beta|, with sixth moment M6(2|beta|) (`_gaussian_sixth_moment`):
+    H' = -G0 (D^dagger n D) x B(t), so <H'^6> is G0^6 <(n x B)^6> on the
+    lab state: the lab photon number times a mirror quadrature
+    B = b exp(-i omega_m t) + b^dagger exp(i omega_m t), which on a
+    coherent state of amplitude beta is a unit-variance Gaussian of mean at
+    most 2|beta|, with sixth moment M6(2|beta|) (`_gaussian_sixth_moment`):
 
-        drive     drive_amp (mean_t cos^6(omega_p t))^(1/6) M6(2a')^(1/6)
-        coupling  G0 (sum_k P_k k^6 mean_t M6(2(|gamma| + 2 g k |sin(omega_m t/2)|)))^(1/6)
+        lambda_bar^6 = G0^6 sum_k P_k k^6 mean_t M6(2(|gamma| + 2 g k |sin(omega_m t/2)|))
 
-    where a' = |alpha| + drive_growth bounds the field amplitude, P_k is
-    Poisson(a'^2) with the tail past the truncation put on its top level,
-    and |gamma| + 2 g k |sin(omega_m t/2)| bounds the mirror amplitude given
-    k photons. mean_t cos^6 tends to 5/16 over many pump periods. As the
-    terms do not commute, the sum is a model rather than a proven bound;
-    the tests hold it against <H_I(t)^6> measured along strong-coupling runs.
+    |gamma| + 2 g k |sin(omega_m t/2)| bounds the mirror amplitude given
+    k photons. P_k is the lab photon statistics with the tail past the
+    truncation put on its top level: Poisson(|alpha + xi(t)|^2), exact at
+    g = 0, averaged over the beat phase (omega_c - omega_p) t and the
+    pump phase (omega_c + omega_p) t of xi, each taken uniform and
+    independent of the mechanical phase. Undriven that is Poisson(|alpha|^2)
+    at all times; on resonance, where xi grows secularly, it is
+    Poisson(a'^2) at the bound a' = |alpha| + drive_growth. The drive
+    itself has left H'. As the operators do not commute, this is a model
+    rather than a proven bound; the tests hold it against <H'(t)^6>
+    measured along strong-coupling runs. Measured on fig7_8 over 5.5 T_m,
+    lambda_bar^6 is 22x <H'^6> on red (lambda_bar 5.25e8 rad/s) and
+    about 130x on blue (2.30e8); at 22 x 60 over 0.1 T_m, 13x and 7.4x.
     """
-    a_field = abs(p.alpha) + drive_growth(p, t_total)
-    drive = 0.0
-    if p.drive_amp != 0.0:
-        cos6 = _phase_mean(lambda y: np.cos(y) ** 6, p.omega_p * t_total)
-        drive = p.drive_amp * (cos6 * _gaussian_sixth_moment(2.0 * a_field)) ** (1.0 / 6.0)
     coupling = 0.0
     if p.g0 != 0.0:
         k = np.arange(dims.field_dim, dtype=float)
-        amps, tail = coherent_amplitudes(dims.field_dim, a_field)
-        probs = np.abs(amps) ** 2
-        probs[-1] += tail
+
+        def poisson(a_field):
+            amps, tail = coherent_amplitudes(dims.field_dim, a_field)
+            probs = np.abs(amps) ** 2
+            probs[..., -1] += tail
+            return probs.T
+
+        if p.drive_amp != 0.0 and p.detuning != 0.0:
+            fast = 0.5 * p.drive_amp / (p.omega_c + p.omega_p)
+            slow = 0.5 * p.drive_amp / (p.omega_c - p.omega_p)
+            turn = 2j * math.copysign(1.0, slow)
+            pump = fast * np.exp(2j * math.pi * (np.arange(_PUMP_NODES) + 0.5) / _PUMP_NODES)
+
+            def beat(x):
+                centre = p.alpha + fast + slow * (1.0 - np.exp(turn * x))
+                return sum(poisson(np.abs(centre - phase)) for phase in pump) / pump.size
+
+            probs = _phase_mean(beat, 0.5 * abs(p.detuning) * t_total)
+        else:
+            probs = poisson(abs(p.alpha) + drive_growth(p, t_total))
         mirror = _phase_mean(
             lambda x: _gaussian_sixth_moment(
                 2.0 * (abs(p.gamma) + 2.0 * p.g_ratio * np.multiply.outer(k, np.abs(np.sin(x))))
@@ -216,7 +261,7 @@ def mean_interaction_scale(p: SystemParams, t_total: float, dims: FockDims) -> f
             0.5 * p.omega_m * t_total,
         )
         coupling = p.g0 * float(probs @ (k ** 6 * mirror)) ** (1.0 / 6.0)
-    return drive + coupling
+    return coupling
 
 
 def recommend_integrator_config(
@@ -227,22 +272,27 @@ def recommend_integrator_config(
 ) -> IntegratorConfig:
     """Step size whose monitored norm drift stays under norm_tolerance/2.
 
-    The stepper integrates in the interaction frame of H0 = omega_c n +
-    omega_m N, where the generator is H_I(t) = exp(i H0 t) V(t) exp(-i H0 t)
-    and only the coupling and drive bands survive. One RK4 step keeps
-    1 - theta^6/72 of the squared norm of an eigen-direction, theta = lambda
-    dt, so the state's amplitude falls by dt^6 <H_I(t)^6>/144 per step. The
-    norm monitor sees the sum over the run,
+    The stepper integrates phi = D(xi)^dagger exp(i H0 t) psi, where the
+    generator is H'(t) = -G0 (a^dagger + conj(xi))(a + xi) x B(t) and
+    neither the free energies nor the drive survive. One RK4 step keeps
+    1 - theta^6/72 of the squared norm of an eigen-direction, theta =
+    lambda dt, so the state's amplitude falls by dt^6 <H'(t)^6>/144 per
+    step. The norm monitor sees the sum over the run,
 
-        drift ~ (dt^5 / 144) integral_0^t_total <H_I(t)^6> dt
+        drift ~ (dt^5 / 144) integral_0^t_total <H'(t)^6> dt
               = (dt^5 / 144) t_total lambda_bar^6,
 
-    with lambda_bar = `mean_interaction_scale`, a bound on the time-averaged
-    sixth moment from the coherent statistics of the initial state. Setting
-    drift = norm_tolerance/2 gives dt = (72 norm_tolerance /
-    (t_total lambda_bar^6))^(1/5); the half is slack for what the model
-    leaves out, such as the change of H_I(t) within a step. The result is capped by
-    max_stable_dt, which resolves the fastest phase of H_I(t).
+    with lambda_bar = `mean_interaction_scale`, modeled from the coherent
+    statistics of the initial state. With the measured <H'^6> in place of
+    the model this sum is the drift: 1.44e-8 predicted against 1.36e-8
+    measured on fig7_8 red at 60,295 steps. Setting drift =
+    norm_tolerance/2 gives dt = (72 norm_tolerance / (t_total
+    lambda_bar^6))^(1/5); the half is slack for what the model leaves out.
+    The result is capped by max_stable_dt, which resolves omega_m and
+    xi's omega_c + omega_p phase. fig7_8 takes 54,810 (red) and 20,359
+    (blue) steps, against 187,233 and 185,132 in the lab interaction frame,
+    where the drive term set lambda_bar; the weak presets and strong_oracle
+    are held by the cap (fig4 433 and 529, strong_oracle 108).
     """
     if t_total <= 0:
         raise ValueError("t_total must be positive")
@@ -265,11 +315,11 @@ def state_memory_mb(dims: FockDims, n_samples: int, keep_states: bool) -> float:
 class OracleRun:
     """The reductions of each sample on the requested grid, plus integration diagnostics.
 
-    Row i of `field_probs` (P(k)) and `mirror_probs` (P(m)) belongs to
-    t[i], normalized; `norms` is the unnormalized state's norm and `purity`
-    Tr[rho_m^2] = Tr[rho_f^2], both as `reduce_sample` gives them. `states`
-    holds the lab-frame states, normalized, only when the run was asked to
-    keep them.
+    Row i of `field_probs` (the lab P(k)) and `mirror_probs` (P(m))
+    belongs to t[i], normalized by the integrated state's norm; `norms` is
+    that norm and `purity` Tr[rho_m^2] = Tr[rho_f^2], all as
+    `reduce_sample` gives them. `states` holds the lab-frame states,
+    normalized, only when the run was asked to keep them.
     """
 
     params: SystemParams
@@ -287,84 +337,129 @@ class OracleRun:
     step_max: float = 0.0  # the longest RK4 step taken; config.dt only caps it
 
 
-class BandTerm(NamedTuple):
-    """One term f(t) X + conj(f(t)) X^dagger of H_I(t), X on one band above the diagonal.
+def classical_field(p: SystemParams, t: float) -> complex:
+    """xi(t), the drive's classical field response in the interaction frame, xi(0) = 0.
 
-    `row` holds the band of X by column: entry j sits at (j - offset, j)
-    and multiplies psi[j]. `factor` is the closed-form scalar f(t).
+    xi' = -i drive_amp cos(omega_p t) exp(i omega_c t) removes the drive from
+    H_I, so xi = -i (drive_amp/2) [I(omega_c + omega_p) + I(omega_c - omega_p)]
+    with I(w) = integral_0^t exp(i w s) ds = t exp(i w t/2) sinc(w t/2),
+    which is t on resonance.
     """
+    total = 0j
+    for w in (p.omega_c + p.omega_p, p.omega_c - p.omega_p):
+        half = 0.5 * w * t
+        total += t * cmath.exp(1j * half) * (math.sin(half) / half if half else 1.0)
+    return -0.5j * p.drive_amp * total
 
-    offset: int
-    row: np.ndarray
-    factor: Callable[[float], complex]
+
+@functools.lru_cache(maxsize=4)
+def _laguerre_tables(dim: int) -> tuple:
+    """Per-dim constants of `displacement_block`: the recurrence's
+    coefficients for n = 0 .. dim - 2, rows over a, and of each entry
+    (k, j) of the block the flat index n * dim + a of its l_n^(a) and its sign."""
+    a = np.arange(dim, dtype=float)
+    n = np.arange(dim - 1, dtype=float)[:, None]
+    k, j = np.indices((dim, dim))
+    gap = np.abs(k - j)
+    sign = np.where((k < j) & (gap % 2 == 1), -1.0, 1.0)
+    return (2 * n + 1 + a, np.sqrt(n * (n + a)), 1.0 / np.sqrt((n + 1) * (n + 1 + a)),
+            np.minimum(k, j) * dim + gap, sign)
 
 
-def interaction_terms(p: SystemParams, dims: FockDims) -> tuple:
-    """The coupling and drive terms of H_I(t), as tabled in the module docstring.
+def displacement_block(r, dim: int) -> np.ndarray:
+    """<k|D(r)|j> for k, j < dim and real r >= 0, exact: no truncation enters.
 
-    A term with zero amplitude (g = 0, or no drive) is left out, so its
-    bands are not paid for.
+    D(xi) = U D(|xi|) U^dagger with U = diag(u^k), u = xi/|xi|, so the
+    block of a real displacement carries every case. With x = r^2
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)),
+
+        <k|D(r)|j> = s_kj l_n^(a)(x),   n = min(k, j), a = |k - j|,
+
+    where s_kj = (-1)^a above the diagonal and 1 elsewhere, and
+    l_n^(a) = sqrt(n!/(n + a)!) x^(a/2) exp(-x/2) L_n^(a)(x) is a Laguerre
+    polynomial normalized to |l| <= 1. l_0^(a) is the Poisson amplitude of
+    a (`coherent_amplitudes`), and the three-term Laguerre recurrence in n,
+    so normalized, stays within rounding: 5e-14 of a padded matrix
+    exponential up to |xi| = 8.5 at dim 150. The column recurrence D|j+1> =
+    (a^dagger - conj(xi)) D|j> / sqrt(j + 1) amplifies rounding at high
+    levels: 2e-11 at |xi| = 0.87 and dim 100, 6e-4 at |xi| = 2.7 and dim 60.
+    Vectorized like `coherent_amplitudes`: an array of r gives shape
+    r.shape + (dim, dim).
     """
-    k = np.arange(dims.field_dim, dtype=float)
-    m = np.arange(dims.mirror_dim, dtype=float)
-    terms = []
-    if p.g0 != 0.0:
-        terms.append(BandTerm(
-            1, -p.g0 * np.kron(k, np.sqrt(m)), lambda t: cmath.exp(-1j * p.omega_m * t)
-        ))
-    if p.drive_amp != 0.0:
-        terms.append(BandTerm(
-            dims.mirror_dim,
-            np.kron(np.sqrt(k), np.ones(dims.mirror_dim)),
-            lambda t: p.drive_amp * math.cos(p.omega_p * t) * cmath.exp(-1j * p.omega_c * t),
-        ))
-    return tuple(terms)
+    r = np.asarray(r, dtype=float)
+    x = (r * r)[..., None]
+    grow, back, norm, flat, sign = _laguerre_tables(dim)
+    ell = np.empty((dim,) + r.shape + (dim,))  # ell[n, ..., a] = l_n^(a)(x)
+    ell[0] = coherent_amplitudes(dim, r)[0].real
+    # (n + 1) l_(n+1) = (2n + 1 + a - x) l_n - (n + a) l_(n-1), normalized
+    for n in range(dim - 1):
+        step = grow[n] - x
+        step *= ell[n]
+        if n:
+            step -= back[n] * ell[n - 1]
+        np.multiply(step, norm[n], out=ell[n + 1])
+    by_sample = np.moveaxis(ell, 0, -2).reshape(r.shape + (dim * dim,))
+    block = by_sample[..., flat]
+    block *= sign
+    return block
 
 
-class InteractionFrame:
-    """The generator -i H_I(t) of psi_I = exp(i H0 t) psi, as a band kernel.
+class DisplacedFrame:
+    """The generator -i H'(t) of phi = D(xi(t))^dagger psi_I, as a band kernel.
 
-    H_I(t) is the sum of f(t) X + conj(f(t)) X^dagger over
-    `interaction_terms`. A term's row sits on band +offset under -i f(t);
-    its adjoint is the same (real) row on band -offset under -i conj(f(t)),
-    so H_I is Hermitian by construction. `offsets` lists the bands in
-    ascending order, adjoints first. Each band's row is stored aligned to
-    the output index,
+    H'(t) = -G0 F(t) x B(t), with F = (a^dagger + conj(xi))(a + xi) =
+    n + xi a^dagger + conj(xi) a + |xi|^2 on the field and B = exp(-i
+    omega_m t) b + exp(i omega_m t) b^dagger on the mirror. `rhs` applies
+    B as two bands at offsets -1 and +1 of the field-major index, then F
+    as three bands at offsets -mirror_dim, 0 and +mirror_dim. Undriven, F
+    is n, folded into B's rows: H_I's coupling term, two bands in all.
 
-        out[i] = sum_b row_b[i] * psi[i + offset_b],
-
-    and rescaled in place whenever the stage time changes.
-
-    `rhs` reads psi from a buffer holding it between `pad` = max|offset|
-    zeros on each side, made by `padded`. A shifted slice of that buffer is
-    then psi[i + offset] for every output index i, zeros past either end of
-    the truncated space included, so each band costs one elementwise
-    product with no bounds to clip and no zeroed copy of psi.
+    Each band's row is stored aligned to the output index,
+    out[i] += row[i] * vec[i + offset], so a band is one elementwise product
+    with a shifted slice of a buffer holding vec between guard zeros; the
+    zeros stand in for the amplitudes past either end of the truncated
+    space. `rhs` reads phi from a buffer with one guard zero on each side,
+    made by `padded`. The mirror stage writes B phi into the interior of a
+    buffer with mirror_dim guard zeros on each side, which the field stage
+    reads. At each new stage time, undriven, both of B's rows are their
+    base times one scalar; driven, b^dagger's row stays its base, b's is
+    its base times one scalar, and F's three rows, which carry b^dagger's
+    phase, are filled from columns of field_dim entries: one full-length
+    product and three fills, where rescaling five rows took five products
+    and cost about 15 us more per stage time at 30 x 308.
     """
 
     def __init__(self, p: SystemParams, dims: FockDims):
-        self._terms = interaction_terms(p, dims)
-        n = dims.joint
         self._p = p
+        self._dims = dims
+        self.driven = p.drive_amp != 0.0
+        n = dims.joint
+        self.pad = 1
         self._field_levels = np.arange(dims.field_dim, dtype=float)
         self._mirror_levels = np.arange(dims.mirror_dim, dtype=float)
-        adjoints = self._terms[::-1]
-        self.offsets = (tuple(-term.offset for term in adjoints)
-                        + tuple(term.offset for term in self._terms))
-        self.pad = max(self.offsets, default=0)
-        # The adjoint entry at (i, i - offset) is the term's entry at
-        # (i - offset, i), row[i]; the term's own entry at (i, i + offset)
-        # is row[i + offset]. Rows vanish on their first `offset` entries.
-        rows = [np.concatenate((np.zeros(term.offset), term.row[term.offset:]))
-                for term in adjoints] + [
-                np.concatenate((term.row[term.offset:], np.zeros(term.offset)))
-                for term in self._terms]
-        self._base = np.array(rows, dtype=np.complex128).reshape(len(self.offsets), n)
-        self._scale = np.empty((len(self.offsets), 1), dtype=np.complex128)
-        self._rows = np.empty_like(self._base)
-        self._bands = [(row, self.pad + offset, self.pad + offset + n)
-                       for row, offset in zip(self._rows, self.offsets)]
+        # b^dagger reads offset -1 and b offset +1; their rows vanish where
+        # the mirror level would leave the truncated space.
+        coupling = -p.g0 * np.kron(np.ones(dims.field_dim) if self.driven else self._field_levels,
+                                   np.sqrt(self._mirror_levels))
+        self._base = [np.concatenate((np.zeros(1), coupling[1:])).astype(np.complex128),
+                      np.concatenate((coupling[1:], np.zeros(1))).astype(np.complex128)]
+        self._rows = [self._base[0] if self.driven else np.empty(n, dtype=np.complex128),
+                      np.empty(n, dtype=np.complex128)]
         self._scratch = np.empty(n, dtype=np.complex128)
+        if self.driven:
+            # F's diagonal, a^dagger reading offset -mirror_dim and a
+            # +mirror_dim: each row is constant over a field level, so it is
+            # filled from a column of field_dim entries.
+            m = dims.mirror_dim
+            levels = self._field_levels[:, None]
+            self._field_base = (levels, np.sqrt(levels), np.sqrt(levels + 1.0))
+            self._columns = np.empty((3, dims.field_dim, 1), dtype=np.complex128)
+            self._partial = self._scratch.reshape(dims.field_dim, m)
+            mirrored = np.zeros(n + 2 * m, dtype=np.complex128)
+            self._mirrored = mirrored[m:m + n]
+            self._field_bands = [(np.empty((dims.field_dim, m), dtype=np.complex128),
+                                  mirrored[lo:lo + n].reshape(dims.field_dim, m))
+                                 for lo in (m, 0, 2 * m)]
         self._t = None
 
     def padded(self, vec: np.ndarray) -> tuple:
@@ -380,42 +475,65 @@ class InteractionFrame:
         return buf, view
 
     def _refresh(self, t: float) -> None:
-        # Folding -i into the rows makes each band one multiply.
-        n_terms = len(self._terms)
-        for j, term in enumerate(self._terms):
-            f = term.factor(t)
-            self._scale[n_terms + j, 0] = -1j * f
-            self._scale[n_terms - 1 - j, 0] = -1j * f.conjugate()
-        np.multiply(self._base, self._scale, out=self._rows)
+        # -i B = -i conj(phase) (b^dagger + phase^2 b), phase = exp(-i omega_m t).
+        # Folding the scalars into the rows makes each band one multiply.
+        phase = cmath.exp(-1j * self._p.omega_m * t)
+        lower, upper = self._rows
+        if self.driven:
+            # -i conj(phase) goes on F's columns, so b^dagger's row stays its base.
+            np.multiply(self._base[1], phase * phase, out=upper)
+            xi = classical_field(self._p, t)
+            scale = -1j * phase.conjugate()
+            levels, root, root_up = self._field_base
+            diagonal, below, above = self._columns
+            np.multiply(levels + abs(xi) ** 2, scale, out=diagonal)
+            np.multiply(root, xi * scale, out=below)
+            np.multiply(root_up, xi.conjugate() * scale, out=above)
+            for (row, _), column in zip(self._field_bands, self._columns):
+                row[...] = column
+        else:
+            np.multiply(self._base[0], -1j * phase.conjugate(), out=lower)
+            np.multiply(self._base[1], -1j * phase, out=upper)
         self._t = t
 
     def rhs(self, t: float, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = -i H_I(t) psi_I, psi_I read from a buffer made by `padded`.
+        """out = -i H'(t) phi, phi read from a buffer made by `padded`.
 
-        The first band is written into `out`, each other one through a
-        scratch vector added to it; the rows are rescaled only when t
-        changes.
+        Each stage writes its first band into its target and adds the
+        others through a scratch vector.
         """
         if t != self._t:
             self._refresh(t)
-        if not self._bands:
-            out.fill(0)
-            return out
-        (row, lo, hi), *rest = self._bands
-        np.multiply(row, padded[lo:hi], out=out)
-        scratch = self._scratch
-        for row, lo, hi in rest:
-            np.multiply(row, padded[lo:hi], out=scratch)
-            out += scratch
+        n = out.shape[0]
+        lower, upper = self._rows
+        target = self._mirrored if self.driven else out
+        np.multiply(lower, padded[:n], out=target)
+        np.multiply(upper, padded[2:n + 2], out=self._scratch)
+        target += self._scratch
+        if self.driven:
+            partial = self._partial
+            result = out.reshape(partial.shape)
+            (row, shifted), *rest = self._field_bands
+            np.multiply(row, shifted, out=result)
+            for row, shifted in rest:
+                np.multiply(row, shifted, out=partial)
+                result += partial
         return out
 
-    def to_lab(self, t: float, vec: np.ndarray) -> np.ndarray:
-        """psi = exp(-i H0 t) psi_I; the phase factors into field times mirror."""
+    def to_lab(self, t: float, vec: np.ndarray, displacement=None) -> np.ndarray:
+        """psi = exp(-i H0 t) D(xi(t)) phi; D is `displacement`, its field block.
+
+        exp(-i H0 t) factors into field times mirror phases.
+        """
+        psi = vec.reshape(self._dims.field_dim, self._dims.mirror_dim)
+        if displacement is not None:
+            block, phases = displacement
+            psi = phases[:, None] * np.dot(block, phases.conj()[:, None] * psi)
         phase = np.multiply.outer(
             np.exp(-1j * self._p.omega_c * t * self._field_levels),
             np.exp(-1j * self._p.omega_m * t * self._mirror_levels),
         )
-        return vec * phase.ravel()
+        return (psi * phase).ravel()
 
 
 class SampleReduction(NamedTuple):
@@ -442,18 +560,20 @@ def gram_blocks(dims: FockDims) -> list:
             for i in range(n_blocks)]
 
 
-def reduce_sample(vec: np.ndarray, dims: FockDims) -> SampleReduction:
+def reduce_sample(vec: np.ndarray, dims: FockDims, displacement=None) -> SampleReduction:
     """P(k), P(m), norm, top-level leaks and purity of one unnormalized state.
 
     The marginals and the purity are those of the normalized state; the
     leaks are the population of the top 3 levels of each subsystem as the
     state stands, never more than dim - 1 of an axis, so a deliberately
-    tiny subsystem does not count its ground state as leakage. A state in
-    the interaction frame gives the lab-frame values (module docstring).
-    Both reductions of a pure state share their nonzero spectrum, so
-    Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the smaller one (30 x 30
-    against 308 x 308 at the strong-coupling dims), summed over
-    `gram_blocks`.
+    tiny subsystem does not count its ground state as leakage. A state phi
+    in the displaced frame gives the lab-frame P(m) and purity; with its
+    `displacement` (D(|xi|) block, u^k) the field marginal is the lab
+    diag(D rho_f D^dagger), normalized by phi's norm (module docstring),
+    and the leaks stay phi's. Both reductions of a pure state share their
+    nonzero spectrum, so Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the
+    smaller one (30 x 30 against 308 x 308 at the strong-coupling dims),
+    summed over `gram_blocks`.
     """
     psi = vec.reshape(dims.field_dim, dims.mirror_dim)
     psi_c = psi.conj()
@@ -469,7 +589,29 @@ def reduce_sample(vec: np.ndarray, dims: FockDims) -> SampleReduction:
     for block in rest:
         rho_f += np.dot(psi[:, block], psi_c[:, block].T)
     purity = float(np.vdot(rho_f, rho_f).real) / norm2 ** 2
+    if displacement is not None:
+        # diag(D rho_f D^dagger) = diag(D(|xi|) rho' D(|xi|)^T) with
+        # rho' = U^dagger rho_f U Hermitian and D(|xi|) real
+        block, phases = displacement
+        turned = (rho_f * np.multiply.outer(phases.conj(), phases)).real
+        pk = (np.dot(block, turned) * block).sum(axis=1)
     return SampleReduction(pk / norm2, pm / norm2, math.sqrt(norm2), leaks, purity)
+
+
+def _displacements(p: SystemParams, times: np.ndarray, dim: int):
+    """Per sample time, None undriven, else (D(|xi|) block, u^k) for
+    xi = xi(t), u = xi/|xi|, so that D(xi) = U D(|xi|) U^dagger with
+    U = diag(u^k); built _DISPLACEMENT_CHUNK samples at a time."""
+    if p.drive_amp == 0.0:
+        yield from (None for _ in times)
+        return
+    levels = np.arange(dim)
+    for start in range(0, times.size, _DISPLACEMENT_CHUNK):
+        xi = np.array([classical_field(p, float(t))
+                       for t in times[start:start + _DISPLACEMENT_CHUNK]])
+        unit = np.ones_like(xi)
+        np.divide(xi, np.abs(xi), out=unit, where=xi != 0)
+        yield from zip(displacement_block(np.abs(xi), dim), unit[:, None] ** levels)
 
 
 def evolve_numeric(
@@ -482,10 +624,11 @@ def evolve_numeric(
     """Integrate from the product of coherent states, sampling at t_grid.
 
     Takes `step_count(t_grid[-1], config.dt)` equal RK4 steps in the
-    interaction frame and reads each sample from the continuous extension
-    of the step it falls in (module docstring), reducing it as it is taken
-    (`reduce_sample`). With keep_states, run.states also holds each sample
-    as a normalized lab-frame JointState. The state is never renormalized
+    displaced interaction frame and reads each sample from the continuous
+    extension of the step it falls in (module docstring), reducing it as it
+    is taken (`reduce_sample`). With keep_states, run.states also holds
+    each sample as a lab-frame JointState, exp(-i H0 t) D(xi) phi
+    normalized on the truncated space. The state is never renormalized
     while stepping; its norm is checked at every sample and every
     NORM_CHECK_EVERY steps, and IntegrationError is raised once the drift
     exceeds config.norm_tolerance. Samples with more than LEAK_TOLERANCE of
@@ -509,7 +652,8 @@ def evolve_numeric(
         coherent_state(dims.mirror_dim, p.gamma),
     ).amps
 
-    frame = InteractionFrame(p, dims)
+    frame = DisplacedFrame(p, dims)
+    displacements = _displacements(p, t_grid, dims.field_dim)
     rhs = frame.rhs
     # rhs reads psi and stage from their padded buffers; the steps below
     # write only the interior views. With the six below, these are the
@@ -553,7 +697,8 @@ def evolve_numeric(
     leaky = {"field": [], "mirror": []}  # (leak, t) of each sample over LEAK_TOLERANCE
 
     def sample(i, vec):
-        red = reduce_sample(vec, dims)
+        displacement = next(displacements)
+        red = reduce_sample(vec, dims, displacement)
         check(red.norm)
         t_i = float(t_grid[i])
         run.field_probs[i] = red.field_probs
@@ -565,8 +710,8 @@ def evolve_numeric(
             if leak > LEAK_TOLERANCE:
                 found.append((leak, t_i))
         if keep_states:
-            lab = frame.to_lab(t_i, vec)
-            lab /= red.norm
+            lab = frame.to_lab(t_i, vec, displacement)
+            lab /= np.linalg.norm(lab)
             run.states.append(JointState(dims, lab))
 
     i = 0

@@ -210,19 +210,38 @@ def test_config_values_parse_by_kind():
 
 
 def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
-    """The fig4 manifests record n_steps=1736 (red) and 1761 (blue)."""
+    """The fig4 manifests record n_steps=433 (red) and 529 (blue): both are
+    held by the cap of 12 steps per period of omega_c + omega_p."""
     path = write_config(tmp_path, "preset = fig4\n")
-    assert printed_steps(capsys, path) == [1736, 1761]
+    assert printed_steps(capsys, path) == [433, 529]
 
 
 def test_fig4_blue_steps_stay_within_dt():
-    """fig4 blue's t_end / dt is 1760.0000000000005 and t_end / 1760 exceeds
-    dt by 1 ulp, so the run takes 1761 steps, each no longer than dt."""
+    """fig4 blue's t_end / dt is 528.0000000000001 and t_end / 528 exceeds
+    dt by 1 ulp, so the run takes 529 steps, each no longer than dt."""
     (_, _, times, icfg, _), = config.preset_jobs("fig4")[1].config.oracle_runs
     t_end = float(times[-1])
-    assert t_end / icfg.dt == 1760.0000000000005 and t_end / 1760 > icfg.dt
+    assert t_end / icfg.dt == 528.0000000000001 and t_end / 528 > icfg.dt
     n_steps = oracle.step_count(t_end, icfg.dt)
-    assert n_steps == 1761 and t_end / n_steps <= icfg.dt
+    assert n_steps == 529 and t_end / n_steps <= icfg.dt
+
+
+STRONG_ORACLE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "perfbench", "workloads", "strong_oracle.cfg")
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # measured 54,810 (red) and 20,359 (blue); 187,233 and 185,132 before
+    # the drive was integrated exactly
+    (["--preset", "fig7_8"], 60_000),
+    # measured 108, held by the cap of 12 steps per omega_c + omega_p period; 424 before
+    (["--config", STRONG_ORACLE_CONFIG], 150),
+], ids=["fig7_8", "strong_oracle"])
+def test_headline_runs_stay_within_their_step_budgets(capsys, argv, bound):
+    """validate alone, nothing run: every oracle job's est_steps is within its budget."""
+    assert cli.main(["validate", *argv]) == 0
+    steps = [int(n) for n in re.findall(r"est_steps=(\d+)", capsys.readouterr().out)]
+    assert steps and max(steps) <= bound
 
 
 @pytest.mark.parametrize("preset, memory", [
@@ -334,10 +353,9 @@ def validated_steps(capsys, preset) -> dict:
 
 
 # Each numeric job's norm_drift bound, as a fraction of its norm tolerance.
-# fig4 is held to the step model's own target, tolerance/2: its red job's
-# samples carry the cubic extension's norm error on top of the drift its
-# steps accrue (4.4e-7 sampled, 1.5e-7 at the end point alone).
-DRIFT_FRACTION = {"fig4": 1 / 2, "fig5_6": 1 / 4, "fig7_8": 1 / 4}
+# Measured: fig4 red 5.2e-10 and blue 9.6e-11, fig5_6 red 6.3e-10, fig7_8
+# red 1.8e-8 and blue 4.6e-9.
+DRIFT_FRACTION = {"fig4": 1 / 4, "fig5_6": 1 / 4, "fig7_8": 1 / 4}
 
 
 @pytest.mark.filterwarnings("ignore:population")

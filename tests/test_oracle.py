@@ -5,8 +5,8 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import ladder_ops, strong_system, thread_count, tiny_system
 from optomech import oracle
@@ -15,15 +15,17 @@ from optomech.errors import IntegrationError
 from optomech.fock import (
     FockDims,
     JointState,
+    coherent_amplitudes,
     coherent_state,
     partial_trace_field,
     partial_trace_mirror,
 )
 from optomech.oracle import (
+    DisplacedFrame,
     IntegratorConfig,
-    InteractionFrame,
+    classical_field,
+    displacement_block,
     evolve_numeric,
-    interaction_terms,
     max_stable_dt,
     mean_interaction_scale,
     observables_numeric,
@@ -33,6 +35,8 @@ from optomech.oracle import (
 from optomech.system import SystemParams
 
 DIMS = FockDims(12, 14)
+# Field levels past field_dim that hold D(xi) |k> to rounding for |xi| < 1.
+FIELD_PAD = 30
 
 
 def dense_hamiltonian(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
@@ -52,9 +56,29 @@ def dense_hamiltonian(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
     return h
 
 
-def generator_matrix(frame: InteractionFrame, t: float) -> np.ndarray:
-    """The dense -i H_I(t) of a frame, column j being rhs applied to basis vector j."""
-    n = DIMS.joint
+def dense_displacement(xi: complex, dim: int) -> np.ndarray:
+    """exp(xi a^dagger - conj(xi) a) on dim levels, from a padded matrix exponential."""
+    f = ladder_ops(dim + FIELD_PAD)
+    return expm(xi * f.raise_ - np.conj(xi) * f.lower)[:dim, :dim]
+
+
+def free_energies(p: SystemParams, dims: FockDims) -> np.ndarray:
+    """Diagonal of H0 = omega_c n + omega_m N in the field-major joint index."""
+    return np.add.outer(p.omega_c * np.arange(dims.field_dim),
+                        p.omega_m * np.arange(dims.mirror_dim)).ravel()
+
+
+def to_frame(p: SystemParams, dims: FockDims, t: float, psi: np.ndarray) -> np.ndarray:
+    """phi = D(xi(t))^dagger exp(i H0 t) psi of a lab-frame state psi."""
+    rotated = (np.exp(1j * free_energies(p, dims) * t) * psi).reshape(
+        dims.field_dim, dims.mirror_dim)
+    return (dense_displacement(classical_field(p, t), dims.field_dim).conj().T
+            @ rotated).ravel()
+
+
+def generator_matrix(frame: DisplacedFrame, dims: FockDims, t: float) -> np.ndarray:
+    """The dense -i H'(t) of a frame, column j being rhs applied to basis vector j."""
+    n = dims.joint
     op = np.empty((n, n), dtype=complex)
     for j in range(n):
         basis = np.zeros(n, dtype=complex)
@@ -63,18 +87,15 @@ def generator_matrix(frame: InteractionFrame, t: float) -> np.ndarray:
     return op
 
 
-def dia_generator(p: SystemParams, dims: FockDims, t: float) -> sp.dia_matrix:
-    """-i H_I(t) as a scipy DIA matrix of the interaction terms and their adjoints."""
-    data, offsets = [], []
-    for term in interaction_terms(p, dims):
-        f = term.factor(t)
-        data.append(-1j * f * term.row)
-        offsets.append(term.offset)
-        # X^dagger on band -offset: column j holds X[j, j + offset] = row[j + offset].
-        adjoint = np.concatenate((term.row[term.offset:], np.zeros(term.offset)))
-        data.append(-1j * f.conjugate() * adjoint)
-        offsets.append(-term.offset)
-    return sp.dia_matrix((np.array(data), offsets), shape=(dims.joint, dims.joint))
+def operator_product(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
+    """-i H'(t) = i G0 (a^dagger + conj(xi))(a + xi) x B(t) from dense ladder operators."""
+    f = ladder_ops(dims.field_dim)
+    m = ladder_ops(dims.mirror_dim)
+    xi = classical_field(p, t)
+    field = (f.number + xi * f.raise_ + np.conj(xi) * f.lower
+             + abs(xi) ** 2 * np.eye(dims.field_dim))
+    mirror = (np.exp(-1j * p.omega_m * t) * m.lower + np.exp(1j * p.omega_m * t) * m.raise_)
+    return 1j * p.g0 * np.kron(field, mirror)
 
 
 class TestStepSizing:
@@ -84,7 +105,7 @@ class TestStepSizing:
         cfg = recommend_integrator_config(p, 1e-5, DIMS)
         assert cfg.dt <= max_stable_dt(p)
         assert max_stable_dt(p) == pytest.approx(
-            2 * math.pi / (40 * (p.omega_c + p.omega_p)))
+            2 * math.pi / (12 * (p.omega_c + p.omega_p)))
 
     def test_longer_runs_get_smaller_steps(self):
         p = tiny_system()
@@ -93,7 +114,7 @@ class TestStepSizing:
         assert long.dt <= short.dt
 
     def test_undriven_cap_resolves_omega_m(self):
-        """Without drive, H_I(t) carries only exp(-i omega_m t)."""
+        """Without drive, H'(t) carries only exp(-i omega_m t)."""
         p = tiny_system(drive_amp=0.0, omega_p=0.0)
         assert max_stable_dt(p) == pytest.approx(2 * math.pi / (40 * p.omega_m))
 
@@ -109,9 +130,9 @@ def strong_short(request):
     return p, 0.1 * p.mech_period
 
 
-def sixth_moment(frame: InteractionFrame, t: float, psi: np.ndarray) -> float:
-    """<H_I(t)^6> = ||H_I(t)^3 psi_I||^2 of the lab-frame state psi."""
-    vec = frame.to_lab(-t, psi)  # exp(i H0 t) psi
+def sixth_moment(p: SystemParams, frame: DisplacedFrame, t: float, psi: np.ndarray) -> float:
+    """<H'(t)^6> = ||H'(t)^3 phi||^2 of the lab-frame state psi."""
+    vec = to_frame(p, MODEL_DIMS, t, psi)
     for _ in range(3):
         vec = frame.rhs(t, frame.padded(vec)[0], np.empty_like(vec))
     return np.vdot(vec, vec).real
@@ -122,11 +143,12 @@ class TestStepModel:
     """The step size is solved from (dt^5/144) t_end lambda_bar^6 = tol/2."""
 
     def test_scale_bounds_the_measured_sixth_moment(self, strong_short):
+        """13x (red) and 7.4x (blue) over the measured <H'^6>."""
         p, t_end = strong_short
         grid = np.linspace(0.0, t_end, 201)
         run = evolve_numeric(p, MODEL_DIMS, t_grid=grid, keep_states=True)
-        frame = InteractionFrame(p, MODEL_DIMS)
-        moments = np.array([sixth_moment(frame, t, state.amps)
+        frame = DisplacedFrame(p, MODEL_DIMS)
+        moments = np.array([sixth_moment(p, frame, t, state.amps)
                             for t, state in zip(grid, run.states)])
         time_average = np.mean(0.5 * (moments[1:] + moments[:-1]))
         assert mean_interaction_scale(p, t_end, MODEL_DIMS) ** 6 >= time_average
@@ -139,31 +161,49 @@ class TestStepModel:
 
 
 class TestInteractionFrame:
-    """The stepper integrates psi_I = exp(i H0 t) psi with H0 = omega_c n + omega_m N."""
+    """The stepper integrates phi = D(xi(t))^dagger exp(i H0 t) psi, H0 = omega_c n + omega_m N:
+    the interaction frame of H0, displaced by the drive's classical field."""
 
     @staticmethod
-    def free_energies(p: SystemParams, dims: FockDims) -> np.ndarray:
-        free = dataclasses.replace(p, g_ratio=0.0, drive_amp=0.0, omega_p=0.0)
-        return np.diag(dense_hamiltonian(free, dims, 0.0)).copy()
+    def defined_generator(p: SystemParams, dims: FockDims, t: float) -> np.ndarray:
+        """-i H'(t) from H' = D^dagger H_I D - i D^dagger dD/dt on a padded field,
+        restricted to dims, less the global phase Re(f xi) of f = drive_amp
+        cos(omega_p t) exp(-i omega_c t); dD/dt by central differences."""
+        big = FockDims(dims.field_dim + FIELD_PAD, dims.mirror_dim)
+        energies = free_energies(p, big)
+        rot = np.exp(1j * energies * t)
+        h_int = rot[:, None] * (dense_hamiltonian(p, big, t) - np.diag(energies)) / rot[None, :]
+        mirror = np.eye(dims.mirror_dim)
+
+        def displacement(s):
+            f = ladder_ops(big.field_dim)
+            xi = classical_field(p, s)
+            return np.kron(expm(xi * f.raise_ - np.conj(xi) * f.lower), mirror)
+
+        d = displacement(t)
+        step = 1e-4 / (p.omega_c + p.omega_p)
+        d_dot = (displacement(t + step) - displacement(t - step)) / (2 * step)
+        h_frame = d.conj().T @ h_int @ d - 1j * d.conj().T @ d_dot
+        kept = dims.joint
+        f = p.drive_amp * math.cos(p.omega_p * t) * np.exp(-1j * p.omega_c * t)
+        phase = (f * classical_field(p, t)).real
+        return -1j * (h_frame[:kept, :kept] - phase * np.eye(kept))
 
     @pytest.mark.parametrize("system", [
-        dict(g_ratio=0.0),                    # drive bands only
-        dict(drive_amp=0.0, omega_p=0.0),     # coupling bands only
+        dict(g_ratio=0.0),                    # drive only: H' = 0
+        dict(drive_amp=0.0, omega_p=0.0),     # coupling only: xi = 0
         dict(),                               # both
     ], ids=["drive-only", "coupling-only", "full"])
     def test_rhs_matches_dense_interaction_picture(self, system):
         p = tiny_system(**system)
-        energies = self.free_energies(p, DIMS)
-        frame = InteractionFrame(p, DIMS)
-        rng = np.random.default_rng(7)
-        psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
-        padded, _ = frame.padded(psi)
+        frame = DisplacedFrame(p, DIMS)
+        # the largest entries of the drive and coupling terms that cancel or stay
+        scale = (p.drive_amp * math.sqrt(DIMS.field_dim + FIELD_PAD)
+                 + p.g0 * DIMS.field_dim * math.sqrt(DIMS.mirror_dim))
         for t in (0.0, 1.3e-7, 4.8e-7):
-            v = dense_hamiltonian(p, DIMS, t) - np.diag(energies)
-            rot = np.exp(1j * energies * t)
-            expected = -1j * rot * (v @ (psi / rot))
-            np.testing.assert_allclose(frame.rhs(t, padded, np.empty_like(psi)), expected,
-                                       rtol=0, atol=1e-9 * np.abs(expected).max())
+            expected = self.defined_generator(p, DIMS, t)
+            np.testing.assert_allclose(generator_matrix(frame, DIMS, t), expected,
+                                       rtol=0, atol=1e-9 * scale)
 
     @pytest.mark.parametrize("system", [
         dict(g_ratio=0.0),
@@ -171,21 +211,30 @@ class TestInteractionFrame:
         dict(),
     ], ids=["drive-only", "coupling-only", "full"])
     def test_generator_is_anti_hermitian(self, system):
-        """Each term brings its own adjoint band, so -i H_I(t) is anti-Hermitian."""
-        frame = InteractionFrame(tiny_system(**system), DIMS)
+        """B and F are Hermitian, so -i H'(t) is anti-Hermitian to rounding;
+        undriven its two bands are exact adjoints."""
+        p = tiny_system(**system)
+        frame = DisplacedFrame(p, DIMS)
         for t in (0.0, 0.37e-7, 4.8e-7):
-            op = generator_matrix(frame, t)
-            assert np.abs(op).max() > 0
-            np.testing.assert_array_equal(op + op.conj().T, 0)
+            op = generator_matrix(frame, DIMS, t)
+            if p.g0 == 0.0:
+                np.testing.assert_array_equal(op, 0)
+            elif p.drive_amp == 0.0:
+                np.testing.assert_array_equal(op + op.conj().T, 0)
+            else:
+                np.testing.assert_allclose(op + op.conj().T, 0, rtol=0,
+                                           atol=1e-15 * np.abs(op).max())
 
     def test_undriven_frame_holds_only_coupling_bands(self):
-        frame = InteractionFrame(tiny_system(drive_amp=0.0, omega_p=0.0), DIMS)
-        assert frame.offsets == (-1, 1)
+        op = generator_matrix(DisplacedFrame(tiny_system(drive_amp=0.0, omega_p=0.0), DIMS),
+                              DIMS, 1.3e-7)
+        rows, cols = np.nonzero(op)
+        assert set(cols - rows) == {-1, 1}
 
     def test_direct_kernel_equals_operator_product(self):
-        """The padded band kernel against a scipy DIA product of the same terms."""
+        """The padded band kernel against dense ladder operators of the same H'."""
         p = tiny_system()
-        frame = InteractionFrame(p, DIMS)
+        frame = DisplacedFrame(p, DIMS)
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
         padded, _ = frame.padded(psi)
@@ -193,9 +242,53 @@ class TestInteractionFrame:
         for t in (0.0, 1.3e-7, 1.3e-7, 4.8e-7):
             got = frame.rhs(t, padded, out)
             assert got is out
-            expected = dia_generator(p, DIMS, t) @ psi
+            expected = operator_product(p, DIMS, t) @ psi
             np.testing.assert_allclose(out, expected, rtol=0,
                                        atol=1e-15 * np.abs(expected).max())
+
+    def test_classical_field_removes_the_drive(self):
+        """xi' = -i drive_amp cos(omega_p t) exp(i omega_c t), xi(0) = 0, on and off resonance."""
+        for p in (tiny_system(), tiny_system(omega_p=1e7)):
+            assert classical_field(p, 0.0) == 0
+            for t in (1.3e-7, 4.8e-7):
+                step = 1e-4 / (p.omega_c + p.omega_p)
+                slope = (classical_field(p, t + step) - classical_field(p, t - step)) / (2 * step)
+                force = -1j * p.drive_amp * math.cos(p.omega_p * t) * np.exp(1j * p.omega_c * t)
+                assert abs(slope - force) <= 1e-8 * p.drive_amp
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3 + 0.2j, -0.87j, 2.5 - 1.0j, 8.0 - 3.0j])
+    @pytest.mark.parametrize("dim", [2, 12, 60, 150])
+    def test_displacement_block_is_exact(self, xi, dim):
+        """U D(|xi|) U^dagger, U = diag(u^k), against a padded matrix exponential."""
+        unit = xi / abs(xi) if xi else 1.0
+        phases = unit ** np.arange(dim)
+        block = phases[:, None] * displacement_block(abs(xi), dim) * phases.conj()[None, :]
+        f = ladder_ops(dim + 150 + int(4 * abs(xi) ** 2))
+        reference = expm(xi * f.raise_ - np.conj(xi) * f.lower)[:dim, :dim]
+        np.testing.assert_allclose(block, reference, rtol=0, atol=1e-13)
+
+    def test_displacement_block_is_vectorized(self):
+        r = np.array([0.0, 0.1, 0.5, 1.3])
+        blocks = displacement_block(r, 20)
+        assert blocks.shape == (4, 20, 20)
+        np.testing.assert_array_equal(blocks[0], np.eye(20))
+        for block, x in zip(blocks, r):
+            np.testing.assert_array_equal(block, displacement_block(x, 20))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5 - 0.5j])
+    def test_uncoupled_driven_field_is_the_displaced_coherent_state(self, alpha):
+        """With g = 0, H' = 0: at the cap's step P(k) is Poisson(|alpha + xi(t)|^2)."""
+        p = tiny_system(g_ratio=0.0, alpha=alpha, gamma=0.5)
+        dims = FockDims(24, 10)
+        grid = np.linspace(0.0, 1.3 * p.mech_period, 9)
+        run = evolve_numeric(p, dims, grid, keep_states=True)
+        assert run.config.dt == max_stable_dt(p) and run.norm_drift <= 1e-14
+        for i, t in enumerate(grid):
+            amps, _ = coherent_amplitudes(dims.field_dim, p.alpha + classical_field(p, t))
+            np.testing.assert_allclose(run.field_probs[i], np.abs(amps) ** 2, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                run.mirror_probs[i], np.abs(coherent_state(dims.mirror_dim, p.gamma)) ** 2,
+                rtol=0, atol=1e-12)
 
     def test_free_evolution_is_exact(self):
         """With g = 0 and no drive H_I vanishes, so only the rotation back acts."""
@@ -210,20 +303,25 @@ class TestInteractionFrame:
         assert run.norm_drift <= 1e-14
         psi0 = JointState.from_product(dims, coherent_state(13, 1.0),
                                        coherent_state(10, 0.5)).amps
-        energies = self.free_energies(p, dims)
+        energies = free_energies(p, dims)
         for t, state in zip(grid, run.states):
             np.testing.assert_allclose(state.amps, np.exp(-1j * energies * t) * psi0,
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:population")
     def test_strong_driven_run_matches_dense_reference(self):
-        """Recommended steps against DOP853 on the dense lab-frame H(t)."""
+        """Recommended steps against DOP853 on the dense lab-frame H(t).
+
+        The field is truncated in the displaced basis here and in the lab
+        basis there, so both must hold the state: 24 levels do (1 - fid =
+        7e-14), 12 leave a lab tail (8e-5)."""
         p = dataclasses.replace(strong_system(), alpha=1.0, gamma=1.0)
+        dims = FockDims(24, DIMS.mirror_dim)
         t_end = 0.02 * p.mech_period
-        run = evolve_numeric(p, DIMS, t_grid=np.array([0.0, t_end]), keep_states=True)
+        run = evolve_numeric(p, dims, t_grid=np.array([0.0, t_end]), keep_states=True)
         assert run.norm_drift <= run.config.norm_tolerance
-        h_static = -1j * dense_hamiltonian(dataclasses.replace(p, drive_amp=0.0), DIMS, 0.0)
-        h_drive = -1j * dense_hamiltonian(p, DIMS, 0.0) - h_static
+        h_static = -1j * dense_hamiltonian(dataclasses.replace(p, drive_amp=0.0), dims, 0.0)
+        h_drive = -1j * dense_hamiltonian(p, dims, 0.0) - h_static
         ref = solve_ivp(
             lambda t, y: h_static @ y + math.cos(p.omega_p * t) * (h_drive @ y),
             (0.0, t_end), run.states[0].amps, method="DOP853",
@@ -301,7 +399,8 @@ class TestEvolution:
         assert re.search(r"worst of \d+ of 9 snapshots", message)
 
     @pytest.mark.parametrize("p, dims, leaking, other", [
-        # uncoupled and driven: the field outgrows 8 levels, the mirror stays put
+        # uncoupled and driven: phi keeps its initial field, whose top 3 of 8
+        # levels hold 6e-6; the mirror stays put
         (tiny_system(g_ratio=0.0, alpha=0.5, gamma=0.5, drive_amp=0.2e7), FockDims(8, 16),
          "field", "mirror"),
         # undriven and strongly coupled: the photons drag the mirror past 12 levels
@@ -344,8 +443,8 @@ def random_states(dims: FockDims, n_states: int, seed: int) -> list:
 
 
 def rk4_states(p: SystemParams, dims: FockDims, t_end: float, n_steps: int) -> list:
-    """Lab-frame states after each of n_steps plain RK4 steps of -i H_I, normalized."""
-    frame = InteractionFrame(p, dims)
+    """Lab-frame states after each of n_steps plain RK4 steps of -i H', normalized."""
+    frame = DisplacedFrame(p, dims)
     psi = JointState.from_product(dims, coherent_state(dims.field_dim, p.alpha),
                                   coherent_state(dims.mirror_dim, p.gamma)).amps
     h = t_end / n_steps
@@ -361,7 +460,10 @@ def rk4_states(p: SystemParams, dims: FockDims, t_end: float, n_steps: int) -> l
         k3 = f(t + 0.5 * h, psi + 0.5 * h * k2)
         k4 = f((j + 1) * h, psi + h * k3)
         psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        lab = frame.to_lab((j + 1) * h, psi)
+        t_next = (j + 1) * h
+        field = dense_displacement(classical_field(p, t_next), dims.field_dim)
+        lab = (np.exp(-1j * free_energies(p, dims) * t_next)
+               * (field @ psi.reshape(dims.field_dim, dims.mirror_dim)).ravel())
         out.append(lab / np.linalg.norm(lab))
     return out
 
@@ -392,27 +494,28 @@ class TestSampling:
             np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-14)
 
     def test_mid_step_sample_matches_a_run_stepping_onto_it(self):
-        """Half-way through step 72 of 145, the cubic extension is within
-        1e-7 of a run whose 73 steps end there (4.9e-8 measured; both are
-        within 4.5e-8 of a dt/16 run)."""
+        """Half-way through step 22 of 44, the cubic extension is within
+        1e-7 of a run whose 23 steps end there (2.7e-8 measured; both are
+        within 2.5e-8 of a dt/16 run)."""
         p = tiny_system()
         dims = FockDims(14, 16)
         t_end = 0.2 * p.mech_period
         cfg = recommend_integrator_config(p, t_end, dims)
-        assert oracle.step_count(t_end, cfg.dt) == 145
-        t_mid = 72.5 * t_end / 145
+        assert oracle.step_count(t_end, cfg.dt) == 44
+        t_mid = 22.5 * t_end / 44
         dense = evolve_numeric(p, dims, np.array([0.0, t_mid, t_end]), cfg, keep_states=True)
         landing = evolve_numeric(p, dims, np.array([0.0, t_mid]),
-                                 IntegratorConfig(dt=t_mid / 73 * (1 + 1e-12)), keep_states=True)
-        assert landing.n_steps == 73
+                                 IntegratorConfig(dt=t_mid / 23 * (1 + 1e-12)), keep_states=True)
+        assert landing.n_steps == 23
         assert np.linalg.norm(dense.states[1].amps - landing.states[1].amps) <= 1e-7
 
     def test_reductions_equal_those_of_the_lab_states(self):
-        """Taken in the interaction frame, P(k), P(m) and the purity are the
-        lab-frame partial traces' own."""
+        """Taken in the displaced frame, P(k), P(m) and the purity are the
+        lab-frame partial traces' own. 24 field levels hold the lab state as
+        well as the frame's (at 20 its lab tail is 6e-12)."""
         p = tiny_system(g_ratio=0.3)
         grid = np.linspace(0.0, 0.5 * p.mech_period, 6)
-        run = evolve_numeric(p, FockDims(20, 36), t_grid=grid, keep_states=True)
+        run = evolve_numeric(p, FockDims(24, 36), t_grid=grid, keep_states=True)
         assert min(run.purity) < 0.9  # the later samples are entangled
         for i, state in enumerate(run.states):
             rho_f, rho_m = partial_trace_mirror(state), partial_trace_field(state)
