@@ -20,7 +20,9 @@ The record holds:
                 job the n_steps, step_max, norm_drift and leak_max of each
                 oracle run, read from manifest.txt;
   oracle_probe  in-process microseconds per RK4 step of oracle.evolve_numeric
-                at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red).
+                at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red), and under
+                `sampler` microseconds per sample at fig4 red: its run on its
+                own 1,601-sample grid less the same run sampled at its ends.
 
 The tracer records spans in its own process only. With more than one
 usable CPU, fig4's two jobs run in forked workers, so none of their layers
@@ -52,6 +54,8 @@ ORACLE_KEYS = ("n_steps", "step_max", "norm_drift", "leak_max")
 PROBE_REPEATS = 5
 # preset whose red job sets the probe's system and dims -> RK4 steps per repeat
 PROBES = {"fig7_8": 300, "fig4": 3000}
+# preset whose red job's own run the sampler probe times
+SAMPLER_PROBE = "fig4"
 
 # Trace-1 metrics of the job process itself, seen whatever runs in workers.
 _CALLER_METRICS = ("cli.import_s", "cli.self_s", "cli.run_s", "cli.cpu_s", "trace.overhead_frac")
@@ -167,24 +171,42 @@ def preset(name: str) -> dict:
 
 def oracle_probe() -> dict:
     """Median and minimum microseconds per RK4 step of evolve_numeric over a
-    run sampled only at its ends, at each PROBES system's red job."""
+    run sampled only at its ends, at each PROBES system's red job; and per
+    sample of the SAMPLER_PROBE red job's own run, less its ends-only run."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from optomech import config, oracle
+
+    def seconds(cfg, times, icfg):
+        start = time.perf_counter()
+        run = oracle.evolve_numeric(cfg.params, cfg.dims, times, icfg)
+        return time.perf_counter() - start, run
 
     probes = {}
     for name, steps in PROBES.items():
         cfg = config.preset_jobs(name)[0].config
         (_, _, _, icfg, _), = cfg.oracle_runs
-        times = [0.0, steps * icfg.dt]
         per_step = []
         for _ in range(PROBE_REPEATS):
-            start = time.perf_counter()
-            run = oracle.evolve_numeric(cfg.params, cfg.dims, times, icfg)
-            per_step.append(1e6 * (time.perf_counter() - start) / run.n_steps)
+            elapsed, run = seconds(cfg, [0.0, steps * icfg.dt], icfg)
+            per_step.append(1e6 * elapsed / run.n_steps)
         probes[f"{cfg.dims.field_dim}x{cfg.dims.mirror_dim}"] = {
             "preset": name, "job": "red", "n_steps": run.n_steps, "repeats": PROBE_REPEATS,
             "us_per_step_median": statistics.median(per_step), "us_per_step_min": min(per_step),
         }
+    cfg = config.preset_jobs(SAMPLER_PROBE)[0].config
+    (_, _, times, icfg, _), = cfg.oracle_runs
+    per_sample = []
+    for _ in range(PROBE_REPEATS):
+        sampled, run = seconds(cfg, times, icfg)
+        ends, _ = seconds(cfg, times[[0, -1]], icfg)
+        per_sample.append(1e6 * (sampled - ends) / (times.size - 2))
+    probes["sampler"] = {
+        "preset": SAMPLER_PROBE, "job": "red",
+        "dims": f"{cfg.dims.field_dim}x{cfg.dims.mirror_dim}",
+        "n_samples": int(times.size), "n_steps": run.n_steps, "repeats": PROBE_REPEATS,
+        "us_per_sample_median": statistics.median(per_sample),
+        "us_per_sample_min": min(per_sample),
+    }
     return probes
 
 

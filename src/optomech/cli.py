@@ -16,8 +16,9 @@ and over the snapshot times, at the job's dims, with the RK4 step
 recommended over the run unless dt is set (`RunConfig.oracle_runs`,
 from the table `config.ORACLE_RUNS`); the manifest records its
 diagnostics, prefixed `wigner_numeric_` for wigner. Only the wigner run
-keeps its states; the driven-numeric run keeps each sample's marginals and
-purity. wigner's analytic joint states share that run's dims and times.
+keeps its states; the driven-numeric run keeps each sample's lab photon
+and phonon moments <n>, <n^2>, <N>, <N^2> and its purity. wigner's
+analytic joint states share that run's dims and times.
 `validate` prints per job `recommended_field_dim=F recommended_mirror_dim=M`;
 for a job that integrates the beta coefficients (driven-analytic or
 wigner), `driven-analytic: panels=N`, the panels `driven.beta_panels` cuts
@@ -25,10 +26,11 @@ its series grid and snapshot times into; one
 `MODE: dt=... steps=N state_memory_mb=...` line per oracle run, and
 their total as `est_steps=N ...`. N is the exact RK4 step count `run`
 takes (`oracle.step_count`); the memory is what the run holds
-(`oracle.state_memory_mb`): its working vectors plus, for driven-numeric,
-P(k) and P(m) of every sample, or, for wigner, its three kept states. For driven-analytic the manifest records the
-beta integration's `antisymmetry_defect`, `unitarity_defect`,
-`envelope_tail` and `beta_panels` (`driven.BetaSeries`).
+(`oracle.state_memory_mb`): its frame's and working vectors, the samples
+one step owns, a few words per sample, and for wigner its three kept
+states. For driven-analytic the manifest records the beta integration's
+`antisymmetry_defect`, `unitarity_defect`, `envelope_tail` and
+`beta_panels` (`driven.BetaSeries`).
 
 `filter` adds, for each analytic and numeric photon_avg, phonon_avg,
 mandel_mirror and linear_entropy_mirror series, its centered moving
@@ -369,7 +371,7 @@ def validate(jobs) -> str:
         total_steps = total_mb = 0
         for mode, _, times, icfg, keep_states in runs:
             n_steps = oracle.step_count(float(times[-1]), icfg.dt)
-            state_mb = oracle.state_memory_mb(cfg.dims, times.size, keep_states)
+            state_mb = oracle.state_memory_mb(p, cfg.dims, times, icfg.dt, keep_states)
             lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps} state_memory_mb={state_mb:.1f}")
             total_steps += n_steps
             total_mb += state_mb

@@ -35,16 +35,32 @@ Solving ODEs I, II.6),
     b1 = theta - 3 theta^2/2 + 2 theta^3/3,  b2 = theta^2 - 2 theta^3/3,
     b4 = -theta^2/2 + 2 theta^3/3,
 
-which at theta = 1 is the step itself. Each sample is reduced as it is
-taken (`reduce_sample`). exp(-i H0 t) D(xi) acts on the field alone,
-apart from a diagonal mirror phase, so P(m) and the purity are those of
-phi. The lab field marginal is P(k) = diag(D rho_f D^dagger) from phi's
-field Gram matrix rho_f and the exact field block of D (`displacement_block`),
-about 20 us per sample at 30 x 35. It is normalized by phi's norm, as P(m)
-is, so it sums to one less the lab population above field_dim - 1. The
-leaks are measured on phi, the basis that is integrated. A run asked to
-keep its states maps each sample to the lab frame, exp(-i H0 t) D phi,
-renormalized on the truncated space.
+which at theta = 1 is the step itself. The weights h (b1, b2, b2, b4) of
+every sample are computed once, and the samples a step owns are built
+together as one product of their weight rows with the step's stacked
+k1..k4, plus phi, and reduced as one block (`reduce_block`). Every BLAS
+product stays on the calling thread: a block is split where the product
+would pass _SERIAL_GEMM_SIZE, and a block of one sample is built
+elementwise, since OpenBLAS hands a one-row product to a matrix-vector
+kernel that threads from 4,096 entries. Samples are never held across
+steps.
+
+exp(-i H0 t) D(xi) acts on the field alone, apart from a diagonal mirror
+phase, so the mirror moments <N> and <N^2> and the purity are those of
+phi. The lab field is D(xi) phi, so its moments follow from
+D^dagger a D = a + xi:
+
+    <n>_lab = <(a^dagger + conj xi)(a + xi)>,
+    <n^2>_lab = <(a^dagger + conj xi)^2 (a + xi)^2> + <n>_lab,
+
+normal-ordered moments <a^dagger^p a^q>, p, q <= 2, of phi's normalized
+field Gram matrix rho_f, each a weighted sum over one of its diagonals
+0, +1 and +2. No truncation enters after the displacement, so these are
+the exact lab moments of the state that is integrated. The leaks are
+measured on phi, the basis that is integrated. A run asked to keep its
+states maps each sample to the lab frame, exp(-i H0 t) D phi with D's
+exact field block (`displacement_block`), renormalized on the truncated
+space.
 
 RK4 applied to -i H' keeps |R(-i theta)|^2 = 1 - theta^6/72 + O(theta^8)
 of each eigen-direction per step, theta = lambda dt, so a state loses
@@ -90,12 +106,9 @@ _PHASE_NODES = 64
 _PUMP_NODES = 16
 # OpenBLAS runs a GEMM with m * n * k at most this on the calling thread.
 _SERIAL_GEMM_SIZE = 65536
-# Joint-size vectors evolve_numeric works in: the padded state and stage,
-# k1..k4, the dense sample and its scratch.
-_WORK_VECTORS = 8
-# Samples whose displacement blocks are built in one vectorized pass: 0.35 MB
-# of transients at field_dim 30, 15-20 us per sample.
-_DISPLACEMENT_CHUNK = 16
+# Joint-size vectors evolve_numeric holds besides its frame's and its block
+# of samples: the padded state and stage, k1..k4 and a one-sample scratch.
+_WORK_VECTORS = 7
 
 
 @dataclass(frozen=True)
@@ -304,21 +317,41 @@ def recommend_integrator_config(
     return IntegratorConfig(dt=min(cap, dt_norm), norm_tolerance=norm_tolerance)
 
 
-def state_memory_mb(dims: FockDims, n_samples: int, keep_states: bool) -> float:
-    """MB of the buffers an evolve_numeric run holds: its working vectors
-    plus, per sample, the kept state, or P(k) and P(m)."""
-    per_sample = dims.joint * 16 if keep_states else (dims.field_dim + dims.mirror_dim) * 8
-    return (_WORK_VECTORS * dims.joint * 16 + n_samples * per_sample) / 1e6
+def state_memory_mb(p: SystemParams, dims: FockDims, t_grid, dt: float,
+                    keep_states: bool) -> float:
+    """MB of the buffers an evolve_numeric run holds at its peak.
+
+    That is the frame's vectors (`DisplacedFrame.HELD_VECTORS`), the
+    _WORK_VECTORS, and for each sample of the largest block a step builds
+    its row, its conjugate and its field Gram matrix (`reduce_block`).
+    Per sample it adds 24 words: its record of six floats (the four
+    moments, the norm and the purity), phi's five complex field moments,
+    its classical field, its four dense-output weights, its step and the
+    end of its block. A run that keeps its states also holds one joint
+    vector per sample, and three transients while it maps one to the lab
+    (`DisplacedFrame.to_lab`), one undriven. Within 10% of the peak that
+    tracemalloc measures (tests).
+    """
+    n_steps = step_count(float(t_grid[-1]), dt)
+    rows = _sample_plan(np.asarray(t_grid, dtype=float), n_steps, dims.joint).rows
+    driven = p.drive_amp != 0.0
+    vectors = DisplacedFrame.HELD_VECTORS[driven] + _WORK_VECTORS
+    if keep_states:
+        vectors += 3 if driven else 1
+    amplitudes = vectors * dims.joint + rows * (2 * dims.joint + dims.field_dim ** 2)
+    per_sample = 24 * 8 + (dims.joint * 16 if keep_states else 0)
+    return (amplitudes * 16 + len(t_grid) * per_sample) / 1e6
 
 
 @dataclass
 class OracleRun:
-    """The reductions of each sample on the requested grid, plus integration diagnostics.
+    """The moments of each sample on the requested grid, plus integration diagnostics.
 
-    Row i of `field_probs` (the lab P(k)) and `mirror_probs` (P(m))
-    belongs to t[i], normalized by the integrated state's norm; `norms` is
-    that norm and `purity` Tr[rho_m^2] = Tr[rho_f^2], all as
-    `reduce_sample` gives them. `states` holds the lab-frame states,
+    Entry i of each per-sample array belongs to t[i] and is taken of the
+    normalized state, as `reduce_block` gives it: `photons` and
+    `photons_sq` are the lab <n> and <n^2>, `phonons` and `phonons_sq`
+    <N> and <N^2>, and `purity` Tr[rho_m^2] = Tr[rho_f^2]; `norms` is the
+    integrated state's norm. `states` holds the lab-frame states,
     normalized, only when the run was asked to keep them.
     """
 
@@ -326,8 +359,10 @@ class OracleRun:
     dims: FockDims
     config: IntegratorConfig
     t: np.ndarray
-    field_probs: np.ndarray
-    mirror_probs: np.ndarray
+    photons: np.ndarray
+    photons_sq: np.ndarray
+    phonons: np.ndarray
+    phonons_sq: np.ndarray
     norms: np.ndarray
     purity: np.ndarray
     states: list = field(default_factory=list)
@@ -429,6 +464,12 @@ class DisplacedFrame:
     and cost about 15 us more per stage time at 30 x 308.
     """
 
+    # Joint-size vectors a frame holds, by whether it is driven: B's two
+    # base rows, b's rescaled row, F's three rows, the mirror-stage buffer
+    # and a scratch; undriven, B's two base rows, its two rescaled rows and
+    # a scratch.
+    HELD_VECTORS = {True: 8, False: 5}
+
     def __init__(self, p: SystemParams, dims: FockDims):
         self._p = p
         self._dims = dims
@@ -520,15 +561,22 @@ class DisplacedFrame:
                 result += partial
         return out
 
-    def to_lab(self, t: float, vec: np.ndarray, displacement=None) -> np.ndarray:
-        """psi = exp(-i H0 t) D(xi(t)) phi; D is `displacement`, its field block.
+    def to_lab(self, t: float, vec: np.ndarray, xi: complex) -> np.ndarray:
+        """psi = exp(-i H0 t) D(xi) phi, with xi = xi(t) and D's exact field block.
 
+        D(xi) = U D(|xi|) U^dagger, U = diag(u^k), u = xi/|xi|
+        (`displacement_block`), applied over `gram_blocks` of mirror levels;
         exp(-i H0 t) factors into field times mirror phases.
         """
         psi = vec.reshape(self._dims.field_dim, self._dims.mirror_dim)
-        if displacement is not None:
-            block, phases = displacement
-            psi = phases[:, None] * np.dot(block, phases.conj()[:, None] * psi)
+        if xi != 0:
+            phases = (xi / abs(xi)) ** self._field_levels
+            block = displacement_block(abs(xi), self._dims.field_dim)
+            turned = phases.conj()[:, None] * psi
+            psi = np.empty_like(psi)
+            for columns in gram_blocks(self._dims):
+                psi[:, columns] = np.dot(block, turned[:, columns])
+            psi *= phases[:, None]
         phase = np.multiply.outer(
             np.exp(-1j * self._p.omega_c * t * self._field_levels),
             np.exp(-1j * self._p.omega_m * t * self._mirror_levels),
@@ -536,20 +584,27 @@ class DisplacedFrame:
         return (psi * phase).ravel()
 
 
-class SampleReduction(NamedTuple):
-    """What a run takes of one sample; the fields are as in OracleRun, and
-    `leaks` is the population of the top field and mirror levels, which
-    feeds leak_max and the leak warning."""
+class BlockReduction(NamedTuple):
+    """What a run takes of a block of samples, one row per sample.
 
-    field_probs: np.ndarray
-    mirror_probs: np.ndarray
-    norm: float
+    `field_moments` holds phi's normal-ordered moments <a^dagger a>,
+    <a^dagger^2 a^2>, <a^dagger>, <a^dagger^2 a> and <a^dagger^2>, which
+    `lab_photon_moments` maps to the lab <n> and <n^2>; `leaks` is the
+    (field, mirror) population of the top levels, which feeds leak_max and
+    the leak warning; the other fields are as in OracleRun.
+    """
+
+    field_moments: np.ndarray
+    phonons: np.ndarray
+    phonons_sq: np.ndarray
+    norms: np.ndarray
     leaks: tuple
-    purity: float
+    purity: np.ndarray
 
 
 def gram_blocks(dims: FockDims) -> list:
-    """Slices of mirror levels over which `reduce_sample` sums the field Gram.
+    """Slices of mirror levels over which a field-by-field product is summed:
+    `reduce_block`'s field Gram matrices and `DisplacedFrame.to_lab`.
 
     A product big enough for OpenBLAS to thread waits on waking a BLAS
     thread, which took up to 0.4 s per run when the other core was busy;
@@ -560,58 +615,130 @@ def gram_blocks(dims: FockDims) -> list:
             for i in range(n_blocks)]
 
 
-def reduce_sample(vec: np.ndarray, dims: FockDims, displacement=None) -> SampleReduction:
-    """P(k), P(m), norm, top-level leaks and purity of one unnormalized state.
+@functools.lru_cache(maxsize=4)
+def _reduction_weights(dims: FockDims) -> tuple:
+    """Per-dims constants of `reduce_block`.
 
-    The marginals and the purity are those of the normalized state; the
-    leaks are the population of the top 3 levels of each subsystem as the
-    state stands, never more than dim - 1 of an axis, so a deliberately
-    tiny subsystem does not count its ground state as leakage. A state phi
-    in the displaced frame gives the lab-frame P(m) and purity; with its
-    `displacement` (D(|xi|) block, u^k) the field marginal is the lab
-    diag(D rho_f D^dagger), normalized by phi's norm (module docstring),
-    and the leaks stay phi's. Both reductions of a pure state share their
-    nonzero spectrum, so Tr[rho_m^2] = Tr[rho_f^2]; the field matrix is the
-    smaller one (30 x 30 against 308 x 308 at the strong-coupling dims),
-    summed over `gram_blocks`.
+    The flat indices of diagonals 0, +1 and +2 of a field matrix rho, and
+    over them the weights of Tr rho, <a^dagger a>, <a^dagger^2 a^2>,
+    <a^dagger>, <a^dagger^2 a>, <a^dagger^2> and the top-3 population:
+    Tr[rho a^dagger^p a^q] is the sum over j of sqrt(j!/(j - q)!)
+    sqrt((j - q + p)!/(j - q)!) rho[j, j + p - q]. Then, over |psi|^2
+    summed over the field, real and imaginary parts apart, the weights
+    of the norm, <N>, <N^2> and the top-3 population.
     """
-    psi = vec.reshape(dims.field_dim, dims.mirror_dim)
+    f, m = dims.field_dim, dims.mirror_dim
+    j = np.arange(f, dtype=float)
+    up = np.sqrt(j[1:])  # sqrt(j + 1), j = 0 .. f - 2
+    index = np.concatenate((j * (f + 1), j[:-1] * (f + 1) + 1, j[:-2] * (f + 1) + 2)).astype(int)
+    field_weights = np.zeros((index.size, 7), dtype=np.complex128)
+    diagonal, above, above2 = np.split(field_weights, [f, 2 * f - 1])
+    diagonal[:, 0] = 1.0
+    diagonal[:, 1] = j
+    diagonal[:, 2] = j * (j - 1.0)
+    diagonal[-min(3, f - 1):, 6] = 1.0
+    above[:, 3] = up
+    above[:, 4] = j[:-1] * up
+    above2[:, 5] = np.sqrt(j[1:-1] * j[2:])
+    levels = np.arange(m, dtype=float)
+    top = np.zeros(m)
+    top[-min(3, m - 1):] = 1.0
+    mirror_weights = np.repeat(np.stack((np.ones(m), levels, levels ** 2, top), axis=1), 2, axis=0)
+    return index, field_weights, mirror_weights
+
+
+def reduce_block(block: np.ndarray, dims: FockDims) -> BlockReduction:
+    """Moments, norms, top-level leaks and purity of a block of unnormalized states.
+
+    `block` holds one state phi per row, (s, joint), C-contiguous. The
+    moments and the purity are those of the normalized state: the field's
+    from phi's field Gram matrix rho_f (module docstring), and <N> and
+    <N^2> from phi's P(m), which the lab state shares. The leaks are the
+    population of the top 3 levels of each subsystem as phi stands, never
+    more than dim - 1 of an axis, so a deliberately tiny subsystem does not
+    count its ground state as leakage. Both reductions of a pure state
+    share their nonzero spectrum, so Tr[rho_m^2] = Tr[rho_f^2]; the field
+    matrix is the smaller one (30 x 30 against 308 x 308 at the
+    strong-coupling dims), summed over `gram_blocks` one sample at a time.
+    The weighted sums are small products, per sample 7 x (3 field_dim - 3)
+    complex and 4 x 2 mirror_dim real entries, which OpenBLAS runs on the
+    calling thread below 4,096 and 9,216 entries (field_dim < 195,
+    mirror_dim < 1,152). Nothing mixes rows, so a block reduces as its
+    rows one at a time.
+    """
+    s = block.shape[0]
+    psi = block.reshape(s, dims.field_dim, dims.mirror_dim)
     psi_c = psi.conj()
-    prob = (psi * psi_c).real
-    pk = prob.sum(axis=1)
-    pm = prob.sum(axis=0)
-    norm2 = float(pk.sum())
-    kf = min(3, dims.field_dim - 1)
-    km = min(3, dims.mirror_dim - 1)
-    leaks = (float(pk[-kf:].sum()), float(pm[-km:].sum()))
     first, *rest = gram_blocks(dims)
-    rho_f = np.dot(psi[:, first], psi_c[:, first].T)
-    for block in rest:
-        rho_f += np.dot(psi[:, block], psi_c[:, block].T)
-    purity = float(np.vdot(rho_f, rho_f).real) / norm2 ** 2
-    if displacement is not None:
-        # diag(D rho_f D^dagger) = diag(D(|xi|) rho' D(|xi|)^T) with
-        # rho' = U^dagger rho_f U Hermitian and D(|xi|) real
-        block, phases = displacement
-        turned = (rho_f * np.multiply.outer(phases.conj(), phases)).real
-        pk = (np.dot(block, turned) * block).sum(axis=1)
-    return SampleReduction(pk / norm2, pm / norm2, math.sqrt(norm2), leaks, purity)
+    rho = np.matmul(psi[:, :, first], psi_c[:, :, first].transpose(0, 2, 1))
+    for columns in rest:
+        rho += np.matmul(psi[:, :, columns], psi_c[:, :, columns].transpose(0, 2, 1))
+    index, field_weights, mirror_weights = _reduction_weights(dims)
+    flat = rho.reshape(s, -1)
+    field_sums = np.dot(flat[:, index], field_weights)
+    trace = field_sums[:, 0].real
+    parts = psi.view(np.float64)
+    mirror_sums = np.dot(np.einsum("sfx,sfx->sx", parts, parts), mirror_weights)
+    norm2 = mirror_sums[:, 0]
+    rho_parts = flat.view(np.float64)
+    return BlockReduction(
+        field_sums[:, 1:6] / trace[:, None], mirror_sums[:, 1] / norm2,
+        mirror_sums[:, 2] / norm2, np.sqrt(norm2), (field_sums[:, 6].real, mirror_sums[:, 3]),
+        np.einsum("sx,sx->s", rho_parts, rho_parts) / trace ** 2,
+    )
 
 
-def _displacements(p: SystemParams, times: np.ndarray, dim: int):
-    """Per sample time, None undriven, else (D(|xi|) block, u^k) for
-    xi = xi(t), u = xi/|xi|, so that D(xi) = U D(|xi|) U^dagger with
-    U = diag(u^k); built _DISPLACEMENT_CHUNK samples at a time."""
-    if p.drive_amp == 0.0:
-        yield from (None for _ in times)
-        return
-    levels = np.arange(dim)
-    for start in range(0, times.size, _DISPLACEMENT_CHUNK):
-        xi = np.array([classical_field(p, float(t))
-                       for t in times[start:start + _DISPLACEMENT_CHUNK]])
-        unit = np.ones_like(xi)
-        np.divide(xi, np.abs(xi), out=unit, where=xi != 0)
-        yield from zip(displacement_block(np.abs(xi), dim), unit[:, None] ** levels)
+def lab_photon_moments(field_moments: np.ndarray, xi: np.ndarray) -> tuple:
+    """Lab <n> and <n^2> of D(xi) phi from phi's normal-ordered field
+    moments (`BlockReduction.field_moments`, one row per sample), with
+    a + xi in place of a (module docstring)."""
+    n1, n2, c1, c21, c2 = field_moments.T
+    n1, n2 = n1.real, n2.real
+    x2 = xi.real ** 2 + xi.imag ** 2
+    xc1 = xi * c1
+    photons = n1 + 2.0 * xc1.real + x2
+    # <(a^dagger + conj xi)^2 (a + xi)^2>, normal ordered
+    pairs = (n2 + 4.0 * x2 * n1 + x2 * x2
+             + 2.0 * (2.0 * xi * c21 + xi * xi * c2 + 2.0 * x2 * xc1).real)
+    return photons, pairs + photons
+
+
+class _SamplePlan(NamedTuple):
+    """How evolve_numeric reads its samples. Sample i is read from step
+    owner[i] (-1 for t = 0: the initial state) with dense-output weights
+    coef[i] of k1..k4, in the block of samples up to stop[i] that its step
+    owns; rows is the most samples one product builds."""
+
+    owner: np.ndarray
+    stop: np.ndarray
+    coef: np.ndarray
+    rows: int
+
+
+def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> _SamplePlan:
+    """The plan of `step_count` equal steps over [0, t_grid[-1]].
+
+    A sample on a step boundary is the end of the step before it, so theta
+    is in (0, 1]. A product of rows weight rows with k1..k4 stays within
+    _SERIAL_GEMM_SIZE, and no buffer holds more samples than a step owns.
+    """
+    n_t = t_grid.size
+    owner = np.full(n_t, -1)
+    coef = np.zeros((n_t, 4))
+    taken = t_grid > 0.0
+    if n_steps:
+        h = float(t_grid[-1]) / n_steps
+        position = t_grid[taken] / h
+        steps = np.clip(np.ceil(position) - 1, 0, n_steps - 1)
+        th = position - steps
+        th2, th3 = th * th, th * th * th
+        b2 = h * (th2 - 2.0 * th3 / 3.0)
+        coef[taken] = np.stack((h * (th - 1.5 * th2 + 2.0 * th3 / 3.0), b2, b2,
+                                h * (-0.5 * th2 + 2.0 * th3 / 3.0)), axis=1)
+        owner[taken] = steps
+    stop = np.searchsorted(owner, owner, side="right")
+    most = int((stop - np.arange(n_t))[taken].max(initial=0))
+    return _SamplePlan(owner, stop, coef, min(most, max(1, _SERIAL_GEMM_SIZE // (4 * joint))))
 
 
 def evolve_numeric(
@@ -625,16 +752,16 @@ def evolve_numeric(
 
     Takes `step_count(t_grid[-1], config.dt)` equal RK4 steps in the
     displaced interaction frame and reads each sample from the continuous
-    extension of the step it falls in (module docstring), reducing it as it
-    is taken (`reduce_sample`). With keep_states, run.states also holds
-    each sample as a lab-frame JointState, exp(-i H0 t) D(xi) phi
-    normalized on the truncated space. The state is never renormalized
-    while stepping; its norm is checked at every sample and every
-    NORM_CHECK_EVERY steps, and IntegrationError is raised once the drift
-    exceeds config.norm_tolerance. Samples with more than LEAK_TOLERANCE of
-    population in the top Fock levels of a subsystem raise one UserWarning
-    per run, naming each such subsystem and its worst sample; run.leak_max
-    is the largest leak of either subsystem.
+    extension of the step it falls in, the samples of each step reduced as
+    one block (module docstring, `reduce_block`). With keep_states,
+    run.states also holds each sample as a lab-frame JointState,
+    exp(-i H0 t) D(xi) phi normalized on the truncated space. The state is
+    never renormalized while stepping; its norm is checked at every sample
+    and every NORM_CHECK_EVERY steps, and IntegrationError is raised once
+    the drift exceeds config.norm_tolerance. Samples with more than
+    LEAK_TOLERANCE of population in the top Fock levels of a subsystem
+    raise one UserWarning per run, naming each such subsystem and its worst
+    sample; run.leak_max is the largest leak of either subsystem.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -646,47 +773,40 @@ def evolve_numeric(
         config = recommend_integrator_config(p, max(t_end, 1e-300), dims)
     require_stable_dt(p, config.dt)
 
-    psi0 = JointState.from_product(
+    frame = DisplacedFrame(p, dims)
+    rhs = frame.rhs
+    # rhs reads psi and stage from their padded buffers; the steps below
+    # write only the interior views. With k1..k4 and the scratch, these are
+    # the _WORK_VECTORS that state_memory_mb counts.
+    psi_pad, psi = frame.padded(JointState.from_product(
         dims,
         coherent_state(dims.field_dim, p.alpha),
         coherent_state(dims.mirror_dim, p.gamma),
-    ).amps
-
-    frame = DisplacedFrame(p, dims)
-    displacements = _displacements(p, t_grid, dims.field_dim)
-    rhs = frame.rhs
-    # rhs reads psi and stage from their padded buffers; the steps below
-    # write only the interior views. With the six below, these are the
-    # _WORK_VECTORS that state_memory_mb counts.
-    psi_pad, psi = frame.padded(psi0)
-    stage_pad, stage = frame.padded(psi0)
-    k1, k2, k3, k4, dense, scratch = (np.empty_like(psi) for _ in range(6))
+    ).amps)
+    stage_pad, stage = frame.padded(psi)
+    kstack = np.empty((4, dims.joint), dtype=np.complex128)
+    k1, k2, k3, k4 = kstack
+    scratch = np.empty_like(psi)
 
     n_t = t_grid.size
     run = OracleRun(
         p, dims, config, t_grid,
-        field_probs=np.empty((n_t, dims.field_dim)),
-        mirror_probs=np.empty((n_t, dims.mirror_dim)),
-        norms=np.empty(n_t),
-        purity=np.empty(n_t),
+        **{name: np.empty(n_t) for name in
+           ("photons", "photons_sq", "phonons", "phonons_sq", "norms", "purity")},
     )
+    field_moments = np.empty((n_t, 5), dtype=np.complex128)  # as BlockReduction gives them
     dt = config.dt
     n_steps = step_count(t_end, dt)
     h = t_end / n_steps if n_steps else 0.0
     run.n_steps = n_steps
     run.step_max = h
-    # Sample i is read from step owner[i] at theta[i] in (0, 1]: a sample on
-    # a step boundary is the end of the step before it. Samples at t = 0
-    # are the initial state.
-    if n_steps:
-        position = t_grid / h
-        owner = np.clip(np.ceil(position) - 1, 0, n_steps - 1).astype(int)
-        theta = (position - owner).tolist()
-        owner = owner.tolist()
+    owner, stop, coef, rows = _sample_plan(t_grid, n_steps, dims.joint)
+    dense = np.empty((rows, dims.joint), dtype=np.complex128)
+    xi = (np.array([classical_field(p, t) for t in t_grid.tolist()]) if frame.driven
+          else np.zeros(n_t, dtype=np.complex128))
     steps_done = 0
 
-    def check(nrm):
-        drift = abs(nrm - 1.0)
+    def check(drift):
         run.norm_drift = max(run.norm_drift, drift)
         if drift > config.norm_tolerance:
             raise IntegrationError(
@@ -696,29 +816,31 @@ def evolve_numeric(
 
     leaky = {"field": [], "mirror": []}  # (leak, t) of each sample over LEAK_TOLERANCE
 
-    def sample(i, vec):
-        displacement = next(displacements)
-        red = reduce_sample(vec, dims, displacement)
-        check(red.norm)
-        t_i = float(t_grid[i])
-        run.field_probs[i] = red.field_probs
-        run.mirror_probs[i] = red.mirror_probs
-        run.norms[i] = red.norm
-        run.purity[i] = red.purity
+    def take(lo, hi, block):
+        red = reduce_block(block, dims)
+        check(float(np.abs(red.norms - 1.0).max()))
+        field_moments[lo:hi] = red.field_moments
+        run.phonons[lo:hi] = red.phonons
+        run.phonons_sq[lo:hi] = red.phonons_sq
+        run.norms[lo:hi] = red.norms
+        run.purity[lo:hi] = red.purity
         for found, leak in zip(leaky.values(), red.leaks):
-            run.leak_max = max(run.leak_max, leak)
-            if leak > LEAK_TOLERANCE:
-                found.append((leak, t_i))
+            worst = float(leak.max())
+            run.leak_max = max(run.leak_max, worst)
+            if worst > LEAK_TOLERANCE:
+                over = leak > LEAK_TOLERANCE
+                found.extend(zip(leak[over].tolist(), t_grid[lo:hi][over].tolist()))
         if keep_states:
-            lab = frame.to_lab(t_i, vec, displacement)
-            lab /= np.linalg.norm(lab)
-            run.states.append(JointState(dims, lab))
+            for i, vec in enumerate(block, lo):
+                lab = frame.to_lab(float(t_grid[i]), vec, xi[i])
+                lab /= np.linalg.norm(lab)
+                run.states.append(JointState(dims, lab))
 
     i = 0
-    while i < n_t and t_grid[i] == 0.0:
-        sample(i, psi)
-        i += 1
-    take_at = owner[i] if i < n_t else -1
+    if owner[0] < 0:
+        take(0, 1, psi[None])
+        i = 1
+    take_at = int(owner[i]) if i < n_t else -1
     for j in range(n_steps):
         t_now = j * h
         t_next = (j + 1) * h
@@ -732,20 +854,30 @@ def evolve_numeric(
         np.multiply(k3, h, out=stage)
         stage += psi
         rhs(t_next, stage_pad, k4)
-        while take_at == j:
-            # dense = psi + h [b1 k1 + b2 (k2 + k3) + b4 k4]
-            th = theta[i]
-            th2, th3 = th * th, th * th * th
-            np.add(k2, k3, out=dense)
-            dense *= h * (th2 - 2.0 * th3 / 3.0)
-            np.multiply(k1, h * (th - 1.5 * th2 + 2.0 * th3 / 3.0), out=scratch)
-            dense += scratch
-            np.multiply(k4, h * (-0.5 * th2 + 2.0 * th3 / 3.0), out=scratch)
-            dense += scratch
-            dense += psi
-            sample(i, dense)
-            i += 1
-            take_at = owner[i] if i < n_t else -1
+        if take_at == j:
+            # the samples this step owns, in pieces of at most `rows`
+            end = int(stop[i])
+            pieces = -(-(end - i) // rows)
+            for q in range(pieces):
+                lo = i + (end - i) * q // pieces
+                hi = i + (end - i) * (q + 1) // pieces
+                block = dense[:hi - lo]
+                if hi > lo + 1:
+                    np.dot(coef[lo:hi], kstack, out=block)
+                else:
+                    # b1 k1 + b2 (k2 + k3) + b4 k4, elementwise
+                    b1, b2, _, b4 = coef[lo].tolist()
+                    row = block[0]
+                    np.add(k2, k3, out=row)
+                    row *= b2
+                    np.multiply(k1, b1, out=scratch)
+                    row += scratch
+                    np.multiply(k4, b4, out=scratch)
+                    row += scratch
+                block += psi
+                take(lo, hi, block)
+            i = end
+            take_at = int(owner[i]) if i < n_t else -1
         # psi += (h/6) (k1 + 2 k2 + 2 k3 + k4), reusing k2 as scratch
         k2 += k3
         k2 *= 2.0
@@ -755,7 +887,8 @@ def evolve_numeric(
         psi += k2
         steps_done = j + 1
         if steps_done % NORM_CHECK_EVERY == 0:
-            check(math.sqrt(np.vdot(psi, psi).real))
+            check(abs(math.sqrt(np.vdot(psi, psi).real) - 1.0))
+    run.photons[:], run.photons_sq[:] = lab_photon_moments(field_moments, xi)
     leaks = []
     for (subsystem, found), dim in zip(leaky.items(), (dims.field_dim, dims.mirror_dim)):
         if found:
@@ -772,18 +905,11 @@ def evolve_numeric(
 
 def observables_numeric(run: OracleRun) -> dict:
     """Per-sample observables as {name: ObservableSeries}, provenance "numeric",
-    from the marginals and purity the run recorded.
+    from the moments and purity the run recorded.
 
     Keys: photon_avg, phonon_avg, mandel_field, mandel_mirror,
     purity_mirror, linear_entropy_mirror.
     """
-    ks = np.arange(run.dims.field_dim, dtype=float)
-    ms = np.arange(run.dims.mirror_dim, dtype=float)
-    # Elementwise sums, not matrix products, so that no BLAS thread wakes.
-    n1 = (run.field_probs * ks).sum(axis=1)
-    n2 = (run.field_probs * ks ** 2).sum(axis=1)
-    m1 = (run.mirror_probs * ms).sum(axis=1)
-    m2 = (run.mirror_probs * ms ** 2).sum(axis=1)
 
     def mandel(mean, second):
         # Variance over mean: 1 on a coherent state, and where the mean vanishes.
@@ -792,10 +918,10 @@ def observables_numeric(run: OracleRun) -> dict:
         return q
 
     cols = {
-        "photon_avg": n1,
-        "phonon_avg": m1,
-        "mandel_field": mandel(n1, n2),
-        "mandel_mirror": mandel(m1, m2),
+        "photon_avg": run.photons.copy(),
+        "phonon_avg": run.phonons.copy(),
+        "mandel_field": mandel(run.photons, run.photons_sq),
+        "mandel_mirror": mandel(run.phonons, run.phonons_sq),
         "purity_mirror": run.purity.copy(),
         "linear_entropy_mirror": 1.0 - run.purity,
     }

@@ -3,11 +3,13 @@ their schema, and that every preset they ran exited 0. Nothing is re-run."""
 import glob
 import json
 import os
+import re
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RECORDS = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+RECORDS = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")),
+                 key=lambda path: int(re.search(r"BENCH_(\d+)\.json$", path).group(1)))
 MACHINE_KEYS = {"nproc", "usable_cpus", "cpu_model", "python", "numpy", "scipy", "git_head",
                 "git_dirty", "date"}
 WORKLOADS = {"fig4", "strong_oracle", "strong_analytic", "undriven_wigner"}
@@ -56,7 +58,18 @@ def test_every_preset_exited_0(record):
 
 
 def test_oracle_probe(record):
-    assert set(record["oracle_probe"]) == {"30x308", "30x35"}
-    for probe in record["oracle_probe"].values():
+    probes = dict(record["oracle_probe"])
+    probes.pop("sampler", None)
+    assert set(probes) == {"30x308", "30x35"}
+    for probe in probes.values():
         assert probe["n_steps"] > 0
         assert 0 < probe["us_per_step_min"] <= probe["us_per_step_median"]
+
+
+def test_newest_record_probes_the_sampler():
+    """Microseconds per sample of fig4 red's own run, less its ends-only run."""
+    with open(RECORDS[-1]) as f:
+        sampler = json.load(f)["oracle_probe"]["sampler"]
+    assert sampler["preset"] == "fig4" and sampler["job"] == "red"
+    assert sampler["n_samples"] > 2 and sampler["n_steps"] > 0
+    assert 0 < sampler["us_per_sample_min"] <= sampler["us_per_sample_median"]

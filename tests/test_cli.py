@@ -245,15 +245,17 @@ def test_headline_runs_stay_within_their_step_budgets(capsys, argv, bound):
 
 
 @pytest.mark.parametrize("preset, memory", [
-    # 1,601 samples x (30 + 35) levels x 8 B plus 8 x 1,050 amplitudes x 16 B
-    ("fig4", ["1.0", "1.0"]),
-    # 1,101 x (30 + 308) x 8 B plus 8 x 9,240 x 16 B
-    ("fig7_8", ["4.2", "4.2"]),
-    # three kept states plus the working vectors, (3 + 8) x 9,240 x 16 B
-    ("wigner_snapshots", ["1.6"]),
+    # 8 frame and 7 work vectors of 1,050 amplitudes, 4 samples a step owns
+    # at 2 x 1,050 + 30^2 amplitudes each, all x 16 B, plus 1,601 samples x 24 words
+    ("fig4", ["0.8", "0.8"]),
+    # (15 x 9,240 + 1 x (2 x 9,240 + 30^2)) x 16 B plus 1,101 x 24 words
+    ("fig7_8", ["2.7", "2.7"]),
+    # as fig7_8 plus 3 kept states and 3 transients of 9,240, over 3 samples
+    ("wigner_snapshots", ["3.4"]),
 ], ids=["fig4", "fig7_8", "wigner_snapshots"])
 def test_validate_reports_the_memory_a_run_holds(capsys, preset, memory):
-    """Per-sample marginals for driven-numeric, kept states for wigner."""
+    """The frame, the work vectors and a step's samples, a few words per
+    sample, and for wigner the kept states."""
     assert cli.main(["validate", "--preset", preset]) == 0
     assert re.findall(r"\bstate_memory_mb=([\d.]+)", capsys.readouterr().out) == memory
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import ladder_ops, strong_system, thread_count, tiny_system
-from optomech import oracle
+from optomech import config, oracle
 from optomech.driven import BetaCoefficients, evolve_driven
 from optomech.errors import IntegrationError
 from optomech.fock import (
@@ -30,7 +31,7 @@ from optomech.oracle import (
     mean_interaction_scale,
     observables_numeric,
     recommend_integrator_config,
-    reduce_sample,
+    reduce_block,
 )
 from optomech.system import SystemParams
 
@@ -277,18 +278,24 @@ class TestInteractionFrame:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5 - 0.5j])
     def test_uncoupled_driven_field_is_the_displaced_coherent_state(self, alpha):
-        """With g = 0, H' = 0: at the cap's step P(k) is Poisson(|alpha + xi(t)|^2)."""
+        """With g = 0, H' = 0: at the cap's step the lab field is the coherent
+        state alpha + xi(t), so <n> = |alpha + xi|^2 and its Mandel Q is 1,
+        and the mirror keeps the moments of its initial state, Poisson(|gamma|^2)
+        truncated at mirror_dim."""
         p = tiny_system(g_ratio=0.0, alpha=alpha, gamma=0.5)
         dims = FockDims(24, 10)
         grid = np.linspace(0.0, 1.3 * p.mech_period, 9)
         run = evolve_numeric(p, dims, grid, keep_states=True)
         assert run.config.dt == max_stable_dt(p) and run.norm_drift <= 1e-14
-        for i, t in enumerate(grid):
-            amps, _ = coherent_amplitudes(dims.field_dim, p.alpha + classical_field(p, t))
-            np.testing.assert_allclose(run.field_probs[i], np.abs(amps) ** 2, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                run.mirror_probs[i], np.abs(coherent_state(dims.mirror_dim, p.gamma)) ** 2,
-                rtol=0, atol=1e-12)
+        obs = observables_numeric(run)
+        field = np.array([abs(p.alpha + classical_field(p, t)) ** 2 for t in grid])
+        assert np.ptp(field) > 0.05  # the drive moves the field
+        np.testing.assert_allclose(obs["photon_avg"].y, field, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(obs["mandel_field"].y, 1.0, rtol=0, atol=1e-12)
+        pm = np.abs(coherent_state(dims.mirror_dim, p.gamma)) ** 2
+        m = np.arange(dims.mirror_dim)
+        np.testing.assert_allclose(run.phonons, pm @ m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.phonons_sq, pm @ m ** 2, rtol=0, atol=1e-12)
 
     def test_free_evolution_is_exact(self):
         """With g = 0 and no drive H_I vanishes, so only the rotation back acts."""
@@ -432,14 +439,17 @@ def test_norm_tolerance_must_be_positive_and_finite(tolerance):
         IntegratorConfig(dt=1e-9, norm_tolerance=tolerance)
 
 
-def random_states(dims: FockDims, n_states: int, seed: int) -> list:
-    """Random normalized joint states, for the per-sample reduction alone."""
+def random_block(dims: FockDims, n_states: int, seed: int) -> np.ndarray:
+    """(n_states, joint) unnormalized random states, one per row."""
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n_states):
-        amps = rng.standard_normal(dims.joint) + 1j * rng.standard_normal(dims.joint)
-        states.append(JointState(dims, amps / np.linalg.norm(amps)))
-    return states
+    shape = (n_states, dims.joint)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_states(dims: FockDims, n_states: int, seed: int) -> list:
+    """Random normalized joint states, for the sample reduction alone."""
+    return [JointState(dims, row / np.linalg.norm(row))
+            for row in random_block(dims, n_states, seed)]
 
 
 def rk4_states(p: SystemParams, dims: FockDims, t_end: float, n_steps: int) -> list:
@@ -510,21 +520,116 @@ class TestSampling:
         assert np.linalg.norm(dense.states[1].amps - landing.states[1].amps) <= 1e-7
 
     def test_reductions_equal_those_of_the_lab_states(self):
-        """Taken in the displaced frame, P(k), P(m) and the purity are the
-        lab-frame partial traces' own. 24 field levels hold the lab state as
-        well as the frame's (at 20 its lab tail is 6e-12)."""
+        """Taken in the displaced frame, the moments of n and N and the
+        purity are those of the lab-frame partial traces. 24 field levels
+        hold the lab state as well as the frame's (at 20 its lab tail is
+        6e-12)."""
         p = tiny_system(g_ratio=0.3)
         grid = np.linspace(0.0, 0.5 * p.mech_period, 6)
         run = evolve_numeric(p, FockDims(24, 36), t_grid=grid, keep_states=True)
         assert min(run.purity) < 0.9  # the later samples are entangled
         for i, state in enumerate(run.states):
             rho_f, rho_m = partial_trace_mirror(state), partial_trace_field(state)
-            np.testing.assert_allclose(run.field_probs[i], np.diag(rho_f.data).real,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(run.mirror_probs[i], np.diag(rho_m.data).real,
-                                       rtol=0, atol=1e-12)
+            pk, pm = np.diag(rho_f.data).real, np.diag(rho_m.data).real
+            k, m = np.arange(pk.size), np.arange(pm.size)
+            np.testing.assert_allclose([run.photons[i], run.photons_sq[i]],
+                                       [pk @ k, pk @ k ** 2], rtol=0, atol=1e-12)
+            np.testing.assert_allclose([run.phonons[i], run.phonons_sq[i]],
+                                       [pm @ m, pm @ m ** 2], rtol=0, atol=1e-12)
             assert run.purity[i] == pytest.approx(rho_m.purity(), abs=1e-12)
             assert run.norms[i] == pytest.approx(1.0, abs=run.config.norm_tolerance)
+
+
+class TestBlockReduction:
+    """The lab photon moments from phi's field Gram matrix, a block of samples at once."""
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3 + 0.2j, -2.1j, 3.5 - 3.5j])
+    def test_lab_photon_moments_equal_those_of_the_displaced_state(self, xi):
+        """<n> and <n^2> of D(xi) phi on a padded field against the identity."""
+        dims = FockDims(12, 6)
+        phi = random_block(dims, 3, seed=5)
+        red = reduce_block(phi, dims)
+        photons, photons_sq = oracle.lab_photon_moments(red.field_moments, np.full(3, xi))
+        pad = dims.field_dim + 150 + int(4 * abs(xi) ** 2)
+        f = ladder_ops(pad)
+        displacement = expm(xi * f.raise_ - np.conj(xi) * f.lower)[:, :dims.field_dim]
+        k = np.arange(pad)
+        for i, row in enumerate(phi):
+            lab = displacement @ row.reshape(dims.field_dim, dims.mirror_dim)
+            pk = (np.abs(lab) ** 2).sum(axis=1) / np.vdot(row, row).real
+            np.testing.assert_allclose([photons[i], photons_sq[i]], [pk @ k, pk @ k ** 2],
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dims", [FockDims(12, 14), FockDims(30, 308)], ids=str)
+    @pytest.mark.parametrize("n_states", [1, 5])
+    def test_a_block_reduces_as_its_rows(self, dims, n_states):
+        """30 x 308 sums each Gram matrix over five blocks of mirror levels."""
+        block = random_block(dims, n_states, seed=7)
+        whole = reduce_block(block, dims)
+        for i, row in enumerate(block):
+            alone = reduce_block(row[None], dims)
+            for got, expected in zip(whole, alone):
+                if isinstance(got, tuple):  # the leaks
+                    got, expected = np.array(got)[:, i], np.array(expected)[:, 0]
+                else:
+                    got, expected = got[i], expected[0]
+                np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_samples_split_at_the_serial_bound_are_unchanged(self, monkeypatch, rows):
+        """Nine samples in each of two steps, read in one product per step,
+        against products of at most three samples and against one sample at
+        a time, which is built elementwise."""
+        p = tiny_system()
+        dims = FockDims(16, 16)
+        cfg = IntegratorConfig(dt=max_stable_dt(p))
+        grid = np.linspace(0.0, 1.6 * cfg.dt, 19)
+
+        def run():
+            return observables_numeric(evolve_numeric(p, dims, grid, cfg))
+
+        assert oracle._sample_plan(grid, 2, dims.joint).rows == 9
+        whole = run()
+        monkeypatch.setattr(oracle, "_SERIAL_GEMM_SIZE", rows * 4 * dims.joint)
+        assert oracle._sample_plan(grid, 2, dims.joint).rows == rows
+        for name, series in run().items():
+            np.testing.assert_allclose(series.y, whole[name].y, rtol=1e-15, atol=1e-15)
+
+    def test_lab_photon_moments_converge_in_field_dim(self):
+        """fig4 red over its first beat period: no truncation enters after the
+        displacement, so 30 field levels read what 40 do (a truncated lab
+        marginal misses mandel_field by 2.1e-7)."""
+        (job,) = [job for job in config.preset_jobs("fig4") if job.tag == "red"]
+        cfg = job.config
+        (_, _, times, icfg, _), = cfg.oracle_runs
+        p = cfg.params
+        beat = 2 * math.pi / abs(p.omega_p - p.omega_c)
+        grid = times[times <= beat * (1 + 1e-12)]
+        runs = [observables_numeric(evolve_numeric(p, dims, grid, icfg))
+                for dims in (cfg.dims, FockDims(40, cfg.dims.mirror_dim))]
+        assert cfg.dims == FockDims(30, 35)
+        for name in ("photon_avg", "mandel_field"):
+            np.testing.assert_allclose(runs[0][name].y, runs[1][name].y, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("keep_states", [False, True], ids=["moments", "kept"])
+    @pytest.mark.parametrize("system", [dict(g_ratio=0.3), dict(drive_amp=0.0, omega_p=0.0)],
+                             ids=["driven", "undriven"])
+    def test_state_memory_is_the_traced_peak(self, system, keep_states):
+        """state_memory_mb is within 10% of the peak tracemalloc sees, at 4 or 5 samples a step."""
+        p = tiny_system(**system)
+        dims = FockDims(24, 36)
+        cfg = IntegratorConfig(dt=max_stable_dt(p))
+        grid = np.linspace(0.0, 10 * cfg.dt, 41)
+        evolve_numeric(p, dims, grid[:3], cfg, keep_states=True)  # fills the per-dims caches
+        tracemalloc.start()
+        try:
+            evolve_numeric(p, dims, grid, cfg, keep_states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle._sample_plan(grid, 10, dims.joint).rows in (4, 5)
+        expected = oracle.state_memory_mb(p, dims, grid, cfg.dt, keep_states)
+        assert peak / 1e6 == pytest.approx(expected, rel=0.1)
 
 
 class TestObservables:
@@ -557,15 +662,17 @@ class TestObservables:
         dims = FockDims(30, 308)
         (state,) = random_states(dims, 1, seed=11)
         assert len(oracle.gram_blocks(dims)) == 5
-        purity = reduce_sample(state.amps, dims).purity
+        (purity,) = reduce_block(state.amps[None], dims).purity
         mirror = partial_trace_field(state).purity()
         assert purity == pytest.approx(mirror, abs=1e-12)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
     def test_observables_wake_no_blas_thread(self):
-        """At 30 x 308 one field Gram product is big enough for OpenBLAS to thread."""
+        """At 30 x 308 one field Gram product, or one field displacement of a
+        kept state, is big enough for OpenBLAS to thread."""
         dims = FockDims(30, 308)
         states = random_states(dims, 3, seed=12)
+        frame = DisplacedFrame(strong_system(), dims)
         # OpenBLAS joins its threads before a fork; they restart on demand.
         pid = os.fork()
         if pid == 0:
@@ -574,7 +681,9 @@ class TestObservables:
         if thread_count() != 1:
             pytest.skip("other threads are running in this process")
         for state in states:
-            reduce_sample(state.amps, dims)
+            reduce_block(state.amps[None], dims)
+        reduce_block(np.array([state.amps for state in states]), dims)
+        frame.to_lab(1e-9, states[0].amps, 2.0 - 1.0j)
         assert thread_count() == 1
 
     def test_series_metadata(self):
