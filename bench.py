@@ -22,7 +22,12 @@ The record holds:
   oracle_probe  in-process microseconds per RK4 step of oracle.evolve_numeric
                 at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red), and under
                 `sampler` microseconds per sample at fig4 red: its run on its
-                own 1,601-sample grid less the same run sampled at its ends.
+                own 1,601-sample grid less the same run sampled at its ends;
+  wigner_probe  in-process milliseconds per `wigner.snapshot_grid` of the
+                mirror state at t = pi/omega_m, on the job's own grid
+                (161^2), of undriven_wigner's job (dims 22 x 28) and of the
+                analytic source of wigner_snapshots (30 x 308; the heaviest
+                grid of any preset), which `--trace 1` sees only in part.
 
 The tracer records spans in its own process only. With more than one
 usable CPU, fig4's two jobs run in forked workers, so none of their layers
@@ -56,6 +61,9 @@ PROBE_REPEATS = 5
 PROBES = {"fig7_8": 300, "fig4": 3000}
 # preset whose red job's own run the sampler probe times
 SAMPLER_PROBE = "fig4"
+# grid probe name -> the config of its job (workload file, else preset)
+WIGNER_PROBES = {"undriven_wigner": "perfbench/workloads/undriven_wigner.cfg",
+                 "wigner_snapshots": None}
 
 # Trace-1 metrics of the job process itself, seen whatever runs in workers.
 _CALLER_METRICS = ("cli.import_s", "cli.self_s", "cli.run_s", "cli.cpu_s", "trace.overhead_frac")
@@ -210,6 +218,36 @@ def oracle_probe() -> dict:
     return probes
 
 
+def wigner_probe() -> dict:
+    """Median and minimum milliseconds per snapshot_grid of each WIGNER_PROBES
+    job's mirror state at t = pi/omega_m, from the analytic propagator."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import numpy as np
+
+    from optomech import config, driven, wigner
+
+    probes = {}
+    for name, path in WIGNER_PROBES.items():
+        jobs = config.load_jobs(os.path.join(ROOT, path)) if path else config.preset_jobs(name)
+        cfg = jobs[0].config
+        times = np.asarray(wigner.default_snapshot_times(cfg.params))
+        state = driven.evolve_driven(cfg.params, driven.integrate_betas(cfg.params, times).at(1),
+                                     cfg.dims)
+        _, _, rho = wigner.snapshot_set([state], times[1:2])[1]  # the field's, then the mirror's
+        ms = []
+        for _ in range(PROBE_REPEATS):
+            start = time.perf_counter()
+            wigner.snapshot_grid(rho, cfg.wigner_grid_points)
+            ms.append(1e3 * (time.perf_counter() - start))
+        probes[name] = {
+            "subsystem": "mirror", "t": "pi/omega_m", "source": "analytic",
+            "dims": f"{cfg.dims.field_dim}x{cfg.dims.mirror_dim}",
+            "grid_points": cfg.wigner_grid_points, "repeats": PROBE_REPEATS,
+            "ms_median": statistics.median(ms), "ms_min": min(ms),
+        }
+    return probes
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -222,6 +260,7 @@ def main(argv) -> int:
         env=_env(), capture_output=True, text=True, check=True).stdout.split()
     record["presets"] = {name: preset(name) for name in presets}
     record["oracle_probe"] = oracle_probe()
+    record["wigner_probe"] = wigner_probe()
     with open(argv[0], "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

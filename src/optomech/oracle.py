@@ -40,7 +40,7 @@ every sample are computed once, and the samples a step owns are built
 together as one product of their weight rows with the step's stacked
 k1..k4, plus phi, and reduced as one block (`reduce_block`). Every BLAS
 product stays on the calling thread: a block is split where the product
-would pass _SERIAL_GEMM_SIZE, and a block of one sample is built
+would pass SERIAL_GEMM_SIZE, and a block of one sample is built
 elementwise, since OpenBLAS hands a one-row product to a matrix-vector
 kernel that threads from 4,096 entries. Samples are never held across
 steps.
@@ -88,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IntegrationError
-from .fock import FockDims, JointState, coherent_amplitudes, coherent_state
+from .fock import SERIAL_GEMM_SIZE, FockDims, JointState, coherent_amplitudes, coherent_state
 from .postproc import ObservableSeries
 from .system import SystemParams
 
@@ -104,8 +104,6 @@ STEPS_PER_PUMP_PERIOD = 12
 # averages; the pump phase, averaged at each beat node, takes fewer.
 _PHASE_NODES = 64
 _PUMP_NODES = 16
-# OpenBLAS runs a GEMM with m * n * k at most this on the calling thread.
-_SERIAL_GEMM_SIZE = 65536
 # Joint-size vectors evolve_numeric holds besides its frame's and its block
 # of samples: the padded state and stage, k1..k4 and a one-sample scratch.
 _WORK_VECTORS = 7
@@ -608,9 +606,9 @@ def gram_blocks(dims: FockDims) -> list:
 
     A product big enough for OpenBLAS to thread waits on waking a BLAS
     thread, which took up to 0.4 s per run when the other core was busy;
-    each block's product stays under _SERIAL_GEMM_SIZE.
+    each block's product stays under SERIAL_GEMM_SIZE.
     """
-    n_blocks = -(-dims.field_dim ** 2 * dims.mirror_dim // _SERIAL_GEMM_SIZE)
+    n_blocks = -(-dims.field_dim ** 2 * dims.mirror_dim // SERIAL_GEMM_SIZE)
     return [slice(i * dims.mirror_dim // n_blocks, (i + 1) * dims.mirror_dim // n_blocks)
             for i in range(n_blocks)]
 
@@ -720,7 +718,7 @@ def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> _SamplePlan:
 
     A sample on a step boundary is the end of the step before it, so theta
     is in (0, 1]. A product of rows weight rows with k1..k4 stays within
-    _SERIAL_GEMM_SIZE, and no buffer holds more samples than a step owns.
+    SERIAL_GEMM_SIZE, and no buffer holds more samples than a step owns.
     """
     n_t = t_grid.size
     owner = np.full(n_t, -1)
@@ -738,7 +736,7 @@ def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> _SamplePlan:
         owner[taken] = steps
     stop = np.searchsorted(owner, owner, side="right")
     most = int((stop - np.arange(n_t))[taken].max(initial=0))
-    return _SamplePlan(owner, stop, coef, min(most, max(1, _SERIAL_GEMM_SIZE // (4 * joint))))
+    return _SamplePlan(owner, stop, coef, min(most, max(1, SERIAL_GEMM_SIZE // (4 * joint))))
 
 
 def evolve_numeric(

@@ -85,6 +85,12 @@ def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
     return replace(series, y=smoothed, provenance="filtered")
 
 
+def _union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.union1d(x, y) without np.unique, which loads numpy.ma."""
+    both = np.sort(np.concatenate([x, y]))
+    return both[np.concatenate(([True], both[1:] != both[:-1]))]
+
+
 def compare(a: ObservableSeries, b: ObservableSeries) -> dict:
     """Pointwise metrics after linear resampling to the common time range.
 
@@ -95,7 +101,7 @@ def compare(a: ObservableSeries, b: ObservableSeries) -> dict:
     hi = min(a.t[-1], b.t[-1])
     if hi <= lo:
         raise ValueError("series time ranges do not overlap")
-    grid = np.union1d(a.t, b.t)
+    grid = _union(a.t, b.t)
     grid = grid[(grid >= lo) & (grid <= hi)]
     ya = np.interp(grid, a.t, a.y)
     yb = np.interp(grid, b.t, b.y)

@@ -4,39 +4,36 @@ Quadrature convention, fixed project-wide: beta = (q + i p) / sqrt(2), so a
 coherent state |amp> peaks at (q, p) = (sqrt(2) Re amp, sqrt(2) Im amp) and
 the vacuum is W(q,p) = exp(-q^2 - p^2) / pi with peak 1/pi.
 
-The continuous function is the displaced-parity expectation written as a
-Laguerre series (Johansson, Nation and Nori, Comput. Phys. Commun. 184, 1234
-(2013), QuTiP's "clenshaw" method). With gamma = 2 beta and b = |gamma|^2,
+W is its defining integral, W(q,p) = (1/pi) Int dy e^{2ipy} <q-y|rho|q+y>,
+by the trapezoid rule on a lattice of step dy = dq / s, dq the q axis
+step, so that every q_i +- y_k is a lattice point x_l. With the Hermite
+functions phi[l, n] = phi_n(x_l) tabulated once per lattice point (the
+normalized three-term recurrence) and R = rho phi, the correlation
 
-    W(q,p) = (1/pi) Re sum_L gamma^L / sqrt(L!) f_L(b),
-    f_L(b) = sum_n c_{L,n} e^{-b/2} (-1)^n sqrt(n! L!/(n+L)!) L_n^L(b),
+    K[i, k] = <q_i - y_k| rho |q_i + y_k> = sum_m phi[l_i - k, m] R[l_i + k, m]
 
-where c_{L,n} = rho[n, n+L], doubled for L > 0 (the subdiagonals are the
-conjugates). Each f_L is a Clenshaw sum down the L-th superdiagonal; the
-sum over L is a Horner sum in gamma around it. The radial part depends on b
-only, so f_L is evaluated once per distinct radius of the grid and gathered
-to the points. The axes are mirror-exact (grid_axis) and b is summed from
-the squared axes, so the 4 to 8 mirror images of a radius on a symmetric
-square grid are one float, not a handful that differ in the last bit: a
-161^2 grid has at most 81 * 82 / 2 = 3,321 distinct radii (about 2,900 on a
-snapshot grid). The Clenshaw sums are still most of a grid's time, 16-24 ms
-per 161^2 snapshot grid at dims 22 to 29.
+is needed for k >= 0 only, as K(q, -y) = conj K(q, y), and W = (dy / pi)
+Re(K' E), K' being K with its k > 0 columns doubled and E[k, j] =
+e^{2 i p_j y_k}. Each BLAS product is tiled under fock.SERIAL_GEMM_SIZE.
 
-The factor e^{-b/2} is folded into every Clenshaw coefficient rather than
-applied at the end: the bare Laguerre partial sums grow like e^{b/2} and
-overflow for dim of about 300 at b of about 1,500, where the product would
-be inf * 0. The folded sum holds while e^{-b/2} is a normal float, i.e. for
-b below -2 ln(smallest normal), about 1,417 (|beta|^2 about 354). Level n
-reaches out to its turning point b = 4n + 2 and a decaying tail beyond, so a
-grid that extends past b = 1,417 is served for states populated up to about
-n = 310. wigner_continuous raises IntegrationError when a grid extends past
-that radius while rho has population in levels that reach it, and when a
-value breaks |W| <= 1/pi, which every density matrix obeys. The tests pin
-the series to the textbook integral definition
+Why it converges: by Poisson summation the sum over all lags is exactly
+sum_j W(q, p + j pi / dy), the state's own W at aliases of p. W of every
+level is below rounding past the radius sqrt(2 dim + 1) + _ALIAS_PAD, and s
+is the least that moves every alias of the grid's p past it. The lags and
+the lattice end _SUPPORT_PAD past that turning point, where every phi_n is
+below rounding. The tests hold the grids within 1e-13 of the
+Clenshaw-Laguerre series (Johansson, Nation and Nori, Comput. Phys. Commun.
+184, 1234 (2013)) at dims 2 to 330, and s against s + 1 within 1e-14.
 
-    W(q,p) = (1/pi) Integral dx e^{2 i x p} <q - x| rho |q + x>
+The domain: phi_0 = pi^(-1/4) e^{-x^2/2} underflows past |x| of about 37.6.
+wigner_continuous raises IntegrationError when the lattice reaches there
+while rho populates levels whose support, sqrt(2n + 1) + _SUPPORT_PAD,
+does (levels above 438), and when a value breaks |W| <= 1/pi, which every
+density matrix obeys.
 
-by brute quadrature at small dimension.
+The cost, for an n x m grid with L lattice points and n_y lags, is
+O(dim^2 L + dim n n_y + n n_y m): on a 2-vCPU VM a 161^2 snapshot grid takes
+3-6 ms at dims 22-30 and 60-80 ms at dim 301.
 """
 from __future__ import annotations
 
@@ -47,21 +44,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror
+from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror, serial_matmul
 from .postproc import atomic_write_text, median
 from .system import SystemParams
 
 BOUNDARY_WARN_LEVEL = 1e-4
-# e^{-b/2} is a normal float only for radii b = |2 beta|^2 below this (~1416.8)
-_UNDERFLOW_RADIUS = -2.0 * math.log(np.finfo(float).tiny)
-# population allowed in levels that reach past _UNDERFLOW_RADIUS
+# Past the top level's turning point sqrt(2 dim + 1), phi_n of every level is
+# below rounding beyond _SUPPORT_PAD (the lattice and the lags end there; 6
+# already agrees to rounding), and W beyond _ALIAS_PAD, where the lattice's
+# aliases of W may fall (4 already agrees).
+_SUPPORT_PAD = 8.0
+_ALIAS_PAD = 5.0
+# phi_0 = pi^(-1/4) e^(-x^2/2) is a normal float only for |x| below this (~37.6)
+_UNDERFLOW_X = math.sqrt(-0.5 * math.log(math.pi) - 2.0 * math.log(np.finfo(float).tiny))
+# population allowed in levels that reach past _UNDERFLOW_X
 UNDERFLOW_MASS_TOL = 1e-10
-# Distinct radii per Clenshaw pass. It bounds the (dim, block) arrays, the
-# Clenshaw work arrays (three complex, one real) and the block's f_L, 72
-# bytes per (level, radius), so a whole 161^2 grid (up to 3,321 radii) in one
-# pass would take about 72 MB at dim 300.
-_RADII_BLOCK = 512
-# A snapshot's series runs over the levels below the tail that holds less
+# q rows of the correlation K held at once
+_ROWS_BLOCK = 16
+# A snapshot's lattice sum runs over the levels below the tail that holds less
 # than _TRIM_TAIL_MASS of the trace, and _TRIM_PAD levels of that tail.
 _TRIM_TAIL_MASS = 1e-10
 _TRIM_PAD = 4
@@ -109,91 +109,89 @@ class WignerGrid:
         )
 
 
-def _radial_sums(rho_mat: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """f[L, r] = f_L(radii[r]) of the module docstring, by Clenshaw sums.
-
-    The sums for all L run together down the coefficient index j; row L has
-    no coefficients above j = dim - 1 - L, so only the first dim - j rows are
-    live at step j and the rest stay exactly zero.
-    """
-    dim = rho_mat.shape[0]
-    n = np.arange(dim)
-    band = n[np.newaxis, :] + n[:, np.newaxis]
-    # c[L, j] = rho[j, j + L], zero past the corner; off-diagonals doubled
-    coeffs = np.where(band < dim, rho_mat[n, np.minimum(band, dim - 1)], 0.0)
-    coeffs[1:] *= 2.0
-    damp = np.exp(-0.5 * radii)
-    ell = np.arange(dim, dtype=float)[:, np.newaxis]
-    y0 = np.zeros((dim, radii.size), dtype=np.complex128)
-    y1 = np.zeros_like(y0)
-    nxt = np.zeros_like(y0)
-    fac = np.empty((dim, radii.size))
-    for j in range(dim - 1, -1, -1):
-        live = dim - j
-        k = j + 2.0
-        L = ell[:live]
-        g = 1.0 / np.sqrt((L + k) * k)
-        f = fac[:live]
-        np.multiply(g, radii, out=f)
-        np.subtract(g * (L + 2.0 * k - 1.0), f, out=f)
-        u0, u1, un = y0[:live], y1[:live], nxt[:live]
-        np.multiply(u1, f, out=un)
-        np.subtract(u0, un, out=un)  # next y1 = y0 - (L + 2k - 1 - b) g y1
-        np.multiply(u1, np.sqrt((k - 1.0) * (L + k - 1.0)) * g, out=u1)
-        np.multiply(coeffs[:live, j, np.newaxis], damp, out=u0)
-        np.subtract(u0, u1, out=u0)  # next y0 = c e^{-b/2} - sqrt((k-1)(L+k-1)) g y1
-        y1, nxt = nxt, y1
-    return y0 - y1 * ((ell + 1.0 - radii) / np.sqrt(ell + 1.0))
+def _hermite_table(x: np.ndarray, dim: int) -> np.ndarray:
+    """phi[l, n] = phi_n(x[l]), by the normalized three-term recurrence."""
+    phi = np.zeros((dim + 1, x.size))  # phi[n + 1] holds phi_n, from phi_{-1} = 0
+    phi[1] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    for n in range(1, dim):
+        phi[n + 1] = math.sqrt(2.0 / n) * x * phi[n] - math.sqrt((n - 1) / n) * phi[n - 1]
+    return np.ascontiguousarray(phi[1:].T)
 
 
-def _laguerre_wigner(rho_mat: np.ndarray, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W at displacements gamma = 2 beta with radii b = |gamma|^2.
-
-    One block of radii at a time: its f_L are summed over L at the points
-    with those radii, so only one block's f is held at once.
-    """
-    radii, at = np.unique(b, return_inverse=True)
-    dim = rho_mat.shape[0]
-    values = np.empty(b.size)
-    for start in range(0, radii.size, _RADII_BLOCK):
-        f = _radial_sums(rho_mat, radii[start:start + _RADII_BLOCK])
-        points = np.flatnonzero((at >= start) & (at < start + _RADII_BLOCK))
-        at_f, g = at[points] - start, gamma[points]
-        acc = f[dim - 1][at_f]
-        for L in range(dim - 2, -1, -1):
-            acc = f[L][at_f] + acc * g * (1.0 / math.sqrt(L + 1))
-        values[points] = acc.real / math.pi
-    return values
-
-
-def _check_laguerre_domain(rho: DensityMatrix, b_max: float) -> None:
-    """Raise when the grid reaches radii where e^{-b/2} underflows and rho lives there.
-
-    Level n's Laguerre function e^{-b/2} L_n(b) oscillates out to its
-    turning point b = 4n + 2; 12 Airy widths (8n + 4)^(1/3) beyond it, it is
-    down to about 1e-10 (checked in extended precision for n = 100 to 354).
-    """
-    if b_max <= _UNDERFLOW_RADIUS:
+def _check_lattice_domain(rho_mat: np.ndarray, x_max: float) -> None:
+    """Raise when the lattice reaches |x| where phi_0 underflows and rho lives
+    there: level n lives out to sqrt(2n + 1) + _SUPPORT_PAD, as the lattice takes it."""
+    if x_max <= _UNDERFLOW_X:
         return
-    n = np.arange(rho.dim)
-    reach = 4.0 * n + 2.0 + 12.0 * np.cbrt(8.0 * n + 4.0)
-    mass = float(np.real(np.diag(rho.data))[reach > _UNDERFLOW_RADIUS].sum())
+    reach = np.sqrt(2.0 * np.arange(rho_mat.shape[0]) + 1.0) + _SUPPORT_PAD
+    mass = float(np.real(np.diag(rho_mat))[reach > _UNDERFLOW_X].sum())
     if mass > UNDERFLOW_MASS_TOL:
         raise IntegrationError(
-            f"Laguerre evaluation: the grid reaches radius |2 beta|^2 = {b_max:.6g}, "
-            f"past {_UNDERFLOW_RADIUS:.6g} where e^(-b/2) underflows, while rho "
-            f"(dim {rho.dim}) has population {mass:.3g} in levels that reach there"
+            f"Wigner lattice reaches |x| = {x_max:.6g}, past {_UNDERFLOW_X:.6g} where "
+            f"phi_0 underflows, while rho (dim {rho_mat.shape[0]}) has population "
+            f"{mass:.3g} in levels that reach there"
         )
 
 
-def _check_bounded(values: np.ndarray, b: np.ndarray, dim: int) -> None:
+def _refinement(dq: float, p_axis: np.ndarray, dim: int) -> int:
+    """Lattice points s per q step: the least that moves every alias
+    W(q, p + j pi / dy) of the grid's p past W's support."""
+    reach = max(abs(p_axis[0]), abs(p_axis[-1])) + math.sqrt(2.0 * dim + 1.0) + _ALIAS_PAD
+    return math.ceil(reach * dq / math.pi)
+
+
+def _lattice_wigner(rho_mat: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
+    """W on q_axis x p_axis, q_axis evenly spaced, by the lattice trapezoid rule.
+
+    x_j = q_0 + j dy for the j with |x_j| inside the support; q_i is x_{i s}.
+    The correlation K of a block of q rows is contracted with the phases at
+    once, so no more than _ROWS_BLOCK rows of K exist at a time.
+    """
+    dim, n = rho_mat.shape[0], q_axis.size
+    dq = (q_axis[-1] - q_axis[0]) / (n - 1)
+    s = _refinement(dq, p_axis, dim)
+    dy = dq / s
+    support = math.sqrt(2.0 * dim + 1.0) + _SUPPORT_PAD
+    n_y = int(support / dy)
+    lo = max(-n_y, math.ceil((-support - q_axis[0]) / dy))
+    hi = min((n - 1) * s + n_y, math.floor((support - q_axis[0]) / dy))
+    x = q_axis[0] + np.arange(lo, hi + 1) * dy
+    _check_lattice_domain(rho_mat, float(np.abs(x).max(initial=0.0)))
+    phi = _hermite_table(x, dim)
+    # r[l] = (rho phi(x_l)).real then .imag: r[l, m] = sum_n rho[m, n] phi_n(x_l)
+    r = serial_matmul(phi, np.concatenate([rho_mat.real.T, rho_mat.imag.T], axis=1))
+    # row i pairs x_{c - k} with x_{c + k} for the lags k < lags[i] inside the support
+    centers = np.arange(n) * s - lo
+    lags = np.clip(np.minimum(centers, hi - lo - centers), -1, n_y) + 1
+    y = np.arange(n_y + 1) * dy
+    # the k > 0 terms stand for -y_k too: weight 2, and Re of e^{2ipy} K
+    weight = np.where(y > 0.0, 2.0, 1.0)[:, np.newaxis] * (dy / math.pi)
+    cos = weight * np.cos(2.0 * y[:, np.newaxis] * p_axis)
+    sin = weight * -np.sin(2.0 * y[:, np.newaxis] * p_axis)
+    values = np.zeros((n, p_axis.size))
+    for start in range(0, n, _ROWS_BLOCK):
+        stop = min(n, start + _ROWS_BLOCK)
+        width = int(lags[start:stop].max())
+        if width <= 0:
+            continue
+        k = np.zeros((2, stop - start, width))
+        for i in range(start, stop):
+            c, m = centers[i], lags[i]
+            left, right = phi[c - m + 1:c + 1][::-1], r[c:c + m]
+            np.vecdot(left, right[:, :dim], out=k[0, i - start, :m])
+            np.vecdot(left, right[:, dim:], out=k[1, i - start, :m])
+        values[start:stop] = serial_matmul(k[0], cos[:width]) + serial_matmul(k[1], sin[:width])
+    return values
+
+
+def _check_bounded(values: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray, dim: int) -> None:
     """|W| <= 1/pi for every density matrix; a breach is a failed evaluation."""
     size = np.where(np.isfinite(values), np.abs(values), np.inf)
-    worst = int(np.argmax(size))
-    if size[worst] > (1.0 + 1e-9) / math.pi:
+    i, j = np.unravel_index(int(np.argmax(size)), size.shape)
+    if size[i, j] > (1.0 + 1e-9) / math.pi:
         raise IntegrationError(
-            f"Laguerre evaluation gave W = {values[worst]:.6g} at radius "
-            f"|2 beta|^2 = {b[worst]:.6g} (dim {dim}), outside |W| <= 1/pi"
+            f"Wigner evaluation gave W = {values[i, j]:.6g} at (q, p) = "
+            f"({q_axis[i]:.6g}, {p_axis[j]:.6g}) (dim {dim}), outside |W| <= 1/pi"
         )
 
 
@@ -210,21 +208,20 @@ def grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def wigner_continuous(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
-    """Wigner function on the grid q_axis x p_axis by the Laguerre series.
+    """Wigner function on the grid q_axis x p_axis by the lattice trapezoid rule.
 
-    The axes are ascending arrays, best made by grid_axis. Raises
-    IntegrationError when the grid leaves the series' domain for this rho or
-    a value breaks |W| <= 1/pi. Warns when |W| on the grid boundary exceeds
-    1e-4, the sign that the bounds clip the state's support.
+    q_axis is evenly spaced, as grid_axis makes it (ValueError otherwise);
+    p_axis is any ascending array. Raises IntegrationError when the lattice
+    leaves the domain of the Hermite recurrence for this rho or a value
+    breaks |W| <= 1/pi. Warns when |W| on the grid boundary exceeds 1e-4,
+    the sign that the bounds clip the state's support.
     """
-    beta = (q_axis[:, np.newaxis] + 1j * p_axis[np.newaxis, :]) / math.sqrt(2.0)
-    gamma = 2.0 * beta.ravel()
-    # |gamma|^2 from the squared axes, so mirror images share one float
-    b = ((2.0 * q_axis ** 2)[:, np.newaxis] + (2.0 * p_axis ** 2)[np.newaxis, :]).ravel()
-    _check_laguerre_domain(rho, float(b.max()))
-    values = _laguerre_wigner(rho.data, gamma, b)
-    _check_bounded(values, b, rho.dim)
-    grid = WignerGrid(q_axis, p_axis, values.reshape(q_axis.size, p_axis.size))
+    if q_axis.size < 2 or (np.abs(q_axis - np.linspace(q_axis[0], q_axis[-1], q_axis.size)).max()
+                           > 16 * np.spacing(np.abs(q_axis).max())):
+        raise ValueError("q_axis must be evenly spaced, with at least 2 points (grid_axis)")
+    values = _lattice_wigner(rho.data, q_axis, p_axis)
+    _check_bounded(values, q_axis, p_axis, rho.dim)
+    grid = WignerGrid(q_axis, p_axis, values)
     if grid.boundary_max() > BOUNDARY_WARN_LEVEL:
         warnings.warn(
             f"|W| reaches {grid.boundary_max():.3g} on the grid boundary; "
@@ -302,7 +299,7 @@ def snapshot_grid(rho: DensityMatrix, n_grid: int) -> WignerGrid:
     """Square n_grid x n_grid grid of one snapshot's reduced state.
 
     The half-width comes from rho's populations (suggested_half_width), and
-    the series runs over rho with its unpopulated trailing block trimmed.
+    the lattice sum runs over rho with its unpopulated trailing block trimmed.
     """
     half = suggested_half_width(rho)
     axis = grid_axis(-half, half, n_grid)

@@ -73,3 +73,16 @@ def test_newest_record_probes_the_sampler():
     assert sampler["preset"] == "fig4" and sampler["job"] == "red"
     assert sampler["n_samples"] > 2 and sampler["n_steps"] > 0
     assert 0 < sampler["us_per_sample_min"] <= sampler["us_per_sample_median"]
+
+
+def test_newest_record_probes_the_grids():
+    """Milliseconds per 161^2 snapshot grid of the t = pi/omega_m mirror state
+    of undriven_wigner and of wigner_snapshots' analytic source."""
+    with open(RECORDS[-1]) as f:
+        probes = json.load(f)["wigner_probe"]
+    assert set(probes) == {"undriven_wigner", "wigner_snapshots"}
+    assert probes["undriven_wigner"]["dims"] == "22x28"
+    assert probes["wigner_snapshots"]["dims"] == "30x308"
+    for probe in probes.values():
+        assert probe["subsystem"] == "mirror" and probe["grid_points"] == 161
+        assert 0 < probe["ms_min"] <= probe["ms_median"]

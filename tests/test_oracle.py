@@ -590,7 +590,7 @@ class TestBlockReduction:
 
         assert oracle._sample_plan(grid, 2, dims.joint).rows == 9
         whole = run()
-        monkeypatch.setattr(oracle, "_SERIAL_GEMM_SIZE", rows * 4 * dims.joint)
+        monkeypatch.setattr(oracle, "SERIAL_GEMM_SIZE", rows * 4 * dims.joint)
         assert oracle._sample_plan(grid, 2, dims.joint).rows == rows
         for name, series in run().items():
             np.testing.assert_allclose(series.y, whole[name].y, rtol=1e-15, atol=1e-15)

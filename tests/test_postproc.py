@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from optomech import postproc
 from optomech.postproc import (
     ObservableSeries,
     atomic_write_text,
@@ -135,6 +136,15 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(a, b)
 
+    @pytest.mark.parametrize("x, y", [
+        (np.linspace(0, 1, 17), np.linspace(0, 1, 29)),    # shared points
+        (np.linspace(0, 1, 40), np.linspace(0.1, 0.9, 33)),  # overlapping, none shared
+        (np.array([0.0, 1.0]), np.array([2.0, 3.0])),       # disjoint
+        (np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.5])),  # repeated values
+    ])
+    def test_union_grid_is_union1d(self, x, y):
+        assert np.array_equal(postproc._union(x, y), np.union1d(x, y))
+
 
 class TestCsvRoundTrip:
 
@@ -203,25 +213,37 @@ def test_median_equals_numpy(values):
         assert math.copysign(1.0, ours) == math.copysign(1.0, theirs)
 
 
-def test_filter_and_grid_mass_leave_numpy_ma_unloaded():
-    """np.median imports numpy.ma, about 20 ms a process; median does not."""
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from optomech import postproc, wigner\n"
-        "t = np.linspace(0.0, 1.0, 101)\n"
-        "postproc.filter_fast(postproc.ObservableSeries(t, np.sin(t), 'x', 'numeric'), 0.1)\n"
-        "grid = wigner.WignerGrid(t[:5], t[:4], np.ones((5, 4)))\n"
-        "grid.total_mass()\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
+def numpy_ma_loaded_after(lines: str) -> bool:
+    """Whether a fresh interpreter has imported numpy.ma after running lines."""
+    script = "import sys\nimport numpy as np\n" + lines + "print('numpy.ma' in sys.modules)\n"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_filter_and_grid_mass_leave_numpy_ma_unloaded():
+    """np.median imports numpy.ma, about 20 ms a process; median does not."""
+    assert not numpy_ma_loaded_after(
+        "from optomech import postproc, wigner\n"
+        "t = np.linspace(0.0, 1.0, 101)\n"
+        "postproc.filter_fast(postproc.ObservableSeries(t, np.sin(t), 'x', 'numeric'), 0.1)\n"
+        "grid = wigner.WignerGrid(t[:5], t[:4], np.ones((5, 4)))\n"
+        "grid.total_mass()\n"
+    )
+
+
+def test_compare_leaves_numpy_ma_unloaded():
+    """np.union1d imports numpy.ma through np.unique, 12-27 ms a process."""
+    assert not numpy_ma_loaded_after(
+        "from optomech import postproc\n"
+        "a = postproc.ObservableSeries(np.linspace(0.0, 1.0, 17), np.ones(17), 'x', 'numeric')\n"
+        "b = postproc.ObservableSeries(np.linspace(0.0, 1.0, 29), np.ones(29), 'x', 'analytic')\n"
+        "postproc.compare(a, b)\n"
+    )
 
 
 def test_atomic_write(tmp_path):

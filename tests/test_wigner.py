@@ -1,13 +1,22 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from conftest import tiny_system
-from optomech import wigner
+from conftest import thread_count, tiny_system
+from optomech import config, wigner
 from optomech.driven import evolve_driven, integrate_betas
 from optomech.errors import IntegrationError
-from optomech.fock import DensityMatrix, FockDims, coherent_amplitudes, coherent_state
+from optomech.fock import (
+    DensityMatrix,
+    FockDims,
+    JointState,
+    coherent_amplitudes,
+    coherent_state,
+    partial_trace_field,
+    partial_trace_mirror,
+)
 from optomech.oracle import evolve_numeric
 from optomech.system import SystemParams
 from optomech.wigner import (
@@ -110,6 +119,65 @@ def random_rho(dim, rank=3):
     return DensityMatrix(rho)
 
 
+# Distinct radii per pass of the reference series, which bounds its work arrays.
+SERIES_RADII_BLOCK = 512
+
+
+def series_radial_sums(rho_mat, radii):
+    """f[L, r] = f_L(radii[r]) of the Clenshaw-Laguerre series.
+
+    W(q,p) = (1/pi) Re sum_L gamma^L / sqrt(L!) f_L(b), gamma = 2 beta,
+    b = |gamma|^2, f_L(b) = sum_n c_{L,n} e^{-b/2} (-1)^n sqrt(n! L!/(n+L)!)
+    L_n^L(b), c_{L,n} = rho[n, n+L] doubled for L > 0 (Johansson, Nation
+    and Nori, Comput. Phys. Commun. 184, 1234 (2013)). The sums for all L
+    run together down the coefficient index j, e^{-b/2} folded into every
+    coefficient so the partial sums stay bounded; an independent reference
+    for the lattice route, valid while e^{-b/2} is a normal float.
+    """
+    dim = rho_mat.shape[0]
+    n = np.arange(dim)
+    band = n[np.newaxis, :] + n[:, np.newaxis]
+    coeffs = np.where(band < dim, rho_mat[n, np.minimum(band, dim - 1)], 0.0)
+    coeffs[1:] *= 2.0
+    damp = np.exp(-0.5 * radii)
+    ell = np.arange(dim, dtype=float)[:, np.newaxis]
+    y0 = np.zeros((dim, radii.size), dtype=np.complex128)
+    y1 = np.zeros_like(y0)
+    for j in range(dim - 1, -1, -1):
+        live = dim - j
+        k = j + 2.0
+        L = ell[:live]
+        g = 1.0 / np.sqrt((L + k) * k)
+        nxt = y0[:live] - g * (L + 2.0 * k - 1.0 - radii) * y1[:live]
+        y0[:live] = coeffs[:live, j, np.newaxis] * damp - np.sqrt((k - 1.0) * (L + k - 1.0)) * g * y1[:live]
+        y1[:live] = nxt
+    return y0 - y1 * ((ell + 1.0 - radii) / np.sqrt(ell + 1.0))
+
+
+def series_values(rho_mat, gamma, b):
+    """W at displacements gamma = 2 beta with radii b = |gamma|^2, each
+    distinct radius summed once and its f_L gathered to its points."""
+    radii, at = np.unique(b, return_inverse=True)
+    dim = rho_mat.shape[0]
+    values = np.empty(b.size)
+    for start in range(0, radii.size, SERIES_RADII_BLOCK):
+        f = series_radial_sums(rho_mat, radii[start:start + SERIES_RADII_BLOCK])
+        points = np.flatnonzero((at >= start) & (at < start + SERIES_RADII_BLOCK))
+        at_f, g = at[points] - start, gamma[points]
+        acc = f[dim - 1][at_f]
+        for L in range(dim - 2, -1, -1):
+            acc = f[L][at_f] + acc * g * (1.0 / math.sqrt(L + 1))
+        values[points] = acc.real / math.pi
+    return values
+
+
+def series_grid(rho, q_axis, p_axis):
+    """The Clenshaw-Laguerre series on q_axis x p_axis."""
+    gamma = math.sqrt(2.0) * (q_axis[:, None] + 1j * p_axis[None, :]).ravel()
+    b = ((2.0 * q_axis ** 2)[:, None] + (2.0 * p_axis ** 2)[None, :]).ravel()
+    return series_values(rho.data, gamma, b).reshape(q_axis.size, p_axis.size)
+
+
 class TestContinuous:
 
     def test_vacuum_peak(self):
@@ -185,11 +253,12 @@ class TestContinuous:
 
 
 def linspace_wigner(rho, half_width, n):
-    """W of rho on np.linspace axes with b = |gamma|^2, rounded point by point."""
+    """The reference series on np.linspace axes with b = |gamma|^2, rounded
+    point by point."""
     axis = np.linspace(-half_width, half_width, n)
     gamma = math.sqrt(2.0) * (axis[:, None] + 1j * axis[None, :]).ravel()
     b = gamma.real ** 2 + gamma.imag ** 2
-    return wigner._laguerre_wigner(rho.data, gamma, b).reshape(n, n)
+    return series_values(rho.data, gamma, b).reshape(n, n)
 
 
 class TestMirrorExactAxes:
@@ -211,19 +280,31 @@ class TestMirrorExactAxes:
         np.testing.assert_allclose(axis, np.linspace(lo, hi, n), rtol=0,
                                    atol=4 * np.spacing(max(abs(lo), abs(hi))))
 
-    def test_snapshot_grid_evaluates_each_radius_once(self, monkeypatch):
-        """A 161^2 square grid has 81 distinct |q| and 81 |p|: at most
-        81 * 82 / 2 = 3,321 radii, however many points share each one."""
-        seen = []
-        radial_sums = wigner._radial_sums
+    def test_snapshot_grid_evaluates_each_lattice_point_once(self, monkeypatch):
+        """One Hermite table per grid, on distinct, evenly spaced lattice
+        points that hold every q of the axis: at most (n - 1) s + 2 n_y + 1."""
+        tables, steps = [], []
+        table, refinement = wigner._hermite_table, wigner._refinement
 
-        def spy(rho_mat, radii):
-            seen.append(radii.size)
-            return radial_sums(rho_mat, radii)
+        def table_spy(x, dim):
+            tables.append((x.copy(), dim))
+            return table(x, dim)
 
-        monkeypatch.setattr(wigner, "_radial_sums", spy)
-        snapshot_grid(coherent_rho(27, 1.3 + 0.4j), n_grid=161)
-        assert 0 < sum(seen) <= 81 * 82 // 2
+        def refinement_spy(dq, p_axis, dim):
+            steps.append(refinement(dq, p_axis, dim))
+            return steps[-1]
+
+        monkeypatch.setattr(wigner, "_hermite_table", table_spy)
+        monkeypatch.setattr(wigner, "_refinement", refinement_spy)
+        grid = snapshot_grid(coherent_rho(27, 1.3 + 0.4j), n_grid=161)
+        ((x, dim),), (s,) = tables, steps
+        dq = grid.q_axis[1] - grid.q_axis[0]
+        dy = dq / s
+        n_y = int((math.sqrt(2 * dim + 1) + wigner._SUPPORT_PAD) / dy)
+        assert 0 < x.size <= (grid.q_axis.size - 1) * s + 2 * n_y + 1
+        np.testing.assert_allclose(np.diff(x), dy, rtol=1e-9)
+        on_lattice = np.abs((grid.q_axis[:, None] - x[None, :]) / dy).min(axis=1)
+        assert on_lattice.max() < 1e-6
 
     def test_values_match_linspace_axes_at_dim_27(self):
         rho = random_rho(27)
@@ -241,7 +322,7 @@ class TestMirrorExactAxes:
 
 
 class TestLargeDimension:
-    """The Laguerre series at mirror dims the strong-coupling presets reach."""
+    """The lattice route at mirror dims the strong-coupling presets reach."""
 
     AMPS = np.sqrt([0.0, 40.0, 120.0, 200.0]) * np.exp(1j * np.array([0.0, 0.7, 2.5, -1.9]))
     WEIGHTS = np.array([0.1, 0.2, 0.3, 0.4])
@@ -265,19 +346,135 @@ class TestLargeDimension:
                 assert grid.values.min() >= -1e-9
 
 
+class TestAgainstSeries:
+    """The lattice route against the reference series, within 1e-13, and
+    against itself on the next finer lattice, within 1e-14."""
+
+    @pytest.mark.parametrize("dim", [6, 8, 16, 27, 60, 120])
+    def test_random_states(self, dim):
+        rho = random_rho(dim)
+        half = suggested_half_width(rho)
+        axis = grid_axis(-half, half, 61)
+        got = wigner_continuous(rho, axis, axis).values
+        assert np.max(np.abs(got - series_grid(rho, axis, axis))) <= 1e-13
+
+    def test_rectangular_grid_with_an_uneven_p_axis(self):
+        rho = coherent_mixture(40, [2.0, -1.0 + 1.5j], np.array([0.6, 0.4]))
+        q = grid_axis(-4.5, 7.0, 47)
+        p = np.sort(RNG.uniform(-5.0, 5.0, 33))
+        got = wigner_continuous(rho, q, p).values
+        assert np.max(np.abs(got - series_grid(rho, q, p))) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore:.*grid boundary")
+    def test_narrow_p_range(self):
+        """p far inside the state's support: the lattice step is set by W's
+        own radius, not by the grid's p (a step scaled on the grid's p and
+        the turning point alone missed by 1.3e-10 here)."""
+        rho = random_rho(8)
+        q, p = grid_axis(-5.0, 25.0, 31), grid_axis(-3.0, 3.0, 7)
+        got = wigner_continuous(rho, q, p).values
+        assert np.max(np.abs(got - series_grid(rho, q, p))) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore:.*grid boundary")
+    @pytest.mark.parametrize("dim, level", [(2, 0), (2, 1), (8, 7), (30, 0), (30, 29)])
+    @pytest.mark.parametrize("p_max", [0.5, 4.0])
+    def test_steps_at_the_edge_of_the_rule(self, dim, level, p_max):
+        """q steps just inside the rule's bound for s = 1 and 2, so that the
+        nearest aliases of the grid's p sit at the radius it allows."""
+        rho = DensityMatrix(np.diag(np.eye(dim)[level]))
+        radius = p_max + math.sqrt(2 * dim + 1) + wigner._ALIAS_PAD
+        p = grid_axis(-p_max, p_max, 9)
+        for s in (1, 2):
+            dq = s * math.pi / radius * (1.0 - 1e-9)
+            q = grid_axis(-15 * dq, 15 * dq, 31)
+            got = wigner_continuous(rho, q, p).values
+            assert np.max(np.abs(got - series_grid(rho, q, p))) <= 1e-13, s
+
+    @pytest.mark.filterwarnings("ignore:.*grid boundary")
+    @pytest.mark.parametrize("half_width", [12.0, 20.0, 26.0, 32.0])
+    def test_coherent_mixtures_at_dim_330(self, half_width):
+        rho = coherent_mixture(330, TestLargeDimension.AMPS, TestLargeDimension.WEIGHTS)
+        axis = grid_axis(-half_width, half_width, 61)
+        got = wigner_continuous(rho, axis, axis).values
+        assert np.max(np.abs(got - series_grid(rho, axis, axis))) <= 1e-13
+
+    def test_analytic_snapshots_at_wigner_snapshots_dims(self):
+        """evolve_driven at t = pi/omega_m on the wigner_snapshots job, dims
+        (30, 308): the field grid at dim 30 and the mirror grid at dim 301,
+        the preset's heaviest, each on the trimmed state it is summed over."""
+        job = config.preset_jobs("wigner_snapshots")[0].config
+        t = np.asarray(default_snapshot_times(job.params))
+        state = evolve_driven(job.params, integrate_betas(job.params, t).at(1), job.dims)
+        for _, _, rho in snapshot_set([state], t[1:2]):
+            grid = snapshot_grid(rho, n_grid=41)
+            trimmed = DensityMatrix(wigner._trimmed(rho))
+            assert trimmed.dim in (30, 301)
+            reference = series_grid(trimmed, grid.q_axis, grid.p_axis)
+            assert np.max(np.abs(grid.values - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [8, 27, 90, 301])
+    def test_next_finer_lattice_agrees(self, monkeypatch, dim):
+        rho = random_rho(dim)
+        half = suggested_half_width(rho)
+        axis = grid_axis(-half, half, 61)
+        base = wigner_continuous(rho, axis, axis).values
+        refinement = wigner._refinement
+        monkeypatch.setattr(wigner, "_refinement", lambda *args: refinement(*args) + 1)
+        finer = wigner_continuous(rho, axis, axis).values
+        assert np.max(np.abs(finer - base)) <= 1e-14
+
+    def test_unevenly_spaced_q_axis_is_refused(self):
+        q = np.array([-1.0, 0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="evenly spaced"):
+            wigner_continuous(coherent_rho(8, 0.5), q, grid_axis(-1.0, 1.0, 5))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_grids_and_partial_traces_wake_no_blas_thread():
+    """At 30 x 308 either partial trace, as one product, and a dim-301
+    grid's rho phi, as one product, are big enough for OpenBLAS to thread."""
+    amps = RNG.normal(size=30 * 308) + 1j * RNG.normal(size=30 * 308)
+    state = JointState(FockDims(30, 308), amps / np.linalg.norm(amps))
+    rho = random_rho(301)
+    # OpenBLAS joins its threads before a fork; they restart on demand.
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    if thread_count() != 1:
+        pytest.skip("other threads are running in this process")
+    partial_trace_field(state)
+    partial_trace_mirror(state)
+    snapshot_grid(coherent_rho(27, 1.3 + 0.4j), n_grid=161)
+    grid = snapshot_grid(rho, n_grid=161)
+    assert grid.q_axis.size == 161 and wigner._trimmed(rho).shape == (301, 301)
+    assert thread_count() == 1
+
+
 class TestLaguerreGuard:
+    """The domain and bound checks of wigner_continuous."""
 
     def test_bound_breach_raises(self):
         """Hermitian and trace 1 but not positive: W(0) = 3/pi."""
         rho = DensityMatrix(np.diag([2.0, -1.0]))
-        with pytest.raises(IntegrationError, match=r"Laguerre.*dim 2"):
+        with pytest.raises(IntegrationError, match=r"W = 0\.95.*\(dim 2\)"):
             wigner_continuous(rho, grid_axis(-2, 2, 9), grid_axis(-2, 2, 9))
 
     def test_underflowing_radii_with_population_raise(self):
-        """|Gamma|^2 = 420 lives at |2 beta|^2 ~ 1680, where e^{-b/2} underflows."""
+        """|Gamma|^2 = 420 populates levels 420 +- 100; the support of those
+        above 438 (turning point plus the lattice's pad) reaches past
+        |x| = 37.6, where phi_0 underflows."""
         rho = coherent_mixture(560, [math.sqrt(420.0)], np.array([1.0]))
-        with pytest.raises(IntegrationError, match=r"Laguerre.*underflows.*dim 560"):
+        with pytest.raises(IntegrationError, match=r"underflows.*dim 560"):
             wigner_continuous(rho, grid_axis(-32, 32, 61), grid_axis(-32, 32, 61))
+
+    def test_lattice_past_the_underflow_is_served_below_level_439(self):
+        """At dim 470 the lattice reaches |x| = 38.7, but levels up to 300
+        hold the state, so it is served, and it is the Gaussian mixture."""
+        amps, weights = TestLargeDimension.AMPS, TestLargeDimension.WEIGHTS
+        axis = grid_axis(-24.0, 24.0, 41)
+        grid = wigner_continuous(coherent_mixture(470, amps, weights), axis, axis)
+        assert np.max(np.abs(grid.values - gaussian_mixture_wigner(grid, amps, weights))) <= 1e-9
 
 
 class TestGridOutput:
