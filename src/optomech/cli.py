@@ -22,13 +22,11 @@ analytic joint states share that run's dims and times.
 `validate` prints per job `recommended_field_dim=F recommended_mirror_dim=M`;
 for a job that integrates the beta coefficients (driven-analytic or
 wigner), `driven-analytic: panels=N`, the panels `driven.beta_panels` cuts
-its series grid and snapshot times into; one
-`MODE: dt=... steps=N state_memory_mb=...` line per oracle run, and
-their total as `est_steps=N ...`. N is the exact RK4 step count `run`
-takes (`oracle.step_count`); the memory is what the run holds
-(`oracle.state_memory_mb`): its frame's and working vectors, the samples
-one step owns, a few words per sample, and for wigner its three kept
-states. For driven-analytic the manifest records the beta integration's
+its series grid and snapshot times into; one `MODE: dt=... steps=N`
+line per oracle run, and their total as `est_steps=N`. N is the exact
+RK4 step count `run` takes (`oracle.step_count`). Memory is not
+reported: `fock.MAX_JOINT_DIM` bounds it. For driven-analytic the
+manifest records the beta integration's
 `antisymmetry_defect`, `unitarity_defect`, `envelope_tail` and
 `beta_panels` (`driven.BetaSeries`).
 
@@ -368,15 +366,13 @@ def validate(jobs) -> str:
         if beta_grids:
             panels = sum(int(driven.beta_panels(p, grid).sum()) for grid in beta_grids)
             lines.append(f"  driven-analytic: panels={panels}")
-        total_steps = total_mb = 0
-        for mode, _, times, icfg, keep_states in runs:
+        total_steps = 0
+        for mode, _, times, icfg, _ in runs:
             n_steps = oracle.step_count(float(times[-1]), icfg.dt)
-            state_mb = oracle.state_memory_mb(p, cfg.dims, times, icfg.dt, keep_states)
-            lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps} state_memory_mb={state_mb:.1f}")
+            lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps}")
             total_steps += n_steps
-            total_mb += state_mb
         if runs:
-            lines.append(f"  est_steps={total_steps} est_state_memory_mb={total_mb:.1f}")
+            lines.append(f"  est_steps={total_steps}")
     return "\n".join(lines)
 
 

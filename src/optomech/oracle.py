@@ -21,9 +21,9 @@ gone exactly, and no term is dropped: up to a global phase,
     B(t) = exp(-i omega_m t) b + exp(i omega_m t) b^dagger.
 
 `DisplacedFrame` applies H' as a mirror bidiagonal and then a field
-tridiagonal, 8 vector passes per RK4 stage. Undriven, xi = 0 and H' is
-the interaction-frame coupling -G0 n x B(t), two bands. With g = 0, H' = 0
-and a run is exact at any step. Everything else in the package is
+tridiagonal, 8 vector passes per RK4 stage. Undriven is just xi = 0, where
+F = n and the same kernel applies H_I's coupling -G0 n x B(t). With g = 0,
+H' = 0 and a run is exact at any step. Everything else in the package is
 measured against this.
 
 The run takes `step_count` equal steps over [0, t_end], on its own grid,
@@ -40,7 +40,7 @@ every sample are computed once, and the samples a step owns are built
 together as one product of their weight rows with the step's stacked
 k1..k4, plus phi, and reduced as one block (`reduce_block`). Every BLAS
 product stays on the calling thread: a block is split where the product
-would pass SERIAL_GEMM_SIZE, and a block of one sample is built
+would reach SERIAL_GEMM_SIZE, and a block of one sample is built
 elementwise, since OpenBLAS hands a one-row product to a matrix-vector
 kernel that threads from 4,096 entries. Samples are never held across
 steps.
@@ -104,9 +104,6 @@ STEPS_PER_PUMP_PERIOD = 12
 # averages; the pump phase, averaged at each beat node, takes fewer.
 _PHASE_NODES = 64
 _PUMP_NODES = 16
-# Joint-size vectors evolve_numeric holds besides its frame's and its block
-# of samples: the padded state and stage, k1..k4 and a one-sample scratch.
-_WORK_VECTORS = 7
 
 
 @dataclass(frozen=True)
@@ -315,32 +312,6 @@ def recommend_integrator_config(
     return IntegratorConfig(dt=min(cap, dt_norm), norm_tolerance=norm_tolerance)
 
 
-def state_memory_mb(p: SystemParams, dims: FockDims, t_grid, dt: float,
-                    keep_states: bool) -> float:
-    """MB of the buffers an evolve_numeric run holds at its peak.
-
-    That is the frame's vectors (`DisplacedFrame.HELD_VECTORS`), the
-    _WORK_VECTORS, and for each sample of the largest block a step builds
-    its row, its conjugate and its field Gram matrix (`reduce_block`).
-    Per sample it adds 24 words: its record of six floats (the four
-    moments, the norm and the purity), phi's five complex field moments,
-    its classical field, its four dense-output weights, its step and the
-    end of its block. A run that keeps its states also holds one joint
-    vector per sample, and three transients while it maps one to the lab
-    (`DisplacedFrame.to_lab`), one undriven. Within 10% of the peak that
-    tracemalloc measures (tests).
-    """
-    n_steps = step_count(float(t_grid[-1]), dt)
-    rows = _sample_plan(np.asarray(t_grid, dtype=float), n_steps, dims.joint).rows
-    driven = p.drive_amp != 0.0
-    vectors = DisplacedFrame.HELD_VECTORS[driven] + _WORK_VECTORS
-    if keep_states:
-        vectors += 3 if driven else 1
-    amplitudes = vectors * dims.joint + rows * (2 * dims.joint + dims.field_dim ** 2)
-    per_sample = 24 * 8 + (dims.joint * 16 if keep_states else 0)
-    return (amplitudes * 16 + len(t_grid) * per_sample) / 1e6
-
-
 @dataclass
 class OracleRun:
     """The moments of each sample on the requested grid, plus integration diagnostics.
@@ -444,8 +415,8 @@ class DisplacedFrame:
     n + xi a^dagger + conj(xi) a + |xi|^2 on the field and B = exp(-i
     omega_m t) b + exp(i omega_m t) b^dagger on the mirror. `rhs` applies
     B as two bands at offsets -1 and +1 of the field-major index, then F
-    as three bands at offsets -mirror_dim, 0 and +mirror_dim. Undriven, F
-    is n, folded into B's rows: H_I's coupling term, two bands in all.
+    as three bands at offsets -mirror_dim, 0 and +mirror_dim. Undriven,
+    xi = 0, so F = n and its two off-diagonal bands are exact zeros.
 
     Each band's row is stored aligned to the output index,
     out[i] += row[i] * vec[i + offset], so a band is one elementwise product
@@ -454,51 +425,39 @@ class DisplacedFrame:
     space. `rhs` reads phi from a buffer with one guard zero on each side,
     made by `padded`. The mirror stage writes B phi into the interior of a
     buffer with mirror_dim guard zeros on each side, which the field stage
-    reads. At each new stage time, undriven, both of B's rows are their
-    base times one scalar; driven, b^dagger's row stays its base, b's is
+    reads. At each new stage time b^dagger's row stays its base, b's is
     its base times one scalar, and F's three rows, which carry b^dagger's
     phase, are filled from columns of field_dim entries: one full-length
     product and three fills, where rescaling five rows took five products
     and cost about 15 us more per stage time at 30 x 308.
     """
 
-    # Joint-size vectors a frame holds, by whether it is driven: B's two
-    # base rows, b's rescaled row, F's three rows, the mirror-stage buffer
-    # and a scratch; undriven, B's two base rows, its two rescaled rows and
-    # a scratch.
-    HELD_VECTORS = {True: 8, False: 5}
-
     def __init__(self, p: SystemParams, dims: FockDims):
         self._p = p
         self._dims = dims
-        self.driven = p.drive_amp != 0.0
-        n = dims.joint
+        n, m = dims.joint, dims.mirror_dim
         self.pad = 1
         self._field_levels = np.arange(dims.field_dim, dtype=float)
-        self._mirror_levels = np.arange(dims.mirror_dim, dtype=float)
+        self._mirror_levels = np.arange(m, dtype=float)
         # b^dagger reads offset -1 and b offset +1; their rows vanish where
         # the mirror level would leave the truncated space.
-        coupling = -p.g0 * np.kron(np.ones(dims.field_dim) if self.driven else self._field_levels,
-                                   np.sqrt(self._mirror_levels))
-        self._base = [np.concatenate((np.zeros(1), coupling[1:])).astype(np.complex128),
-                      np.concatenate((coupling[1:], np.zeros(1))).astype(np.complex128)]
-        self._rows = [self._base[0] if self.driven else np.empty(n, dtype=np.complex128),
-                      np.empty(n, dtype=np.complex128)]
+        coupling = -p.g0 * np.tile(np.sqrt(self._mirror_levels), dims.field_dim)
+        self._lower = np.concatenate((np.zeros(1), coupling[1:])).astype(np.complex128)
+        self._upper_base = np.concatenate((coupling[1:], np.zeros(1))).astype(np.complex128)
+        self._upper = np.empty(n, dtype=np.complex128)
         self._scratch = np.empty(n, dtype=np.complex128)
-        if self.driven:
-            # F's diagonal, a^dagger reading offset -mirror_dim and a
-            # +mirror_dim: each row is constant over a field level, so it is
-            # filled from a column of field_dim entries.
-            m = dims.mirror_dim
-            levels = self._field_levels[:, None]
-            self._field_base = (levels, np.sqrt(levels), np.sqrt(levels + 1.0))
-            self._columns = np.empty((3, dims.field_dim, 1), dtype=np.complex128)
-            self._partial = self._scratch.reshape(dims.field_dim, m)
-            mirrored = np.zeros(n + 2 * m, dtype=np.complex128)
-            self._mirrored = mirrored[m:m + n]
-            self._field_bands = [(np.empty((dims.field_dim, m), dtype=np.complex128),
-                                  mirrored[lo:lo + n].reshape(dims.field_dim, m))
-                                 for lo in (m, 0, 2 * m)]
+        # F's diagonal, a^dagger reading offset -mirror_dim and a
+        # +mirror_dim: each row is constant over a field level, so it is
+        # filled from a column of field_dim entries.
+        levels = self._field_levels[:, None]
+        self._field_base = (levels, np.sqrt(levels), np.sqrt(levels + 1.0))
+        self._columns = np.empty((3, dims.field_dim, 1), dtype=np.complex128)
+        self._partial = self._scratch.reshape(dims.field_dim, m)
+        mirrored = np.zeros(n + 2 * m, dtype=np.complex128)
+        self._mirrored = mirrored[m:m + n]
+        self._field_bands = [(np.empty((dims.field_dim, m), dtype=np.complex128),
+                              mirrored[lo:lo + n].reshape(dims.field_dim, m))
+                             for lo in (m, 0, 2 * m)]
         self._t = None
 
     def padded(self, vec: np.ndarray) -> tuple:
@@ -515,24 +474,18 @@ class DisplacedFrame:
 
     def _refresh(self, t: float) -> None:
         # -i B = -i conj(phase) (b^dagger + phase^2 b), phase = exp(-i omega_m t).
-        # Folding the scalars into the rows makes each band one multiply.
+        # -i conj(phase) goes on F's columns, so b^dagger's row stays its base.
         phase = cmath.exp(-1j * self._p.omega_m * t)
-        lower, upper = self._rows
-        if self.driven:
-            # -i conj(phase) goes on F's columns, so b^dagger's row stays its base.
-            np.multiply(self._base[1], phase * phase, out=upper)
-            xi = classical_field(self._p, t)
-            scale = -1j * phase.conjugate()
-            levels, root, root_up = self._field_base
-            diagonal, below, above = self._columns
-            np.multiply(levels + abs(xi) ** 2, scale, out=diagonal)
-            np.multiply(root, xi * scale, out=below)
-            np.multiply(root_up, xi.conjugate() * scale, out=above)
-            for (row, _), column in zip(self._field_bands, self._columns):
-                row[...] = column
-        else:
-            np.multiply(self._base[0], -1j * phase.conjugate(), out=lower)
-            np.multiply(self._base[1], -1j * phase, out=upper)
+        np.multiply(self._upper_base, phase * phase, out=self._upper)
+        xi = classical_field(self._p, t)
+        scale = -1j * phase.conjugate()
+        levels, root, root_up = self._field_base
+        diagonal, below, above = self._columns
+        np.multiply(levels + abs(xi) ** 2, scale, out=diagonal)
+        np.multiply(root, xi * scale, out=below)
+        np.multiply(root_up, xi.conjugate() * scale, out=above)
+        for (row, _), column in zip(self._field_bands, self._columns):
+            row[...] = column
         self._t = t
 
     def rhs(self, t: float, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -544,19 +497,17 @@ class DisplacedFrame:
         if t != self._t:
             self._refresh(t)
         n = out.shape[0]
-        lower, upper = self._rows
-        target = self._mirrored if self.driven else out
-        np.multiply(lower, padded[:n], out=target)
-        np.multiply(upper, padded[2:n + 2], out=self._scratch)
-        target += self._scratch
-        if self.driven:
-            partial = self._partial
-            result = out.reshape(partial.shape)
-            (row, shifted), *rest = self._field_bands
-            np.multiply(row, shifted, out=result)
-            for row, shifted in rest:
-                np.multiply(row, shifted, out=partial)
-                result += partial
+        mirrored = self._mirrored
+        np.multiply(self._lower, padded[:n], out=mirrored)
+        np.multiply(self._upper, padded[2:n + 2], out=self._scratch)
+        mirrored += self._scratch
+        partial = self._partial
+        result = out.reshape(partial.shape)
+        (row, shifted), *rest = self._field_bands
+        np.multiply(row, shifted, out=result)
+        for row, shifted in rest:
+            np.multiply(row, shifted, out=partial)
+            result += partial
         return out
 
     def to_lab(self, t: float, vec: np.ndarray, xi: complex) -> np.ndarray:
@@ -606,9 +557,11 @@ def gram_blocks(dims: FockDims) -> list:
 
     A product big enough for OpenBLAS to thread waits on waking a BLAS
     thread, which took up to 0.4 s per run when the other core was busy;
-    each block's product stays under SERIAL_GEMM_SIZE.
+    each block's product stays strictly below SERIAL_GEMM_SIZE, or at one
+    mirror level where a single level reaches it.
     """
-    n_blocks = -(-dims.field_dim ** 2 * dims.mirror_dim // SERIAL_GEMM_SIZE)
+    width = max(1, (SERIAL_GEMM_SIZE - 1) // dims.field_dim ** 2)
+    n_blocks = -(-dims.mirror_dim // width)
     return [slice(i * dims.mirror_dim // n_blocks, (i + 1) * dims.mirror_dim // n_blocks)
             for i in range(n_blocks)]
 
@@ -717,8 +670,9 @@ def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> _SamplePlan:
     """The plan of `step_count` equal steps over [0, t_grid[-1]].
 
     A sample on a step boundary is the end of the step before it, so theta
-    is in (0, 1]. A product of rows weight rows with k1..k4 stays within
-    SERIAL_GEMM_SIZE, and no buffer holds more samples than a step owns.
+    is in (0, 1]. A product of rows weight rows with k1..k4 stays strictly
+    below SERIAL_GEMM_SIZE, unless rows is 1, and no buffer holds more
+    samples than a step owns.
     """
     n_t = t_grid.size
     owner = np.full(n_t, -1)
@@ -736,7 +690,7 @@ def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> _SamplePlan:
         owner[taken] = steps
     stop = np.searchsorted(owner, owner, side="right")
     most = int((stop - np.arange(n_t))[taken].max(initial=0))
-    return _SamplePlan(owner, stop, coef, min(most, max(1, SERIAL_GEMM_SIZE // (4 * joint))))
+    return _SamplePlan(owner, stop, coef, min(most, max(1, (SERIAL_GEMM_SIZE - 1) // (4 * joint))))
 
 
 def evolve_numeric(
@@ -774,8 +728,7 @@ def evolve_numeric(
     frame = DisplacedFrame(p, dims)
     rhs = frame.rhs
     # rhs reads psi and stage from their padded buffers; the steps below
-    # write only the interior views. With k1..k4 and the scratch, these are
-    # the _WORK_VECTORS that state_memory_mb counts.
+    # write only the interior views.
     psi_pad, psi = frame.padded(JointState.from_product(
         dims,
         coherent_state(dims.field_dim, p.alpha),
@@ -800,8 +753,7 @@ def evolve_numeric(
     run.step_max = h
     owner, stop, coef, rows = _sample_plan(t_grid, n_steps, dims.joint)
     dense = np.empty((rows, dims.joint), dtype=np.complex128)
-    xi = (np.array([classical_field(p, t) for t in t_grid.tolist()]) if frame.driven
-          else np.zeros(n_t, dtype=np.complex128))
+    xi = np.array([classical_field(p, t) for t in t_grid.tolist()])
     steps_done = 0
 
     def check(drift):

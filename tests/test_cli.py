@@ -1,12 +1,14 @@
 """CLI integrator overrides (the dt stability cap, the Wigner numeric route),
-config value parsing, validate's step counts, memory and preset list, the auto
-dims' floor, the analytic field Mandel series, jobs and Wigner grids run in
-worker processes, the manifest's step_max, config errors raised alike by
-validate and run before anything is written, the removed --dims and --filter
-flags, the mode of output files, the exit code of a worker that dies, and
-the wigner_snapshots preset."""
+config value parsing, validate's step counts and preset list and the
+benchmark harness's reading of them, the auto dims' floor, the analytic
+field Mandel series, jobs and Wigner grids run in worker processes, the
+manifest's step_max, config errors raised alike by validate and run before
+anything is written, the removed --dims and --filter flags, the mode of
+output files, the exit code of a worker that dies, and the wigner_snapshots
+preset."""
 import os
 import re
+import runpy
 import signal
 import subprocess
 import sys
@@ -226,8 +228,8 @@ def test_fig4_blue_steps_stay_within_dt():
     assert n_steps == 529 and t_end / n_steps <= icfg.dt
 
 
-STRONG_ORACLE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "perfbench", "workloads", "strong_oracle.cfg")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+STRONG_ORACLE_CONFIG = os.path.join(PERFBENCH, "workloads", "strong_oracle.cfg")
 
 
 @pytest.mark.parametrize("argv, bound", [
@@ -244,20 +246,16 @@ def test_headline_runs_stay_within_their_step_budgets(capsys, argv, bound):
     assert steps and max(steps) <= bound
 
 
-@pytest.mark.parametrize("preset, memory", [
-    # 8 frame and 7 work vectors of 1,050 amplitudes, 4 samples a step owns
-    # at 2 x 1,050 + 30^2 amplitudes each, all x 16 B, plus 1,601 samples x 24 words
-    ("fig4", ["0.8", "0.8"]),
-    # (15 x 9,240 + 1 x (2 x 9,240 + 30^2)) x 16 B plus 1,101 x 24 words
-    ("fig7_8", ["2.7", "2.7"]),
-    # as fig7_8 plus 3 kept states and 3 transients of 9,240, over 3 samples
-    ("wigner_snapshots", ["3.4"]),
-], ids=["fig4", "fig7_8", "wigner_snapshots"])
-def test_validate_reports_the_memory_a_run_holds(capsys, preset, memory):
-    """The frame, the work vectors and a step's samples, a few words per
-    sample, and for wigner the kept states."""
-    assert cli.main(["validate", "--preset", preset]) == 0
-    assert re.findall(r"\bstate_memory_mb=([\d.]+)", capsys.readouterr().out) == memory
+def test_validate_output_feeds_the_harness_projection(monkeypatch):
+    """perfbench/run.py, loaded by path as the harness runs it, reads the
+    red fig7_8 job's dims and est_steps from validate's output."""
+    monkeypatch.syspath_prepend(PERFBENCH)  # run.py imports its sibling outputs.py
+    try:
+        projection = runpy.run_path(os.path.join(PERFBENCH, "run.py"))["fig7_8_projection"]
+    finally:
+        sys.modules.pop("outputs", None)
+    text = cli.validate(config.preset_jobs("fig7_8"))
+    assert projection(text) == {"dims": [30, 308], "est_steps": 54_810}
 
 
 @pytest.mark.parametrize("preset, panels", [

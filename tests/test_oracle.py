@@ -2,18 +2,18 @@ import dataclasses
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import ladder_ops, strong_system, thread_count, tiny_system
+from conftest import join_blas_threads, ladder_ops, strong_system, thread_count, tiny_system
 from optomech import config, oracle
 from optomech.driven import BetaCoefficients, evolve_driven
 from optomech.errors import IntegrationError
 from optomech.fock import (
+    SERIAL_GEMM_SIZE,
     FockDims,
     JointState,
     coherent_amplitudes,
@@ -212,21 +212,20 @@ class TestInteractionFrame:
         dict(),
     ], ids=["drive-only", "coupling-only", "full"])
     def test_generator_is_anti_hermitian(self, system):
-        """B and F are Hermitian, so -i H'(t) is anti-Hermitian to rounding;
-        undriven its two bands are exact adjoints."""
+        """B and F are Hermitian, so -i H'(t) is anti-Hermitian to rounding,
+        undriven as driven (measured 3.5e-16 x max|op| undriven)."""
         p = tiny_system(**system)
         frame = DisplacedFrame(p, DIMS)
         for t in (0.0, 0.37e-7, 4.8e-7):
             op = generator_matrix(frame, DIMS, t)
             if p.g0 == 0.0:
                 np.testing.assert_array_equal(op, 0)
-            elif p.drive_amp == 0.0:
-                np.testing.assert_array_equal(op + op.conj().T, 0)
             else:
                 np.testing.assert_allclose(op + op.conj().T, 0, rtol=0,
                                            atol=1e-15 * np.abs(op).max())
 
     def test_undriven_frame_holds_only_coupling_bands(self):
+        """xi = 0 leaves F's two off-diagonal bands exact zeros."""
         op = generator_matrix(DisplacedFrame(tiny_system(drive_amp=0.0, omega_p=0.0), DIMS),
                               DIMS, 1.3e-7)
         rows, cols = np.nonzero(op)
@@ -590,10 +589,44 @@ class TestBlockReduction:
 
         assert oracle._sample_plan(grid, 2, dims.joint).rows == 9
         whole = run()
-        monkeypatch.setattr(oracle, "SERIAL_GEMM_SIZE", rows * 4 * dims.joint)
+        monkeypatch.setattr(oracle, "SERIAL_GEMM_SIZE", rows * 4 * dims.joint + 1)
         assert oracle._sample_plan(grid, 2, dims.joint).rows == rows
         for name, series in run().items():
             np.testing.assert_allclose(series.y, whole[name].y, rtol=1e-15, atol=1e-15)
+
+    def test_products_stay_below_the_serial_bound(self):
+        """Each Gram block's field_dim^2 x width product, over field dims
+        2-300 and mirror dims 2-600 (powers of two among them, where the
+        bound divides evenly), and each product of weight rows with k1..k4,
+        over every joint size where more than one row fits, is below
+        SERIAL_GEMM_SIZE, or one mirror level or one row wide. One fewer
+        block, or one more row than the step's 70 samples allow, would
+        reach it."""
+        for field_dim in range(2, 301):
+            for mirror_dim in sorted({*range(2, 601, 23), *(2 ** k for k in range(1, 10))}):
+                blocks = oracle.gram_blocks(FockDims(field_dim, mirror_dim))
+                assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+                assert (blocks[0].start, blocks[-1].stop) == (0, mirror_dim)
+                for columns in blocks:
+                    width = columns.stop - columns.start
+                    assert width == 1 or field_dim ** 2 * width < SERIAL_GEMM_SIZE
+                fewer = len(blocks) - 1
+                assert not fewer or field_dim ** 2 * -(-mirror_dim // fewer) >= SERIAL_GEMM_SIZE
+        grid = np.linspace(0.0, 1.0, 71)  # 70 samples in one step
+        for joint in range(4, SERIAL_GEMM_SIZE // 8 + 2):
+            rows = oracle._sample_plan(grid, 1, joint).rows
+            assert rows == 1 or rows * 4 * joint < SERIAL_GEMM_SIZE
+            assert rows == 70 or (rows + 1) * 4 * joint >= SERIAL_GEMM_SIZE
+
+    @pytest.mark.parametrize("dims, n_blocks, rows", [
+        (FockDims(30, 308), 5, 1),  # fig7_8, wigner_snapshots, strong_oracle
+        (FockDims(30, 35), 1, 15),  # fig4, fig5_6
+        (FockDims(22, 28), 1, 26),  # undriven_wigner
+    ], ids=str)
+    def test_preset_partitions(self, dims, n_blocks, rows):
+        """The Gram blocks and sample rows of the dims the presets run at."""
+        assert len(oracle.gram_blocks(dims)) == n_blocks
+        assert oracle._sample_plan(np.linspace(0.0, 1.0, 41), 1, dims.joint).rows == rows
 
     def test_lab_photon_moments_converge_in_field_dim(self):
         """fig4 red over its first beat period: no truncation enters after the
@@ -610,26 +643,6 @@ class TestBlockReduction:
         assert cfg.dims == FockDims(30, 35)
         for name in ("photon_avg", "mandel_field"):
             np.testing.assert_allclose(runs[0][name].y, runs[1][name].y, rtol=0, atol=1e-11)
-
-    @pytest.mark.parametrize("keep_states", [False, True], ids=["moments", "kept"])
-    @pytest.mark.parametrize("system", [dict(g_ratio=0.3), dict(drive_amp=0.0, omega_p=0.0)],
-                             ids=["driven", "undriven"])
-    def test_state_memory_is_the_traced_peak(self, system, keep_states):
-        """state_memory_mb is within 10% of the peak tracemalloc sees, at 4 or 5 samples a step."""
-        p = tiny_system(**system)
-        dims = FockDims(24, 36)
-        cfg = IntegratorConfig(dt=max_stable_dt(p))
-        grid = np.linspace(0.0, 10 * cfg.dt, 41)
-        evolve_numeric(p, dims, grid[:3], cfg, keep_states=True)  # fills the per-dims caches
-        tracemalloc.start()
-        try:
-            evolve_numeric(p, dims, grid, cfg, keep_states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert oracle._sample_plan(grid, 10, dims.joint).rows in (4, 5)
-        expected = oracle.state_memory_mb(p, dims, grid, cfg.dt, keep_states)
-        assert peak / 1e6 == pytest.approx(expected, rel=0.1)
 
 
 class TestObservables:
@@ -673,17 +686,35 @@ class TestObservables:
         dims = FockDims(30, 308)
         states = random_states(dims, 3, seed=12)
         frame = DisplacedFrame(strong_system(), dims)
-        # OpenBLAS joins its threads before a fork; they restart on demand.
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        os.waitpid(pid, 0)
-        if thread_count() != 1:
-            pytest.skip("other threads are running in this process")
+        join_blas_threads()
         for state in states:
             reduce_block(state.amps[None], dims)
         reduce_block(np.array([state.amps for state in states]), dims)
         frame.to_lab(1e-9, states[0].amps, 2.0 - 1.0j)
+        assert thread_count() == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_gram_products_at_the_serial_bound_wake_no_blas_thread(self):
+        """At 32 x 64 one field Gram product, or one field displacement of a
+        kept state, over all mirror levels would be exactly SERIAL_GEMM_SIZE."""
+        dims = FockDims(32, 64)
+        states = random_states(dims, 3, seed=13)
+        frame = DisplacedFrame(tiny_system(), dims)
+        join_blas_threads()
+        reduce_block(states[0].amps[None], dims)
+        reduce_block(np.array([state.amps for state in states]), dims)
+        frame.to_lab(1e-9, states[0].amps, 2.0 - 1.0j)
+        assert thread_count() == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_sample_products_at_the_serial_bound_wake_no_blas_thread(self):
+        """At 16 x 64 one product of 16 weight rows with k1..k4 would be
+        exactly SERIAL_GEMM_SIZE."""
+        p = tiny_system()
+        cfg = IntegratorConfig(dt=max_stable_dt(p))
+        grid = np.linspace(0.0, cfg.dt, 17)  # 16 samples in one step
+        join_blas_threads()
+        evolve_numeric(p, FockDims(16, 64), grid, cfg)
         assert thread_count() == 1
 
     def test_series_metadata(self):

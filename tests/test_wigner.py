@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import thread_count, tiny_system
+from conftest import join_blas_threads, thread_count, tiny_system
 from optomech import config, wigner
 from optomech.driven import evolve_driven, integrate_betas
 from optomech.errors import IntegrationError
@@ -436,13 +436,7 @@ def test_grids_and_partial_traces_wake_no_blas_thread():
     amps = RNG.normal(size=30 * 308) + 1j * RNG.normal(size=30 * 308)
     state = JointState(FockDims(30, 308), amps / np.linalg.norm(amps))
     rho = random_rho(301)
-    # OpenBLAS joins its threads before a fork; they restart on demand.
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0)
-    os.waitpid(pid, 0)
-    if thread_count() != 1:
-        pytest.skip("other threads are running in this process")
+    join_blas_threads()
     partial_trace_field(state)
     partial_trace_mirror(state)
     snapshot_grid(coherent_rho(27, 1.3 + 0.4j), n_grid=161)
