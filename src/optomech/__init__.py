@@ -11,4 +11,13 @@ state at zero betas (`BetaCoefficients.zero`) is the exact undriven one,
 phase-space snapshots, `postproc` filtering/comparison utilities, `config`
 the config keys and presets, and `cli` the figure-reproducing command line
 (`simulate`).
+
+BLAS runs on the calling thread: importing the package sets
+OPENBLAS_NUM_THREADS=1 unless the user set it. numpy's OpenBLAS reads it
+once, when it loads, so this holds wherever `optomech` is imported before
+numpy, as in `simulate` and `python -m optomech.cli`.
 """
+import os
+
+# The CLI runs one process per CPU; a BLAS thread would compete with them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

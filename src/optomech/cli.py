@@ -264,9 +264,10 @@ def _forked_map(fn, items) -> list:
 
     Forking skips re-importing the package and pickling the items, and is
     safe here because the process is single-threaded when it forks: no
-    thread of its own is running, and OpenBLAS joins its worker threads in
-    a pthread_atfork handler. tests/test_cli.py checks the thread count at
-    every fork.
+    thread of its own is running, and under the package's BLAS policy
+    (`optomech`) no BLAS thread exists; where numpy loaded first, OpenBLAS
+    joins its threads in a pthread_atfork handler. tests/test_cli.py
+    checks the thread count at every fork.
     """
     global _mapping
     items = list(items)

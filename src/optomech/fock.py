@@ -20,11 +20,6 @@ from .errors import TruncationError
 # (states are fine, but dense reduced density matrices go quadratic).
 MAX_JOINT_DIM = 1_000_000
 
-# OpenBLAS runs a GEMM with m * n * k below this on the calling thread; a
-# larger one may wake a BLAS thread, which competes with the other
-# processes of a forked map (a real GEMM stays serial up to about 1e6).
-SERIAL_GEMM_SIZE = 65536
-
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-9
 COHERENT_LOSS_TOL = 1e-8
@@ -163,19 +158,6 @@ def coherent_state(dim: int, amp: complex) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in near-square output tiles whose products each stay under
-    SERIAL_GEMM_SIZE (one that sums over more than that is not split)."""
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n), dtype=np.result_type(a, b))
-    rows = max(1, min(m, math.isqrt(SERIAL_GEMM_SIZE // k)))
-    cols = max(1, (SERIAL_GEMM_SIZE - 1) // (k * rows))
-    for i in range(0, m, rows):
-        for j in range(0, n, cols):
-            np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
-    return out
-
-
 def partial_trace_field(state: JointState) -> DensityMatrix:
     """Trace out the field, returning the mirror density matrix.
 
@@ -184,13 +166,13 @@ def partial_trace_field(state: JointState) -> DensityMatrix:
     sign of anything computed from it.
     """
     psi = state.as_matrix()
-    return DensityMatrix(serial_matmul(psi.T, psi.conj()))
+    return DensityMatrix(psi.T @ psi.conj())
 
 
 def partial_trace_mirror(state: JointState) -> DensityMatrix:
     """Trace out the mirror, returning the field density matrix."""
     psi = state.as_matrix()
-    return DensityMatrix(serial_matmul(psi, psi.conj().T))
+    return DensityMatrix(psi @ psi.conj().T)
 
 
 def recommend_mirror_dim(gamma_abs: float, g_ratio: float, k_max: int) -> int:

@@ -14,7 +14,7 @@ normalized three-term recurrence) and R = rho phi, the correlation
 
 is needed for k >= 0 only, as K(q, -y) = conj K(q, y), and W = (dy / pi)
 Re(K' E), K' being K with its k > 0 columns doubled and E[k, j] =
-e^{2 i p_j y_k}. Each BLAS product is tiled under fock.SERIAL_GEMM_SIZE.
+e^{2 i p_j y_k}.
 
 Why it converges: by Poisson summation the sum over all lags is exactly
 sum_j W(q, p + j pi / dy), the state's own W at aliases of p. W of every
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror, serial_matmul
+from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror
 from .postproc import atomic_write_text, median
 from .system import SystemParams
 
@@ -159,7 +159,7 @@ def _lattice_wigner(rho_mat: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray)
     _check_lattice_domain(rho_mat, float(np.abs(x).max(initial=0.0)))
     phi = _hermite_table(x, dim)
     # r[l] = (rho phi(x_l)).real then .imag: r[l, m] = sum_n rho[m, n] phi_n(x_l)
-    r = serial_matmul(phi, np.concatenate([rho_mat.real.T, rho_mat.imag.T], axis=1))
+    r = phi @ np.concatenate([rho_mat.real.T, rho_mat.imag.T], axis=1)
     # row i pairs x_{c - k} with x_{c + k} for the lags k < lags[i] inside the support
     centers = np.arange(n) * s - lo
     lags = np.clip(np.minimum(centers, hi - lo - centers), -1, n_y) + 1
@@ -180,7 +180,7 @@ def _lattice_wigner(rho_mat: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray)
             left, right = phi[c - m + 1:c + 1][::-1], r[c:c + m]
             np.vecdot(left, right[:, :dim], out=k[0, i - start, :m])
             np.vecdot(left, right[:, dim:], out=k[1, i - start, :m])
-        values[start:stop] = serial_matmul(k[0], cos[:width]) + serial_matmul(k[1], sin[:width])
+        values[start:stop] = k[0] @ cos[:width] + k[1] @ sin[:width]
     return values
 
 

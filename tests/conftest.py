@@ -8,11 +8,11 @@ operators that reference constructions are built from.
 """
 import dataclasses
 import math
-import os
 import time
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import optomech  # noqa: F401  before numpy, so that the tests run under its BLAS policy
 import numpy as np
 import pytest
 
@@ -34,20 +34,6 @@ def thread_count() -> int:
     """Threads of this process, from field 20 of /proc/self/stat (Linux)."""
     with open("/proc/self/stat") as f:
         return int(f.read().rpartition(")")[2].split()[17])
-
-
-def join_blas_threads() -> None:
-    """Leave this process on one thread, or skip the test.
-
-    OpenBLAS joins its threads before a fork; they restart on demand, so a
-    thread counted afterwards was woken by the code under test.
-    """
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0)
-    os.waitpid(pid, 0)
-    if thread_count() != 1:
-        pytest.skip("other threads are running in this process")
 
 
 class LadderOps(NamedTuple):

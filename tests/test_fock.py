@@ -16,7 +16,6 @@ from optomech.fock import (
     partial_trace_mirror,
     recommend_field_dim,
     recommend_mirror_dim,
-    serial_matmul,
 )
 
 RNG = np.random.default_rng(7)
@@ -130,25 +129,6 @@ class TestJointState:
         assert np.trace(rho_m.data) == pytest.approx(1.0)
         # both reductions of a pure state have the same purity
         assert rho_f.purity() == pytest.approx(rho_m.purity(), rel=1e-10)
-
-    def test_tiled_partial_traces_equal_one_product(self):
-        """At 30 x 308 both traces are tiled under SERIAL_GEMM_SIZE."""
-        st = random_state(FockDims(30, 308))
-        psi = st.as_matrix()
-        np.testing.assert_allclose(partial_trace_field(st).data, psi.T @ psi.conj(),
-                                   rtol=0, atol=1e-15)
-        np.testing.assert_allclose(partial_trace_mirror(st).data, psi @ psi.conj().T,
-                                   rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("shape", [(1, 1, 1), (7, 300, 5), (301, 301, 602), (40, 2000, 3),
-                                   (0, 4, 3)])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_serial_matmul_is_the_product(shape, dtype):
-    m, k, n = shape
-    a = RNG.normal(size=(m, k)).astype(dtype)
-    b = RNG.normal(size=(k, n)).astype(dtype)
-    np.testing.assert_allclose(serial_matmul(a, b), a @ b, rtol=1e-12, atol=1e-12)
 
 
 class TestDensityMatrix:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import re
 
 import numpy as np
@@ -8,12 +7,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import join_blas_threads, ladder_ops, strong_system, thread_count, tiny_system
+from conftest import ladder_ops, strong_system, tiny_system
 from optomech import config, oracle
 from optomech.driven import BetaCoefficients, evolve_driven
 from optomech.errors import IntegrationError
 from optomech.fock import (
-    SERIAL_GEMM_SIZE,
     FockDims,
     JointState,
     coherent_amplitudes,
@@ -562,7 +560,7 @@ class TestBlockReduction:
     @pytest.mark.parametrize("dims", [FockDims(12, 14), FockDims(30, 308)], ids=str)
     @pytest.mark.parametrize("n_states", [1, 5])
     def test_a_block_reduces_as_its_rows(self, dims, n_states):
-        """30 x 308 sums each Gram matrix over five blocks of mirror levels."""
+        """The batched Gram product gives each row what it gives the row alone."""
         block = random_block(dims, n_states, seed=7)
         whole = reduce_block(block, dims)
         for i, row in enumerate(block):
@@ -577,8 +575,8 @@ class TestBlockReduction:
     @pytest.mark.parametrize("rows", [3, 1])
     def test_samples_split_at_the_serial_bound_are_unchanged(self, monkeypatch, rows):
         """Nine samples in each of two steps, read in one product per step,
-        against products of at most three samples and against one sample at
-        a time, which is built elementwise."""
+        against blocks of at most three samples and against one sample at a
+        time, with the memory bound lowered to that many rows."""
         p = tiny_system()
         dims = FockDims(16, 16)
         cfg = IntegratorConfig(dt=max_stable_dt(p))
@@ -589,43 +587,29 @@ class TestBlockReduction:
 
         assert oracle._sample_plan(grid, 2, dims.joint).rows == 9
         whole = run()
-        monkeypatch.setattr(oracle, "SERIAL_GEMM_SIZE", rows * 4 * dims.joint + 1)
+        monkeypatch.setattr(oracle, "_BLOCK_AMPLITUDES", rows * dims.joint)
         assert oracle._sample_plan(grid, 2, dims.joint).rows == rows
         for name, series in run().items():
             np.testing.assert_allclose(series.y, whole[name].y, rtol=1e-15, atol=1e-15)
 
     def test_products_stay_below_the_serial_bound(self):
-        """Each Gram block's field_dim^2 x width product, over field dims
-        2-300 and mirror dims 2-600 (powers of two among them, where the
-        bound divides evenly), and each product of weight rows with k1..k4,
-        over every joint size where more than one row fits, is below
-        SERIAL_GEMM_SIZE, or one mirror level or one row wide. One fewer
-        block, or one more row than the step's 70 samples allow, would
-        reach it."""
-        for field_dim in range(2, 301):
-            for mirror_dim in sorted({*range(2, 601, 23), *(2 ** k for k in range(1, 10))}):
-                blocks = oracle.gram_blocks(FockDims(field_dim, mirror_dim))
-                assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-                assert (blocks[0].start, blocks[-1].stop) == (0, mirror_dim)
-                for columns in blocks:
-                    width = columns.stop - columns.start
-                    assert width == 1 or field_dim ** 2 * width < SERIAL_GEMM_SIZE
-                fewer = len(blocks) - 1
-                assert not fewer or field_dim ** 2 * -(-mirror_dim // fewer) >= SERIAL_GEMM_SIZE
+        """A block of samples, over every joint size where more than one row
+        fits, holds at most _BLOCK_AMPLITUDES amplitudes, or is one row
+        wide. One more row than the step's 70 samples allow would exceed it."""
+        bound = oracle._BLOCK_AMPLITUDES
         grid = np.linspace(0.0, 1.0, 71)  # 70 samples in one step
-        for joint in range(4, SERIAL_GEMM_SIZE // 8 + 2):
+        for joint in range(4, bound // 2 + 2):
             rows = oracle._sample_plan(grid, 1, joint).rows
-            assert rows == 1 or rows * 4 * joint < SERIAL_GEMM_SIZE
-            assert rows == 70 or (rows + 1) * 4 * joint >= SERIAL_GEMM_SIZE
+            assert rows == 1 or rows * joint <= bound
+            assert rows == 70 or (rows + 1) * joint > bound
 
-    @pytest.mark.parametrize("dims, n_blocks, rows", [
-        (FockDims(30, 308), 5, 1),  # fig7_8, wigner_snapshots, strong_oracle
-        (FockDims(30, 35), 1, 15),  # fig4, fig5_6
-        (FockDims(22, 28), 1, 26),  # undriven_wigner
+    @pytest.mark.parametrize("dims, rows", [
+        (FockDims(30, 308), 1),  # fig7_8, wigner_snapshots, strong_oracle
+        (FockDims(30, 35), 15),  # fig4, fig5_6
+        (FockDims(22, 28), 26),  # undriven_wigner
     ], ids=str)
-    def test_preset_partitions(self, dims, n_blocks, rows):
-        """The Gram blocks and sample rows of the dims the presets run at."""
-        assert len(oracle.gram_blocks(dims)) == n_blocks
+    def test_preset_partitions(self, dims, rows):
+        """The sample rows of the dims the presets run at."""
         assert oracle._sample_plan(np.linspace(0.0, 1.0, 41), 1, dims.joint).rows == rows
 
     def test_lab_photon_moments_converge_in_field_dim(self):
@@ -671,51 +655,12 @@ class TestObservables:
         assert purity[-1] == pytest.approx(mirror, abs=1e-12)
 
     def test_blocked_purity_at_strong_dims(self):
-        """30 x 308 is summed in five blocks of mirror levels; the purity stays exact."""
+        """At 30 x 308 the purity read from the field Gram matrix is the mirror reduction's."""
         dims = FockDims(30, 308)
         (state,) = random_states(dims, 1, seed=11)
-        assert len(oracle.gram_blocks(dims)) == 5
         (purity,) = reduce_block(state.amps[None], dims).purity
         mirror = partial_trace_field(state).purity()
         assert purity == pytest.approx(mirror, abs=1e-12)
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
-    def test_observables_wake_no_blas_thread(self):
-        """At 30 x 308 one field Gram product, or one field displacement of a
-        kept state, is big enough for OpenBLAS to thread."""
-        dims = FockDims(30, 308)
-        states = random_states(dims, 3, seed=12)
-        frame = DisplacedFrame(strong_system(), dims)
-        join_blas_threads()
-        for state in states:
-            reduce_block(state.amps[None], dims)
-        reduce_block(np.array([state.amps for state in states]), dims)
-        frame.to_lab(1e-9, states[0].amps, 2.0 - 1.0j)
-        assert thread_count() == 1
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
-    def test_gram_products_at_the_serial_bound_wake_no_blas_thread(self):
-        """At 32 x 64 one field Gram product, or one field displacement of a
-        kept state, over all mirror levels would be exactly SERIAL_GEMM_SIZE."""
-        dims = FockDims(32, 64)
-        states = random_states(dims, 3, seed=13)
-        frame = DisplacedFrame(tiny_system(), dims)
-        join_blas_threads()
-        reduce_block(states[0].amps[None], dims)
-        reduce_block(np.array([state.amps for state in states]), dims)
-        frame.to_lab(1e-9, states[0].amps, 2.0 - 1.0j)
-        assert thread_count() == 1
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
-    def test_sample_products_at_the_serial_bound_wake_no_blas_thread(self):
-        """At 16 x 64 one product of 16 weight rows with k1..k4 would be
-        exactly SERIAL_GEMM_SIZE."""
-        p = tiny_system()
-        cfg = IntegratorConfig(dt=max_stable_dt(p))
-        grid = np.linspace(0.0, cfg.dt, 17)  # 16 samples in one step
-        join_blas_threads()
-        evolve_numeric(p, FockDims(16, 64), grid, cfg)
-        assert thread_count() == 1
 
     def test_series_metadata(self):
         p = tiny_system()

@@ -1,21 +1,17 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
-from conftest import join_blas_threads, thread_count, tiny_system
+from conftest import tiny_system
 from optomech import config, wigner
 from optomech.driven import evolve_driven, integrate_betas
 from optomech.errors import IntegrationError
 from optomech.fock import (
     DensityMatrix,
     FockDims,
-    JointState,
     coherent_amplitudes,
     coherent_state,
-    partial_trace_field,
-    partial_trace_mirror,
 )
 from optomech.oracle import evolve_numeric
 from optomech.system import SystemParams
@@ -427,22 +423,6 @@ class TestAgainstSeries:
         q = np.array([-1.0, 0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="evenly spaced"):
             wigner_continuous(coherent_rho(8, 0.5), q, grid_axis(-1.0, 1.0, 5))
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
-def test_grids_and_partial_traces_wake_no_blas_thread():
-    """At 30 x 308 either partial trace, as one product, and a dim-301
-    grid's rho phi, as one product, are big enough for OpenBLAS to thread."""
-    amps = RNG.normal(size=30 * 308) + 1j * RNG.normal(size=30 * 308)
-    state = JointState(FockDims(30, 308), amps / np.linalg.norm(amps))
-    rho = random_rho(301)
-    join_blas_threads()
-    partial_trace_field(state)
-    partial_trace_mirror(state)
-    snapshot_grid(coherent_rho(27, 1.3 + 0.4j), n_grid=161)
-    grid = snapshot_grid(rho, n_grid=161)
-    assert grid.q_axis.size == 161 and wigner._trimmed(rho).shape == (301, 301)
-    assert thread_count() == 1
 
 
 class TestLaguerreGuard:
