@@ -153,9 +153,6 @@ def _run_job(job: Job) -> tuple:
         note("unitarity_defect", betas.unitarity_defect)
         note("envelope_tail", betas.envelope_tail)
         note("beta_panels", betas.panels)
-        prenorm = np.exp(np.real(betas.b3) + 0.5 * np.abs(betas.b1) ** 2)
-        note("prenorm_min", float(prenorm.min()))
-        note("prenorm_max", float(prenorm.max()))
         analytic = _analytic_series(p, betas)
         for s in analytic.values():
             emit(s)
@@ -166,7 +163,8 @@ def _run_job(job: Job) -> tuple:
             variants = (
                 ("re_beta1_full", np.real(betas.b1)),
                 ("re_beta1_rwa", np.real(driven.beta1_rwa(p, t_grid))),
-                ("re_beta1_phi_to_one", np.real(driven.beta1_phi_to_one(p, t_grid))),
+                ("re_beta1_phi_to_one",
+                 np.real([oracle.classical_field(p, t) for t in t_grid.tolist()])),
             )
             for label, y in variants:
                 emit(ObservableSeries(t_grid, y, label, "analytic"))

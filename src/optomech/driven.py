@@ -35,7 +35,11 @@ the sums, not the accuracy; that is bounded by how well the panels resolve
 phi (`BetaSeries.envelope_tail`).  The field then behaves
 as a coherent state of amplitude alpha + b1 riding the undriven phase
 structure: the driven state is the undriven one with alpha -> alpha + b1,
-and every undriven observable lifts by |alpha|^2 -> |alpha + b1|^2.
+and every undriven observable lifts by |alpha|^2 -> |alpha + b1|^2.  At
+phi = 1 (g = 0) b1 is the bare cavity's response to the pump, the field
+xi(t) the oracle's frame removes (`oracle.classical_field`); its
+rotating-wave part is `beta1_rwa`, and |alpha + beta1_rwa|^2 is the
+weak-drive photon number (`photon_avg_weak_closed_form`).
 
 In the strong-coupling regime |phi| is suppressed by the factor
 e^{|alpha|^2 (cos 2E - 1)}: the drive decouples once E(t) grows, the photon
@@ -126,32 +130,18 @@ def phi(p: SystemParams, t):
 
 
 def beta1_rwa(p: SystemParams, t):
-    """Rotating-wave displacement (Omega/2 Delta)(e^{i Delta t} - 1).
+    """Rotating-wave displacement (Omega/2 Delta)(e^{-i Delta t} - 1), Delta = omega_p - omega_c.
 
-    Degenerates to i Omega t / 2 on resonance.  Keeps only the slowly
-    rotating drive component, so it bounds the full solution as an envelope
-    but misses the omega_c + omega_p jitter.
+    The bare cavity's response, b1 at phi = 1 (`oracle.classical_field`),
+    less its counter-rotating term -(Omega/2)(e^{i(omega_c + omega_p) t} - 1)
+    / (omega_c + omega_p).  Written as classical_field writes its terms,
+    -i (Omega/2) t e^{-i Delta t/2} sinc(Delta t/2), it is -i Omega t / 2 on
+    resonance.  It misses the omega_c + omega_p jitter, so it is the slow
+    envelope of that response.
     """
     t = np.asarray(t, dtype=float)
-    d = p.detuning
-    if d == 0:
-        return 0.5j * p.drive_amp * t
-    return p.drive_amp / (2.0 * d) * (np.exp(1j * d * t) - 1.0)
-
-
-def beta1_phi_to_one(p: SystemParams, t):
-    """Exact displacement when phi is frozen at 1 (bare driven cavity).
-
-    Singular at omega_p = omega_c; use the RWA limit near resonance.
-    """
-    if p.omega_p == p.omega_c:
-        raise ValueError("closed form is singular at omega_p = omega_c")
-    t = np.asarray(t, dtype=float)
-    om_c, om_p = p.omega_c, p.omega_p
-    pref = p.drive_amp / (om_p ** 2 - om_c ** 2)
-    return pref * (np.exp(1j * om_c * t)
-                   * (om_c * np.cos(om_p * t) - 1j * om_p * np.sin(om_p * t))
-                   - om_c)
+    half = 0.5 * p.detuning * t
+    return -0.5j * p.drive_amp * t * np.exp(-1j * half) * np.sinc(half / np.pi)
 
 
 def envelope_rate(p: SystemParams) -> float:
@@ -342,37 +332,24 @@ def evolve_driven(p: SystemParams, betas: BetaCoefficients, dims: FockDims) -> J
     return _assemble_blocks(p, weights * (lead / abs(lead)), betas.t, dims)
 
 
-def _mu(p: SystemParams, betas) -> np.ndarray:
-    return np.abs(p.alpha + np.asarray(betas.b1)) ** 2
-
-
 def photon_avg(p: SystemParams, betas):
     """<n(t)> = |alpha + b1|^2 at the betas' own time.
 
     A value for BetaCoefficients, an array over the grid for a BetaSeries;
     the mirror observables below take their times from the betas alike.
     """
-    return _mu(p, betas)
+    return np.abs(p.alpha + np.asarray(betas.b1)) ** 2
 
 
 def photon_avg_weak_closed_form(p: SystemParams, t):
-    """<n(t)> = |alpha|^2 + (Omega/Delta)(1 - cos Delta t)(Omega/2Delta - Re alpha).
-
-    Rotating-wave, phi -> 1 limit; on resonance this becomes
-    |alpha|^2 + Omega^2 t^2 / 4.
-    """
-    t = np.asarray(t, dtype=float)
-    mu = abs(p.alpha) ** 2
-    d = p.detuning
-    if d == 0:
-        return mu + (p.drive_amp * t) ** 2 / 4.0
-    swing = 2.0 * np.sin(d * t / 2.0) ** 2  # 1 - cos, stably
-    return mu + (p.drive_amp / d) * swing * (p.drive_amp / (2.0 * d) - p.alpha.real)
+    """<n(t)> = |alpha + beta1_rwa(t)|^2, the rotating-wave, phi -> 1 limit
+    of `photon_avg`, for complex alpha and on resonance alike."""
+    return np.abs(p.alpha + beta1_rwa(p, t)) ** 2
 
 
 def phonon_avg(p: SystemParams, betas):
     """<N(t)> = |Gamma|^2 + 2 Re(a3 Gamma*) <n> + |a3|^2 (<n> + <n>^2)."""
-    return _phonon_avg(p, np.asarray(betas.t, dtype=float), _mu(p, betas))
+    return _phonon_avg(p, np.asarray(betas.t, dtype=float), photon_avg(p, betas))
 
 
 def phonon_second_moment(p: SystemParams, betas):
@@ -381,7 +358,7 @@ def phonon_second_moment(p: SystemParams, betas):
     The raw moments <n^k> are the Touchard polynomials in mu.
     """
     a3, _ = exponents(p, np.asarray(betas.t, dtype=float))
-    mu = _mu(p, betas)
+    mu = photon_avg(p, betas)
     n2 = mu + mu ** 2
     n3 = mu + 3 * mu ** 2 + mu ** 3
     n4 = mu + 7 * mu ** 2 + 6 * mu ** 3 + mu ** 4
@@ -423,7 +400,7 @@ def linear_entropy_mirror(p: SystemParams, betas, kmax: int | None = None):
     where 1 - Tr[rho_m^2] would cancel to rounding.
     """
     tt = np.atleast_1d(np.asarray(betas.t, dtype=float))
-    mu = np.atleast_1d(_mu(p, betas)) * np.ones_like(tt)
+    mu = np.atleast_1d(photon_avg(p, betas)) * np.ones_like(tt)
     a3sq = np.abs(exponents(p, tt)[0]) ** 2
     if kmax is None:
         kmax = entropy_kmax(float(np.max(mu)))

@@ -4,8 +4,9 @@ Conventions fixed here and imported everywhere else:
 
 * joint index: ``i = k * mirror_dim + m`` (field-major; mirror index fast),
   so a joint state reshapes to ``(field_dim, mirror_dim)`` with C order;
-* coherent states are truncated Poisson series, renormalized to unit norm,
-  and refuse to be built when the truncation loss exceeds 1e-8.
+* coherent states are truncated Poisson series, each amplitude from its
+  closed form (`coherent_amplitudes`), renormalized to unit norm, and
+  refuse to be built when the truncation loss exceeds 1e-8.
 """
 from __future__ import annotations
 
@@ -105,38 +106,36 @@ class DensityMatrix:
 def coherent_amplitudes(dim: int, amp):
     """Truncated coherent-state series and its norm loss, without renormalizing.
 
-    Amplitudes follow c_k = c_{k-1} * amp / sqrt(k) from c_0 = e^{-|amp|^2/2},
-    which stays bounded for any |amp| (each c_k is a Poisson amplitude).
-    Vectorized: an array of amplitudes gives c of shape amp.shape + (dim,)
-    and one loss per amplitude.
+    Each c_k is built from its closed form, a Poisson amplitude with the
+    phase of amp^k:
+
+        ln |c_k| = -|amp|^2/2 + k ln|amp| - ln(k!)/2,   arg c_k = k arg(amp),
+
+    which stays finite at any |amp|, where the recurrence
+    c_k = c_{k-1} amp / sqrt(k) from c_0 = e^{-|amp|^2/2} underflows to all
+    zeros past |amp|^2 of about 1,490. amp = 0 gives c = e_0 exactly
+    (0 ln 0 = 0). Vectorized: an array of amplitudes gives c of shape
+    amp.shape + (dim,) and one loss per amplitude.
     """
     amp = np.asarray(amp, dtype=np.complex128)
-    c = np.empty(amp.shape + (dim,), dtype=np.complex128)
-    c[..., 0] = np.exp(-np.abs(amp) ** 2 / 2.0)
-    for k in range(1, dim):
-        c[..., k] = c[..., k - 1] * amp / math.sqrt(k)
+    k = np.arange(dim, dtype=float)
+    r = np.abs(amp)[..., None]
+    with np.errstate(divide="ignore"):  # ln 0 = -inf, which k = 0 skips
+        log_c = np.multiply(k, np.log(r), out=np.zeros(r.shape[:-1] + (dim,)), where=k > 0)
+    log_c -= 0.5 * r * r + 0.5 * np.array([math.lgamma(n + 1.0) for n in range(dim)])
+    c = np.exp(log_c + 1j * (k * np.angle(amp)[..., None]))
     loss = np.clip(1.0 - np.sum(np.abs(c) ** 2, axis=-1), 0.0, None)
     return c, loss[()]
 
 
 def coherent_required_dim(amp: complex) -> int:
-    """Smallest dimension whose Poisson tail beyond it stays under COHERENT_LOSS_TOL."""
+    """Smallest dimension whose coherent tail 1 - sum |c_k|^2 beyond it is at
+    most COHERENT_LOSS_TOL, read from `coherent_amplitudes` over
+    |amp|^2 + 10 |amp| + 40 levels, which hold the tail to far below it."""
     mu = abs(amp) ** 2
-    # walk the Poisson tail; start from a safe underestimate
-    d = max(2, int(mu))
-    log_term = -mu  # log of Poisson pmf at k=0
-    acc = math.exp(log_term)
-    k = 0
-    while k < d - 1:
-        k += 1
-        log_term += math.log(mu / k) if mu > 0 else -math.inf
-        acc += math.exp(log_term)
-    while 1.0 - acc > COHERENT_LOSS_TOL:
-        d += 1
-        k += 1
-        log_term += math.log(mu / k)
-        acc += math.exp(log_term)
-    return d
+    c, _ = coherent_amplitudes(int(mu + 10.0 * math.sqrt(mu)) + 40, amp)
+    tails = 1.0 - np.cumsum(np.abs(c) ** 2)
+    return max(2, int(np.argmax(tails <= COHERENT_LOSS_TOL)) + 1)
 
 
 def coherent_state(dim: int, amp: complex) -> np.ndarray:

@@ -55,7 +55,8 @@ def median(values) -> float:
     mid = s.size // 2
     if np.isnan(s[-1]):
         return math.nan
-    return float(s[mid]) if s.size % 2 else float((s[mid - 1] + s[mid]) / 2.0)
+    # Python floats overflow to inf as numpy's do, without its RuntimeWarning.
+    return float(s[mid]) if s.size % 2 else (float(s[mid - 1]) + float(s[mid])) / 2.0
 
 
 def require_window(t: np.ndarray, window: float) -> float:

@@ -162,6 +162,23 @@ def test_recommended_dims_hold_the_initial_state(tmp_path, capsys, extra, dims):
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_a_field_past_the_recurrence_underflow_runs(tmp_path, capsys):
+    """alpha = 40, |alpha|^2 = 1,600: the auto field dim is what its coherent
+    state needs, and that state has its Poisson weights, so `run` exits 0
+    and starts from <n> = |alpha|^2."""
+    path = write_config(tmp_path, "omega_c = 1e8\nomega_m = 1e7\ng_ratio = 0.001\n"
+                                  "alpha = 40\nt_end = 1e-8\nn_samples = 3\n"
+                                  "modes = driven-numeric\n")
+    assert cli.main(["validate", "--config", path]) == 0
+    assert "recommended_field_dim=1830 recommended_mirror_dim=31" in capsys.readouterr().out
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    photons = np.loadtxt(out / "photon_avg_numeric.csv", delimiter=",", skiprows=1, usecols=1)
+    assert photons[0] == pytest.approx(1600.0, rel=1e-8)
+
+
 @pytest.mark.parametrize("text, cause", [
     (AT_REST_CONFIG + "modes = undriven\nfield_dim = 1000\nmirror_dim = 1001\n",
      "lines 6 and 7: field_dim, mirror_dim: joint dimension 1001000 exceeds"),

@@ -8,7 +8,6 @@ from conftest import strong_system, tiny_system, weak_system
 from optomech import cli, driven
 from optomech.driven import (
     BetaCoefficients,
-    beta1_phi_to_one,
     beta1_rwa,
     evolve_driven,
     integrate_betas,
@@ -21,6 +20,7 @@ from optomech.driven import (
     photon_avg_weak_closed_form,
 )
 from optomech.fock import FockDims, partial_trace_field
+from optomech.oracle import classical_field
 from optomech.system import SystemParams
 from optomech.undriven import exponents, phonon_avg_closed_form
 
@@ -133,30 +133,37 @@ class TestClosedFormBetas:
         p = SystemParams(omega_c=1e9, omega_m=1e7, omega_p=1e9,
                          drive_amp=1.2e8, g_ratio=0.033, alpha=2, gamma=2)
         for t in (0.0, 1e-9, 5e-9):
-            assert beta1_rwa(p, t) == pytest.approx(1j * p.drive_amp * t / 2)
+            assert beta1_rwa(p, t) == pytest.approx(-1j * p.drive_amp * t / 2)
 
     def test_rwa_detuned(self):
         p = weak_system()
         t = 7e-9
         d = p.detuning
-        expected = p.drive_amp / (2 * d) * (np.exp(1j * d * t) - 1.0)
+        expected = p.drive_amp / (2 * d) * (np.exp(-1j * d * t) - 1.0)
         assert beta1_rwa(p, t) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("omega_p", [0.8e9, 1e9])
+    def test_rwa_is_the_bare_response_less_its_counter_rotating_term(self, omega_p):
+        """xi(t) - beta1_rwa(t) = -(Omega/2)(e^{i(omega_c + omega_p) t} - 1)/(omega_c + omega_p),
+        off resonance and on it."""
+        p = SystemParams(omega_c=1e9, omega_m=1e7, omega_p=omega_p,
+                         drive_amp=5e7, g_ratio=0.033, alpha=2 + 1j, gamma=2)
+        fast = p.omega_c + p.omega_p
+        for t in (0.0, 1.3e-9, 7e-9, 3e-8):
+            counter = -0.5 * p.drive_amp * (np.exp(1j * fast * t) - 1.0) / fast
+            assert abs(classical_field(p, t) - beta1_rwa(p, t) - counter) <= 1e-12 * (
+                1.0 + p.drive_amp * t)
+
     def test_phi_to_one_matches_quadrature(self):
-        """Closed form against dense trapezoid integration of the same ODE."""
+        """The bare cavity's response xi (phi = 1) against dense trapezoid
+        integration of the same ODE."""
         p = weak_system()
         t_end = 2 * p.beat_period
         s = np.linspace(0.0, t_end, 400001)
         integrand = -1j * p.drive_amp * np.cos(p.omega_p * s) * np.exp(
             1j * p.omega_c * s)
         ref = trapezoid(integrand, s)
-        assert beta1_phi_to_one(p, t_end) == pytest.approx(ref, abs=2e-7)
-
-    def test_phi_to_one_rejects_resonance(self):
-        p = SystemParams(omega_c=1e9, omega_m=1e7, omega_p=1e9,
-                         drive_amp=1e8, alpha=2, gamma=2)
-        with pytest.raises(ValueError):
-            beta1_phi_to_one(p, 1e-9)
+        assert classical_field(p, t_end) == pytest.approx(ref, abs=2e-7)
 
 
 class TestIntegrateBetas:
@@ -210,12 +217,12 @@ class TestIntegrateBetas:
         assert integrate_betas(p, grid).panels == counts.sum()
 
     def test_uncoupled_betas_match_phi_to_one(self):
-        """At g = 0, phi = 1 and b1 is the bare driven cavity's closed form."""
+        """At g = 0, phi = 1 and b1 is the bare driven cavity's response xi."""
         p = dataclasses.replace(weak_system(), g_ratio=0.0)
         grid = np.linspace(0.0, 2 * p.beat_period, 33)
         series = integrate_betas(p, grid)
         scale = p.drive_amp / abs(p.detuning)
-        np.testing.assert_allclose(series.b1, beta1_phi_to_one(p, grid),
+        np.testing.assert_allclose(series.b1, [classical_field(p, t) for t in grid],
                                    rtol=0, atol=1e-9 * scale)
         np.testing.assert_allclose(series.b3.real, -np.abs(series.b1) ** 2 / 2,
                                    rtol=0, atol=1e-9 * scale ** 2)
@@ -258,6 +265,23 @@ def test_weak_closed_form_equals_rwa_photon_route():
     route = np.abs(p.alpha + beta1_rwa(p, t)) ** 2
     np.testing.assert_allclose(photon_avg_weak_closed_form(p, t), route,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("omega_p", [0.8e9, 1e9])
+def test_weak_closed_form_at_complex_alpha(omega_p):
+    """At alpha = 2 + 1j, off resonance and on it, the weak closed form is
+    |alpha + beta1_rwa|^2, and at g = 0 it stays within the counter-rotating
+    term e = Omega/(omega_c + omega_p) of the bare field's |alpha + xi|^2:
+    | |alpha + xi|^2 - |alpha + beta1_rwa|^2 | <= 2 |alpha + xi| e + e^2."""
+    p = SystemParams(omega_c=1e9, omega_m=1e7, omega_p=omega_p, drive_amp=5e7,
+                     g_ratio=0.0, alpha=2 + 1j, gamma=2)
+    t = np.linspace(0.0, 3e-8, 601)
+    closed = photon_avg_weak_closed_form(p, t)
+    np.testing.assert_allclose(closed, np.abs(p.alpha + beta1_rwa(p, t)) ** 2,
+                               rtol=0, atol=1e-12 * np.max(closed))
+    field = np.abs(p.alpha + np.array([classical_field(p, s) for s in t]))
+    e = p.drive_amp / (p.omega_c + p.omega_p)
+    assert np.all(np.abs(field ** 2 - closed) <= 2.0 * field * e + e * e + 1e-12)
 
 
 def test_weak_closed_form_resonance_limit():
@@ -378,6 +402,18 @@ def test_entropy_is_non_negative_at_pure_states():
     s = linear_entropy_mirror(p, b)
     assert s[0] == 0.0
     assert np.all(s >= 0.0)
+
+
+@pytest.mark.parametrize("alpha", [30.0, 38.0, 40.0])
+def test_entropy_at_large_amplitudes_continues_the_small_lag_limit(alpha):
+    """For small x = |a3|^2 the lag sum is 2 x Var(n) (1 - O(3 x |alpha|^2)),
+    with Var(n) = |alpha|^2: within 1e-4 here, where 3 x |alpha|^2 <= 1.2e-5.
+    Past |alpha|^2 ~ 1,490 the Poisson weights still hold (alpha = 40)."""
+    p = SystemParams(omega_c=1e8, omega_m=1e7, g_ratio=0.001, alpha=alpha)
+    t = 5e-9
+    x = abs(exponents(p, t)[0]) ** 2
+    s = linear_entropy_mirror(p, BetaCoefficients.zero(t))
+    assert s == pytest.approx(2.0 * x * alpha ** 2, rel=1e-4)
 
 
 def test_entropy_blocks_keep_each_sample_bit_for_bit():

@@ -21,6 +21,34 @@ from optomech.fock import (
 RNG = np.random.default_rng(7)
 
 
+def poisson_walk_dim(amp) -> int:
+    """Reference for coherent_required_dim: walk the Poisson pmf in log space
+    from max(2, int(|amp|^2)) levels until the tail beyond is at most 1e-8."""
+    mu = abs(amp) ** 2
+    d = max(2, int(mu))
+    log_term = -mu  # log of the Poisson pmf at k = 0
+    acc = math.exp(log_term)
+    for k in range(1, d):
+        log_term += math.log(mu / k) if mu > 0 else -math.inf
+        acc += math.exp(log_term)
+    k = d - 1
+    while 1.0 - acc > 1e-8:
+        d += 1
+        k += 1
+        log_term += math.log(mu / k)
+        acc += math.exp(log_term)
+    return d
+
+
+def coherent_by_recurrence(dim, amp):
+    """c_k = c_{k-1} amp / sqrt(k) from c_0 = e^{-|amp|^2/2}; underflows past |amp|^2 ~ 1,490."""
+    c = np.empty(dim, dtype=np.complex128)
+    c[0] = math.exp(-abs(amp) ** 2 / 2.0)
+    for k in range(1, dim):
+        c[k] = c[k - 1] * amp / math.sqrt(k)
+    return c
+
+
 def random_state(dims: FockDims) -> JointState:
     v = RNG.normal(size=dims.joint) + 1j * RNG.normal(size=dims.joint)
     return JointState(dims, v / np.linalg.norm(v))
@@ -72,6 +100,33 @@ class TestCoherent:
             np.testing.assert_array_equal(c[idx], one)
             assert loss[idx] == one_loss
         assert loss[1, 1] > 0.5  # |4>: most of the Poisson mass lies beyond 12
+
+    @pytest.mark.parametrize("amp", [0.3, 2.0 - 1.0j, 7.5j, 18.0, 30.0 * np.exp(0.7j)])
+    @pytest.mark.parametrize("dim", [2, 40, 308])
+    def test_closed_form_matches_the_recurrence(self, amp, dim):
+        """Below |amp|^2 ~ 1,490 the recurrence holds, and the closed form is
+        within 1e-12 of its largest amplitude."""
+        c, _ = coherent_amplitudes(dim, amp)
+        expected = coherent_by_recurrence(dim, amp)
+        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_zero_amplitude_is_the_vacuum_exactly(self):
+        c, loss = coherent_amplitudes(6, 0.0)
+        np.testing.assert_array_equal(c, np.eye(6)[0])
+        assert loss == 0.0
+
+    def test_required_dim_equals_the_poisson_walk(self):
+        for amp in [*np.linspace(0.0, 12.0, 1201), 40.0, 100.0]:
+            assert coherent_required_dim(amp) == poisson_walk_dim(amp), amp
+
+    @pytest.mark.parametrize("amp", [40.0, 100.0])
+    def test_large_amplitudes_keep_their_poisson_weights(self, amp):
+        """Past |amp|^2 ~ 1,490 the state still has unit norm and mean |amp|^2."""
+        dim = coherent_required_dim(amp)
+        c = coherent_state(dim, amp)
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+        n = np.sum(np.arange(dim) * np.abs(c) ** 2)
+        assert n == pytest.approx(amp ** 2, rel=1e-8)
 
     def test_mean_occupation(self):
         for amp in (0.5, 2.0, 1.0 + 1.5j):

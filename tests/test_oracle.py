@@ -487,6 +487,18 @@ class TestSampling:
             steps = oracle.step_count(t_end, dt)
             assert t_end / steps <= dt < t_end / (steps - 1)
 
+    def test_a_step_is_the_dense_row_at_theta_one(self):
+        """The step takes _dense_row(h, 1), RK4's h (1, 2, 2, 1) / 6, and a
+        sample on a step's end is read with that same row."""
+        h = 0.25
+        step = oracle._dense_row(h, 1.0)
+        np.testing.assert_allclose(step, h * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
+                                   rtol=4e-16, atol=0)
+        np.testing.assert_array_equal(oracle._dense_row(h, 0.0), np.zeros(4))
+        plan = oracle._sample_plan(np.array([0.0, 0.5, 0.75, 1.0]), 4, DIMS.joint)
+        np.testing.assert_array_equal(plan.owner, [-1, 1, 2, 3])
+        np.testing.assert_array_equal(plan.coef[1:], np.tile(step, (3, 1)))
+
     def test_samples_on_step_ends_are_the_stepped_states(self):
         """theta = 1 is the step itself: to rounding, the states of plain RK4."""
         p = tiny_system()
