@@ -21,8 +21,8 @@ and phonon moments <n>, <n^2>, <N>, <N^2> and its purity. wigner's
 analytic joint states share that run's dims and times.
 `validate` prints per job `recommended_field_dim=F recommended_mirror_dim=M`;
 for a job that integrates the beta coefficients (driven-analytic or
-wigner), `driven-analytic: panels=N`, the panels `driven.beta_panels` cuts
-its series grid and snapshot times into; one `MODE: dt=... steps=N`
+wigner), `driven-analytic: panels=N`, the panels its series grid and
+snapshot times are cut into, `driven.beta_panels` per step; one `MODE: dt=... steps=N`
 line per oracle run, and their total as `est_steps=N`. N is the exact
 RK4 step count `run` takes (`oracle.step_count`). Memory is not
 reported: `fock.MAX_JOINT_DIM` bounds it. For driven-analytic the
@@ -98,15 +98,10 @@ def _analytic_series(p: SystemParams, betas) -> dict:
         "photon_avg": driven.photon_avg(p, betas),
         "phonon_avg": driven.phonon_avg(p, betas),
         "linear_entropy_mirror": driven.linear_entropy_mirror(p, betas),
+        # the field stays coherent: variance over mean 1, at <n> = 0 too
+        "mandel_field": np.ones_like(betas.t),
+        "mandel_mirror": driven.mandel_mirror(p, betas),
     }
-    # Mandel parameters are undefined wherever the mean occupation vanishes.
-    # The field stays coherent, so its Mandel parameter is 1 where defined.
-    if np.all(out["photon_avg"] > 0):
-        out["mandel_field"] = np.ones_like(betas.t)
-    try:
-        out["mandel_mirror"] = driven.mandel_mirror(p, betas)
-    except ValueError:
-        pass
     return {name: ObservableSeries(betas.t, y, name, "analytic") for name, y in out.items()}
 
 
@@ -363,7 +358,7 @@ def validate(jobs) -> str:
         if "driven-analytic" in cfg.modes:
             beta_grids.append(cfg.t_grid)
         if beta_grids:
-            panels = sum(int(driven.beta_panels(p, grid).sum()) for grid in beta_grids)
+            panels = sum(driven.beta_panels(p, grid) * (grid.size - 1) for grid in beta_grids)
             lines.append(f"  driven-analytic: panels={panels}")
         total_steps = 0
         for mode, _, times, icfg, _ in runs:

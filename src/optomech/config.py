@@ -41,8 +41,7 @@ own; filter if the job or the setting asks; the rest as set.
 
 `filter` needs omega_p != omega_c and, in a job with driven-analytic or
 driven-numeric, a beat period 2 pi / |omega_p - omega_c| at least twice the
-median spacing of the series grid, about t_end / (n_samples - 1)
-(`postproc.require_window`).
+series grid's step t_end / (n_samples - 1) (`postproc.require_window`).
 
 Every config error (`ConfigError`, exit 1) is raised while the jobs are
 built, so before `validate` prints a job and before `run` creates

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockDims, JointState, coherent_amplitudes
+from .postproc import grid_step, variance_over_mean
 from .system import SystemParams
 from .undriven import _assemble_blocks, _phonon_avg, exponents
 
@@ -66,8 +67,6 @@ PANEL_PHASE = 0.5
 # _BASE_NODES nodes; larger ones are halved down to it first.
 _BASE_PHASE = 2.0
 _BASE_NODES = 33
-# Panel widths within this relative distance share one set of weights.
-_SAME_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class BetaSeries:
     omega_env, it is the size of the interpolation error of phi, the only
     approximation made; b1 is then off by at most about
     Omega t max|phi| envelope_tail.  panels is how many panels were
-    integrated (`beta_panels`).
+    integrated, `beta_panels` per step of the grid.
     """
 
     t: np.ndarray
@@ -156,16 +155,15 @@ def envelope_rate(p: SystemParams) -> float:
                         + 2.0 * g * abs(p.gamma))
 
 
-def beta_panels(p: SystemParams, t_grid) -> np.ndarray:
-    """Panels integrate_betas cuts each interval of (0, *t_grid) into.
+def beta_panels(p: SystemParams, t_grid) -> int:
+    """Panels integrate_betas cuts each step of the even grid t_grid into.
 
     The fewest equal panels no wider than PANEL_PHASE / envelope_rate(p);
-    none for an empty interval.  The carrier does not size them.
+    the carrier does not size them.  ValueError unless t_grid is evenly
+    spaced (`postproc.grid_step`).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    spans = np.diff(t_grid, prepend=0.0)
     h_max = PANEL_PHASE / envelope_rate(p)
-    return np.where(spans > 0, np.maximum(1.0, np.ceil(spans / h_max)), 0.0).astype(np.int64)
+    return max(1, math.ceil(grid_step(t_grid, "t_grid") / h_max))
 
 
 def _lobatto(n: int):
@@ -241,31 +239,25 @@ def _carrier_weights(x: np.ndarray, tables: tuple):
 def integrate_betas(p: SystemParams, t_grid) -> BetaSeries:
     """Beta coefficients over t_grid by product integration (module docstring).
 
-    Each interval between consecutive points of (0, *t_grid) is cut into
-    beta_panels equal panels.  On a panel [s0, s0 + H], phi is interpolated
-    at PANEL_NODES Chebyshev-Lobatto nodes, the ends shared with the
-    neighbouring panels, and the carriers are integrated exactly against
-    the interpolant:
+    t_grid is evenly spaced from 0 (ValueError otherwise), and each of its
+    steps is cut into the same beta_panels count of panels of one width H.
+    On a panel [s0, s0 + H], phi is interpolated at PANEL_NODES
+    Chebyshev-Lobatto nodes, the ends shared with the neighbouring panels,
+    and the carriers are integrated exactly against the interpolant:
 
         db1 = -i (Omega H / 2) sum_kappa e^{i kappa s0} sum_j phi_j w_j(kappa H)
         db3 = b1(s0) db2 - (Omega H / 2)^2 sum_{kappa, kappa'} e^{i (kappa - kappa') s0}
                                          sum_{j, l} phi_j W_jl(kappa H, kappa' H) phi_l*
 
     with kappa, kappa' in {omega_c + omega_p, omega_c - omega_p} and
-    b2 = -b1*.  The weights (_carrier_weights) are built once per distinct
-    panel width.
+    b2 = -b1*.  One set of weights (_carrier_weights) serves every panel.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be nonnegative and nondecreasing")
-    counts = beta_panels(p, t_grid)
-    done = np.cumsum(counts)  # panels done at each sample
-    interval = np.repeat(np.arange(t_grid.size), counts)
-    starts = np.concatenate(([0.0], t_grid[:-1]))
-    h = ((t_grid - starts) / np.maximum(counts, 1))[interval]
-    s0 = starts[interval] + (np.arange(interval.size) - (done - counts)[interval]) * h
+    count = beta_panels(p, t_grid)
+    if t_grid[0] != 0.0:
+        raise ValueError(f"t_grid must start at 0, not {t_grid[0]:g}")
+    h = t_grid[-1] / (t_grid.size - 1) / count
+    s0 = np.arange(count * (t_grid.size - 1)) * h
     u, _ = _lobatto(PANEL_NODES)
     # phi once at every panel end, then at each interior node
     f = np.empty((s0.size, PANEL_NODES), dtype=np.complex128)
@@ -275,31 +267,18 @@ def integrate_betas(p: SystemParams, t_grid) -> BetaSeries:
         f[:, j] = phi(p, s0 + h * u[j])
 
     kappa = np.array([p.omega_c + p.omega_p, p.omega_c - p.omega_p])
-    # panels whose widths differ only in their last bits share one set of weights
-    which = np.full(s0.size, -1)
-    widths = []
-    while (left := np.flatnonzero(which < 0)).size:
-        width = h[left[0]]
-        which[(which < 0) & (np.abs(h - width) <= _SAME_WIDTH * width)] = len(widths)
-        widths.append(width)
-    tables = _weight_tables()
-    d1 = np.empty(s0.size, dtype=np.complex128)
-    inner = np.empty(s0.size, dtype=np.complex128)
-    for i, width in enumerate(widths):
-        w, W = _carrier_weights(width * kappa, tables)
-        sel = slice(None) if len(widths) == 1 else which == i  # no copies for one width
-        fs = f[sel]
-        fc = fs.conj()
-        rot = np.exp(1j * np.multiply.outer(s0[sel], kappa))  # e^{i kappa s0}
-        beat = rot[:, 0] * rot[:, 1].conj()  # e^{2i omega_p s0}
-        d1[sel] = np.einsum("pa,pj,aj->p", rot, fs, w)
-        inner[sel] = (np.einsum("pj,jl,pl->p", fs, W[0, 0] + W[1, 1], fc)
-                      + beat * np.einsum("pj,jl,pl->p", fs, W[0, 1], fc)
-                      + beat.conj() * np.einsum("pj,jl,pl->p", fs, W[1, 0], fc))
-    d1 *= -0.5j * p.drive_amp * h
-    inner *= -(0.5 * p.drive_amp * h) ** 2
+    w, W = _carrier_weights(h * kappa, _weight_tables())
+    fc = f.conj()
+    rot = np.exp(1j * np.multiply.outer(s0, kappa))  # e^{i kappa s0}
+    beat = rot[:, 0] * rot[:, 1].conj()  # e^{2i omega_p s0}
+    d1 = -0.5j * p.drive_amp * h * np.einsum("pa,pj,aj->p", rot, f, w)
+    inner = -(0.5 * p.drive_amp * h) ** 2 * (
+        np.einsum("pj,jl,pl->p", f, W[0, 0] + W[1, 1], fc)
+        + beat * np.einsum("pj,jl,pl->p", f, W[0, 1], fc)
+        + beat.conj() * np.einsum("pj,jl,pl->p", f, W[1, 0], fc))
     b1 = np.concatenate(([0.0], np.cumsum(d1)))
     b3 = np.concatenate(([0.0], np.cumsum(inner - b1[:-1] * np.conj(d1))))
+    done = np.arange(t_grid.size) * count  # panels done at each sample
     b1, b3 = b1[done], b3[done]
     b2 = -np.conj(b1)
 
@@ -314,7 +293,7 @@ def integrate_betas(p: SystemParams, t_grid) -> BetaSeries:
     envelope_tail = float(np.max(tail, initial=0.0) / (PANEL_NODES - 1) / scale)
     return BetaSeries(t=t_grid.copy(), b1=b1, b2=b2, b3=b3,
                       antisymmetry_defect=anti, unitarity_defect=unit,
-                      envelope_tail=envelope_tail, panels=int(done[-1]))
+                      envelope_tail=envelope_tail, panels=s0.size)
 
 
 def evolve_driven(p: SystemParams, betas: BetaCoefficients, dims: FockDims) -> JointState:
@@ -373,11 +352,9 @@ def phonon_second_moment(p: SystemParams, betas):
 
 
 def mandel_mirror(p: SystemParams, betas):
-    """(<N^2> - <N>^2)/<N> for the mirror; super-Poissonian once displaced."""
-    avg = phonon_avg(p, betas)
-    if np.any(avg == 0):
-        raise ValueError("Mandel parameter undefined at <N> = 0")
-    return (phonon_second_moment(p, betas) - avg ** 2) / avg
+    """(<N^2> - <N>^2)/<N> for the mirror (`postproc.variance_over_mean`,
+    1 at <N> = 0); super-Poissonian once displaced."""
+    return variance_over_mean(phonon_avg(p, betas), phonon_second_moment(p, betas))
 
 
 # Samples per block of linear_entropy_mirror's double Poisson sum.
@@ -410,7 +387,7 @@ def linear_entropy_mirror(p: SystemParams, betas, kmax: int | None = None):
         block = slice(lo, lo + _ENTROPY_BLOCK)
         out_b, a3sq_b = out[block], a3sq[block]
         # P is the squared amplitude of the coherent state |sqrt(mu)>
-        weights = np.abs(coherent_amplitudes(kmax + 1, np.sqrt(mu[block]))[0]) ** 2
+        weights = coherent_amplitudes(kmax + 1, np.sqrt(mu[block]))[0] ** 2
         for d in range(1, kmax + 1):
             lagged = np.einsum("tk,tk->t", weights[:, :-d], weights[:, d:])
             out_b -= np.expm1(-d * d * a3sq_b) * lagged

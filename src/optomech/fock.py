@@ -114,16 +114,22 @@ def coherent_amplitudes(dim: int, amp):
     which stays finite at any |amp|, where the recurrence
     c_k = c_{k-1} amp / sqrt(k) from c_0 = e^{-|amp|^2/2} underflows to all
     zeros past |amp|^2 of about 1,490. amp = 0 gives c = e_0 exactly
-    (0 ln 0 = 0). Vectorized: an array of amplitudes gives c of shape
+    (0 ln 0 = 0). A real amp gives real c, the sign of amp^k, with no
+    complex exp. Vectorized: an array of amplitudes gives c of shape
     amp.shape + (dim,) and one loss per amplitude.
     """
-    amp = np.asarray(amp, dtype=np.complex128)
+    amp = np.asarray(amp)
+    amp = amp.astype(complex if np.iscomplexobj(amp) else float)
     k = np.arange(dim, dtype=float)
     r = np.abs(amp)[..., None]
     with np.errstate(divide="ignore"):  # ln 0 = -inf, which k = 0 skips
         log_c = np.multiply(k, np.log(r), out=np.zeros(r.shape[:-1] + (dim,)), where=k > 0)
     log_c -= 0.5 * r * r + 0.5 * np.array([math.lgamma(n + 1.0) for n in range(dim)])
-    c = np.exp(log_c + 1j * (k * np.angle(amp)[..., None]))
+    if np.iscomplexobj(amp):
+        c = np.exp(log_c + 1j * (k * np.angle(amp)[..., None]))
+    else:
+        c = np.exp(log_c)
+        c[..., 1::2] *= np.sign(amp)[..., None]
     loss = np.clip(1.0 - np.sum(np.abs(c) ** 2, axis=-1), 0.0, None)
     return c, loss[()]
 

@@ -44,41 +44,50 @@ class ObservableSeries:
         return self.t.size
 
 
-def median(values) -> float:
-    """np.median of a non-empty array, by a sort, without importing numpy.ma.
+def grid_step(x, name: str) -> float:
+    """The step (x[-1] - x[0]) / (size - 1) of the evenly spaced grid x.
 
-    np.median loads numpy.ma on its first call, 17-21 ms per process. Like
-    it, this returns the middle element, the mean (a + b) / 2 of the middle
-    two for even sizes, and nan when any value is nan (sorted last).
+    ValueError, naming the grid, unless x has at least 2 points, ascends and
+    lies within 16 ulp of np.linspace(x[0], x[-1], size): every time grid
+    and Wigner axis the program builds is such a grid.
     """
-    s = np.sort(np.asarray(values, dtype=float).ravel())
-    mid = s.size // 2
-    if np.isnan(s[-1]):
-        return math.nan
-    # Python floats overflow to inf as numpy's do, without its RuntimeWarning.
-    return float(s[mid]) if s.size % 2 else (float(s[mid - 1]) + float(s[mid])) / 2.0
+    x = np.asarray(x, dtype=float)
+    step = (x[-1] - x[0]) / (x.size - 1) if x.ndim == 1 and x.size > 1 else 0.0
+    if not (step > 0.0 and np.abs(x - np.linspace(x[0], x[-1], x.size)).max()
+            <= 16 * np.spacing(np.abs(x).max())):
+        raise ValueError(f"{name} must be evenly spaced and ascending, with at least 2 points")
+    return step
+
+
+def variance_over_mean(mean, second):
+    """(<x^2> - <x>^2) / <x>, the Mandel parameter of both routes: 1 on a
+    coherent state, and taken as 1 where the mean vanishes."""
+    mean = np.asarray(mean, dtype=float)
+    out = np.ones_like(mean)
+    np.divide(second - mean ** 2, mean, out=out, where=mean > 0)
+    return out[()]
 
 
 def require_window(t: np.ndarray, window: float) -> float:
-    """The median spacing of grid t; ValueError unless the window is at least twice it."""
-    spacing = median(np.diff(t)) if t.size > 1 else 0.0
-    if window < 2.0 * spacing or spacing == 0.0:
-        raise ValueError(
-            f"window {window:g} must be at least twice the median spacing {spacing:g}"
-        )
-    return spacing
+    """The step of the even grid t (`grid_step`); ValueError unless the
+    window is at least twice it."""
+    step = grid_step(t, "t")
+    if window < 2.0 * step:
+        raise ValueError(f"window {window:g} must be at least twice the grid step {step:g}")
+    return step
 
 
 def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
-    """Centered moving average over the given time window (`require_window`).
+    """Centered moving average over the given time window, on an evenly
+    spaced grid that the window covers twice over (`require_window`).
 
     Near the edges the window shrinks symmetrically so the average stays
     centered; the result carries provenance "filtered".
     """
-    spacing = require_window(series.t, window)
+    step = require_window(series.t, window)
     t, y = series.t, series.y
     half = np.minimum(window / 2.0, np.minimum(t - t[0], t[-1] - t))
-    eps = spacing * 1e-9
+    eps = step * 1e-9
     lo = np.searchsorted(t, t - half - eps, side="left")
     hi = np.searchsorted(t, t + half + eps, side="right")
     csum = np.concatenate(([0.0], np.cumsum(y)))
@@ -86,28 +95,18 @@ def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
     return replace(series, y=smoothed, provenance="filtered")
 
 
-def _union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.union1d(x, y) without np.unique, which loads numpy.ma."""
-    both = np.sort(np.concatenate([x, y]))
-    return both[np.concatenate(([True], both[1:] != both[:-1]))]
-
-
 def compare(a: ObservableSeries, b: ObservableSeries) -> dict:
-    """Pointwise metrics after linear resampling to the common time range.
+    """Pointwise metrics of two series on one evenly spaced time grid.
 
     Returns {"rmse", "max_abs", "relative_l2"}; relative_l2 uses the mean of
     the two series norms in the denominator so the metric is symmetric.
+    ValueError unless both series share the grid.
     """
-    lo = max(a.t[0], b.t[0])
-    hi = min(a.t[-1], b.t[-1])
-    if hi <= lo:
-        raise ValueError("series time ranges do not overlap")
-    grid = _union(a.t, b.t)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    ya = np.interp(grid, a.t, a.y)
-    yb = np.interp(grid, b.t, b.y)
-    diff = ya - yb
-    denom = 0.5 * (np.linalg.norm(ya) + np.linalg.norm(yb))
+    grid_step(a.t, "t")
+    if not np.array_equal(a.t, b.t):
+        raise ValueError("compared series must share one time grid")
+    diff = a.y - b.y
+    denom = 0.5 * (np.linalg.norm(a.y) + np.linalg.norm(b.y))
     rel = float(np.linalg.norm(diff) / denom) if denom > 0 else (
         0.0 if not np.any(diff) else math.inf)
     return {

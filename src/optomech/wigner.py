@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .fock import DensityMatrix, partial_trace_field, partial_trace_mirror
-from .postproc import atomic_write_text, median
+from .postproc import atomic_write_text, grid_step
 from .system import SystemParams
 
 BOUNDARY_WARN_LEVEL = 1e-4
@@ -69,7 +69,8 @@ _TRIM_PAD = 4
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Real W samples on a rectangular grid; axes are the sample coordinates."""
+    """Real W samples on a rectangular grid; axes are the sample coordinates,
+    evenly spaced wherever a cell area is taken."""
 
     q_axis: np.ndarray
     p_axis: np.ndarray
@@ -89,9 +90,7 @@ class WignerGrid:
 
     @property
     def cell_area(self) -> float:
-        dq = median(np.diff(self.q_axis))
-        dp = median(np.diff(self.p_axis))
-        return dq * dp
+        return grid_step(self.q_axis, "q_axis") * grid_step(self.p_axis, "p_axis")
 
     def total_mass(self) -> float:
         """Riemann sum; 1 within grid and truncation error for a unit-trace rho."""
@@ -141,14 +140,14 @@ def _refinement(dq: float, p_axis: np.ndarray, dim: int) -> int:
 
 
 def _lattice_wigner(rho_mat: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
-    """W on q_axis x p_axis, q_axis evenly spaced, by the lattice trapezoid rule.
+    """W on q_axis x p_axis, both evenly spaced, by the lattice trapezoid rule.
 
     x_j = q_0 + j dy for the j with |x_j| inside the support; q_i is x_{i s}.
     The correlation K of a block of q rows is contracted with the phases at
     once, so no more than _ROWS_BLOCK rows of K exist at a time.
     """
     dim, n = rho_mat.shape[0], q_axis.size
-    dq = (q_axis[-1] - q_axis[0]) / (n - 1)
+    dq = grid_step(q_axis, "q_axis")
     s = _refinement(dq, p_axis, dim)
     dy = dq / s
     support = math.sqrt(2.0 * dim + 1.0) + _SUPPORT_PAD
@@ -210,15 +209,13 @@ def grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
 def wigner_continuous(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
     """Wigner function on the grid q_axis x p_axis by the lattice trapezoid rule.
 
-    q_axis is evenly spaced, as grid_axis makes it (ValueError otherwise);
-    p_axis is any ascending array. Raises IntegrationError when the lattice
-    leaves the domain of the Hermite recurrence for this rho or a value
-    breaks |W| <= 1/pi. Warns when |W| on the grid boundary exceeds 1e-4,
-    the sign that the bounds clip the state's support.
+    Both axes are evenly spaced, as grid_axis makes them (ValueError
+    otherwise, `postproc.grid_step`). Raises IntegrationError when the
+    lattice leaves the domain of the Hermite recurrence for this rho or a
+    value breaks |W| <= 1/pi. Warns when |W| on the grid boundary exceeds
+    1e-4, the sign that the bounds clip the state's support.
     """
-    if q_axis.size < 2 or (np.abs(q_axis - np.linspace(q_axis[0], q_axis[-1], q_axis.size)).max()
-                           > 16 * np.spacing(np.abs(q_axis).max())):
-        raise ValueError("q_axis must be evenly spaced, with at least 2 points (grid_axis)")
+    grid_step(p_axis, "p_axis")  # and q_axis's step is the lattice's (_lattice_wigner)
     values = _lattice_wigner(rho.data, q_axis, p_axis)
     _check_bounded(values, q_axis, p_axis, rho.dim)
     grid = WignerGrid(q_axis, p_axis, values)

@@ -661,8 +661,7 @@ CONFIG_ERRORS = {
     "filter-window": (DRIVEN_AT_REST.replace("t_end = 1e-6\nn_samples = 3", "t_end = 1e-5\n"
                                              "n_samples = 11")
                       + "omega_p = 0.8*omega_c\nfilter = true\n",
-                      [], "filter: window 3.14159e-07 must be at least twice the "
-                                    "median spacing 1e-06"),
+                      [], "filter: window 3.14159e-07 must be at least twice the grid step 1e-06"),
     "norm_tolerance-nan": (AT_REST_CONFIG + "modes = undriven\nnorm_tolerance = nan\n", [],
                            "norm_tolerance must be positive and finite"),
     "norm_tolerance-negative": (AT_REST_CONFIG + "modes = driven-numeric\n"
@@ -744,6 +743,35 @@ def test_job_without_an_oracle_run_builds_no_dims(tmp_path, capsys):
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == [
         "manifest.txt", "phonon_avg_undriven_analytic.csv", "photon_avg_undriven_analytic.csv"]
+
+
+MIRROR_AT_REST = """\
+omega_c = 1e8
+omega_m = 1e7
+omega_p = 0.8*omega_c
+drive_amp = 0.05*omega_c
+g_ratio = 0.033
+alpha = 1
+gamma = 0
+t_end = 6.283185307179586e-07
+n_samples = 21
+modes = driven-analytic,driven-numeric,compare
+field_dim = 16
+mirror_dim = 16
+"""
+
+
+def test_both_routes_write_the_mirror_mandel_at_zero_mean(tmp_path):
+    """At gamma = 0 the mirror starts in its vacuum, <N>(0) = 0, where
+    variance over mean is 0/0: both routes write mandel_mirror, 1 at t = 0,
+    and compare reports the pair."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, MIRROR_AT_REST),
+                     "--out", str(out)]) == 0
+    for route in ("analytic", "numeric"):
+        rows = (out / f"mandel_mirror_{route}.csv").read_text().splitlines()
+        assert len(rows) == 22 and rows[1] == "0,1"
+    assert float(manifest_value(out, "compare_mandel_mirror_max_abs")) < 1.0
 
 
 def test_filter_checks_only_the_series_it_filters(tmp_path):

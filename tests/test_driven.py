@@ -201,20 +201,18 @@ class TestIntegrateBetas:
 
     def test_panels_are_sized_by_the_envelope(self):
         """The carrier does not size the panels: raising omega_c and omega_p
-        tenfold keeps the count, and one long interval gets
-        ceil(span omega_env / PANEL_PHASE) panels."""
+        tenfold keeps the count, and each step of the grid gets
+        ceil(step omega_env / PANEL_PHASE) panels."""
         p = strong_system()
-        grid = np.array([0.0, 0.3, 2.0]) * p.mech_period
+        grid = np.linspace(0.0, 2.0, 4) * p.mech_period
         fast = dataclasses.replace(p, omega_c=10 * p.omega_c, omega_p=10 * p.omega_p)
-        counts = driven.beta_panels(p, grid)
-        np.testing.assert_array_equal(driven.beta_panels(fast, grid), counts)
+        count = driven.beta_panels(p, grid)
+        assert driven.beta_panels(fast, grid) == count
         rate = p.omega_m * (1 + 4 * abs(p.alpha) ** 2 * p.g_ratio ** 2 + 4 * p.g_ratio ** 2
                             + 2 * p.g_ratio * abs(p.gamma))
         assert driven.envelope_rate(p) == pytest.approx(rate, rel=1e-15)
-        spans = np.diff(grid, prepend=0.0)
-        np.testing.assert_array_equal(
-            counts, [0] + [math.ceil(s * rate / driven.PANEL_PHASE) for s in spans[1:]])
-        assert integrate_betas(p, grid).panels == counts.sum()
+        assert count == math.ceil(grid[1] * rate / driven.PANEL_PHASE)
+        assert integrate_betas(p, grid).panels == 3 * count
 
     def test_uncoupled_betas_match_phi_to_one(self):
         """At g = 0, phi = 1 and b1 is the bare driven cavity's response xi."""
@@ -239,11 +237,10 @@ class TestIntegrateBetas:
 
     def test_shared_nodes_match_three_node_simpson(self):
         """Panels sharing their end nodes, at strong coupling over half a
-        mechanical period, uneven intervals and a repeated point included,
-        against Simpson sums at 640 panels per carrier period."""
+        mechanical period, against Simpson sums at 640 panels per carrier
+        period."""
         p = strong_system()
-        grid = np.concatenate((np.linspace(0.0, 0.2, 5), [0.2], np.linspace(0.27, 0.55, 9)))
-        grid *= p.mech_period
+        grid = np.linspace(0.0, 0.55, 15) * p.mech_period
         series = integrate_betas(p, grid)
         ref = three_node_simpson(p, grid)
         scale = max(1.0, np.max(np.abs(series.b1)))
@@ -254,8 +251,21 @@ class TestIntegrateBetas:
 
     def test_rejects_descending_grid(self):
         p = weak_system()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t_grid must be evenly spaced"):
             integrate_betas(p, np.array([0.0, 2e-9, 1e-9]))
+
+    @pytest.mark.parametrize("grid", [
+        [1e-9, 0.0],                # descending
+        [0.0, 1e-9, 3e-9],          # uneven
+        [0.0],                      # one point
+    ], ids=["descending", "uneven", "one-point"])
+    def test_rejects_grids_that_are_not_evenly_spaced(self, grid):
+        with pytest.raises(ValueError, match="^t_grid must be evenly spaced"):
+            integrate_betas(weak_system(), np.array(grid))
+
+    def test_rejects_a_grid_not_from_zero(self):
+        with pytest.raises(ValueError, match="^t_grid must start at 0"):
+            integrate_betas(weak_system(), np.linspace(1e-9, 3e-9, 3))
 
 
 def test_weak_closed_form_equals_rwa_photon_route():
@@ -381,12 +391,15 @@ def test_mandel_field_identically_one():
 
 
 def test_mandel_field_undefined_at_zero_mean():
-    """With <n> = 0 the field Mandel parameter is undefined and left out;
-    the mirror's is still written."""
-    p = SystemParams(omega_c=1e9, omega_m=1e7, alpha=0.0, gamma=1.0)
-    series = cli._analytic_series(p, integrate_betas(p, np.linspace(0.0, 1e-6, 5)))
-    assert "mandel_field" not in series
-    assert "mandel_mirror" in series
+    """Where a mean is 0, variance over mean is 0/0; both routes write 1
+    there (`postproc.variance_over_mean`). Undriven at alpha = 0 the field
+    stays at <n> = 0, and at gamma = 0 too the mirror stays at <N> = 0."""
+    for gamma in (1.0, 0.0):
+        p = SystemParams(omega_c=1e9, omega_m=1e7, alpha=0.0, gamma=gamma)
+        series = cli._analytic_series(p, integrate_betas(p, np.linspace(0.0, 1e-6, 5)))
+        np.testing.assert_array_equal(series["mandel_field"].y, np.ones(5))
+        assert series["mandel_mirror"].y[0] == 1.0
+    np.testing.assert_array_equal(series["mandel_mirror"].y, np.ones(5))
 
 
 def test_entropy_zero_at_mechanical_periods():

@@ -110,6 +110,16 @@ class TestCoherent:
         expected = coherent_by_recurrence(dim, amp)
         np.testing.assert_allclose(c, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
+    def test_real_amplitudes_give_real_series(self):
+        """A real amp, of either sign, gives the real c_k = |c_k| sign(amp)^k,
+        the recurrence's within 1e-12, with the complex route's loss."""
+        amps = np.array([-2.5, 0.0, 1.5])
+        c, loss = coherent_amplitudes(20, amps)
+        assert c.dtype == np.float64
+        for amp, row, row_loss in zip(amps, c, loss):
+            np.testing.assert_allclose(row, coherent_by_recurrence(20, amp).real, rtol=0, atol=1e-12)
+            assert row_loss == pytest.approx(coherent_amplitudes(20, complex(amp))[1], abs=1e-15)
+
     def test_zero_amplitude_is_the_vacuum_exactly(self):
         c, loss = coherent_amplitudes(6, 0.0)
         np.testing.assert_array_equal(c, np.eye(6)[0])

@@ -6,15 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from optomech import postproc
 from optomech.postproc import (
     ObservableSeries,
     atomic_write_text,
     compare,
     filter_fast,
-    median,
+    grid_step,
+    variance_over_mean,
     write_series,
 )
+from optomech.system import SystemParams
+from optomech.wigner import default_snapshot_times, grid_axis
 
 
 def read_series(path: str) -> ObservableSeries:
@@ -61,7 +63,12 @@ class TestFilterFast:
     def test_window_must_cover_sampling(self):
         s = series(np.linspace(0, 1, 11), np.zeros(11))
         with pytest.raises(ValueError):
-            filter_fast(s, 0.05)  # below 2x the median spacing
+            filter_fast(s, 0.05)  # below 2x the grid step
+
+    def test_uneven_grid_is_refused(self):
+        s = series([0.0, 0.1, 0.3, 0.4], np.zeros(4))
+        with pytest.raises(ValueError, match="^t must be evenly spaced"):
+            filter_fast(s, 1.0)
 
     def test_constant_series_unchanged(self):
         s = series(np.linspace(0, 1, 101), np.full(101, 3.7))
@@ -117,33 +124,63 @@ class TestCompare:
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
-        a = series(np.linspace(0, 1, 40), rng.normal(size=40))
-        b = series(np.linspace(0.1, 0.9, 33), rng.normal(size=33))
+        t = np.linspace(0, 1, 40)
+        a = series(t, rng.normal(size=40))
+        b = series(t, rng.normal(size=40))
         ab, ba = compare(a, b), compare(b, a)
         for key in ab:
             assert ab[key] == pytest.approx(ba[key], rel=1e-12)
 
-    def test_resampling_to_union_grid(self):
-        # same underlying line sampled differently: metrics are ~0
-        f = lambda t: 2.0 + 3.0 * t
-        a = series(np.linspace(0, 1, 17), f(np.linspace(0, 1, 17)))
-        b = series(np.linspace(0, 1, 29), f(np.linspace(0, 1, 29)))
-        assert compare(a, b)["max_abs"] < 1e-12
-
     def test_disjoint_ranges_error(self):
         a = series([0.0, 1.0], [1, 2])
         b = series([2.0, 3.0], [1, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share one time grid"):
             compare(a, b)
 
-    @pytest.mark.parametrize("x, y", [
-        (np.linspace(0, 1, 17), np.linspace(0, 1, 29)),    # shared points
-        (np.linspace(0, 1, 40), np.linspace(0.1, 0.9, 33)),  # overlapping, none shared
-        (np.array([0.0, 1.0]), np.array([2.0, 3.0])),       # disjoint
-        (np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.5])),  # repeated values
-    ])
-    def test_union_grid_is_union1d(self, x, y):
-        assert np.array_equal(postproc._union(x, y), np.union1d(x, y))
+    def test_uneven_grid_error(self):
+        a = series([0.0, 0.1, 0.3, 0.4], np.ones(4))
+        with pytest.raises(ValueError, match="^t must be evenly spaced"):
+            compare(a, a)
+
+
+class TestGridStep:
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(0.0, 3e-6, 1101),
+        np.linspace(0.0, 1e-5, 2),
+        grid_axis(-7.25, 7.25, 161),
+        np.asarray(default_snapshot_times(SystemParams(omega_c=1e9, omega_m=1e7))),
+    ], ids=["series", "two-point", "wigner-axis", "snapshot-times"])
+    def test_step_of_the_grids_the_program_builds(self, x):
+        assert grid_step(x, "x") == (x[-1] - x[0]) / (x.size - 1)
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 0.1, 0.3, 0.4],               # uneven
+        np.linspace(0.0, 1.0, 11)[::-1],    # descending
+        [0.0, 0.0],                         # no step
+        [0.5],                              # one point
+        [],                                 # empty
+        np.zeros((2, 2)),                   # not 1-d
+        [0.0, math.nan, 2.0],
+    ], ids=["uneven", "descending", "flat", "one-point", "empty", "2d", "nan"])
+    def test_refuses_and_names_the_grid(self, x):
+        with pytest.raises(ValueError, match="^q_axis must be evenly spaced and ascending"):
+            grid_step(x, "q_axis")
+
+    def test_tolerates_rounding_of_the_points(self):
+        x = np.linspace(0.0, 1.0, 11)
+        x[3] = np.nextafter(x[3], 1.0)
+        assert grid_step(x, "t") == 0.1
+
+
+def test_variance_over_mean():
+    """Variance over mean where the mean is positive; 1 where it vanishes,
+    on arrays and on scalars alike."""
+    mean = np.array([0.0, 2.0, 0.5])
+    second = np.array([0.0, 8.0, 0.5])
+    np.testing.assert_array_equal(variance_over_mean(mean, second), [1.0, 2.0, 0.5])
+    assert variance_over_mean(0.0, 0.0) == 1.0
+    assert variance_over_mean(2.0, 6.0) == 1.0
 
 
 class TestCsvRoundTrip:
@@ -192,29 +229,6 @@ class TestCsvRoundTrip:
             assert path.read_text() == self.reference_text(s)
 
 
-@pytest.mark.parametrize("values", [
-    [3.0],
-    [2.0, -1.0],
-    [5.0, 1.0, 4.0],
-    [0.1, 0.7, 0.2, 0.3],
-    [1e308, 1e308],
-    [-0.0, 0.0, -0.0],
-    [1.0, math.nan, 2.0],
-    list(np.random.default_rng(7).normal(size=101)),
-    list(np.random.default_rng(8).normal(size=100)),
-    list(np.diff(np.linspace(0.0, 3e-6, 1601))),
-], ids=lambda v: f"n{len(v)}")
-def test_median_equals_numpy(values):
-    with np.errstate(over="ignore"):  # np.median's own sum overflows at [1e308, 1e308]
-        theirs = float(np.median(values))
-    ours = median(values)
-    if math.isnan(theirs):
-        assert math.isnan(ours)
-    else:
-        assert ours == theirs
-        assert math.copysign(1.0, ours) == math.copysign(1.0, theirs)
-
-
 def numpy_ma_loaded_after(lines: str) -> bool:
     """Whether a fresh interpreter has imported numpy.ma after running lines."""
     script = "import sys\nimport numpy as np\n" + lines + "print('numpy.ma' in sys.modules)\n"
@@ -228,7 +242,7 @@ def numpy_ma_loaded_after(lines: str) -> bool:
 
 
 def test_filter_and_grid_mass_leave_numpy_ma_unloaded():
-    """np.median imports numpy.ma, about 20 ms a process; median does not."""
+    """np.median imports numpy.ma, about 20 ms a process; grid_step does not."""
     assert not numpy_ma_loaded_after(
         "from optomech import postproc, wigner\n"
         "t = np.linspace(0.0, 1.0, 101)\n"
@@ -243,7 +257,7 @@ def test_compare_leaves_numpy_ma_unloaded():
     assert not numpy_ma_loaded_after(
         "from optomech import postproc\n"
         "a = postproc.ObservableSeries(np.linspace(0.0, 1.0, 17), np.ones(17), 'x', 'numeric')\n"
-        "b = postproc.ObservableSeries(np.linspace(0.0, 1.0, 29), np.ones(29), 'x', 'analytic')\n"
+        "b = postproc.ObservableSeries(np.linspace(0.0, 1.0, 17), np.zeros(17), 'x', 'analytic')\n"
         "postproc.compare(a, b)\n"
     )
 
