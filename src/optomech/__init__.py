@@ -15,9 +15,18 @@ the config keys and presets, and `cli` the figure-reproducing command line
 BLAS runs on the calling thread: importing the package sets
 OPENBLAS_NUM_THREADS=1 unless the user set it. numpy's OpenBLAS reads it
 once, when it loads, so this holds wherever `optomech` is imported before
-numpy, as in `simulate` and `python -m optomech.cli`.
+numpy, as in `simulate` and `python -m optomech.cli`. Imported after numpy
+with no thread variable set, the package warns that the policy cannot act.
 """
 import os
+import sys
+import warnings
 
+# Each of these sets OpenBLAS's thread count.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" in sys.modules and not any(name in os.environ for name in _THREAD_VARIABLES):
+    warnings.warn("numpy was imported before optomech, so BLAS may run one thread per core; "
+                  "set OPENBLAS_NUM_THREADS=1 before starting Python, or import optomech first",
+                  stacklevel=2)
 # The CLI runs one process per CPU; a BLAS thread would compete with them.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -43,10 +43,9 @@ available to the process. A wigner job shares out its grids the same way,
 in one map over both sources' twelve reduced states, analytic first: each
 is gridded and written as a CSV and PGM pair by whichever process claims
 it, the process itself or one of its workers, one fewer than CPUs.
-Everything runs in-process when one CPU is available, and work that
-already runs in a worker does not fork again: a wigner job of a multi-job
-preset grids where its job runs. Every output file and the manifest are
-byte-identical to running the jobs and grids one after another.
+Everything runs in-process when one CPU is available. Every output file
+and the manifest are byte-identical to running the jobs and grids one
+after another.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
 inadequacy, 4 a worker process that died without reporting (killed, say).
@@ -230,10 +229,6 @@ def _usable_cpus() -> int:
     return 1
 
 
-# Set while a _forked_map runs in this process or in the one that forked it.
-_mapping = False
-
-
 def _forked_map(fn, items) -> list:
     """[fn(item) for item in items], shared with forked worker processes.
 
@@ -251,9 +246,7 @@ def _forked_map(fn, items) -> list:
     the result of fn. The first failing item in order raises its own
     error here, after every item has run.
 
-    fn runs in-process when one CPU is usable, when there is one item, and
-    while a map already runs here or in the process that forked this one:
-    a wigner job grids in the process that runs the job.
+    fn runs in-process when one CPU is usable or when there is one item.
 
     Forking skips re-importing the package and pickling the items, and is
     safe here because the process is single-threaded when it forks: no
@@ -262,10 +255,9 @@ def _forked_map(fn, items) -> list:
     joins its threads in a pthread_atfork handler. tests/test_cli.py
     checks the thread count at every fork.
     """
-    global _mapping
     items = list(items)
     processes = min(len(items), _usable_cpus())
-    if processes == 1 or _mapping:
+    if processes == 1:
         return [fn(item) for item in items]
     takes_part = len(items) > processes
     # Imported here so that validate and single-CPU runs never load it.
@@ -288,25 +280,21 @@ def _forked_map(fn, items) -> list:
             except Exception as exc:
                 outcomes[i] = (False, exc)
 
-    _mapping = True
-    try:
-        links = []
-        for _ in range(processes - takes_part):
-            receiver, sender = fork.Pipe(duplex=False)
-            proc = fork.Process(target=lambda: sender.send(run_share()))
-            proc.start()
-            sender.close()
-            links.append((proc, receiver))
-        outcomes = run_share() if takes_part else {}
-        for proc, receiver in links:
-            try:
-                outcomes.update(receiver.recv())
-            except EOFError:
-                proc.join()
-                raise WorkerError(f"a worker process died with exit code {proc.exitcode}") from None
+    links = []
+    for _ in range(processes - takes_part):
+        receiver, sender = fork.Pipe(duplex=False)
+        proc = fork.Process(target=lambda: sender.send(run_share()))
+        proc.start()
+        sender.close()
+        links.append((proc, receiver))
+    outcomes = run_share() if takes_part else {}
+    for proc, receiver in links:
+        try:
+            outcomes.update(receiver.recv())
+        except EOFError:
             proc.join()
-    finally:
-        _mapping = False
+            raise WorkerError(f"a worker process died with exit code {proc.exitcode}") from None
+        proc.join()
     results = []
     for i in range(len(items)):
         ok, value = outcomes[i]

@@ -282,9 +282,8 @@ def _parsed(kv: dict, key: str, omega_c) -> object:
     scale = 1.0
     if kind is float and raw.endswith("*omega_c"):
         if not KEYS[key].ratio:
-            raise ConfigError(
-                f"line {lineno}: {key}: ratio syntax needs omega_c set to an absolute value"
-            )
+            takers = ", ".join(k for k, spec in KEYS.items() if spec.ratio)
+            raise ConfigError(f"line {lineno}: {key}: only {takers} take the x*omega_c syntax")
         raw, scale = raw[: -len("*omega_c")].strip(), omega_c
     parse, what = _PARSERS[kind]
     try:

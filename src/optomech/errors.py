@@ -6,14 +6,7 @@ TruncationError -> 3, WorkerError -> 4.
 
 
 class TruncationError(ValueError):
-    """A truncated Fock space is too small for the requested state.
-
-    Carries the smallest dimension estimated to be adequate, when known.
-    """
-
-    def __init__(self, message, required_dim=None):
-        super().__init__(message)
-        self.required_dim = required_dim
+    """A truncated Fock space is too small for the requested state."""
 
 
 class IntegrationError(RuntimeError):

@@ -147,18 +147,16 @@ def coherent_required_dim(amp: complex) -> int:
 def coherent_state(dim: int, amp: complex) -> np.ndarray:
     """Normalized truncated coherent state |amp> on a dim-level space.
 
-    Raises TruncationError (with the smallest adequate dimension) when the
+    Raises TruncationError, naming the smallest adequate dimension, when the
     truncation loss exceeds 1e-8.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     c, loss = coherent_amplitudes(dim, amp)
     if loss > COHERENT_LOSS_TOL:
-        need = coherent_required_dim(amp)
         raise TruncationError(
-            f"coherent amplitude |{amp}| needs dim >= {need}, got {dim} "
-            f"(truncation loss {loss:.3e})",
-            required_dim=need,
+            f"coherent amplitude |{amp}| needs dim >= {coherent_required_dim(amp)}, "
+            f"got {dim} (truncation loss {loss:.3e})"
         )
     return c / np.linalg.norm(c)
 

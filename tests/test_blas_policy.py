@@ -4,7 +4,8 @@ Whether the policy acts in a test process depends on what loaded numpy
 first and on the environment pytest inherited, so the child starts with no
 thread variable set, imports `optomech` first, as the `simulate` script
 does, and then runs every product that is big enough for a multithreaded
-OpenBLAS to wake a thread.
+OpenBLAS to wake a thread. Other children check the warning the package
+gives when it is imported after numpy with no thread variable set.
 """
 import os
 import subprocess
@@ -59,14 +60,19 @@ print(threads, os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def run_child(**variables) -> tuple:
-    """(threads at the end, OPENBLAS_NUM_THREADS as the child saw it)."""
+def run_python(code, **variables) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that sees only the thread variables given."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     src = str(Path(optomech.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.update(variables)
-    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def run_child(**variables) -> tuple:
+    """(threads at the end, OPENBLAS_NUM_THREADS as the child saw it)."""
+    done = run_python(CHILD, **variables)
     assert done.returncode == 0, done.stderr
     threads, value = done.stdout.split()
     return int(threads), value
@@ -83,3 +89,17 @@ def test_importing_the_package_first_keeps_blas_on_one_thread():
 @needs_proc
 def test_a_thread_count_the_user_set_is_kept():
     assert run_child(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
+@pytest.mark.parametrize("code, variables, warns", [
+    ("import numpy, optomech", {}, True),
+    ("import optomech, numpy", {}, False),
+    ("import numpy, optomech", {"OMP_NUM_THREADS": "1"}, False),
+], ids=["numpy-first", "optomech-first", "numpy-first-with-a-thread-variable"])
+def test_importing_after_numpy_warns_where_the_policy_cannot_act(code, variables, warns):
+    done = run_python(code, **variables)
+    assert done.returncode == 0, done.stderr
+    if warns:
+        assert "UserWarning" in done.stderr and "OPENBLAS_NUM_THREADS=1" in done.stderr
+    else:
+        assert done.stderr == ""

@@ -195,7 +195,7 @@ def test_invalid_dims_are_config_errors(tmp_path, capsys, text, cause, command):
 
 @pytest.mark.parametrize("line, message", [
     ("omega_p = x*omega_c", "omega_p: not a number: 'x'"),
-    ("dt = 1e-9*omega_c", "dt: ratio syntax needs omega_c set to an absolute value"),
+    ("dt = 1e-9*omega_c", "dt: only omega_m, omega_p, drive_amp take the x*omega_c syntax"),
     ("wigner_grid_points = 1e3", "wigner_grid_points: not an integer: '1e3'"),
     ("alpha = 1+", "alpha: not a complex number: '1+'"),
     ("filter = maybe", "filter: not a boolean: 'maybe'"),
@@ -345,6 +345,50 @@ def test_manifest_reports_the_wigner_numeric_run(tmp_path, capsys):
     assert float(manifest_value(out, "wigner_numeric_norm_drift")) <= (
         oracle.DEFAULT_NORM_TOLERANCE / 4)
     assert 0 <= float(manifest_value(out, "wigner_numeric_leak_max")) <= oracle.LEAK_TOLERANCE
+
+
+# WIGNER_CONFIG driven and uncoupled: H' = 0, so both routes are exact up to
+# the field truncation. The numeric lab states pass through the displaced
+# frame's field block wherever xi(t) != 0.
+DRIVEN_WIGNER_CONFIG = """\
+omega_c = 1e7
+omega_m = 1e6
+omega_p = 0.8*omega_c
+drive_amp = 0.05*omega_c
+g_ratio = 0
+alpha = 1
+gamma = 1
+t_end = 6.283185307179586e-06
+n_samples = 3
+modes = wigner
+field_dim = 16
+mirror_dim = 16
+wigner_grid_points = 24
+"""
+
+
+@pytest.mark.parametrize("omega_p, field_dim", [
+    # xi(t) is within 1e-16 of 0 at every snapshot.
+    ("0.8", 16),
+    # |xi| is 0.14 and 0.23 at the later snapshots. At 16 levels the frame
+    # drops amplitudes of 1.3e-7 that D(xi) would move into the kept levels,
+    # and the grids differ by 2e-8; a block with no signs misses by 0.02.
+    ("0.75", 24),
+], ids=["xi-vanishes", "xi-nonzero"])
+def test_driven_uncoupled_wigner_grids_agree_across_routes(tmp_path, omega_p, field_dim):
+    """Each analytic grid shares its axes with the numeric grid of the same
+    name and matches its values."""
+    text = DRIVEN_WIGNER_CONFIG.replace("omega_p = 0.8*", f"omega_p = {omega_p}*").replace(
+        "field_dim = 16", f"field_dim = {field_dim}")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    analytic = sorted(out.glob("wigner_*_analytic.csv"))
+    assert len(analytic) == 6
+    for name in analytic:
+        a = np.loadtxt(name, delimiter=",", skiprows=1)
+        n = np.loadtxt(str(name).replace("_analytic", "_numeric"), delimiter=",", skiprows=1)
+        np.testing.assert_allclose(a, n, rtol=0, atol=1e-12, err_msg=name.name)
 
 
 def manifest_jobs(out_dir) -> dict:
@@ -551,26 +595,28 @@ def test_grid_task_errors_keep_their_exit_code(tmp_path, monkeypatch, capsys, po
     assert outcomes[0][1].startswith("numerical failure: grid of a dim-")
 
 
-def forks_of_job(job) -> list:
-    """Run one job; the thread counts of the forks it made, in its own process."""
-    before = len(FORKS)
-    cli._run_job(job)
-    return FORKS[before:]
-
-
 @needs_linux
-def test_wigner_job_in_a_job_worker_does_not_fork_again(tmp_path, pooled):
-    """Two wigner jobs go to two job workers, and each grids in-process; the
-    same job run here forks one worker for both sources' grids."""
+def test_wigner_jobs_in_job_workers_write_the_in_process_bytes(tmp_path, monkeypatch, pooled):
+    """Two wigner jobs go to two job workers, each of which shares out its
+    grids again; every file is the bytes of the same jobs run in-process."""
     path = write_config(tmp_path, WIGNER_CONFIG)
-    jobs = [replace(job, tag=tag) for tag in ("a", "b")
-            for job in config.load_jobs(path, overrides={"output_dir": str(tmp_path / tag)})]
-    for job in jobs:
-        os.makedirs(job.config.output_dir)
-    assert cli._forked_map(forks_of_job, jobs) == [[], []]
+    results = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        jobs = [replace(job, tag=tag) for tag in ("a", "b") for job in config.load_jobs(
+            path, overrides={"output_dir": str(tmp_path / f"out{cpus}" / tag)})]
+        for job in jobs:
+            os.makedirs(job.config.output_dir)
+        results[cpus] = cli._forked_map(cli._run_job, jobs)
     assert pooled == [1, 1]
-    assert len(os.listdir(tmp_path / "a")) == len(os.listdir(tmp_path / "b")) == 24
-    assert forks_of_job(jobs[0]) == [1]
+    assert results[2] == results[1]
+    for tag in ("a", "b"):
+        names = sorted(os.listdir(tmp_path / "out2" / tag))
+        assert len(names) == 24
+        assert names == sorted(os.listdir(tmp_path / "out1" / tag))
+        for name in names:
+            assert ((tmp_path / "out2" / tag / name).read_bytes()
+                    == (tmp_path / "out1" / tag / name).read_bytes()), name
 
 
 def fig4_dt_cap() -> float:
@@ -643,7 +689,8 @@ CONFIG_ERRORS = {
     "ratio": (AT_REST_CONFIG + "modes = undriven\nomega_p = x*omega_c\n", [],
               "line 6: omega_p: not a number: 'x'"),
     "ratio-without-omega_c": (AT_REST_CONFIG + "modes = undriven\ndt = 1e-9*omega_c\n", [],
-                              "line 6: dt: ratio syntax needs omega_c"),
+                              "line 6: dt: only omega_m, omega_p, drive_amp take the "
+                              "x*omega_c syntax"),
     "integer": (AT_REST_CONFIG + "modes = undriven\nwigner_grid_points = 1e3\n", [],
                 "line 6: wigner_grid_points: not an integer: '1e3'"),
     "complex": (AT_REST_CONFIG + "modes = undriven\nalpha = 1+\n", [],

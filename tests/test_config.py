@@ -60,4 +60,4 @@ def test_only_ratio_keys_take_the_ratio_syntax(key, ratio, accepted):
         with pytest.raises(ConfigError) as err:
             config.build_jobs(kv)
         assert str(err.value) == (
-            f"line {kv[key][1]}: {key}: ratio syntax needs omega_c set to an absolute value")
+            f"line {kv[key][1]}: {key}: only omega_m, omega_p, drive_amp take the x*omega_c syntax")

@@ -265,14 +265,6 @@ class TestInteractionFrame:
         reference = expm(xi * f.raise_ - np.conj(xi) * f.lower)[:dim, :dim]
         np.testing.assert_allclose(block, reference, rtol=0, atol=1e-13)
 
-    def test_displacement_block_is_vectorized(self):
-        r = np.array([0.0, 0.1, 0.5, 1.3])
-        blocks = displacement_block(r, 20)
-        assert blocks.shape == (4, 20, 20)
-        np.testing.assert_array_equal(blocks[0], np.eye(20))
-        for block, x in zip(blocks, r):
-            np.testing.assert_array_equal(block, displacement_block(x, 20))
-
     @pytest.mark.parametrize("alpha", [0.0, 1.5 - 0.5j])
     def test_uncoupled_driven_field_is_the_displaced_coherent_state(self, alpha):
         """With g = 0, H' = 0: at the cap's step the lab field is the coherent
