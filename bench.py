@@ -31,8 +31,9 @@ The record holds:
 
 The tracer records spans in its own process only. With more than one
 usable CPU, fig4's two jobs run in forked workers, so none of their layers
-is seen, and undriven_wigner's process grids only its share of the twelve
-Wigner grids, so the grid totals and maxima cover part of them.
+is seen, and undriven_wigner's process grids only the last share of the
+twelve Wigner grids (on 2 CPUs the numeric six; a forked worker grids the
+analytic six), so the grid totals and maxima cover part of them.
 
 A child's peak RSS starts from the high-water mark of the process that
 spawns it, so every child is spawned before this process imports numpy.
@@ -74,8 +75,9 @@ UNSEEN = {
     "fig4": (lambda name: name not in _CALLER_METRICS,
              "both jobs run in forked workers, where the tracer records no spans"),
     "undriven_wigner": (lambda name: name in _GRID_METRICS,
-                        "the job's process grids only its share of the 12 Wigner grids; "
-                        "the rest run in a forked worker, where the tracer records no spans"),
+                        "the job's process grids only the last share of the 12 Wigner grids "
+                        "(the numeric six on 2 CPUs); the rest run in a forked worker, where "
+                        "the tracer records no spans"),
 }
 
 

@@ -34,18 +34,21 @@ manifest records the beta integration's
 mandel_mirror and linear_entropy_mirror series, its centered moving
 average over the beat period 2 pi / |omega_p - omega_c|.
 
-Each run writes `manifest.txt` recording every expanded value, so any
-output can be reproduced from the manifest alone.
+Each run writes `manifest.txt`, which records every expanded value of
+each job. A job's section is not a config that reproduces the job: a
+config rejects its `tag` and its result keys (`antisymmetry_defect`,
+`n_steps`, `output` and the rest) as unknown, its `preset` line conflicts
+with the physics keys beside it, and the outputs only a preset's job
+writes (fig3's beta variants, fig4's `photon_avg_closed_analytic_*`)
+have no config key.
 
 Presets that expand to several independent jobs (fig2, fig4, fig5_6,
-fig7_8) run them concurrently in forked worker processes, one per CPU
-available to the process. A wigner job shares out its grids the same way,
-in one map over both sources' twelve reduced states, analytic first: each
-is gridded and written as a CSV and PGM pair by whichever process claims
-it, the process itself or one of its workers, one fewer than CPUs.
-Everything runs in-process when one CPU is available. Every output file
-and the manifest are byte-identical to running the jobs and grids one
-after another.
+fig7_8) run them in forked worker processes, one per usable CPU, and a
+wigner job shares out its twelve grids (both sources, analytic first,
+each written as a CSV and PGM pair) the same way, in fixed contiguous
+shares cut before any fork (`_forked_map`). Everything runs in-process
+when one CPU is available. Every output file and the manifest are
+byte-identical to running the jobs and grids one after another.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
 inadequacy, 4 a worker process that died without reporting (killed, say).
@@ -233,18 +236,21 @@ def _forked_map(fn, items) -> list:
     """[fn(item) for item in items], shared with forked worker processes.
 
     Serves both levels of independent work: a preset's jobs, and the
-    Wigner grids of both sources of a wigner job, each computed and written
-    by the process that claims it. The items run in as many processes as
-    there are usable CPUs, or items if fewer, each process claiming the
-    next unclaimed item, so none idles while another has items queued.
-    With more items than CPUs this process is one of them; otherwise every
-    item gets a forked worker of its own and this process waits, since an
-    item run here would add to the peak RSS the library pages this
-    process's imports mapped, which a forked worker does not count (fig4,
-    peak RSS of `simulate run` over 10 runs: 34.5 MB with a job run here,
-    30.2 MB without). Each item writes its own files and returns
-    the result of fn. The first failing item in order raises its own
-    error here, after every item has run.
+    twelve Wigner grids of a wigner job. Before any fork the n items are
+    cut into P = min(n, usable CPUs) contiguous shares, share w being
+    items[w*n//P:(w+1)*n//P], and each process runs its share in order.
+    With more items than CPUs this process runs the last share beside
+    P - 1 workers; otherwise each item gets a worker and this process
+    waits. An item run here adds to the peak RSS the library pages this
+    process's imports mapped, which a forked worker does not count: fig4's
+    `simulate run` peaks at 34.5 MB with a job run here and 30.2 MB without
+    (10 runs). Hence the last share: a wigner job's first share holds its
+    heaviest grid, the analytic mirror at t = pi/omega_m, and
+    wigner_snapshots' largest process peaks at 54.2-54.3 MB with this
+    process on the last share against 58.7-58.8 MB on the first (`os.wait4`,
+    3 alternating runs each, 2 CPUs). Each item writes its own files; the
+    first failing item in order raises its own error here, after every
+    item has run.
 
     fn runs in-process when one CPU is usable or when there is one item.
 
@@ -256,52 +262,44 @@ def _forked_map(fn, items) -> list:
     checks the thread count at every fork.
     """
     items = list(items)
-    processes = min(len(items), _usable_cpus())
+    n = len(items)
+    processes = min(n, _usable_cpus())
     if processes == 1:
         return [fn(item) for item in items]
-    takes_part = len(items) > processes
+    shares = [items[w * n // processes:(w + 1) * n // processes] for w in range(processes)]
+    own_share = shares.pop() if n > processes else []
     # Imported here so that validate and single-CPU runs never load it.
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
-    claimed = fork.Value("i", 0)
 
-    def run_share() -> dict:
-        """Outcomes, (True, result) or (False, error), of the items this process claims."""
-        outcomes = {}
-        while True:
-            with claimed.get_lock():
-                i = claimed.value
-                claimed.value += 1
-            if i >= len(items):
-                return outcomes
-            try:
-                outcomes[i] = (True, fn(items[i]))
-            except Exception as exc:
-                outcomes[i] = (False, exc)
+    def outcome(item) -> tuple:
+        """(True, fn(item)), or (False, the error it raised)."""
+        try:
+            return True, fn(item)
+        except Exception as exc:
+            return False, exc
 
     links = []
-    for _ in range(processes - takes_part):
+    for share in shares:
         receiver, sender = fork.Pipe(duplex=False)
-        proc = fork.Process(target=lambda: sender.send(run_share()))
+        proc = fork.Process(target=lambda: sender.send([outcome(item) for item in share]))
         proc.start()
         sender.close()
         links.append((proc, receiver))
-    outcomes = run_share() if takes_part else {}
+    own = [outcome(item) for item in own_share]
+    outcomes = []
     for proc, receiver in links:
         try:
-            outcomes.update(receiver.recv())
+            outcomes += receiver.recv()
         except EOFError:
             proc.join()
             raise WorkerError(f"a worker process died with exit code {proc.exitcode}") from None
         proc.join()
-    results = []
-    for i in range(len(items)):
-        ok, value = outcomes[i]
+    for ok, value in outcomes + own:
         if not ok:
             raise value
-        results.append(value)
-    return results
+    return [value for _, value in outcomes + own]
 
 
 def run(jobs) -> list:

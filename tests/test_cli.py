@@ -510,8 +510,8 @@ def test_wigner_numeric_route_honors_integrator_overrides(tmp_path, capsys):
 @needs_linux
 @pytest.mark.filterwarnings("ignore:population")  # fig4 leaks at dims 22 x 22
 @pytest.mark.parametrize("text, forks", [
-    # fig2's five jobs outnumber the CPUs, so one worker shares them with
-    # this process; fig4's two jobs get a worker each.
+    # fig2's five jobs outnumber the CPUs, so one worker runs the first two
+    # and this process the last three; fig4's two jobs get a worker each.
     ("preset = fig2\n", [1]),
     ("preset = fig4\nfield_dim = 22\nmirror_dim = 22\n", [1, 1]),
 ], ids=["fig2", "fig4-small"])
@@ -539,6 +539,18 @@ def test_pooled_outputs_equal_serial_jobs(tmp_path, pooled, text, forks):
     assert sorted(files) == sorted(os.listdir(out)) == sorted(os.listdir(serial))
     for name in files:
         assert (out / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+@needs_linux
+def test_forked_map_runs_fixed_contiguous_shares(pooled):
+    """Five items on two CPUs: one worker runs items 0-1 and this process
+    the last share, items 2-4; the results come back in item order."""
+    results = cli._forked_map(lambda i: (i, os.getpid()), range(5))
+    assert [i for i, _ in results] == list(range(5))
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[1] != os.getpid()
+    assert pids[2:] == [os.getpid()] * 3
+    assert pooled == [1]
 
 
 @pytest.mark.filterwarnings("ignore:population")  # fig4 leaks at dims 22 x 22

@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import ladder_ops, strong_system, tiny_system
-from optomech import config, oracle
-from optomech.driven import BetaCoefficients, evolve_driven
+from optomech import config, driven, oracle, undriven
+from optomech.driven import BetaCoefficients, BetaSeries, evolve_driven
 from optomech.errors import IntegrationError
 from optomech.fock import (
     FockDims,
@@ -336,6 +336,35 @@ class TestEvolution:
         exact = evolve_driven(p, BetaCoefficients.zero(t_end), dims)
         fid = abs(np.vdot(exact.amps, run.states[-1].amps)) ** 2
         assert fid > 1 - 1e-6
+
+    def test_undriven_preset_scale_matches_exact_propagator(self):
+        """fig7_8 red's system with the drive off, at its 30 x 308 dims over one
+        T_m at the recommended step (3,225 steps), against the exact undriven
+        state and closed forms. Each bound is about 10x its measured value."""
+        job = config.preset_jobs("fig7_8")[0]
+        p = dataclasses.replace(job.config.params, drive_amp=0.0, omega_p=0.0)
+        dims = job.config.dims
+        assert (dims.field_dim, dims.mirror_dim) == (30, 308)
+        t = np.linspace(0.0, p.mech_period, 12)
+        run = evolve_numeric(p, dims, t, keep_states=True)
+        # max ||psi - psi_exact|| measured 6.87e-6, against norm_drift 1.72e-8
+        for state, ti in zip(run.states, t):
+            exact = evolve_driven(p, BetaCoefficients.zero(ti), dims)
+            assert np.linalg.norm(state.amps - exact.amps) < 1e-5, ti
+        zero = np.zeros(t.size, dtype=complex)
+        betas = BetaSeries(t, zero, zero, zero, 0.0, 0.0, 0.0, 0)
+        numeric = observables_numeric(run)
+        # name -> (closed form, bound on max |dy| / max(1, |y|), measured in the comment)
+        closed = {
+            "photon_avg": (np.full(t.size, abs(p.alpha) ** 2), 1e-6),  # 6.8e-8
+            "phonon_avg": (undriven.phonon_avg_closed_form(p, t), 1e-5),  # 6.2e-7
+            "linear_entropy_mirror": (driven.linear_entropy_mirror(p, betas), 1e-6),  # 1.1e-7
+            "mandel_mirror": (driven.mandel_mirror(p, betas), 5e-5),  # 5.5e-6
+            "mandel_field": (np.ones(t.size), 5e-6),  # 4.9e-7
+        }
+        for name, (y, bound) in closed.items():
+            dev = np.abs(numeric[name].y - y) / np.maximum(1.0, np.abs(y))
+            assert dev.max() < bound, name
 
     def test_energy_conserved_without_drive(self):
         p = tiny_system(drive_amp=0.0, omega_p=0.0)

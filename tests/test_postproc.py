@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestCsvRoundTrip:
         s = series([0.0, 1e-9], [1.0, 2.0 / 3.0], label="photon_avg",
                    provenance="analytic")
         write_series(s, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "t,photon_avg,analytic"
         assert len(lines) == 3
         assert len(lines[1].split(",")) == 2
@@ -266,7 +267,7 @@ def test_atomic_write(tmp_path):
     path = str(tmp_path / "out.txt")
     atomic_write_text(path, "first")
     atomic_write_text(path, "second")
-    assert open(path).read() == "second"
+    assert Path(path).read_text() == "second"
     assert os.listdir(tmp_path) == ["out.txt"]  # no temp litter
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ class TestGridOutput:
     def test_csv_layout(self, tmp_path):
         path = str(tmp_path / "g.csv")
         write_grid_csv(self.grid(), path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "q,p,W"
         assert len(lines) == 1 + 11 * 11
         q, p, w = lines[1].split(",")
@@ -492,7 +493,7 @@ class TestGridOutput:
     def test_pgm_format(self, tmp_path):
         path = str(tmp_path / "g.pgm")
         write_grid_pgm(self.grid(), path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "P2"
         body = [ln for ln in lines[1:] if not ln.startswith("#")]
         assert body[0] == "11 11"  # columns (p) then rows (q)
