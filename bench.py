@@ -1,7 +1,7 @@
 """Performance record of a checkout, written as one JSON file.
 
-Usage, from the root of a checkout (about 70 s on 2 CPUs, a third of it
-the fig7_8 preset):
+Usage, from the root of a checkout on Linux (about 80 s on 2 CPUs, a
+quarter of it the fig7_8 preset):
 
     python3 bench.py BENCH_<n>.json
 
@@ -12,28 +12,32 @@ The record holds:
                 differ from it, and the date;
   perfbench     per workload, the last line of `perfbench/run.py --workload W
                 --seed 1 --seconds 8 --trace T` at trace 0 and 1, as printed,
-                and `layers`: the trace-1 metrics, each one the tracer cannot
-                see set to null with the reason;
+                and under `cpus` the CPUs each child could use. The trace-1
+                child is pinned to one CPU (its children inherit the
+                affinity), so its runs fork no worker: every layer metric is
+                of a serial run, in the one process the tracer sees, unlike
+                `perfbench/run.py --trace 1` run on several CPUs. The trace-0
+                child runs on every usable CPU;
   presets       `simulate run --preset P` of every preset, each in a fresh
                 child process: wall time, exit code and peak RSS (os.wait4:
                 the largest process of the run, workers included), and per
                 job the n_steps, step_max, norm_drift and leak_max of each
                 oracle run, read from manifest.txt;
   oracle_probe  in-process microseconds per RK4 step of oracle.evolve_numeric
-                at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red), and under
+                at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red), under
                 `sampler` microseconds per sample at fig4 red: its run on its
-                own 1,601-sample grid less the same run sampled at its ends;
+                own 1,601-sample grid less the same run sampled at its ends,
+                and under `exact_error` the accuracy of one oracle run with an
+                exact answer (`exact_undriven_run`, which the tests share):
+                fig7_8 red's system with the drive off, over its full 5.5 T_m
+                at the recommended step, sampled 12 times, its steps and its
+                largest ||psi - psi_exact|| against the closed form
+                (`driven.evolve_driven` at zero betas);
   wigner_probe  in-process milliseconds per `wigner.snapshot_grid` of the
                 mirror state at t = pi/omega_m, on the job's own grid
                 (161^2), of undriven_wigner's job (dims 22 x 28) and of the
                 analytic source of wigner_snapshots (30 x 308; the heaviest
-                grid of any preset), which `--trace 1` sees only in part.
-
-The tracer records spans in its own process only. With more than one
-usable CPU, fig4's two jobs run in forked workers, so none of their layers
-is seen, and undriven_wigner's process grids only the last share of the
-twelve Wigner grids (on 2 CPUs the numeric six; a forked worker grids the
-analytic six), so the grid totals and maxima cover part of them.
+                grid of any preset).
 
 A child's peak RSS starts from the high-water mark of the process that
 spawns it, so every child is spawned before this process imports numpy.
@@ -62,23 +66,14 @@ PROBE_REPEATS = 5
 PROBES = {"fig7_8": 300, "fig4": 3000}
 # preset whose red job's own run the sampler probe times
 SAMPLER_PROBE = "fig4"
+# preset whose red job, drive off, the exact-error probe runs over its t_end,
+# in T_m, with as many samples
+EXACT_PROBE = "fig7_8"
+EXACT_PERIODS = 5.5
+EXACT_SAMPLES = 12
 # grid probe name -> the config of its job (workload file, else preset)
 WIGNER_PROBES = {"undriven_wigner": "perfbench/workloads/undriven_wigner.cfg",
                  "wigner_snapshots": None}
-
-# Trace-1 metrics of the job process itself, seen whatever runs in workers.
-_CALLER_METRICS = ("cli.import_s", "cli.self_s", "cli.run_s", "cli.cpu_s", "trace.overhead_frac")
-_GRID_METRICS = ("wigner.wigner_continuous_s", "wigner.rho_dim_max", "wigner.write_grid_s",
-                 "wigner.mass_dev_max")
-# workload -> (is the metric unseen with more than one usable CPU, the reason)
-UNSEEN = {
-    "fig4": (lambda name: name not in _CALLER_METRICS,
-             "both jobs run in forked workers, where the tracer records no spans"),
-    "undriven_wigner": (lambda name: name in _GRID_METRICS,
-                        "the job's process grids only the last share of the 12 Wigner grids "
-                        "(the numeric six on 2 CPUs); the rest run in a forked worker, where "
-                        "the tracer records no spans"),
-}
 
 
 def _env() -> dict:
@@ -121,23 +116,19 @@ def machine() -> dict:
     }
 
 
-def perfbench(workload: str, usable_cpus: int) -> dict:
-    """Both perfbench lines of one workload, and its trace-1 layers with
-    each unseen one null."""
+def perfbench(workload: str) -> dict:
+    """Both perfbench lines of one workload, and the CPUs each child could
+    use: every usable one at trace 0, one at trace 1."""
+    usable = os.sched_getaffinity(0)
+    cpus = {"trace0": usable, "trace1": {min(usable)}}
     lines = {}
-    for trace in (0, 1):
+    for key, affinity in cpus.items():
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-                "--seconds", str(PERFBENCH_SECONDS), "--trace", str(trace)]
-        done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
-        lines[f"trace{trace}"] = json.loads(done.stdout.splitlines()[-1])
-    unseen, reason = UNSEEN.get(workload, (lambda name: False, None))
-    layers = {}
-    for name, metric in lines["trace1"]["metrics"].items():
-        if usable_cpus > 1 and unseen(name):
-            layers[name] = {"value": None, "unit": metric["unit"], "reason": reason}
-        else:
-            layers[name] = dict(metric)
-    return {**lines, "layers": layers}
+                "--seconds", str(PERFBENCH_SECONDS), "--trace", key[-1]]
+        done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
+                              preexec_fn=lambda: os.sched_setaffinity(0, affinity))
+        lines[key] = json.loads(done.stdout.splitlines()[-1])
+    return {**lines, "cpus": {key: len(affinity) for key, affinity in cpus.items()}}
 
 
 def manifest_jobs(path: str) -> dict:
@@ -179,10 +170,30 @@ def preset(name: str) -> dict:
         shutil.rmtree(out, ignore_errors=True)
 
 
+def exact_undriven_run(periods: float) -> tuple:
+    """The oracle run of EXACT_PROBE red's system with drive_amp = omega_p = 0,
+    at its dims, sampled EXACT_SAMPLES times over `periods` T_m at the
+    recommended step, with its states kept; and its largest ||psi - psi_exact||
+    against `driven.evolve_driven` at zero betas. Needs optomech importable."""
+    import dataclasses
+
+    from optomech import config, driven, oracle  # before numpy, so its BLAS policy acts
+    import numpy as np
+
+    cfg = config.preset_jobs(EXACT_PROBE)[0].config
+    p = dataclasses.replace(cfg.params, drive_amp=0.0, omega_p=0.0)
+    times = np.linspace(0.0, periods * p.mech_period, EXACT_SAMPLES)
+    run = oracle.evolve_numeric(p, cfg.dims, times, keep_states=True)
+    return run, max(float(np.linalg.norm(
+        state.amps - driven.evolve_driven(p, driven.BetaCoefficients.zero(t), cfg.dims).amps))
+        for state, t in zip(run.states, times.tolist()))
+
+
 def oracle_probe() -> dict:
     """Median and minimum microseconds per RK4 step of evolve_numeric over a
-    run sampled only at its ends, at each PROBES system's red job; and per
-    sample of the SAMPLER_PROBE red job's own run, less its ends-only run."""
+    run sampled only at its ends, at each PROBES system's red job; per
+    sample of the SAMPLER_PROBE red job's own run, less its ends-only run;
+    and the exact-error run of the EXACT_PROBE red job's system."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from optomech import config, oracle
 
@@ -216,6 +227,12 @@ def oracle_probe() -> dict:
         "n_samples": int(times.size), "n_steps": run.n_steps, "repeats": PROBE_REPEATS,
         "us_per_sample_median": statistics.median(per_sample),
         "us_per_sample_min": min(per_sample),
+    }
+    run, error = exact_undriven_run(EXACT_PERIODS)
+    probes["exact_error"] = {
+        "preset": EXACT_PROBE, "job": "red", "drive": "off", "periods": EXACT_PERIODS,
+        "dims": f"{run.dims.field_dim}x{run.dims.mirror_dim}", "n_samples": EXACT_SAMPLES,
+        "n_steps": run.n_steps, "norm_drift": run.norm_drift, "max_state_error": error,
     }
     return probes
 
@@ -254,9 +271,7 @@ def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1
-    record = {"machine": machine()}
-    cpus = record["machine"]["usable_cpus"]
-    record["perfbench"] = {w: perfbench(w, cpus) for w in WORKLOADS}
+    record = {"machine": machine(), "perfbench": {w: perfbench(w) for w in WORKLOADS}}
     presets = subprocess.run(
         [sys.executable, "-c", "from optomech.config import PRESETS; print(*PRESETS)"],
         env=_env(), capture_output=True, text=True, check=True).stdout.split()

@@ -50,8 +50,9 @@ shares cut before any fork (`_forked_map`). Everything runs in-process
 when one CPU is available. Every output file and the manifest are
 byte-identical to running the jobs and grids one after another.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 truncation
-inadequacy, 4 a worker process that died without reporting (killed, say).
+Exit codes: 0 success, 1 config error or an output file that cannot be
+written, 2 numerical failure, 3 truncation inadequacy, 4 a worker process
+that died without reporting (killed, say).
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import driven, oracle, undriven, wigner
 from .config import Job, auto_dims, load_jobs
-from .errors import ConfigError, IntegrationError, TruncationError, WorkerError
+from .errors import ConfigError, IntegrationError, OutputError, TruncationError, WorkerError
 from .postproc import ObservableSeries, atomic_write_text, compare, filter_fast, write_series
 from .system import SystemParams
 
@@ -376,6 +377,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# error raised to main -> (its one stderr line's prefix, exit code)
+_EXITS = {
+    ConfigError: ("config error", 1),
+    OutputError: ("output error", 1),
+    IntegrationError: ("numerical failure", 2),
+    TruncationError: ("truncation inadequacy", 3),
+    WorkerError: ("worker failure", 4),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -388,18 +399,10 @@ def main(argv=None) -> int:
         files = run(jobs)
         print(f"wrote {len(files)} files to {jobs[0].config.output_dir}")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
-        print(f"truncation inadequacy: {exc}", file=sys.stderr)
-        return 3
-    except WorkerError as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as exc:
+        prefix, code = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

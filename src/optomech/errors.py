@@ -1,7 +1,7 @@
 """Shared exception types.
 
-Exit-code mapping used by the CLI: ConfigError -> 1, IntegrationError -> 2,
-TruncationError -> 3, WorkerError -> 4.
+Exit-code mapping used by the CLI: ConfigError and OutputError -> 1,
+IntegrationError -> 2, TruncationError -> 3, WorkerError -> 4.
 """
 
 
@@ -19,3 +19,7 @@ class ConfigError(ValueError):
 
 class WorkerError(RuntimeError):
     """A worker process ended without reporting its items' outcomes."""
+
+
+class OutputError(RuntimeError):
+    """An output file that the OS refused to write."""

@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import OutputError
+
 PROVENANCES = ("analytic", "numeric", "filtered")
 
 
@@ -118,20 +120,24 @@ def compare(a: ObservableSeries, b: ObservableSeries) -> dict:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus rename, with the mode
-    open(path, "w") gives, 0o666 less the umask, not the temp file's 0o600."""
+    open(path, "w") gives, 0o666 less the umask, not the temp file's 0o600.
+    A write the OS refuses raises OutputError naming path and the OS error."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(fd, 0o666 & ~umask)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 @functools.lru_cache(maxsize=4)

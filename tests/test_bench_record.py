@@ -32,13 +32,16 @@ def test_machine(record):
 
 
 def test_perfbench_lines(record):
-    """Both lines of each workload as perfbench prints them; each layer has
-    a value, or null and the reason the tracer cannot see it."""
+    """Both lines of each workload as perfbench prints them. Records before
+    BENCH_32 also carry `layers`: each trace-1 metric with its value, or null
+    and the reason the tracer could not see it in a forked worker."""
     assert set(record["perfbench"]) == WORKLOADS
     for workload, lines in record["perfbench"].items():
         for trace in ("trace0", "trace1"):
             assert {"correct", "attempted", "failed", "metrics"} <= set(lines[trace]), workload
         assert set(lines["trace0"]["metrics"]) == {"wall_s", "setup_s", "peak_rss_mb"}
+        if "layers" not in lines:
+            continue
         assert set(lines["layers"]) == set(lines["trace1"]["metrics"]), workload
         for name, layer in lines["layers"].items():
             if layer["value"] is None:
@@ -60,6 +63,7 @@ def test_every_preset_exited_0(record):
 def test_oracle_probe(record):
     probes = dict(record["oracle_probe"])
     probes.pop("sampler", None)
+    probes.pop("exact_error", None)
     assert set(probes) == {"30x308", "30x35"}
     for probe in probes.values():
         assert probe["n_steps"] > 0
@@ -73,6 +77,44 @@ def test_newest_record_probes_the_sampler():
     assert sampler["preset"] == "fig4" and sampler["job"] == "red"
     assert sampler["n_samples"] > 2 and sampler["n_steps"] > 0
     assert 0 < sampler["us_per_sample_min"] <= sampler["us_per_sample_median"]
+
+
+def test_newest_record_sees_every_layer():
+    """Its trace-1 runs were pinned to one CPU, as its `cpus` says, so they
+    fork no worker and the tracer sees every layer: none is null, fig4's
+    oracle layers count both jobs' steps, and undriven_wigner's grid layers
+    cover all twelve 161^2 grids (grid time over time per point), the
+    largest at 27 levels."""
+    with open(RECORDS[-1]) as f:
+        record = json.load(f)
+    lines = record["perfbench"]
+    for workload, line in lines.items():
+        assert "layers" not in line, workload
+        assert line["cpus"] == {"trace0": record["machine"]["usable_cpus"], "trace1": 1}
+        assert line["trace1"]["correct"] is True, workload
+        for name, metric in line["trace1"]["metrics"].items():
+            assert metric["value"] is not None, (workload, name)
+    assert lines["fig4"]["trace1"]["metrics"]["oracle.n_steps"]["value"] == 433 + 529
+    assert lines["fig4"]["trace1"]["metrics"]["oracle.evolve_numeric_s"]["value"] > 0
+    grids = {name: metric["value"] for name, metric in
+             lines["undriven_wigner"]["trace1"]["metrics"].items() if name.startswith("wigner.")}
+    points = 1e6 * grids["wigner.wigner_continuous_s"] / grids["wigner.us_per_grid_point"]
+    assert round(points) == 12 * 161 ** 2
+    assert grids["wigner.rho_dim_max"] == 27
+
+
+def test_newest_record_probes_the_exact_error():
+    """fig7_8 red's system with the drive off, over its full run at the
+    recommended step, against the closed-form state: the step count and the
+    largest ||psi - psi_exact|| (9.7e-6 when first measured; RK4's error, not
+    a tolerance, so only its scale is checked)."""
+    with open(RECORDS[-1]) as f:
+        probe = json.load(f)["oracle_probe"]["exact_error"]
+    assert probe["preset"] == "fig7_8" and probe["job"] == "red" and probe["drive"] == "off"
+    assert probe["dims"] == "30x308" and probe["n_samples"] == 12 and probe["periods"] == 5.5
+    assert probe["n_steps"] == 24938
+    assert 0 < probe["max_state_error"] < 1e-4
+    assert 0 <= probe["norm_drift"] < probe["max_state_error"]
 
 
 def test_newest_record_probes_the_grids():

@@ -673,6 +673,22 @@ def test_a_worker_that_dies_exits_4(tmp_path, monkeypatch, capsys, pooled):
 
 
 @needs_linux
+@pytest.mark.parametrize("preset, blocked, forks", [
+    ("fig3", "manifest.txt", []),  # one job, run in-process
+    ("fig4", "photon_avg_analytic_red.csv", [1, 1]),  # red's worker fails to write
+], ids=["in-process", "worker"])
+def test_a_failed_output_write_exits_1(tmp_path, capsys, pooled, preset, blocked, forks):
+    """A directory where an output file goes ends the run with exit 1 and one
+    line naming the file and the OS error, not a traceback."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 1
+    assert pooled == forks
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {out / blocked}: Is a directory\n"
+
+
+@needs_linux
 def test_config_errors_are_raised_before_any_fork(tmp_path, capsys, pooled):
     path = write_config(tmp_path, "preset = fig4\ndt = 1e-9\n")
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1

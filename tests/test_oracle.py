@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from optomech.oracle import (
 )
 from optomech.system import SystemParams
 
+# bench.py records the same run's error as oracle_probe.exact_error
+EXACT_UNDRIVEN_RUN = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "bench.py"))["exact_undriven_run"]
 DIMS = FockDims(12, 14)
 # Field levels past field_dim that hold D(xi) |k> to rounding for |xi| < 1.
 FIELD_PAD = 30
@@ -326,6 +331,30 @@ class TestInteractionFrame:
         assert fid > 1 - 1e-9
 
 
+def undriven_strong_deviations(periods: float) -> tuple:
+    """bench.py's exact-error run, fig7_8 red's system with drive_amp =
+    omega_p = 0 at its 30 x 308 dims, sampled 12 times over `periods` T_m:
+    its largest ||psi - psi_exact||, and per numeric series the largest
+    |dy| / max(1, |y|) against its closed form at zero betas."""
+    run, state_error = EXACT_UNDRIVEN_RUN(periods)
+    assert (run.dims.field_dim, run.dims.mirror_dim, run.t.size) == (30, 308, 12)
+    p, t = run.params, run.t
+    zero = np.zeros(t.size, dtype=complex)
+    betas = BetaSeries(t, zero, zero, zero, 0.0, 0.0, 0.0, 0)
+    entropy = driven.linear_entropy_mirror(p, betas)
+    closed = {
+        "photon_avg": np.full(t.size, abs(p.alpha) ** 2),
+        "phonon_avg": undriven.phonon_avg_closed_form(p, t),
+        "linear_entropy_mirror": entropy,
+        "mandel_mirror": driven.mandel_mirror(p, betas),
+        "mandel_field": np.ones(t.size),
+        "purity_mirror": 1.0 - entropy,
+    }
+    numeric = observables_numeric(run)
+    return state_error, {name: np.max(np.abs(numeric[name].y - y) / np.maximum(1.0, np.abs(y)))
+                         for name, y in closed.items()}
+
+
 class TestEvolution:
 
     def test_free_evolution_matches_exact_propagator(self):
@@ -341,30 +370,36 @@ class TestEvolution:
         """fig7_8 red's system with the drive off, at its 30 x 308 dims over one
         T_m at the recommended step (3,225 steps), against the exact undriven
         state and closed forms. Each bound is about 10x its measured value."""
-        job = config.preset_jobs("fig7_8")[0]
-        p = dataclasses.replace(job.config.params, drive_amp=0.0, omega_p=0.0)
-        dims = job.config.dims
-        assert (dims.field_dim, dims.mirror_dim) == (30, 308)
-        t = np.linspace(0.0, p.mech_period, 12)
-        run = evolve_numeric(p, dims, t, keep_states=True)
+        state_error, dev = undriven_strong_deviations(1.0)
         # max ||psi - psi_exact|| measured 6.87e-6, against norm_drift 1.72e-8
-        for state, ti in zip(run.states, t):
-            exact = evolve_driven(p, BetaCoefficients.zero(ti), dims)
-            assert np.linalg.norm(state.amps - exact.amps) < 1e-5, ti
-        zero = np.zeros(t.size, dtype=complex)
-        betas = BetaSeries(t, zero, zero, zero, 0.0, 0.0, 0.0, 0)
-        numeric = observables_numeric(run)
-        # name -> (closed form, bound on max |dy| / max(1, |y|), measured in the comment)
-        closed = {
-            "photon_avg": (np.full(t.size, abs(p.alpha) ** 2), 1e-6),  # 6.8e-8
-            "phonon_avg": (undriven.phonon_avg_closed_form(p, t), 1e-5),  # 6.2e-7
-            "linear_entropy_mirror": (driven.linear_entropy_mirror(p, betas), 1e-6),  # 1.1e-7
-            "mandel_mirror": (driven.mandel_mirror(p, betas), 5e-5),  # 5.5e-6
-            "mandel_field": (np.ones(t.size), 5e-6),  # 4.9e-7
+        assert state_error < 1e-5
+        # name -> bound on max |dy| / max(1, |y|), measured in the comment
+        bounds = {
+            "photon_avg": 1e-6,  # 6.8e-8
+            "phonon_avg": 1e-5,  # 6.2e-7
+            "linear_entropy_mirror": 1e-6,  # 1.1e-7
+            "mandel_mirror": 5e-5,  # 5.5e-6
+            "mandel_field": 5e-6,  # 4.9e-7
         }
-        for name, (y, bound) in closed.items():
-            dev = np.abs(numeric[name].y - y) / np.maximum(1.0, np.abs(y))
-            assert dev.max() < bound, name
+        for name, bound in bounds.items():
+            assert dev[name] < bound, name
+
+    @pytest.mark.slow
+    def test_undriven_preset_horizon_matches_exact_propagator(self):
+        """The same over fig7_8's full 5.5 T_m (24,938 steps, about 8 s)."""
+        state_error, dev = undriven_strong_deviations(5.5)
+        # max ||psi - psi_exact|| measured 9.68e-6, against norm_drift 1.61e-8
+        assert state_error < 2e-5
+        # name -> bound on max |dy| / max(1, |y|), measured in the comment
+        bounds = {
+            "photon_avg": 1e-6,  # 6.6e-8
+            "phonon_avg": 1e-5,  # 6.2e-7
+            "mandel_mirror": 5e-5,  # 3.9e-6
+            "mandel_field": 5e-6,  # 4.8e-7; n is conserved
+            "purity_mirror": 3e-7,  # 2.3e-8
+        }
+        for name, bound in bounds.items():
+            assert dev[name] < bound, name
 
     def test_energy_conserved_without_drive(self):
         p = tiny_system(drive_amp=0.0, omega_p=0.0)

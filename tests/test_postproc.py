@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from optomech.errors import OutputError
 from optomech.postproc import (
     ObservableSeries,
     atomic_write_text,
@@ -269,6 +271,22 @@ def test_atomic_write(tmp_path):
     atomic_write_text(path, "second")
     assert Path(path).read_text() == "second"
     assert os.listdir(tmp_path) == ["out.txt"]  # no temp litter
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_atomic_write_failure_leaves_no_temp_file_or_descriptor(tmp_path, monkeypatch):
+    """A write the OS refuses after the temp file exists (here its chmod)
+    raises OutputError naming the path, and closes and removes the temp file."""
+    def refuse(fd, mode):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "chmod", refuse)
+    path = str(tmp_path / "out.txt")
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OutputError, match=f"cannot write {re.escape(path)}: Operation not"):
+        atomic_write_text(path, "text")
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_write_follows_the_umask(tmp_path):
