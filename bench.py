@@ -24,7 +24,10 @@ The record holds:
                 job the n_steps, step_max, norm_drift and leak_max of each
                 oracle run, read from manifest.txt;
   oracle_probe  in-process microseconds per RK4 step of oracle.evolve_numeric
-                at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red), under
+                at 30 x 308 (fig7_8 red) and 30 x 35 (fig4 red), and at the
+                same dims microseconds per `DisplacedFrame.rhs` call at a new
+                stage time and at a repeated one (the generator's own cost,
+                without RK4's vector sums), under
                 `sampler` microseconds per sample at fig4 red: its run on its
                 own 1,601-sample grid less the same run sampled at its ends,
                 and under `exact_error` the accuracy of one oracle run with an
@@ -191,11 +194,15 @@ def exact_undriven_run(periods: float) -> tuple:
 
 def oracle_probe() -> dict:
     """Median and minimum microseconds per RK4 step of evolve_numeric over a
-    run sampled only at its ends, at each PROBES system's red job; per
-    sample of the SAMPLER_PROBE red job's own run, less its ends-only run;
-    and the exact-error run of the EXACT_PROBE red job's system."""
+    run sampled only at its ends, at each PROBES system's red job, and per
+    `DisplacedFrame.rhs` call of as many calls at that job's dims, each at
+    a new stage time (which refreshes the band rows) or all at one repeated
+    time; per sample of the SAMPLER_PROBE red job's own run, less its
+    ends-only run; and the exact-error run of the EXACT_PROBE red job's
+    system."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from optomech import config, oracle
+    import numpy as np
 
     def seconds(cfg, times, icfg):
         start = time.perf_counter()
@@ -210,9 +217,28 @@ def oracle_probe() -> dict:
         for _ in range(PROBE_REPEATS):
             elapsed, run = seconds(cfg, [0.0, steps * icfg.dt], icfg)
             per_step.append(1e6 * elapsed / run.n_steps)
+        frame = oracle.DisplacedFrame(cfg.params, cfg.dims)
+        vec = np.random.default_rng(1).standard_normal(2 * cfg.dims.joint).view(np.complex128)
+        out = np.empty_like(vec)
+        per_call = {"new": [], "repeated": []}
+        for repeat in range(PROBE_REPEATS):
+            fresh = ((repeat * steps + np.arange(steps) + 0.5) * icfg.dt).tolist()
+            # the untimed call leaves the frame at a time the first timed call
+            # does not repeat, or at the one it repeats
+            for kind, times, before in (("new", fresh, -1.0),
+                                        ("repeated", fresh[:1] * steps, fresh[0])):
+                frame.rhs(before, vec, out)
+                start = time.perf_counter()
+                for t in times:
+                    frame.rhs(t, vec, out)
+                per_call[kind].append(1e6 * (time.perf_counter() - start) / steps)
         probes[f"{cfg.dims.field_dim}x{cfg.dims.mirror_dim}"] = {
             "preset": name, "job": "red", "n_steps": run.n_steps, "repeats": PROBE_REPEATS,
             "us_per_step_median": statistics.median(per_step), "us_per_step_min": min(per_step),
+            "rhs_calls": steps,
+            **{f"us_per_rhs_call_{kind}_time_{stat}": fn(values)
+               for kind, values in per_call.items()
+               for stat, fn in (("median", statistics.median), ("min", min))},
         }
     cfg = config.preset_jobs(SAMPLER_PROBE)[0].config
     (_, _, times, icfg, _), = cfg.oracle_runs

@@ -50,9 +50,9 @@ shares cut before any fork (`_forked_map`). Everything runs in-process
 when one CPU is available. Every output file and the manifest are
 byte-identical to running the jobs and grids one after another.
 
-Exit codes: 0 success, 1 config error or an output file that cannot be
-written, 2 numerical failure, 3 truncation inadequacy, 4 a worker process
-that died without reporting (killed, say).
+Exit codes: 0 success, 1 config error, an output file that cannot be
+written or a MemoryError, 2 numerical failure, 3 truncation inadequacy,
+4 a worker process that died without reporting (killed, say).
 """
 from __future__ import annotations
 
@@ -381,6 +381,7 @@ def _build_parser() -> _Parser:
 _EXITS = {
     ConfigError: ("config error", 1),
     OutputError: ("output error", 1),
+    MemoryError: ("out of memory", 1),
     IntegrationError: ("numerical failure", 2),
     TruncationError: ("truncation inadequacy", 3),
     WorkerError: ("worker failure", 4),

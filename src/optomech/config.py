@@ -36,8 +36,8 @@ config error. dt, unset, is the RK4 step recommended over each oracle run.
 A preset replaces the physics keys wholesale: next to `preset` a config may
 set only the keys marked preset, and `--preset NAME` without a config runs
 the preset as it stands. These settings, with `--out` replacing
-output_dir, apply to every job of the preset: dims as set, else the job's
-own; filter if the job or the setting asks; the rest as set.
+output_dir, apply to every job of the preset: a setting given replaces
+the job's own value (its dims or its filter), and the rest are as set.
 
 `filter` needs omega_p != omega_c and, in a job with driven-analytic or
 driven-numeric, a beat period 2 pi / |omega_p - omega_c| at least twice the
@@ -374,12 +374,12 @@ def _strong(ratio: float) -> SystemParams:
 
 def preset_jobs(name: str, settings: dict | None = None) -> tuple:
     """A preset's jobs under the RunConfig settings a config and `--out`
-    set: the settings' dims if given, else the job's own; filter if the job
-    or the settings ask; every other setting as set."""
+    set: a setting given replaces the job's own dims or filter, and every
+    other setting is as set."""
     settings = settings or {}
 
     def job(tag, params, t_end, n_samples, modes, dims=None, filter=False, **emit):
-        own = {"dims": dims, **settings, "filter": filter or settings.get("filter", False)}
+        own = {"dims": dims, "filter": filter, **settings}
         return Job(RunConfig(params, t_end, n_samples, modes, **own), tag, name, **emit)
 
     driven_modes = ("driven-analytic", "driven-numeric", "compare")

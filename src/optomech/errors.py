@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Exit-code mapping used by the CLI: ConfigError and OutputError -> 1,
-IntegrationError -> 2, TruncationError -> 3, WorkerError -> 4.
+Exit-code mapping used by the CLI: ConfigError, OutputError and the
+builtin MemoryError (a job too large for memory) -> 1, IntegrationError
+-> 2, TruncationError -> 3, WorkerError -> 4.
 """
 
 

@@ -400,96 +400,75 @@ class DisplacedFrame:
     as three bands at offsets -mirror_dim, 0 and +mirror_dim. Undriven,
     xi = 0, so F = n and its two off-diagonal bands are exact zeros.
 
-    Each band's row is stored aligned to the output index,
-    out[i] += row[i] * vec[i + offset], so a band is one elementwise product
-    with a shifted slice of a buffer holding vec between guard zeros; the
-    zeros stand in for the amplitudes past either end of the truncated
-    space. `rhs` reads phi from a buffer with one guard zero on each side,
-    made by `padded`. The mirror stage writes B phi into the interior of a
-    buffer with mirror_dim guard zeros on each side, which the field stage
-    reads. At each new stage time b^dagger's row stays its base, b's is
-    its base times one scalar, and F's three rows, which carry b^dagger's
-    phase, are filled from columns of field_dim entries: one full-length
-    product and three fills, where rescaling five rows took five products
-    and cost about 15 us more per stage time at 30 x 308.
+    Each band is one elementwise product of a coefficient row with a slice
+    of the joint vector, offset by d = 1 for B and d = mirror_dim for F:
+    out[d:] += row * vec[:-d] for a raising operator, out[:-d] += row *
+    vec[d:] for a lowering one, so no amplitude past either end of the
+    truncated space is read.
+    b^dagger and b share one row, -G0 sqrt(i mod mirror_dim) for i >= 1,
+    b's multiplied by phase^2; it is zero wherever the mirror level would
+    leave the truncated space, so neither band couples two field levels.
+    a^dagger and a share one column, sqrt(1 .. field_dim - 1). At each new
+    stage time b's row is rescaled, and F's three rows, which carry
+    b^dagger's phase, are filled from columns of at most field_dim
+    entries: one full-length product and three fills, where rescaling five
+    rows took five products and cost about 15 us more per stage time at
+    30 x 308. The kernel's buffers are sliced once, when it is built.
     """
 
     def __init__(self, p: SystemParams, dims: FockDims):
         self._p = p
         self._dims = dims
-        n, m = dims.joint, dims.mirror_dim
-        self.pad = 1
-        self._field_levels = np.arange(dims.field_dim, dtype=float)
+        f, m = dims.field_dim, dims.mirror_dim
+        self._field_levels = np.arange(f, dtype=float)
         self._mirror_levels = np.arange(m, dtype=float)
-        # b^dagger reads offset -1 and b offset +1; their rows vanish where
-        # the mirror level would leave the truncated space.
-        coupling = -p.g0 * np.tile(np.sqrt(self._mirror_levels), dims.field_dim)
-        self._lower = np.concatenate((np.zeros(1), coupling[1:])).astype(np.complex128)
-        self._upper_base = np.concatenate((coupling[1:], np.zeros(1))).astype(np.complex128)
-        self._upper = np.empty(n, dtype=np.complex128)
-        self._scratch = np.empty(n, dtype=np.complex128)
-        # F's diagonal, a^dagger reading offset -mirror_dim and a
-        # +mirror_dim: each row is constant over a field level, so it is
-        # filled from a column of field_dim entries.
-        levels = self._field_levels[:, None]
-        self._field_base = (levels, np.sqrt(levels), np.sqrt(levels + 1.0))
-        self._columns = np.empty((3, dims.field_dim, 1), dtype=np.complex128)
-        self._partial = self._scratch.reshape(dims.field_dim, m)
-        mirrored = np.zeros(n + 2 * m, dtype=np.complex128)
-        self._mirrored = mirrored[m:m + n]
-        self._field_bands = [(np.empty((dims.field_dim, m), dtype=np.complex128),
-                              mirrored[lo:lo + n].reshape(dims.field_dim, m))
-                             for lo in (m, 0, 2 * m)]
+        coupling = -p.g0 * np.tile(np.sqrt(self._mirror_levels), f)
+        self._coupling = coupling[1:].astype(np.complex128)  # b^dagger's row
+        self._b_row = np.empty_like(self._coupling)
+        self._root = np.sqrt(self._field_levels[1:, None])  # a^dagger's and a's column
+        self._f_rows = tuple(np.empty((rows, m), dtype=np.complex128) for rows in (f, f - 1, f - 1))
+        self._diagonal, self._a_dagger_row, self._a_row = (row.ravel() for row in self._f_rows)
+        # B phi, and the scratch through which each stage adds its later
+        # bands, sliced as each band writes or reads them.
+        mirrored = np.empty(dims.joint, dtype=np.complex128)
+        scratch = np.empty(dims.joint, dtype=np.complex128)
+        self._mirrored = mirrored
+        self._b_dagger_out, self._b_out, self._b_part = mirrored[1:], mirrored[:-1], scratch[:-1]
+        self._below, self._above, self._f_part = mirrored[:-m], mirrored[m:], scratch[m:]
         self._t = None
-
-    def padded(self, vec: np.ndarray) -> tuple:
-        """(buffer, view): vec copied between `pad` zeros on each side, and its interior.
-
-        The buffer is what `rhs` reads. Writes through the view leave the
-        guard zeros intact, so the buffer stays a valid `rhs` input.
-        """
-        n = vec.shape[0]
-        buf = np.zeros(n + 2 * self.pad, dtype=np.complex128)
-        view = buf[self.pad:self.pad + n]
-        view[:] = vec
-        return buf, view
 
     def _refresh(self, t: float) -> None:
         # -i B = -i conj(phase) (b^dagger + phase^2 b), phase = exp(-i omega_m t).
-        # -i conj(phase) goes on F's columns, so b^dagger's row stays its base.
+        # -i conj(phase) goes on F's columns, so b^dagger's row stays the shared one.
         phase = cmath.exp(-1j * self._p.omega_m * t)
-        np.multiply(self._upper_base, phase * phase, out=self._upper)
+        np.multiply(self._coupling, phase * phase, out=self._b_row)
         xi = classical_field(self._p, t)
         scale = -1j * phase.conjugate()
-        levels, root, root_up = self._field_base
-        diagonal, below, above = self._columns
-        np.multiply(levels + abs(xi) ** 2, scale, out=diagonal)
-        np.multiply(root, xi * scale, out=below)
-        np.multiply(root_up, xi.conjugate() * scale, out=above)
-        for (row, _), column in zip(self._field_bands, self._columns):
-            row[...] = column
+        diagonal, a_dagger, a = self._f_rows
+        diagonal[...] = (self._field_levels[:, None] + abs(xi) ** 2) * scale
+        a_dagger[...] = self._root * (xi * scale)
+        a[...] = self._root * (xi.conjugate() * scale)
         self._t = t
 
-    def rhs(self, t: float, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = -i H'(t) phi, phi read from a buffer made by `padded`.
+    def rhs(self, t: float, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = -i H'(t) vec, for joint vectors vec and out.
 
         Each stage writes its first band into its target and adds the
         others through a scratch vector.
         """
         if t != self._t:
             self._refresh(t)
-        n = out.shape[0]
-        mirrored = self._mirrored
-        np.multiply(self._lower, padded[:n], out=mirrored)
-        np.multiply(self._upper, padded[2:n + 2], out=self._scratch)
-        mirrored += self._scratch
-        partial = self._partial
-        result = out.reshape(partial.shape)
-        (row, shifted), *rest = self._field_bands
-        np.multiply(row, shifted, out=result)
-        for row, shifted in rest:
-            np.multiply(row, shifted, out=partial)
-            result += partial
+        np.multiply(self._coupling, vec[:-1], out=self._b_dagger_out)
+        self._mirrored[0] = 0.0  # b^dagger reaches no amplitude of index 0
+        np.multiply(self._b_row, vec[1:], out=self._b_part)
+        np.add(self._b_out, self._b_part, out=self._b_out)
+        m = self._dims.mirror_dim
+        part = self._f_part
+        np.multiply(self._diagonal, self._mirrored, out=out)
+        np.multiply(self._a_dagger_row, self._below, out=part)
+        out[m:] += part
+        np.multiply(self._a_row, self._above, out=part)
+        out[:-m] += part
         return out
 
     def to_lab(self, t: float, vec: np.ndarray, xi: complex) -> np.ndarray:
@@ -678,7 +657,8 @@ def evolve_numeric(
     the drift exceeds config.norm_tolerance. Samples with more than
     LEAK_TOLERANCE of population in the top Fock levels of a subsystem
     raise one UserWarning per run, naming each such subsystem and its worst
-    sample; run.leak_max is the largest leak of either subsystem.
+    sample, the latest of equal ones; run.leak_max is the largest leak of
+    either subsystem.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -692,14 +672,14 @@ def evolve_numeric(
 
     frame = DisplacedFrame(p, dims)
     rhs = frame.rhs
-    # rhs reads psi and stage from their padded buffers; the steps below
-    # write only the interior views.
-    psi_pad, psi = frame.padded(JointState.from_product(
+    # psi is stepped in place; stage holds each stage's argument, then the
+    # step's increment.
+    psi = JointState.from_product(
         dims,
         coherent_state(dims.field_dim, p.alpha),
         coherent_state(dims.mirror_dim, p.gamma),
-    ).amps)
-    stage_pad, stage = frame.padded(psi)
+    ).amps
+    stage = np.empty_like(psi)
     kstack = np.empty((4, dims.joint), dtype=np.complex128)
     k1, k2, k3, k4 = kstack
 
@@ -729,7 +709,7 @@ def evolve_numeric(
                 f"{steps_done} steps; reduce dt below {dt:g}"
             )
 
-    leaky = {"field": [], "mirror": []}  # (leak, t) of each sample over LEAK_TOLERANCE
+    leaks = np.empty((2, n_t))  # each sample's (field, mirror) top-level population
 
     def take(lo, hi, block):
         red = reduce_block(block, dims)
@@ -739,12 +719,7 @@ def evolve_numeric(
         run.phonons_sq[lo:hi] = red.phonons_sq
         run.norms[lo:hi] = red.norms
         run.purity[lo:hi] = red.purity
-        for found, leak in zip(leaky.values(), red.leaks):
-            worst = float(leak.max())
-            run.leak_max = max(run.leak_max, worst)
-            if worst > LEAK_TOLERANCE:
-                over = leak > LEAK_TOLERANCE
-                found.extend(zip(leak[over].tolist(), t_grid[lo:hi][over].tolist()))
+        leaks[:, lo:hi] = red.leaks
         if keep_states:
             for i, vec in enumerate(block, lo):
                 lab = frame.to_lab(float(t_grid[i]), vec, xi[i])
@@ -759,16 +734,16 @@ def evolve_numeric(
     for j in range(n_steps):
         t_now = j * h
         t_next = (j + 1) * h
-        rhs(t_now, psi_pad, k1)
+        rhs(t_now, psi, k1)
         np.multiply(k1, 0.5 * h, out=stage)
         stage += psi
-        rhs(t_now + 0.5 * h, stage_pad, k2)
+        rhs(t_now + 0.5 * h, stage, k2)
         np.multiply(k2, 0.5 * h, out=stage)
         stage += psi
-        rhs(t_now + 0.5 * h, stage_pad, k3)
+        rhs(t_now + 0.5 * h, stage, k3)
         np.multiply(k3, h, out=stage)
         stage += psi
-        rhs(t_next, stage_pad, k4)
+        rhs(t_next, stage, k4)
         if take_at == j:
             # the samples this step owns, in pieces of at most `rows`
             end = int(stop[i])
@@ -788,17 +763,19 @@ def evolve_numeric(
         if steps_done % NORM_CHECK_EVERY == 0:
             check(abs(math.sqrt(np.vdot(psi, psi).real) - 1.0))
     run.photons[:], run.photons_sq[:] = lab_photon_moments(field_moments, xi)
-    leaks = []
-    for (subsystem, found), dim in zip(leaky.items(), (dims.field_dim, dims.mirror_dim)):
-        if found:
-            leak, t_leak = max(found)
-            leaks.append(
-                f"population {leak:.3g} in the top 3 {subsystem} Fock levels at t={t_leak:g} "
-                f"(worst of {len(found)} of {len(t_grid)} snapshots over {LEAK_TOLERANCE:g}); "
-                f"increase {subsystem}_dim beyond {dim}"
+    run.leak_max = float(leaks.max())
+    found = []
+    for subsystem, leak, dim in zip(("field", "mirror"), leaks, (dims.field_dim, dims.mirror_dim)):
+        over = int(np.count_nonzero(leak > LEAK_TOLERANCE))
+        if over:
+            worst = n_t - 1 - int(np.argmax(leak[::-1]))  # the latest of equal leaks
+            found.append(
+                f"population {leak[worst]:.3g} in the top 3 {subsystem} Fock levels at "
+                f"t={t_grid[worst]:g} (worst of {over} of {n_t} snapshots over "
+                f"{LEAK_TOLERANCE:g}); increase {subsystem}_dim beyond {dim}"
             )
-    if leaks:
-        warnings.warn("; ".join(leaks), stacklevel=2)
+    if found:
+        warnings.warn("; ".join(found), stacklevel=2)
     return run
 
 

@@ -70,6 +70,19 @@ def test_oracle_probe(record):
         assert 0 < probe["us_per_step_min"] <= probe["us_per_step_median"]
 
 
+def test_newest_record_probes_the_generator():
+    """Microseconds per DisplacedFrame.rhs call at each probe's dims, at a
+    new stage time (the band rows refreshed) and at a repeated one."""
+    with open(RECORDS[-1]) as f:
+        probes = json.load(f)["oracle_probe"]
+    for dims in ("30x308", "30x35"):
+        probe = probes[dims]
+        assert probe["rhs_calls"] > 0, dims
+        for kind in ("new", "repeated"):
+            low = probe[f"us_per_rhs_call_{kind}_time_min"]
+            assert 0 < low <= probe[f"us_per_rhs_call_{kind}_time_median"], (dims, kind)
+
+
 def test_newest_record_probes_the_sampler():
     """Microseconds per sample of fig4 red's own run, less its ends-only run."""
     with open(RECORDS[-1]) as f:

@@ -672,6 +672,31 @@ def test_a_worker_that_dies_exits_4(tmp_path, monkeypatch, capsys, pooled):
     assert capsys.readouterr().err == "worker failure: a worker process died with exit code -9\n"
 
 
+TOO_LARGE = ("Unable to allocate 22.4 GiB for an array with shape (3000000000,) "
+             "and data type float64")
+
+
+@needs_linux
+@pytest.mark.parametrize("cpus, forks", [(1, []), (2, [1])], ids=["in-process", "worker"])
+def test_a_job_too_large_for_memory_exits_1(tmp_path, monkeypatch, capsys, pooled, cpus, forks):
+    """A MemoryError, as numpy raises it for an array it cannot allocate,
+    ends the run with exit 1 and one line, not a traceback, whether it is
+    raised here or in a worker (fig2's first job runs in the one worker
+    beside this process's share)."""
+    run_job = cli._run_job
+
+    def first_too_large(job):
+        if job.tag == "alpha_sq_0":
+            raise MemoryError(TOO_LARGE)
+        return run_job(job)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_run_job", first_too_large)
+    assert cli.main(["run", "--preset", "fig2", "--out", str(tmp_path / "out")]) == 1
+    assert pooled == forks
+    assert capsys.readouterr().err == f"out of memory: {TOO_LARGE}\n"
+
+
 @needs_linux
 @pytest.mark.parametrize("preset, blocked, forks", [
     ("fig3", "manifest.txt", []),  # one job, run in-process

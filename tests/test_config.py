@@ -7,6 +7,7 @@ import pytest
 
 from optomech import config
 from optomech.errors import ConfigError
+from optomech.fock import FockDims
 from optomech.system import SystemParams
 
 REQUIRED_ONLY = {"omega_c": "1e8", "omega_m": "1e7", "t_end": "1e-6", "n_samples": "3",
@@ -61,3 +62,20 @@ def test_only_ratio_keys_take_the_ratio_syntax(key, ratio, accepted):
             config.build_jobs(kv)
         assert str(err.value) == (
             f"line {kv[key][1]}: {key}: only omega_m, omega_p, drive_amp take the x*omega_c syntax")
+
+
+@pytest.mark.parametrize("entries, filters", [
+    ({}, (True, True, False)),
+    ({"filter": "false"}, (False, False, False)),
+    ({"filter": "true"}, (True, True, True)),
+], ids=["own", "false", "true"])
+def test_a_setting_next_to_a_preset_replaces_the_jobs_own(entries, filters):
+    """fig5_6 filters red and blue but not nonforced; `filter` given beside
+    the preset sets every job's, as field_dim and mirror_dim set its dims."""
+    kv = config.parse_config_text(config_text({"preset": "fig5_6", **entries}))
+    jobs = config.build_jobs(kv)
+    assert [job.tag for job in jobs] == ["red", "blue", "nonforced"]
+    assert tuple(job.config.filter for job in jobs) == filters
+    resized = config.build_jobs({**kv, **config.parse_config_text("field_dim = 20\nmirror_dim = 21\n")})
+    assert [job.config.dims for job in jobs] == [FockDims(30, 35)] * 2 + [None]
+    assert [job.config.dims for job in resized] == [FockDims(20, 21)] * 3

@@ -87,7 +87,7 @@ def generator_matrix(frame: DisplacedFrame, dims: FockDims, t: float) -> np.ndar
     for j in range(n):
         basis = np.zeros(n, dtype=complex)
         basis[j] = 1.0
-        frame.rhs(t, frame.padded(basis)[0], op[:, j])
+        frame.rhs(t, basis, op[:, j])
     return op
 
 
@@ -138,7 +138,7 @@ def sixth_moment(p: SystemParams, frame: DisplacedFrame, t: float, psi: np.ndarr
     """<H'(t)^6> = ||H'(t)^3 phi||^2 of the lab-frame state psi."""
     vec = to_frame(p, MODEL_DIMS, t, psi)
     for _ in range(3):
-        vec = frame.rhs(t, frame.padded(vec)[0], np.empty_like(vec))
+        vec = frame.rhs(t, vec, np.empty_like(vec))
     return np.vdot(vec, vec).real
 
 
@@ -234,18 +234,24 @@ class TestInteractionFrame:
         rows, cols = np.nonzero(op)
         assert set(cols - rows) == {-1, 1}
 
-    def test_direct_kernel_equals_operator_product(self):
-        """The padded band kernel against dense ladder operators of the same H'."""
+    @pytest.mark.parametrize("dims", [FockDims(2, 2), FockDims(2, 9), FockDims(9, 2), DIMS],
+                             ids=lambda dims: f"{dims.field_dim}x{dims.mirror_dim}")
+    def test_direct_kernel_equals_operator_product(self, dims):
+        """The band kernel against dense ladder operators of the same H'.
+
+        Two random vectors alternate between calls, at new and at repeated
+        stage times, so a band slice off by one level, or a scratch value
+        carried from the call before, fails."""
         p = tiny_system()
-        frame = DisplacedFrame(p, DIMS)
+        frame = DisplacedFrame(p, dims)
         rng = np.random.default_rng(3)
-        psi = rng.standard_normal(DIMS.joint) + 1j * rng.standard_normal(DIMS.joint)
-        padded, _ = frame.padded(psi)
-        out = np.full_like(psi, np.nan)  # stale contents must not leak in
-        for t in (0.0, 1.3e-7, 1.3e-7, 4.8e-7):
-            got = frame.rhs(t, padded, out)
+        vecs = rng.standard_normal((2, dims.joint)) + 1j * rng.standard_normal((2, dims.joint))
+        out = np.full(dims.joint, np.nan, dtype=complex)  # stale contents must not leak in
+        for call, t in enumerate((0.0, 1.3e-7, 1.3e-7, 4.8e-7, 4.8e-7, 4.8e-7)):
+            vec = vecs[call % 2]
+            got = frame.rhs(t, vec, out)
             assert got is out
-            expected = operator_product(p, DIMS, t) @ psi
+            expected = operator_product(p, dims, t) @ vec
             np.testing.assert_allclose(out, expected, rtol=0,
                                        atol=1e-15 * np.abs(expected).max())
 
@@ -458,6 +464,17 @@ class TestEvolution:
         assert re.search(r"increase (field|mirror)_dim beyond 10", message)
         assert re.search(r"worst of \d+ of 9 snapshots", message)
 
+    def test_equal_leaks_name_the_latest_sample(self):
+        """With g = 0, H' = 0 and phi keeps its initial state, whose top 3 of
+        8 field levels hold 6e-6, so every sample leaks the same: the warning
+        names the last of them."""
+        p = tiny_system(g_ratio=0.0, alpha=0.5, gamma=0.5, drive_amp=0.2e7)
+        grid = np.linspace(0.0, 0.5 * p.mech_period, 9)
+        with pytest.warns(UserWarning) as record:
+            evolve_numeric(p, FockDims(8, 16), t_grid=grid)
+        (message,) = [str(w.message) for w in record]
+        assert f" at t={grid[-1]:g} (worst of 9 of 9 snapshots over " in message
+
     @pytest.mark.parametrize("p, dims, leaking, other", [
         # uncoupled and driven: phi keeps its initial field, whose top 3 of 8
         # levels hold 6e-6; the mirror stays put
@@ -513,7 +530,7 @@ def rk4_states(p: SystemParams, dims: FockDims, t_end: float, n_steps: int) -> l
     h = t_end / n_steps
 
     def f(t, vec):
-        return frame.rhs(t, frame.padded(vec)[0], np.empty_like(vec))
+        return frame.rhs(t, vec, np.empty_like(vec))
 
     out = []
     for j in range(n_steps):
