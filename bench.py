@@ -241,7 +241,8 @@ def oracle_probe() -> dict:
                for stat, fn in (("median", statistics.median), ("min", min))},
         }
     cfg = config.preset_jobs(SAMPLER_PROBE)[0].config
-    (_, _, times, icfg, _), = cfg.oracle_runs
+    (_, _, _, icfg, _), = cfg.oracle_runs
+    times = cfg.t_grid
     per_sample = []
     for _ in range(PROBE_REPEATS):
         sampled, run = seconds(cfg, times, icfg)

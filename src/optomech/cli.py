@@ -168,7 +168,8 @@ def _run_job(job: Job) -> tuple:
                 emit(ObservableSeries(t_grid, y, label, "analytic"))
 
     wigner_run = None
-    for mode, prefix, times, icfg, keep_states in cfg.oracle_runs:
+    for mode, prefix, _, icfg, keep_states in cfg.oracle_runs:
+        times = np.asarray(wigner.default_snapshot_times(p)) if mode == "wigner" else t_grid
         run = oracle.evolve_numeric(p, cfg.dims, times, icfg, keep_states)
         note(prefix + "field_dim", cfg.dims.field_dim)
         note(prefix + "mirror_dim", cfg.dims.mirror_dim)
@@ -340,16 +341,18 @@ def validate(jobs) -> str:
         lines.append(f"  modes={','.join(cfg.modes)} filter={_fmt(cfg.filter)}")
         lines.append(f"  recommended_field_dim={fd} recommended_mirror_dim={md}")
         runs = cfg.oracle_runs
-        # run integrates the betas over the series grid and the snapshot times
-        beta_grids = [times for mode, _, times, _, _ in runs if mode == "wigner"]
-        if "driven-analytic" in cfg.modes:
-            beta_grids.append(cfg.t_grid)
+        # run integrates the betas over the series grid and the snapshot
+        # times: (end, points) of each, evenly spaced from 0, never built
+        beta_grids = [(cfg.t_end, cfg.n_samples)] if "driven-analytic" in cfg.modes else []
+        if "wigner" in cfg.modes:
+            times = wigner.default_snapshot_times(p)
+            beta_grids.append((times[-1], len(times)))
         if beta_grids:
-            panels = sum(driven.beta_panels(p, grid) * (grid.size - 1) for grid in beta_grids)
+            panels = sum(driven.beta_panels(p, end / (n - 1)) * (n - 1) for end, n in beta_grids)
             lines.append(f"  driven-analytic: panels={panels}")
         total_steps = 0
-        for mode, _, times, icfg, _ in runs:
-            n_steps = oracle.step_count(float(times[-1]), icfg.dt)
+        for mode, _, t_end, icfg, _ in runs:
+            n_steps = oracle.step_count(t_end, icfg.dt)
             lines.append(f"  {mode}: dt={_fmt(icfg.dt)} steps={n_steps}")
             total_steps += n_steps
         if runs:

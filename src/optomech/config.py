@@ -26,12 +26,13 @@ if it is honored next to a preset and `ratio` if it takes the ratio syntax:
     wigner_grid_points  int      161       preset
 
 A complex is any Python complex literal, a bool one of true/yes/1 or
-false/no/0 in any case, and `modes` a comma list of `MODES` (see `cli`). A ratio
-key may be written `x*omega_c`, x times the config's omega_c; any other
-float key given that syntax is an error. field_dim and mirror_dim are
-given together; without them a job that makes an oracle run takes
-`auto_dims`, and one whose auto dims exceed `fock.MAX_JOINT_DIM` is a
-config error. dt, unset, is the RK4 step recommended over each oracle run.
+false/no/0 in any case, and `modes` a comma list of distinct `MODES` (see
+`cli`). A ratio key may be written `x*omega_c`, x times the config's
+omega_c; any other float key given that syntax is an error. field_dim and
+mirror_dim are given together; without them a job that makes an oracle
+run takes `auto_dims`, and one whose auto dims exceed `fock.MAX_JOINT_DIM`
+is a config error. dt, unset, is the RK4 step recommended over each oracle
+run.
 
 A preset replaces the physics keys wholesale: next to `preset` a config may
 set only the keys marked preset, and `--preset NAME` without a config runs
@@ -70,11 +71,12 @@ from .wigner import default_snapshot_times
 
 MODES = ("undriven", "driven-analytic", "driven-numeric", "wigner", "compare")
 # The modes that make an oracle run, in the order a job makes them: mode ->
-# (manifest prefix, the run's sample times, whether it keeps its states).
+# (manifest prefix, the run's end time, whether it keeps its states). The
+# run samples the series grid or the snapshot times, which `cli._run_job`
+# builds.
 ORACLE_RUNS = {
-    "driven-numeric": ("", lambda cfg: cfg.t_grid, False),
-    "wigner": ("wigner_numeric_", lambda cfg: np.asarray(default_snapshot_times(cfg.params)),
-               True),
+    "driven-numeric": ("", lambda cfg: cfg.t_end, False),
+    "wigner": ("wigner_numeric_", lambda cfg: default_snapshot_times(cfg.params)[-1], True),
 }
 PRESETS = ("fig2", "fig3", "fig4", "fig5_6", "fig7_8", "wigner_snapshots")
 
@@ -123,6 +125,9 @@ class RunConfig:
         bad = [m for m in self.modes if m not in MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}; valid: {', '.join(MODES)}")
+        twice = sorted({m for m in self.modes if self.modes.count(m) > 1})
+        if twice:
+            raise ConfigError(f"modes {twice} listed more than once")
         if "compare" in self.modes and not {"driven-analytic", "driven-numeric"} <= set(self.modes):
             raise ConfigError("mode 'compare' needs both 'driven-analytic' and 'driven-numeric'")
         if self.dt is not None and not (self.dt > 0):
@@ -143,7 +148,8 @@ class RunConfig:
                 raise ConfigError("filter window undefined: drive on cavity resonance")
             if any(mode in self.modes for mode in ("driven-analytic", "driven-numeric")):
                 try:
-                    require_window(self.t_grid, window)
+                    # the series grid's step: linspace ends on t_end exactly
+                    require_window(self.t_end / (self.n_samples - 1), window)
                 except ValueError as exc:
                     raise ConfigError(f"filter: {exc}") from exc
         if self.dims is None and oracle_job:
@@ -160,20 +166,20 @@ class RunConfig:
 
     @cached_property
     def oracle_runs(self) -> tuple:
-        """(mode, manifest prefix, sample times, RK4 settings, keep_states)
-        of each oracle run of the job, in `ORACLE_RUNS` order: at the job's
+        """(mode, manifest prefix, end time, RK4 settings, keep_states) of
+        each oracle run of the job, in `ORACLE_RUNS` order: at the job's
         dims, with the step recommended over the run's own span unless dt
         is set. `run` executes them and `validate` counts them."""
         runs = []
-        for mode, (prefix, sample_times, keep_states) in ORACLE_RUNS.items():
+        for mode, (prefix, end_time, keep_states) in ORACLE_RUNS.items():
             if mode in self.modes:
-                times = sample_times(self)
+                t_end = float(end_time(self))
                 if self.dt is not None:
                     icfg = oracle.IntegratorConfig(self.dt, self.norm_tolerance)
                 else:
                     icfg = oracle.recommend_integrator_config(
-                        self.params, float(times[-1]), self.dims, self.norm_tolerance)
-                runs.append((mode, prefix, times, icfg, keep_states))
+                        self.params, t_end, self.dims, self.norm_tolerance)
+                runs.append((mode, prefix, t_end, icfg, keep_states))
         return tuple(runs)
 
 

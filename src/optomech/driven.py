@@ -155,15 +155,14 @@ def envelope_rate(p: SystemParams) -> float:
                         + 2.0 * g * abs(p.gamma))
 
 
-def beta_panels(p: SystemParams, t_grid) -> int:
-    """Panels integrate_betas cuts each step of the even grid t_grid into.
+def beta_panels(p: SystemParams, step: float) -> int:
+    """Panels integrate_betas cuts each step of an even grid into.
 
     The fewest equal panels no wider than PANEL_PHASE / envelope_rate(p);
-    the carrier does not size them.  ValueError unless t_grid is evenly
-    spaced (`postproc.grid_step`).
+    the carrier does not size them.
     """
     h_max = PANEL_PHASE / envelope_rate(p)
-    return max(1, math.ceil(grid_step(t_grid, "t_grid") / h_max))
+    return max(1, math.ceil(step / h_max))
 
 
 def _lobatto(n: int):
@@ -253,7 +252,7 @@ def integrate_betas(p: SystemParams, t_grid) -> BetaSeries:
     b2 = -b1*.  One set of weights (_carrier_weights) serves every panel.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    count = beta_panels(p, t_grid)
+    count = beta_panels(p, grid_step(t_grid, "t_grid"))
     if t_grid[0] != 0.0:
         raise ValueError(f"t_grid must start at 0, not {t_grid[0]:g}")
     h = t_grid[-1] / (t_grid.size - 1) / count

@@ -35,14 +35,16 @@ Solving ODEs I, II.6),
     b1 = theta - 3 theta^2/2 + 2 theta^3/3,  b2 = theta^2 - 2 theta^3/3,
     b4 = -theta^2/2 + 2 theta^3/3,
 
-which at theta = 1 is the step itself, h (1, 2, 2, 1) / 6. One function
-gives the weight row h (b1, b2, b2, b4) (`_dense_row`): each step is its
-theta = 1 row times the stacked k1..k4, added to phi, and a sample on a
-step's end is read with that same row. The rows of every sample are
-computed once, and the samples a step owns are built together as one
-product of their rows with the step's stacked k1..k4, plus phi, and
-reduced as one block (`reduce_block`) of at most _BLOCK_AMPLITUDES
-amplitudes or one sample. Samples are never held across steps.
+which at theta = 1 is the step itself, h (1, 2, 2, 1) / 6, and at
+theta = 0 is zero. One function gives the weight row h (b1, b2, b2, b4)
+(`_dense_row`): each step is its theta = 1 row times the stacked k1..k4,
+added to phi, and a sample on a step's end is read with that same row.
+Every sample, t = 0 included, is read from the step it falls in, t = 0
+from step 0 at theta = 0, through one list of blocks (`_sample_plan`):
+each block is one product of its samples' rows with its step's stacked
+k1..k4, plus phi, reduced together (`reduce_block`), of at most
+_BLOCK_AMPLITUDES amplitudes or one sample. Samples are never held across
+steps.
 
 exp(-i H0 t) D(xi) acts on the field alone, apart from a diagonal mirror
 phase, so the mirror moments <N> and <N^2> and the purity are those of
@@ -589,18 +591,6 @@ def lab_photon_moments(field_moments: np.ndarray, xi: np.ndarray) -> tuple:
     return photons, pairs + photons
 
 
-class _SamplePlan(NamedTuple):
-    """How evolve_numeric reads its samples. Sample i is read from step
-    owner[i] (-1 for t = 0: the initial state) with dense-output weights
-    coef[i] of k1..k4, in the block of samples up to stop[i] that its step
-    owns; rows, the most samples one block holds, bounds its memory."""
-
-    owner: np.ndarray
-    stop: np.ndarray
-    coef: np.ndarray
-    rows: int
-
-
 def _dense_row(h: float, theta) -> np.ndarray:
     """h (b1, b2, b2, b4) at each theta, the weights of k1..k4 in RK4's
     continuous extension (module docstring), one row per theta; at theta = 1
@@ -612,29 +602,40 @@ def _dense_row(h: float, theta) -> np.ndarray:
                          -0.5 * th2 + 2.0 * th3 / 3.0), axis=-1)
 
 
-def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> _SamplePlan:
-    """The plan of `step_count` equal steps over [0, t_grid[-1]].
+def _sample_plan(t_grid: np.ndarray, n_steps: int, joint: int) -> tuple:
+    """(coef, blocks, rows): how `step_count` equal steps over [0,
+    t_grid[-1]] read the samples of t_grid, which ends after 0.
 
-    A sample on a step boundary is the end of the step before it, so theta
-    is in (0, 1], and its row (`_dense_row`) is the one the step itself
-    takes. A block of rows samples holds at most _BLOCK_AMPLITUDES
-    amplitudes, unless rows is 1, and no block holds more samples than a
-    step owns. Without the bound, `simulate run` on strong_oracle sampled
-    at 20,001 points peaks at 98 MB RSS, against 44 MB with it.
+    Every sample is read from the step it falls in, with its row coef[i]
+    (`_dense_row`). A sample on a step boundary is the end of the step
+    before it, so theta is in (0, 1] and its row is the one the step itself
+    takes; t = 0 is step 0 at theta = 0, whose row is zero. `blocks` lists
+    (step, lo, hi), the samples lo .. hi - 1 that one product reads, in
+    order: each step's samples cut into pieces of at most rows that differ
+    in size by at most one, t = 0 a block of its own ahead of step 0's
+    others (a block reduces within 1e-15 of its rows alone, not bit for
+    bit), and last an empty block past the last step. A block holds at
+    most _BLOCK_AMPLITUDES amplitudes, unless rows is 1. Without the bound,
+    `simulate run` on strong_oracle sampled at 20,001 points peaks at 98 MB
+    RSS, against 44 MB with it.
     """
     n_t = t_grid.size
-    owner = np.full(n_t, -1)
-    coef = np.zeros((n_t, 4))
-    taken = t_grid > 0.0
-    if n_steps:
-        h = float(t_grid[-1]) / n_steps
-        position = t_grid[taken] / h
-        steps = np.clip(np.ceil(position) - 1, 0, n_steps - 1)
-        coef[taken] = _dense_row(h, position - steps)
-        owner[taken] = steps
-    stop = np.searchsorted(owner, owner, side="right")
-    most = int((stop - np.arange(n_t))[taken].max(initial=0))
-    return _SamplePlan(owner, stop, coef, min(most, max(1, _BLOCK_AMPLITUDES // joint)))
+    h = float(t_grid[-1]) / n_steps
+    position = t_grid / h
+    owner = np.clip(np.ceil(position) - 1, 0, n_steps - 1)
+    coef = _dense_row(h, position - owner)
+    edge = np.diff(owner, prepend=-1.0) != 0
+    edge[1:2] |= t_grid[0] == 0.0  # t = 0 alone
+    starts = np.flatnonzero(edge).tolist()
+    spans = list(zip(starts, starts[1:] + [n_t]))
+    rows = min(max(hi - lo for lo, hi in spans), max(1, _BLOCK_AMPLITUDES // joint))
+    blocks = []
+    for lo, hi in spans:
+        pieces = -(-(hi - lo) // rows)
+        cuts = [lo + (hi - lo) * q // pieces for q in range(pieces + 1)]
+        blocks += [(int(owner[lo]), a, b) for a, b in zip(cuts, cuts[1:])]
+    blocks.append((n_steps, n_t, n_t))
+    return coef, blocks, rows
 
 
 def evolve_numeric(
@@ -646,19 +647,22 @@ def evolve_numeric(
 ) -> OracleRun:
     """Integrate from the product of coherent states, sampling at t_grid.
 
-    Takes `step_count(t_grid[-1], config.dt)` equal RK4 steps in the
-    displaced interaction frame and reads each sample from the continuous
-    extension of the step it falls in, the samples of each step reduced as
-    one block (module docstring, `reduce_block`). With keep_states,
-    run.states also holds each sample as a lab-frame JointState,
-    exp(-i H0 t) D(xi) phi normalized on the truncated space. The state is
-    never renormalized while stepping; its norm is checked at every sample
-    and every NORM_CHECK_EVERY steps, and IntegrationError is raised once
-    the drift exceeds config.norm_tolerance. Samples with more than
-    LEAK_TOLERANCE of population in the top Fock levels of a subsystem
-    raise one UserWarning per run, naming each such subsystem and its worst
-    sample, the latest of equal ones; run.leak_max is the largest leak of
-    either subsystem.
+    t_grid is non-negative, strictly ascending and ends after 0
+    (ValueError otherwise). Takes `step_count(t_grid[-1], config.dt)`
+    equal RK4 steps in the displaced interaction frame and reads every
+    sample, t = 0 included, from the continuous extension of the step it
+    falls in, t = 0 at theta = 0, whose row is zero: after each step's k4
+    it reduces the blocks of `_sample_plan` that the step owns (module
+    docstring, `reduce_block`). With keep_states, run.states also holds
+    each sample as a lab-frame JointState, exp(-i H0 t) D(xi) phi
+    normalized on the truncated space. The state is never renormalized
+    while stepping; its norm is checked at every sample and every
+    NORM_CHECK_EVERY steps, and IntegrationError is raised once the drift
+    exceeds config.norm_tolerance. Samples with more than LEAK_TOLERANCE
+    of population in the top Fock levels of a subsystem raise one
+    UserWarning per run, naming each such subsystem and its worst sample,
+    the latest of equal ones; run.leak_max is the largest leak of either
+    subsystem.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -666,8 +670,10 @@ def evolve_numeric(
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be non-negative and strictly ascending")
     t_end = float(t_grid[-1])
+    if t_end <= 0:
+        raise ValueError("t_grid must end after 0")
     if config is None:
-        config = recommend_integrator_config(p, max(t_end, 1e-300), dims)
+        config = recommend_integrator_config(p, t_end, dims)
     require_stable_dt(p, config.dt)
 
     frame = DisplacedFrame(p, dims)
@@ -692,10 +698,10 @@ def evolve_numeric(
     field_moments = np.empty((n_t, 5), dtype=np.complex128)  # as BlockReduction gives them
     dt = config.dt
     n_steps = step_count(t_end, dt)
-    h = t_end / n_steps if n_steps else 0.0
+    h = t_end / n_steps
     run.n_steps = n_steps
     run.step_max = h
-    owner, stop, coef, rows = _sample_plan(t_grid, n_steps, dims.joint)
+    coef, blocks, rows = _sample_plan(t_grid, n_steps, dims.joint)
     step_row = _dense_row(h, 1.0)
     dense = np.empty((rows, dims.joint), dtype=np.complex128)
     xi = np.array([classical_field(p, t) for t in t_grid.tolist()])
@@ -726,11 +732,7 @@ def evolve_numeric(
                 lab /= np.linalg.norm(lab)
                 run.states.append(JointState(dims, lab))
 
-    i = 0
-    if owner[0] < 0:
-        take(0, 1, psi[None])
-        i = 1
-    take_at = int(owner[i]) if i < n_t else -1
+    b = 0
     for j in range(n_steps):
         t_now = j * h
         t_next = (j + 1) * h
@@ -744,19 +746,13 @@ def evolve_numeric(
         np.multiply(k3, h, out=stage)
         stage += psi
         rhs(t_next, stage, k4)
-        if take_at == j:
-            # the samples this step owns, in pieces of at most `rows`
-            end = int(stop[i])
-            pieces = -(-(end - i) // rows)
-            for q in range(pieces):
-                lo = i + (end - i) * q // pieces
-                hi = i + (end - i) * (q + 1) // pieces
-                block = dense[:hi - lo]
-                np.dot(coef[lo:hi], kstack, out=block)
-                block += psi
-                take(lo, hi, block)
-            i = end
-            take_at = int(owner[i]) if i < n_t else -1
+        while blocks[b][0] == j:
+            _, lo, hi = blocks[b]
+            block = dense[:hi - lo]
+            np.dot(coef[lo:hi], kstack, out=block)
+            block += psi
+            take(lo, hi, block)
+            b += 1
         np.dot(step_row, kstack, out=stage)
         psi += stage
         steps_done = j + 1

@@ -70,13 +70,10 @@ def variance_over_mean(mean, second):
     return out[()]
 
 
-def require_window(t: np.ndarray, window: float) -> float:
-    """The step of the even grid t (`grid_step`); ValueError unless the
-    window is at least twice it."""
-    step = grid_step(t, "t")
+def require_window(step: float, window: float) -> None:
+    """ValueError unless the window is at least twice the grid step."""
     if window < 2.0 * step:
         raise ValueError(f"window {window:g} must be at least twice the grid step {step:g}")
-    return step
 
 
 def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
@@ -86,7 +83,8 @@ def filter_fast(series: ObservableSeries, window: float) -> ObservableSeries:
     Near the edges the window shrinks symmetrically so the average stays
     centered; the result carries provenance "filtered".
     """
-    step = require_window(series.t, window)
+    step = grid_step(series.t, "t")
+    require_window(step, window)
     t, y = series.t, series.y
     half = np.minimum(window / 2.0, np.minimum(t - t[0], t[-1] - t))
     eps = step * 1e-9

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,8 +239,7 @@ def test_validate_reports_the_steps_of_fig4_runs(tmp_path, capsys):
 def test_fig4_blue_steps_stay_within_dt():
     """fig4 blue's t_end / dt is 528.0000000000001 and t_end / 528 exceeds
     dt by 1 ulp, so the run takes 529 steps, each no longer than dt."""
-    (_, _, times, icfg, _), = config.preset_jobs("fig4")[1].config.oracle_runs
-    t_end = float(times[-1])
+    (_, _, t_end, icfg, _), = config.preset_jobs("fig4")[1].config.oracle_runs
     assert t_end / icfg.dt == 528.0000000000001 and t_end / 528 > icfg.dt
     n_steps = oracle.step_count(t_end, icfg.dt)
     assert n_steps == 529 and t_end / n_steps <= icfg.dt
@@ -273,6 +273,33 @@ def test_validate_output_feeds_the_harness_projection(monkeypatch):
         sys.modules.pop("outputs", None)
     text = cli.validate(config.preset_jobs("fig7_8"))
     assert projection(text) == {"dims": [30, 308], "est_steps": 54_810}
+
+
+STRONG_ORACLE_TEXT = Path(STRONG_ORACLE_CONFIG).read_text()
+
+
+@pytest.mark.parametrize("text, flags, panels, steps", [
+    (Path(PERFBENCH, "workloads", "strong_analytic.cfg").read_text(), [], [1100], []),
+    (STRONG_ORACLE_TEXT, [], [50], [108]),
+    # one panel per sample interval, 2,999,999,999 of them: no grid is built
+    (STRONG_ORACLE_TEXT.replace("n_samples = 51", "n_samples = 3000000000"), [],
+     [2_999_999_999], [108]),
+    (None, ["--preset", "fig4"], [1600, 1600], [433, 529]),
+], ids=["strong_analytic", "strong_oracle", "strong_oracle-3e9-samples", "fig4"])
+def test_validate_never_builds_the_series_grid(tmp_path, monkeypatch, capsys, text, flags,
+                                               panels, steps):
+    """Building and validating a job reads the series grid's end and step,
+    never the grid itself (`RunConfig.t_grid` raises here), and prints the
+    job's panels and steps."""
+    def refuse(cfg):
+        raise AssertionError("the series grid was built")
+
+    monkeypatch.setattr(config.RunConfig, "t_grid", property(refuse))
+    argv = flags if text is None else ["--config", write_config(tmp_path, text)]
+    assert cli.main(["validate", *argv]) == 0
+    out = capsys.readouterr().out
+    assert [int(n) for n in re.findall(r"driven-analytic: panels=(\d+)", out)] == panels
+    assert [int(n) for n in re.findall(r"est_steps=(\d+)", out)] == steps
 
 
 @pytest.mark.parametrize("preset, panels", [
@@ -755,6 +782,8 @@ CONFIG_ERRORS = {
     "key-next-to-preset": ("preset = fig4\nomega_c = 1e8\n", [],
                            "keys ['omega_c'] conflict with preset 'fig4'"),
     "missing-keys": ("omega_c = 1e8\n", [], "missing required keys: omega_m"),
+    "mode-twice": (AT_REST_CONFIG + "modes = undriven,undriven\n", [],
+                   "modes ['undriven'] listed more than once"),
     "filter-on-resonance": (DRIVEN_AT_REST + "omega_p = 1*omega_c\nfilter = true\n", [],
                             "filter window undefined: drive on cavity resonance"),
     # a beat period of 3.1e-7 s against samples 1e-6 s apart

@@ -206,8 +206,8 @@ class TestIntegrateBetas:
         p = strong_system()
         grid = np.linspace(0.0, 2.0, 4) * p.mech_period
         fast = dataclasses.replace(p, omega_c=10 * p.omega_c, omega_p=10 * p.omega_p)
-        count = driven.beta_panels(p, grid)
-        assert driven.beta_panels(fast, grid) == count
+        count = driven.beta_panels(p, grid[1])
+        assert driven.beta_panels(fast, grid[1]) == count
         rate = p.omega_m * (1 + 4 * abs(p.alpha) ** 2 * p.g_ratio ** 2 + 4 * p.g_ratio ** 2
                             + 2 * p.g_ratio * abs(p.gamma))
         assert driven.envelope_rate(p) == pytest.approx(rate, rel=1e-15)

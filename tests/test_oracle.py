@@ -562,15 +562,57 @@ class TestSampling:
 
     def test_a_step_is_the_dense_row_at_theta_one(self):
         """The step takes _dense_row(h, 1), RK4's h (1, 2, 2, 1) / 6, and a
-        sample on a step's end is read with that same row."""
+        sample on a step's end is read with that same row; t = 0 is step 0
+        at theta = 0, whose row is zero."""
         h = 0.25
         step = oracle._dense_row(h, 1.0)
         np.testing.assert_allclose(step, h * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
                                    rtol=4e-16, atol=0)
         np.testing.assert_array_equal(oracle._dense_row(h, 0.0), np.zeros(4))
-        plan = oracle._sample_plan(np.array([0.0, 0.5, 0.75, 1.0]), 4, DIMS.joint)
-        np.testing.assert_array_equal(plan.owner, [-1, 1, 2, 3])
-        np.testing.assert_array_equal(plan.coef[1:], np.tile(step, (3, 1)))
+        coef, blocks, _ = oracle._sample_plan(np.array([0.0, 0.5, 0.75, 1.0]), 4, DIMS.joint)
+        assert blocks == [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 4)]
+        np.testing.assert_array_equal(coef[0], np.zeros(4))
+        np.testing.assert_array_equal(coef[1:], np.tile(step, (3, 1)))
+
+    @pytest.mark.parametrize("t_grid, n_steps, joint", [
+        (np.linspace(0.0, 1.0, 41), 1, 4),  # 40 samples in one step, 4 rows at a time
+        (np.linspace(0.0, 1.0, 41), 7, 2 ** 13),  # pieces of at most 2 rows
+        (np.linspace(0.0, 1.0, 41), 60, 16),  # steps with no sample
+        (np.linspace(0.25, 1.0, 31), 3, 2 ** 12),  # no t = 0
+        (np.array([0.0, 1e-3, 1.0]), 5, 100),  # t = 0 beside a sample of step 0
+        (np.array([0.0, 1.0]), 1, 2 ** 15),  # wider than the bound: one row
+    ], ids=["one-step", "pieces", "sparse", "no-zero", "zero-in-step-0", "one-row"])
+    def test_blocks_tile_the_samples(self, t_grid, n_steps, joint):
+        """The blocks tile 0 .. n_t in order, ending in an empty block past
+        the last step; t = 0 is a block (0, 0, 1) of its own; no block
+        holds more than rows samples, or more than _BLOCK_AMPLITUDES
+        amplitudes unless it is one row; each sample's block is its step's,
+        and a step's pieces differ in size by at most one."""
+        n_t = t_grid.size
+        coef, blocks, rows = oracle._sample_plan(t_grid, n_steps, joint)
+        assert coef.shape == (n_t, 4)
+        assert blocks[-1] == (n_steps, n_t, n_t)
+        body = blocks[:-1]
+        assert [lo for _, lo, _ in body] == [0] + [hi for _, _, hi in body[:-1]]
+        assert body[-1][2] == n_t
+        assert rows == 1 or rows * joint <= oracle._BLOCK_AMPLITUDES
+        h = t_grid[-1] / n_steps
+        sizes = {}
+        for step, lo, hi in body:
+            assert 0 < hi - lo <= rows
+            assert [step] * (hi - lo) == [min(n_steps - 1, max(0, math.ceil(t / h) - 1))
+                                          for t in t_grid[lo:hi]]
+            if not (t_grid[0] == 0.0 and lo == 0):
+                sizes.setdefault(step, []).append(hi - lo)
+        if t_grid[0] == 0.0:
+            assert body[0] == (0, 0, 1)
+        for pieces in sizes.values():
+            assert max(pieces) - min(pieces) <= 1
+
+    def test_a_grid_that_ends_at_zero_is_refused(self):
+        """t_grid = [0.0] asks for no step; no config reaches it (t_end > 0)."""
+        with pytest.raises(ValueError, match="^t_grid must end after 0$"):
+            evolve_numeric(tiny_system(), FockDims(4, 4), [0.0])
 
     def test_samples_on_step_ends_are_the_stepped_states(self):
         """theta = 1 is the step itself: to rounding, the states of plain RK4."""
@@ -670,10 +712,10 @@ class TestBlockReduction:
         def run():
             return observables_numeric(evolve_numeric(p, dims, grid, cfg))
 
-        assert oracle._sample_plan(grid, 2, dims.joint).rows == 9
+        assert oracle._sample_plan(grid, 2, dims.joint)[2] == 9
         whole = run()
         monkeypatch.setattr(oracle, "_BLOCK_AMPLITUDES", rows * dims.joint)
-        assert oracle._sample_plan(grid, 2, dims.joint).rows == rows
+        assert oracle._sample_plan(grid, 2, dims.joint)[2] == rows
         for name, series in run().items():
             np.testing.assert_allclose(series.y, whole[name].y, rtol=1e-15, atol=1e-15)
 
@@ -684,7 +726,7 @@ class TestBlockReduction:
         bound = oracle._BLOCK_AMPLITUDES
         grid = np.linspace(0.0, 1.0, 71)  # 70 samples in one step
         for joint in range(4, bound // 2 + 2):
-            rows = oracle._sample_plan(grid, 1, joint).rows
+            _, _, rows = oracle._sample_plan(grid, 1, joint)
             assert rows == 1 or rows * joint <= bound
             assert rows == 70 or (rows + 1) * joint > bound
 
@@ -695,7 +737,7 @@ class TestBlockReduction:
     ], ids=str)
     def test_preset_partitions(self, dims, rows):
         """The sample rows of the dims the presets run at."""
-        assert oracle._sample_plan(np.linspace(0.0, 1.0, 41), 1, dims.joint).rows == rows
+        assert oracle._sample_plan(np.linspace(0.0, 1.0, 41), 1, dims.joint)[2] == rows
 
     def test_lab_photon_moments_converge_in_field_dim(self):
         """fig4 red over its first beat period: no truncation enters after the
@@ -703,7 +745,8 @@ class TestBlockReduction:
         marginal misses mandel_field by 2.1e-7)."""
         (job,) = [job for job in config.preset_jobs("fig4") if job.tag == "red"]
         cfg = job.config
-        (_, _, times, icfg, _), = cfg.oracle_runs
+        (_, _, _, icfg, _), = cfg.oracle_runs
+        times = cfg.t_grid
         p = cfg.params
         beat = 2 * math.pi / abs(p.omega_p - p.omega_c)
         grid = times[times <= beat * (1 + 1e-12)]
